@@ -11,7 +11,6 @@ from .experiments import (
     SlopeFit,
     SweepRow,
     fit_convergence_slope,
-    resolve_workers,
     sweep_grid,
     sweep_receiver,
     sweep_transceiver,
@@ -83,7 +82,6 @@ __all__ = [
     "noise_rx",
     "noise_trx",
     "operator_trace",
-    "resolve_workers",
     "sweep_grid",
     "sweep_receiver",
     "sweep_transceiver",

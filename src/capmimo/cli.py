@@ -114,6 +114,15 @@ def _parse_float_list(raw: str, key: str) -> tuple[float, ...]:
     return vals
 
 
+def _parse_bool(raw: str) -> bool:
+    word = raw.strip().lower()
+    if word in ("1", "true", "yes"):
+        return True
+    if word in ("0", "false", "no"):
+        return False
+    raise ValueError(f"expected a boolean, got {raw!r}")
+
+
 _FILE_PARSERS = {
     "scenario": str,
     "wavelength": float,
@@ -128,9 +137,9 @@ _FILE_PARSERS = {
     "m1_list": lambda v: _parse_int_list(v, "m1_list"),
     "m2_list": lambda v: _parse_int_list(v, "m2_list"),
     "out": str,
-    "keep_going": lambda v: v.strip().lower() in ("1", "true", "yes"),
+    "keep_going": _parse_bool,
     "log_base": str,
-    "timings": lambda v: v.strip().lower() in ("1", "true", "yes"),
+    "timings": _parse_bool,
 }
 
 
@@ -230,22 +239,26 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _row_record(row: SweepRow, timings: bool) -> list[str]:
+def _row_record(row: SweepRow, timings: bool) -> list:
     bits = None if row.mi_nats is None else row.mi_nats / math.log(2.0)
     tag = row.model_tag if row.error is None else f"error:{row.error}"
     wall = row.wall_time_s if timings else 0.0
-    return [_fmt(v) for v in (row.scenario, row.d_m, row.m1, row.m2, row.ref_m,
-                              row.mi_nats, bits, row.mi_ref_nats, row.abs_gap,
-                              row.n_used, tag, wall)]
+    return [row.scenario, row.d_m, row.m1, row.m2, row.ref_m, row.mi_nats, bits,
+            row.mi_ref_nats, row.abs_gap, row.n_used, tag, wall]
+
+
+def _write_csv(path: Path, columns: tuple[str, ...], records: list[list]) -> None:
+    """The one CSV writer: header, then records formatted by ``_fmt``, '\\n' line ends."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_fmt(v) for v in rec] for rec in records)
+    path.write_text(buf.getvalue(), encoding="utf-8")
 
 
 def write_rows_csv(rows: list[SweepRow], path: Path, timings: bool = False) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow(_row_record(row, timings))
-    path.write_text(buf.getvalue(), encoding="utf-8")
+    """Sweep rows under the fixed CSV_COLUMNS header."""
+    _write_csv(path, CSV_COLUMNS, [_row_record(row, timings) for row in rows])
 
 
 def read_rows_csv(path: Path) -> list[SweepRow]:
@@ -272,16 +285,26 @@ def read_rows_csv(path: Path) -> list[SweepRow]:
     return rows
 
 
-def _meta_path(out: Path) -> Path:
-    return out.with_suffix(".meta")
+def _write_outputs(command: str, rc: RunConfig, columns: tuple[str, ...],
+                   records: list[list], meta: dict) -> bool:
+    """Write rc.out as CSV plus its JSON sidecar (.meta suffix).
 
-
-def _write_meta(out: Path, command: str, rc: RunConfig, extra: dict) -> None:
+    Returns False, after a one-line message on stderr, when either file
+    cannot be written.
+    """
+    out = Path(rc.out)
     payload = {"tool": "capmimo", "version": __version__, "command": command,
-               "resolved_config": rc.resolved_dict()}
-    payload.update(extra)
-    _meta_path(out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                               encoding="utf-8")
+               "resolved_config": rc.resolved_dict(), **meta}
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        _write_csv(out, columns, records)
+        out.with_suffix(".meta").write_text(
+            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+        return False
+    print(f"wrote {len(records)} rows to {out}")
+    return True
 
 
 def _print_resolved(command: str, rc: RunConfig) -> None:
@@ -311,15 +334,6 @@ def _slope_fits_by_distance(rows: list[SweepRow]) -> dict:
 
 def _finish_sweep(rows: list[SweepRow], command: str, rc: RunConfig,
                   started: float, extra: dict | None = None) -> int:
-    if rc.out is None:
-        raise ConfigError(f"{command} requires --out (or out = ... in the config file)")
-    out = Path(rc.out)
-    try:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        write_rows_csv(rows, out, timings=rc.timings)
-    except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-        return 1
     errors = [r for r in rows if r.error is not None]
     meta = {"rows": len(rows),
             "slope_fits": _slope_fits_by_distance(rows),
@@ -329,12 +343,13 @@ def _finish_sweep(rows: list[SweepRow], command: str, rc: RunConfig,
                         "cells_s": [r.wall_time_s for r in rows]}}
     if extra:
         meta.update(extra)
-    _write_meta(out, command, rc, meta)
     for d in sorted({r.d_m for r in rows}):
         refs = [r.mi_ref_nats for r in rows if r.d_m == d and r.mi_ref_nats is not None]
         if refs:
             print(f"d={d:g}: reference {_stdout_mi(refs[0], rc)}")
-    print(f"wrote {len(rows)} rows to {out}")
+    records = [_row_record(row, rc.timings) for row in rows]
+    if not _write_outputs(command, rc, CSV_COLUMNS, records, meta):
+        return 1
     if errors:
         print(f"{len(errors)} cell(s) failed", file=sys.stderr)
         return 0 if rc.keep_going else 1
@@ -346,48 +361,33 @@ def _run_dof(command: str, rc: RunConfig) -> int:
     est = dof_estimate(cfg, rc.ref_m, inner_points=rc.inner_points)
     print(f"eigen_count = {est.eigen_count} (threshold {est.threshold_rel:g} of largest)")
     print(f"analytic_dof = {est.analytic}")
-    if rc.out is not None:
-        out = Path(rc.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(DOF_COLUMNS)
-        ref_m = rc.ref_m if rc.ref_m is not None else default_ref_m(cfg)
-        writer.writerow([rc.scenario, _fmt(rc.distance), ref_m,
-                         _fmt(est.threshold_rel), est.eigen_count, _fmt(est.analytic)])
-        out.write_text(buf.getvalue(), encoding="utf-8")
-        _write_meta(out, command, rc, {"eigen_count": est.eigen_count,
-                                       "analytic_dof": est.analytic})
-        print(f"wrote {out}")
-    return 0
+    if rc.out is None:
+        return 0
+    ref_m = rc.ref_m if rc.ref_m is not None else default_ref_m(cfg)
+    records = [[rc.scenario, rc.distance, ref_m, est.threshold_rel, est.eigen_count,
+                est.analytic]]
+    meta = {"eigen_count": est.eigen_count, "analytic_dof": est.analytic}
+    return 0 if _write_outputs(command, rc, DOF_COLUMNS, records, meta) else 1
 
 
 def _run_bounds(command: str, rc: RunConfig) -> int:
     cfg = rc.system_config()
-    records = []
+    results = []
     print(f"{'m':>8} {'n_rx':>18} {'scaled_gap':>14} {'gap_bound':>14} ok")
     for m in rc.m_list:
         control = noise_rx(midpoint_grid(cfg.aperture_m, m), cfg, rc.inner_points)
         ok = control.gap <= control.gap_bound
-        records.append((m, control))
+        results.append((m, control, ok))
         print(f"{m:>8} {control.n_value:>18.10e} {control.gap:>14.6e} "
               f"{control.gap_bound:>14.6e} {'yes' if ok else 'NO'}")
     if rc.out is not None:
-        out = Path(rc.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(BOUNDS_COLUMNS)
-        for m, control in records:
-            writer.writerow([rc.scenario, _fmt(rc.distance), m, _fmt(control.n_value),
-                             _fmt(control.gap), _fmt(control.gap_bound),
-                             str(control.gap <= control.gap_bound).lower()])
-        out.write_text(buf.getvalue(), encoding="utf-8")
-        _write_meta(out, command, rc,
-                    {"gaps": {str(m): c.gap for m, c in records},
-                     "bounds": {str(m): c.gap_bound for m, c in records}})
-        print(f"wrote {out}")
-    return 0 if all(c.gap <= c.gap_bound for _, c in records) else 1
+        records = [[rc.scenario, rc.distance, m, c.n_value, c.gap, c.gap_bound, str(ok).lower()]
+                   for m, c, ok in results]
+        meta = {"gaps": {str(m): c.gap for m, c, _ in results},
+                "bounds": {str(m): c.gap_bound for m, c, _ in results}}
+        if not _write_outputs(command, rc, BOUNDS_COLUMNS, records, meta):
+            return 1
+    return 0 if all(ok for _, _, ok in results) else 1
 
 
 def run(command: str, rc: RunConfig) -> int:

@@ -1,22 +1,18 @@
 """Sweep drivers over antenna counts and distances, plus slope fitting.
 
 Each sweep tabulates a discrete model against the continuous reference
-at the same distance, one row per cell. Cells are independent pure
-computations; they may run on a thread pool (numpy releases the GIL in
-the heavy kernels). Results are sorted by their keys before being
-returned, so row order never depends on scheduling.
-
-The environment variable ``CAPMIMO_THREADS`` caps cell parallelism
-(0 or unset = automatic).
+at the same distance, one row per cell. Cells run one after another in
+the calling thread, so every cell at one geometry reuses the cached
+reference trace and spectrum; matrix products and eigensolves use the
+BLAS's own threads. Results are sorted by their keys before being
+returned.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -86,28 +82,6 @@ class GridSweep:
     symmetry_gap: float
 
 
-def resolve_workers(n_cells: int) -> int:
-    """Worker count from CAPMIMO_THREADS; 0 or unset picks the CPU count."""
-    raw = os.environ.get("CAPMIMO_THREADS", "0")
-    try:
-        requested = int(raw)
-    except ValueError:
-        raise ValueError(f"CAPMIMO_THREADS must be an integer, got {raw!r}") from None
-    if requested < 0:
-        raise ValueError(f"CAPMIMO_THREADS must be >= 0, got {requested}")
-    if requested == 0:
-        requested = os.cpu_count() or 1
-    return max(1, min(requested, n_cells))
-
-
-def _run_cells(cells: Sequence[tuple], worker: Callable) -> list:
-    n = resolve_workers(len(cells))
-    if n == 1:
-        return [worker(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(worker, cells))
-
-
 def _checked_lists(distances: Sequence[float], m_values: Sequence[int],
                    cfg: SystemConfig, ref_m: int | None) -> int:
     if not distances:
@@ -154,12 +128,9 @@ def sweep_receiver(cfg: SystemConfig, distances: Sequence[float],
     for d in distances:
         cfg_d = dataclasses.replace(cfg, distance_m=d)
         ref = mi_continuous(cfg_d, ref_m, inner_points).value_nats
-
-        def worker(m: int, cfg_d=cfg_d, d=d, ref=ref) -> SweepRow:
-            return _cell_row(scenario, d, None, m, ref_m, ref,
-                             lambda: mi_discrete_rx(m, cfg_d, inner_points))
-
-        rows.extend(_run_cells(list(m_values), worker))
+        for m in m_values:
+            rows.append(_cell_row(scenario, d, None, m, ref_m, ref,
+                                  lambda: mi_discrete_rx(m, cfg_d, inner_points)))
     rows.sort(key=lambda r: (r.d_m, r.m2))
     return rows
 
@@ -174,12 +145,9 @@ def sweep_transceiver(cfg: SystemConfig, distances: Sequence[float],
     for d in distances:
         cfg_d = dataclasses.replace(cfg, distance_m=d)
         ref = mi_continuous(cfg_d, ref_m, inner_points).value_nats
-
-        def worker(m: int, cfg_d=cfg_d, d=d, ref=ref) -> SweepRow:
-            return _cell_row(scenario, d, m, m, ref_m, ref,
-                             lambda: mi_discrete_trx(m, m, cfg_d, inner_points))
-
-        rows.extend(_run_cells(list(m_values), worker))
+        for m in m_values:
+            rows.append(_cell_row(scenario, d, m, m, ref_m, ref,
+                                  lambda: mi_discrete_trx(m, m, cfg_d, inner_points)))
     rows.sort(key=lambda r: (r.d_m, r.m2))
     return rows
 
@@ -194,14 +162,10 @@ def sweep_grid(cfg: SystemConfig, d: float, m1_values: Sequence[int],
     ref_m = _checked_lists([d], list(m1_values) + list(m2_values), cfg, ref_m)
     cfg_d = dataclasses.replace(cfg, distance_m=d)
     ref = mi_continuous(cfg_d, ref_m, inner_points).value_nats
-
-    def worker(cell: tuple[int, int]) -> SweepRow:
-        m1, m2 = cell
-        return _cell_row(scenario, d, m1, m2, ref_m, ref,
-                         lambda: mi_discrete_trx(m1, m2, cfg_d, inner_points))
-
-    cells = [(m1, m2) for m1 in m1_values for m2 in m2_values]
-    rows = sorted(_run_cells(cells, worker), key=lambda r: (r.m1, r.m2))
+    rows = sorted((_cell_row(scenario, d, m1, m2, ref_m, ref,
+                             lambda: mi_discrete_trx(m1, m2, cfg_d, inner_points))
+                   for m1 in m1_values for m2 in m2_values),
+                  key=lambda r: (r.m1, r.m2))
     by_key = {(r.m1, r.m2): r.mi_nats for r in rows if r.mi_nats is not None}
     sym = 0.0
     for (m1, m2), v in by_key.items():

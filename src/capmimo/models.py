@@ -1,30 +1,42 @@
 """Mutual-information models for continuous and discretized transceivers.
 
-Three models share one spectral engine:
+All three models are the one spectral computation of ``spectra``: the
+eigenvalues of a weighted Gram matrix of sampled propagation
+coefficients, then log det(I + (2 / n) K) as a sum of log1p. They differ
+in the two sampling grids, the Gram weight and the noise density n:
 
-* ``mi_continuous``   -- both apertures continuous; the field operator's
-  determinant is approximated on a fine reference grid.
-* ``mi_discrete_rx``  -- continuous transmitter, m point antennas at the
-  receiver, noise density rescaled by ``noise_rx`` so the total receive
-  SNR matches the continuous model.
-* ``mi_discrete_trx`` -- point antennas on both sides, noise rescaled by
-  ``noise_trx``.
+* ``mi_continuous``   -- fine reference grid against the inner source
+  grid, weight l/n_inner: the field operator's determinant.
+* ``mi_discrete_rx``  -- m point antennas against the inner source grid,
+  weight l/n_inner; noise density rescaled by ``noise_rx`` so the total
+  receive SNR matches the continuous model.
+* ``mi_discrete_trx`` -- point antennas on both sides, weight 1; noise
+  rescaled by ``noise_trx``.
 
 ``mi_intermediate`` evaluates the reference-grid determinant at the
 rescaled noise of a discrete model, which splits a discrete-vs-continuous
 gap into its quadrature and SNR-control parts for diagnostics.
+
+Power and noise density only rescale these quantities: every cache is
+keyed on the geometry alone and holds unit-power values, and P and n0
+are applied on each call (P in the scale 2P/n for the discrete models).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .physics import SystemConfig, green_offset, kernel_diagonal, operator_trace
+from .physics import (
+    SystemConfig,
+    green_offset,
+    kernel_diagonal,
+    operator_trace,
+    resolve_inner_points,
+)
 from .spectra import (
     QuadratureGrid,
     SpectralResult,
@@ -32,6 +44,7 @@ from .spectra import (
     assemble_kernel_matrix,
     gram_from_channel,
     hermitian_eigenvalues,
+    logdet_from_eigenvalues,
     midpoint_grid,
 )
 
@@ -102,40 +115,43 @@ class DofEstimate:
     threshold_rel: float
 
 
-def _unit_power_cfg(cfg: SystemConfig) -> SystemConfig:
-    return dataclasses.replace(cfg, power_density=1.0)
+def _geometry(cfg: SystemConfig) -> SystemConfig:
+    """The cache key of ``cfg``: its geometry at unit power and default noise."""
+    return SystemConfig(wavelength_m=cfg.wavelength_m, aperture_m=cfg.aperture_m,
+                        distance_m=cfg.distance_m)
 
 
 @lru_cache(maxsize=64)
-def _unit_trace(cfg: SystemConfig, inner_points: int) -> float:
+def _unit_trace(geometry: SystemConfig, inner_points: int) -> float:
     """Reference total received power at unit transmit power density."""
-    return operator_trace(_unit_power_cfg(cfg), TRACE_REF_OUTER, inner_points)
+    return operator_trace(geometry, TRACE_REF_OUTER, inner_points)
 
 
 @lru_cache(maxsize=32)
-def _reference_spectrum(cfg: SystemConfig, ref_m: int, inner_points: int) -> SpectralResult:
-    grid = midpoint_grid(cfg.aperture_m, ref_m)
-    K = assemble_kernel_matrix(grid, cfg, inner_points)
-    return hermitian_eigenvalues(K)
+def _reference_spectrum(geometry: SystemConfig, ref_m: int,
+                        inner_points: int) -> SpectralResult:
+    """Unit-power kernel spectrum on the ref_m-point reference grid."""
+    grid = midpoint_grid(geometry.aperture_m, ref_m)
+    return hermitian_eigenvalues(assemble_kernel_matrix(grid, geometry, inner_points))
 
 
 @lru_cache(maxsize=64)
-def _diag_curvature_sup(cfg: SystemConfig, inner_points: int) -> float:
+def _diag_curvature_sup(geometry: SystemConfig, inner_points: int) -> float:
     """sup |d^2/dr^2 kernel_value(r, r)| estimated by central differences.
 
     Sampled on CURVATURE_GRID_INTERVALS + 1 equispaced diagonal points;
     an estimate of the supremum, not a certified one.
     """
     n = CURVATURE_GRID_INTERVALS
-    r = np.linspace(0.0, cfg.aperture_m, n + 1)
-    h = cfg.aperture_m / n
-    diag = kernel_diagonal(r, _unit_power_cfg(cfg), inner_points)
+    r = np.linspace(0.0, geometry.aperture_m, n + 1)
+    h = geometry.aperture_m / n
+    diag = kernel_diagonal(r, geometry, inner_points)
     second = (diag[2:] - 2.0 * diag[1:-1] + diag[:-2]) / (h * h)
     return float(np.abs(second).max())
 
 
 @lru_cache(maxsize=64)
-def _offset_power_curvature_sup(cfg: SystemConfig) -> float:
+def _offset_power_curvature_sup(geometry: SystemConfig) -> float:
     """sup over the aperture square of |d^2/dr^2| and |d^2/ds^2| of |G(r-s)|^2.
 
     |G|^2 depends on r and s only through x = r - s and is even in x, so
@@ -143,9 +159,9 @@ def _offset_power_curvature_sup(cfg: SystemConfig) -> float:
     x in [0, l].
     """
     n = 40000
-    x = np.linspace(0.0, cfg.aperture_m, n + 1)
-    h = cfg.aperture_m / n
-    g = green_offset(x, cfg)
+    x = np.linspace(0.0, geometry.aperture_m, n + 1)
+    h = geometry.aperture_m / n
+    g = green_offset(x, geometry)
     power = g.real**2 + g.imag**2
     second = (power[2:] - 2.0 * power[1:-1] + power[:-2]) / (h * h)
     return float(np.abs(second).max())
@@ -159,9 +175,15 @@ def default_ref_m(cfg: SystemConfig) -> int:
 def _resolve(cfg: SystemConfig, ref_m: int | None, inner_points: int | None) -> tuple[int, int]:
     if ref_m is None:
         ref_m = default_ref_m(cfg)
-    if inner_points is None:
-        inner_points = cfg.default_inner_points()
-    return ref_m, inner_points
+    return ref_m, resolve_inner_points(cfg, inner_points)
+
+
+def _operator_spectrum(cfg: SystemConfig, ref_m: int, inner_points: int) -> np.ndarray:
+    """Per-subchannel signal powers: the reference spectrum scaled by P * l / ref_m."""
+    unit = _reference_spectrum(_geometry(cfg), ref_m, inner_points).eigenvalues
+    scaled = (cfg.power_density * cfg.aperture_m / ref_m) * unit
+    scaled.setflags(write=False)
+    return scaled
 
 
 def mi_continuous(cfg: SystemConfig, ref_m: int | None = None,
@@ -169,18 +191,15 @@ def mi_continuous(cfg: SystemConfig, ref_m: int | None = None,
     """Mutual information of the fully continuous model, in nats.
 
     Fine-grid approximation of the operator determinant
-    log det(1 + T / (n0/2)): the grid weight l/ref_m folds into the scale
-    applied to the sampled kernel's eigenvalues. The operator-scaled
+    log det(1 + T / (n0/2)): the cached unit-power reference spectrum
+    times P * l/ref_m approximates the spectrum of T. That operator-scaled
     spectrum is exposed on the result for SNR and DoF diagnostics.
     """
     ref_m, inner_points = _resolve(cfg, ref_m, inner_points)
     if ref_m < 64:
         raise ValueError(f"ref_m must be >= 64 for a usable reference, got {ref_m}")
-    spectrum = _reference_spectrum(cfg, ref_m, inner_points)
-    weight = cfg.aperture_m / ref_m
-    scaled = weight * spectrum.eigenvalues
-    scaled.setflags(write=False)
-    value = float(np.sum(np.log1p((2.0 / cfg.noise_density) * scaled)))
+    scaled = _operator_spectrum(cfg, ref_m, inner_points)
+    value = logdet_from_eigenvalues(scaled, 2.0 / cfg.noise_density)
     return MiResult(value_nats=value, model_tag=MODEL_CONTINUOUS,
                     noise_used=cfg.noise_density, ref_m=ref_m,
                     inner_points=inner_points, eigenvalues=scaled)
@@ -197,15 +216,15 @@ def noise_rx(grid: QuadratureGrid, cfg: SystemConfig,
     """
     if grid.m < 1:
         raise ValueError("grid must be nonempty")
-    _, inner_points = _resolve(cfg, None, inner_points)
+    inner_points = resolve_inner_points(cfg, inner_points)
     if cfg.power_density == 0.0:
         raise ZeroTraceError("SNR matching undefined: zero transmit power density")
-    trace = cfg.power_density * _unit_trace(cfg, inner_points)
+    trace = cfg.power_density * _unit_trace(_geometry(cfg), inner_points)
     diag_sum = float(kernel_diagonal(grid.points, cfg, inner_points).sum())
     n_value = cfg.noise_density * diag_sum / trace
     l, m, n0 = cfg.aperture_m, grid.m, cfg.noise_density
     gap = abs(l * n_value / m - n0)
-    curvature = cfg.power_density * _diag_curvature_sup(cfg, inner_points)
+    curvature = cfg.power_density * _diag_curvature_sup(_geometry(cfg), inner_points)
     bound = n0 * l**3 * curvature / (24.0 * m * m * trace)
     return NoiseControl(n_value=n_value, limit_value=m * n0 / l,
                         gap=gap, gap_bound=bound)
@@ -223,15 +242,14 @@ def noise_trx(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
     """
     if rx_grid.m < 1 or tx_grid.m < 1:
         raise ValueError("grids must be nonempty")
-    _, inner_points = _resolve(cfg, None, inner_points)
-    unit_trace = _unit_trace(cfg, inner_points)
+    unit_trace = _unit_trace(_geometry(cfg), resolve_inner_points(cfg, inner_points))
     H = assemble_channel_matrix(rx_grid, tx_grid, cfg)
     pair_sum = float(np.sum(H.real**2 + H.imag**2))
     n_value = cfg.noise_density * pair_sum / unit_trace
     l, n0 = cfg.aperture_m, cfg.noise_density
     m1, m2 = tx_grid.m, rx_grid.m
     gap = abs(n0 - l * l * n_value / (m1 * m2))
-    sup2 = _offset_power_curvature_sup(cfg)
+    sup2 = _offset_power_curvature_sup(_geometry(cfg))
     bound = n0 * l**4 * (sup2 + sup2) / (24.0 * min(m1, m2) ** 2 * unit_trace)
     return NoiseControl(n_value=n_value, limit_value=m1 * m2 * n0 / (l * l),
                         gap=gap, gap_bound=bound)
@@ -241,20 +259,22 @@ def mi_discrete_rx(m: int, cfg: SystemConfig,
                    inner_points: int | None = None) -> MiResult:
     """Mutual information with a continuous transmitter and m point antennas.
 
-    log det(I + K / (n_rx / 2)) on the sampled kernel matrix; the grid
-    weight is absorbed by the rescaled noise, so no explicit quadrature
-    weight appears. Zero power short-circuits to zero information.
+    log det(I + P * K / (n_rx / 2)) on the unit-power kernel matrix
+    sampled at the antennas; the grid weight is absorbed by the rescaled
+    noise, so no explicit quadrature weight appears. Zero power
+    short-circuits to zero information.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    _, inner_points = _resolve(cfg, None, inner_points)
+    inner_points = resolve_inner_points(cfg, inner_points)
     grid = midpoint_grid(cfg.aperture_m, m)
     if cfg.power_density == 0.0:
         return MiResult(value_nats=0.0, model_tag=MODEL_DISCRETE_RX,
                         noise_used=math.nan, grid_m=m, inner_points=inner_points)
     control = noise_rx(grid, cfg, inner_points)
-    K = assemble_kernel_matrix(grid, cfg, inner_points)
-    value = _logdet_spectrum(hermitian_eigenvalues(K), 2.0 / control.n_value)
+    K = assemble_kernel_matrix(grid, _geometry(cfg), inner_points)
+    value = logdet_from_eigenvalues(hermitian_eigenvalues(K).eigenvalues,
+                                    2.0 * cfg.power_density / control.n_value)
     return MiResult(value_nats=value, model_tag=MODEL_DISCRETE_RX,
                     noise_used=control.n_value, grid_m=m, inner_points=inner_points)
 
@@ -263,24 +283,20 @@ def mi_discrete_trx(m1: int, m2: int, cfg: SystemConfig,
                     inner_points: int | None = None) -> MiResult:
     """Mutual information with m1 transmit and m2 receive point antennas.
 
-    Equal power density per transmit antenna; the received correlation is
-    the channel Gram matrix P * H H^H, and the determinant runs over the
-    m2 receive dimensions.
+    Equal power density per transmit antenna: log det(I + P * H H^H /
+    (n_trx / 2)) over the m2 receive dimensions, with the unit-weight
+    channel Gram matrix H H^H and P applied in the scale.
     """
     if m1 < 1 or m2 < 1:
         raise ValueError(f"antenna counts must be >= 1, got ({m1}, {m2})")
     tx_grid = midpoint_grid(cfg.aperture_m, m1)
     rx_grid = midpoint_grid(cfg.aperture_m, m2)
     control = noise_trx(rx_grid, tx_grid, cfg, inner_points)
-    H = assemble_channel_matrix(rx_grid, tx_grid, cfg)
-    K = gram_from_channel(H, cfg.power_density)
-    value = _logdet_spectrum(hermitian_eigenvalues(K), 2.0 / control.n_value)
+    K = gram_from_channel(assemble_channel_matrix(rx_grid, tx_grid, cfg), 1.0)
+    value = logdet_from_eigenvalues(hermitian_eigenvalues(K).eigenvalues,
+                                    2.0 * cfg.power_density / control.n_value)
     return MiResult(value_nats=value, model_tag=MODEL_DISCRETE_TRX,
                     noise_used=control.n_value, grid_m1=m1, grid_m2=m2)
-
-
-def _logdet_spectrum(spectrum: SpectralResult, scale: float) -> float:
-    return float(np.sum(np.log1p(scale * spectrum.eigenvalues)))
 
 
 def mi_intermediate(kind: str, cfg: SystemConfig, ref_m: int | None = None,
@@ -317,9 +333,7 @@ def mi_intermediate(kind: str, cfg: SystemConfig, ref_m: int | None = None,
         tag, counts = MODEL_REF_RESCALED_TRX, {"grid_m1": m1, "grid_m2": m2}
     else:
         raise ValueError(f'kind must be "rx" or "trx", got {kind!r}')
-    spectrum = _reference_spectrum(cfg, ref_m, inner_points)
-    weight = l / ref_m
-    value = _logdet_spectrum(spectrum, z * weight)
+    value = logdet_from_eigenvalues(_operator_spectrum(cfg, ref_m, inner_points), z)
     return MiResult(value_nats=value, model_tag=tag, noise_used=noise.n_value,
                     ref_m=ref_m, inner_points=inner_points, **counts)
 
@@ -335,8 +349,8 @@ def dof_estimate(cfg: SystemConfig, ref_m: int | None = None,
     if not 0.0 < threshold_rel < 1.0:
         raise ValueError(f"threshold_rel must lie in (0, 1), got {threshold_rel}")
     ref_m, inner_points = _resolve(cfg, ref_m, inner_points)
-    spectrum = _reference_spectrum(cfg, ref_m, inner_points)
-    lam_max = float(spectrum.eigenvalues[0]) if spectrum.eigenvalues.size else 0.0
-    count = 0 if lam_max <= 0.0 else int(np.sum(spectrum.eigenvalues >= threshold_rel * lam_max))
+    spectrum = _operator_spectrum(cfg, ref_m, inner_points)
+    lam_max = float(spectrum[0]) if spectrum.size else 0.0
+    count = 0 if lam_max <= 0.0 else int(np.sum(spectrum >= threshold_rel * lam_max))
     analytic = cfg.aperture_m**2 / (cfg.distance_m * cfg.wavelength_m)
     return DofEstimate(eigen_count=count, analytic=analytic, threshold_rel=threshold_rel)

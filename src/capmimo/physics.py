@@ -102,8 +102,17 @@ def _check_points(name: str, n: int) -> None:
         raise ValueError(f"{name} must be >= 2 for a meaningful quadrature, got {n}")
 
 
-def _source_midpoints(cfg: SystemConfig, n: int) -> np.ndarray:
-    return (np.arange(n, dtype=np.float64) + 0.5) * (cfg.aperture_m / n)
+def resolve_inner_points(cfg: SystemConfig, inner_points: int | None) -> int:
+    """Source-quadrature size: ``inner_points``, or the config default when None."""
+    if inner_points is None:
+        inner_points = cfg.default_inner_points()
+    _check_points("inner_points", inner_points)
+    return inner_points
+
+
+def midpoints(length: float, n: int) -> np.ndarray:
+    """Composite midpoint nodes (i + 1/2) * length / n, i = 0..n-1, on (0, length)."""
+    return (np.arange(n, dtype=np.float64) + 0.5) * (length / n)
 
 
 def kernel_value(r: float, r_prime: float, cfg: SystemConfig,
@@ -116,17 +125,15 @@ def kernel_value(r: float, r_prime: float, cfg: SystemConfig,
     is evaluated once in canonical order and mirrored by conjugation, and
     the diagonal is forced real.
     """
-    if inner_points is None:
-        inner_points = cfg.default_inner_points()
-    _check_points("inner_points", inner_points)
+    inner_points = resolve_inner_points(cfg, inner_points)
     if r == r_prime:
-        s = _source_midpoints(cfg, inner_points)
+        s = midpoints(cfg.aperture_m, inner_points)
         g = green_offset(r - s, cfg)
         val = cfg.power_density * (cfg.aperture_m / inner_points) * np.sum(g.real**2 + g.imag**2)
         return complex(val, 0.0)
     if r > r_prime:
         return complex(kernel_value(r_prime, r, cfg, inner_points)).conjugate()
-    s = _source_midpoints(cfg, inner_points)
+    s = midpoints(cfg.aperture_m, inner_points)
     prod = green_offset(r - s, cfg) * np.conj(green_offset(r_prime - s, cfg))
     return complex(cfg.power_density * (cfg.aperture_m / inner_points) * np.sum(prod))
 
@@ -139,11 +146,9 @@ def kernel_diagonal(positions: np.ndarray, cfg: SystemConfig,
     SNR-matching rules and the operator trace, so a single quadrature
     convention is used everywhere.
     """
-    if inner_points is None:
-        inner_points = cfg.default_inner_points()
-    _check_points("inner_points", inner_points)
+    inner_points = resolve_inner_points(cfg, inner_points)
     positions = np.asarray(positions, dtype=np.float64)
-    s = _source_midpoints(cfg, inner_points)
+    s = midpoints(cfg.aperture_m, inner_points)
     g = green_offset(positions[:, None] - s[None, :], cfg)
     return cfg.power_density * (cfg.aperture_m / inner_points) * np.sum(g.real**2 + g.imag**2, axis=1)
 
@@ -157,10 +162,7 @@ def operator_trace(cfg: SystemConfig, outer_points: int | None = None,
     """
     if outer_points is None:
         outer_points = 2000
-    if inner_points is None:
-        inner_points = cfg.default_inner_points()
     _check_points("outer_points", outer_points)
-    _check_points("inner_points", inner_points)
-    r = (np.arange(outer_points, dtype=np.float64) + 0.5) * (cfg.aperture_m / outer_points)
+    r = midpoints(cfg.aperture_m, outer_points)
     diag = kernel_diagonal(r, cfg, inner_points)
     return float((cfg.aperture_m / outer_points) * diag.sum())

@@ -1,10 +1,18 @@
-"""Midpoint grids, Hermitian kernel assembly, eigen-decomposition, log-det.
+"""Midpoint grids and the one spectral path shared by every model.
 
-The continuum field operator is realized numerically by sampling its
-kernel on an equal-weight midpoint grid; with the grid weight folded
-into the scale argument, ``logdet_one_plus_scaled`` then evaluates both
-the operator determinant (fine reference grid) and the finite antenna
-array determinant (physical grid) through one code path.
+Every mutual-information value in the package is the same computation:
+
+    hermitian_eigenvalues(gram_from_channel(
+        assemble_channel_matrix(rx_grid, tx_grid, cfg), weight))
+
+followed by ``logdet_from_eigenvalues``, the only ``sum log(1 + s*lambda)``
+in the package. The models differ only in the two sampling grids and the
+Gram weight, which is the quadrature weight of the transmit side: the
+continuous operator samples a fine reference grid against the n-point
+inner source grid with weight l/n, the discrete receiver samples its
+antennas against the same source grid, and the discrete transceiver
+samples antennas on both sides with weight 1. ``assemble_kernel_matrix``
+is this path on the source grid with weight P * l/n.
 
 Kernel matrices are plain complex ndarrays that satisfy, by
 construction, K[i, j] == conj(K[j, i]) entrywise-exactly with an exactly
@@ -18,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .physics import SystemConfig, _check_points, green_offset
+from .physics import SystemConfig, green_offset, midpoints, resolve_inner_points
 
 
 class PSDViolationError(ValueError):
@@ -49,7 +57,7 @@ def midpoint_grid(length: float, m: int) -> QuadratureGrid:
         raise ValueError(f"grid size m must be >= 1, got {m}")
     if not length > 0:
         raise ValueError(f"grid length must be positive, got {length}")
-    pts = (np.arange(m, dtype=np.float64) + 0.5) * (length / m)
+    pts = midpoints(length, m)
     pts.setflags(write=False)
     return QuadratureGrid(points=pts, weight=length / m, m=m)
 
@@ -66,17 +74,13 @@ def assemble_kernel_matrix(grid: QuadratureGrid, cfg: SystemConfig,
                            inner_points: int | None = None) -> np.ndarray:
     """Sampled field-autocorrelation matrix K[i, j] = kernel_value(r_i, r_j).
 
-    The inner source integral is shared across all pairs: with
-    A[i, k] = G(r_i - s_k), K = P * (l/n) * A A^H, which is then mirrored
-    to make Hermitian symmetry exact. Cost O(m^2 n).
+    The channel from the n-point source grid to ``grid``, A[i, k] =
+    G(r_i - s_k), gives K = P * (l/n) * A A^H with exact Hermitian
+    symmetry. Cost O(m^2 n).
     """
-    if inner_points is None:
-        inner_points = cfg.default_inner_points()
-    _check_points("inner_points", inner_points)
-    s = (np.arange(inner_points, dtype=np.float64) + 0.5) * (cfg.aperture_m / inner_points)
-    A = green_offset(grid.points[:, None] - s[None, :], cfg)
-    K = (cfg.power_density * cfg.aperture_m / inner_points) * (A @ A.conj().T)
-    return _hermitize_in_place(K)
+    source = midpoint_grid(cfg.aperture_m, resolve_inner_points(cfg, inner_points))
+    return gram_from_channel(assemble_channel_matrix(grid, source, cfg),
+                             cfg.power_density * cfg.aperture_m / source.m)
 
 
 def assemble_channel_matrix(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
@@ -85,9 +89,9 @@ def assemble_channel_matrix(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
     return green_offset(rx_grid.points[:, None] - tx_grid.points[None, :], cfg)
 
 
-def gram_from_channel(H: np.ndarray, power_density: float) -> np.ndarray:
-    """Received-signal correlation P * H H^H with exact Hermitian symmetry."""
-    K = power_density * (H @ H.conj().T)
+def gram_from_channel(H: np.ndarray, weight: float) -> np.ndarray:
+    """Weighted Gram matrix weight * H H^H with exact Hermitian symmetry."""
+    K = weight * (H @ H.conj().T)
     return _hermitize_in_place(K)
 
 
@@ -140,15 +144,17 @@ def hermitian_eigenvalues(K: np.ndarray, clamp_rel: float = 1e-12) -> SpectralRe
     return SpectralResult(eigenvalues=ev, clamped_count=clamped, clamp_floor=floor)
 
 
-def logdet_one_plus_scaled(K: np.ndarray, scale: float,
-                           clamp_rel: float = 1e-12) -> float:
-    """log det(I + scale * K) of a Hermitian PSD matrix via its spectrum.
+def logdet_from_eigenvalues(eigenvalues: np.ndarray, scale: float) -> float:
+    """sum_k log(1 + scale * lambda_k): log det(I + scale * K) from K's spectrum.
 
-    Computed as sum_k log(1 + scale * lambda_k) over the clamped
-    spectrum, so the individual subchannel terms remain available to
-    callers that need them. Nondecreasing in scale; zero at scale = 0.
+    Nondecreasing in scale; zero at scale = 0.
     """
     if scale < 0:
         raise ValueError(f"scale must be >= 0, got {scale}")
-    res = hermitian_eigenvalues(K, clamp_rel)
-    return float(np.sum(np.log1p(scale * res.eigenvalues)))
+    return float(np.sum(np.log1p(scale * eigenvalues)))
+
+
+def logdet_one_plus_scaled(K: np.ndarray, scale: float,
+                           clamp_rel: float = 1e-12) -> float:
+    """log det(I + scale * K) of a Hermitian PSD matrix via its clamped spectrum."""
+    return logdet_from_eigenvalues(hermitian_eigenvalues(K, clamp_rel).eigenvalues, scale)

@@ -53,6 +53,18 @@ def test_invalid_value_rejected(tmp_path):
         parse_config(["dof", "--config", str(cfg_file)])
 
 
+def test_misspelled_boolean_rejected(tmp_path):
+    cfg_file = tmp_path / "bad.cfg"
+    for key in ("keep_going", "timings"):
+        cfg_file.write_text(f"{key} = ture\n")
+        with pytest.raises(ConfigError):
+            parse_config(["dof", "--config", str(cfg_file)])
+        assert main(["dof", "--config", str(cfg_file)]) == 2
+    cfg_file.write_text("keep_going = No\ntimings = YES\n")
+    _, rc = parse_config(["dof", "--config", str(cfg_file)])
+    assert (rc.keep_going, rc.timings) == (False, True)
+
+
 def test_zero_wavelength_rejected():
     assert main(["dof", "--wavelength", "0"]) == 2
 
@@ -155,7 +167,6 @@ def test_failed_cells_exit_nonzero_without_keep_going(tmp_path, monkeypatch):
         return real(m, cfg, inner_points)
 
     monkeypatch.setattr(experiments_mod, "mi_discrete_rx", flaky)
-    monkeypatch.setenv("CAPMIMO_THREADS", "1")
     code, out = _run_small_sweep(tmp_path, "fail.csv")
     assert code == 1
     rows = read_rows_csv(out)
@@ -164,11 +175,17 @@ def test_failed_cells_exit_nonzero_without_keep_going(tmp_path, monkeypatch):
     assert code2 == 0
 
 
-def test_unwritable_output_path(tmp_path):
+def test_unwritable_output_path(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("file, not a directory")
     code, _ = _run_small_sweep(tmp_path, "blocker/out.csv")
     assert code == 1
+    out = str(blocker / "out.csv")
+    for argv in (["dof", "--distance", "100", "--ref-m", "64", "--out", out],
+                 ["bounds", "--m-list", "10", "--inner-points", "512", "--out", out]):
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
 
 
 def test_log_base_changes_stdout_units(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Sweep drivers, slope fitting, determinism, and worker resolution."""
+"""Sweep drivers, slope fitting, and determinism."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from capmimo import (
     SystemConfig,
     fit_convergence_slope,
     mi_discrete_trx,
-    resolve_workers,
     sweep_grid,
     sweep_receiver,
     sweep_transceiver,
@@ -136,7 +135,6 @@ def test_sweep_records_failed_cells(default_cfg, monkeypatch):
         return real(m, cfg, inner_points)
 
     monkeypatch.setattr(experiments_mod, "mi_discrete_rx", flaky)
-    monkeypatch.setenv("CAPMIMO_THREADS", "1")
     rows = sweep_receiver(default_cfg, [10.0], [2, 4, 8], ref_m=64)
     by_m = {r.m2: r for r in rows}
     assert by_m[4].error == "RuntimeError: synthetic cell failure"
@@ -161,33 +159,6 @@ def test_convergence_slopes_both_models_both_distances(default_cfg):
         assert fit_convergence_slope(rx_rows).slope <= -1.7
         trx_rows = sweep_transceiver(default_cfg, [d], ladder, ref_m=1600)
         assert fit_convergence_slope(trx_rows).slope <= -1.7
-
-
-# ---------------------------------------------------------------- workers
-
-def test_resolve_workers_env(monkeypatch):
-    monkeypatch.delenv("CAPMIMO_THREADS", raising=False)
-    assert resolve_workers(2) >= 1
-    monkeypatch.setenv("CAPMIMO_THREADS", "3")
-    assert resolve_workers(10) == 3
-    assert resolve_workers(2) == 2
-    monkeypatch.setenv("CAPMIMO_THREADS", "0")
-    assert resolve_workers(4) >= 1
-    monkeypatch.setenv("CAPMIMO_THREADS", "banana")
-    with pytest.raises(ValueError):
-        resolve_workers(4)
-    monkeypatch.setenv("CAPMIMO_THREADS", "-2")
-    with pytest.raises(ValueError):
-        resolve_workers(4)
-
-
-def test_sweep_parallel_matches_serial(default_cfg, monkeypatch):
-    monkeypatch.setenv("CAPMIMO_THREADS", "1")
-    serial = sweep_receiver(default_cfg, [10.0], [2, 4, 8, 16], ref_m=64)
-    monkeypatch.setenv("CAPMIMO_THREADS", "4")
-    parallel = sweep_receiver(default_cfg, [10.0], [2, 4, 8, 16], ref_m=64)
-    for a, b in zip(serial, parallel):
-        assert a.mi_nats == b.mi_nats
 
 
 def test_sampling_number_uses_min_side():

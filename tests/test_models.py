@@ -20,6 +20,7 @@ from capmimo import (
     noise_rx,
     noise_trx,
 )
+from capmimo import models
 from capmimo.spectra import assemble_kernel_matrix
 
 from oracles import diagonal_power_quad, total_power_quad
@@ -291,3 +292,36 @@ def test_results_power_of_two_noise_scaling(default_cfg):
     a = mi_discrete_rx(8, default_cfg).value_nats
     b = mi_discrete_rx(8, doubled).value_nats
     assert a == pytest.approx(b, rel=1e-12)
+
+
+_SCALE_INVARIANT_MODELS = {
+    "continuous": lambda cfg: mi_continuous(cfg, ref_m=64, inner_points=512),
+    "discrete_rx": lambda cfg: mi_discrete_rx(6, cfg, inner_points=512),
+    "discrete_trx": lambda cfg: mi_discrete_trx(5, 7, cfg, inner_points=512),
+    "intermediate_rx": lambda cfg: mi_intermediate("rx", cfg, ref_m=64, m=6,
+                                                   inner_points=512),
+    "intermediate_trx": lambda cfg: mi_intermediate("trx", cfg, ref_m=64, m1=5, m2=7,
+                                                    inner_points=512),
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", sorted(_SCALE_INVARIANT_MODELS))
+def test_power_noise_scaling_reuses_geometry_caches(name, seed):
+    # P and n0 enter only through the SNR P / n0, and every cache is keyed
+    # on the geometry: scaling both by c changes no value and misses no cache
+    rng = np.random.default_rng(seed)
+    cfg = SystemConfig(distance_m=float(rng.uniform(0.5, 20.0)),
+                       power_density=float(rng.uniform(0.1, 10.0)),
+                       noise_density=float(rng.uniform(0.1, 10.0)))
+    c = float(rng.uniform(0.1, 10.0))
+    scaled = dataclasses.replace(cfg, power_density=c * cfg.power_density,
+                                 noise_density=c * cfg.noise_density)
+    mi = _SCALE_INVARIANT_MODELS[name]
+    first = mi(cfg).value_nats
+    misses = (models._reference_spectrum.cache_info().misses,
+              models._unit_trace.cache_info().misses)
+    second = mi(scaled).value_nats
+    assert second == pytest.approx(first, rel=1e-12)
+    assert (models._reference_spectrum.cache_info().misses,
+            models._unit_trace.cache_info().misses) == misses
