@@ -190,9 +190,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--distances", help="comma list of distances [m] for sweeps")
         p.add_argument("--power", type=float, help="transmit power density")
         p.add_argument("--noise", type=float, help="receiver noise density")
-        p.add_argument("--ref-m", type=int, dest="ref_m", help="reference grid size")
+        p.add_argument("--ref-m", type=int, dest="ref_m",
+                       help="Gauss-Legendre nodes on the receive aperture of the "
+                            "continuous reference")
         p.add_argument("--inner-points", type=int, dest="inner_points",
-                       help="source-quadrature sample count")
+                       help="Gauss-Legendre nodes on the continuous transmit (source) "
+                            "aperture")
         p.add_argument("--m-list", dest="m_list", help="comma list of antenna counts")
         p.add_argument("--m1-list", dest="m1_list", help="comma list of transmit counts")
         p.add_argument("--m2-list", dest="m2_list", help="comma list of receive counts")

@@ -147,7 +147,7 @@ def sweep_transceiver(cfg: SystemConfig, distances: Sequence[float],
         ref = mi_continuous(cfg_d, ref_m, inner_points).value_nats
         for m in m_values:
             rows.append(_cell_row(scenario, d, m, m, ref_m, ref,
-                                  lambda: mi_discrete_trx(m, m, cfg_d, inner_points)))
+                                  lambda: mi_discrete_trx(m, m, cfg_d)))
     rows.sort(key=lambda r: (r.d_m, r.m2))
     return rows
 
@@ -163,7 +163,7 @@ def sweep_grid(cfg: SystemConfig, d: float, m1_values: Sequence[int],
     cfg_d = dataclasses.replace(cfg, distance_m=d)
     ref = mi_continuous(cfg_d, ref_m, inner_points).value_nats
     rows = sorted((_cell_row(scenario, d, m1, m2, ref_m, ref,
-                             lambda: mi_discrete_trx(m1, m2, cfg_d, inner_points))
+                             lambda: mi_discrete_trx(m1, m2, cfg_d))
                    for m1 in m1_values for m2 in m2_values),
                   key=lambda r: (r.m1, r.m2))
     by_key = {(r.m1, r.m2): r.mi_nats for r in rows if r.mi_nats is not None}

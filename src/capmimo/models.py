@@ -3,15 +3,22 @@
 All three models are the one spectral computation of ``spectra``: the
 eigenvalues of a weighted Gram matrix of sampled propagation
 coefficients, then log det(I + (2 / n) K) as a sum of log1p. They differ
-in the two sampling grids, the Gram weight and the noise density n:
+in the two sampling grids, their weights and the noise density n:
 
-* ``mi_continuous``   -- fine reference grid against the inner source
-  grid, weight l/n_inner: the field operator's determinant.
-* ``mi_discrete_rx``  -- m point antennas against the inner source grid,
-  weight l/n_inner; noise density rescaled by ``noise_rx`` so the total
-  receive SNR matches the continuous model.
+* ``mi_continuous``   -- Gauss-Legendre reference grid against the
+  Gauss-Legendre source grid, A = sqrt(w_r) G sqrt(w_s): a Nystrom
+  discretization of the field operator, whose determinant converges
+  exponentially in the node counts (Bornemann, Math. Comp. 79, 2010).
+* ``mi_discrete_rx``  -- m point antennas (midpoint layout, no weight)
+  against the source grid, G sqrt(w_s); noise density rescaled by
+  ``noise_rx`` so the total receive SNR matches the continuous model.
 * ``mi_discrete_trx`` -- point antennas on both sides, weight 1; noise
   rescaled by ``noise_trx``.
+
+Both noise rescalings divide by the operator trace, the one-dimensional
+integral ``physics.operator_trace``; the receiver rescaling's numerator
+uses the same Gauss-Legendre source rule, so its gap is the pure
+midpoint error of the antenna layout.
 
 ``mi_intermediate`` evaluates the reference-grid determinant at the
 rescaled noise of a discrete model, which splits a discrete-vs-continuous
@@ -42,15 +49,13 @@ from .spectra import (
     SpectralResult,
     assemble_channel_matrix,
     assemble_kernel_matrix,
+    check_matrix_size,
+    gauss_legendre_grid,
     gram_from_channel,
     hermitian_eigenvalues,
     logdet_from_eigenvalues,
     midpoint_grid,
 )
-
-# outer resolution of the cached reference trace; the denominator of the
-# SNR-matching ratios must be far more accurate than any tested gap
-TRACE_REF_OUTER = 20000
 
 # diagonal second-derivative estimate: central differences on this many
 # intervals across the aperture
@@ -122,17 +127,28 @@ def _geometry(cfg: SystemConfig) -> SystemConfig:
 
 
 @lru_cache(maxsize=64)
-def _unit_trace(geometry: SystemConfig, inner_points: int) -> float:
-    """Reference total received power at unit transmit power density."""
-    return operator_trace(geometry, TRACE_REF_OUTER, inner_points)
+def _unit_trace(geometry: SystemConfig) -> float:
+    """Total received power at unit transmit power density."""
+    return operator_trace(geometry)
 
 
 @lru_cache(maxsize=32)
 def _reference_spectrum(geometry: SystemConfig, ref_m: int,
                         inner_points: int) -> SpectralResult:
-    """Unit-power kernel spectrum on the ref_m-point reference grid."""
-    grid = midpoint_grid(geometry.aperture_m, ref_m)
-    return hermitian_eigenvalues(assemble_kernel_matrix(grid, geometry, inner_points))
+    """Unit-power field-operator spectrum from the Gauss-Legendre Nystrom matrix.
+
+    A = sqrt(w_r) G(r_i - s_k) sqrt(w_s) with ref_m reference and
+    inner_points source nodes; its squared singular values are the
+    eigenvalues of the Gram matrix on its smaller side, so the spectrum
+    has min(ref_m, inner_points) entries.
+    """
+    check_matrix_size(ref_m, inner_points)
+    ref = gauss_legendre_grid(geometry.aperture_m, ref_m)
+    source = gauss_legendre_grid(geometry.aperture_m, inner_points)
+    A = assemble_channel_matrix(ref, source, geometry)
+    A *= np.sqrt(source.weights)
+    A *= np.sqrt(ref.weights)[:, None]
+    return hermitian_eigenvalues(gram_from_channel(A if ref_m <= inner_points else A.T, 1.0))
 
 
 @lru_cache(maxsize=64)
@@ -168,7 +184,7 @@ def _offset_power_curvature_sup(geometry: SystemConfig) -> float:
 
 
 def default_ref_m(cfg: SystemConfig) -> int:
-    """Reference grid size: at least 16 points per half-wavelength antenna slot."""
+    """Reference node count: at least 16 Gauss-Legendre nodes per half wavelength."""
     return max(1600, 16 * math.ceil(2.0 * cfg.aperture_m / cfg.wavelength_m))
 
 
@@ -179,9 +195,9 @@ def _resolve(cfg: SystemConfig, ref_m: int | None, inner_points: int | None) -> 
 
 
 def _operator_spectrum(cfg: SystemConfig, ref_m: int, inner_points: int) -> np.ndarray:
-    """Per-subchannel signal powers: the reference spectrum scaled by P * l / ref_m."""
+    """Per-subchannel signal powers: the unit-power reference spectrum scaled by P."""
     unit = _reference_spectrum(_geometry(cfg), ref_m, inner_points).eigenvalues
-    scaled = (cfg.power_density * cfg.aperture_m / ref_m) * unit
+    scaled = cfg.power_density * unit
     scaled.setflags(write=False)
     return scaled
 
@@ -190,10 +206,12 @@ def mi_continuous(cfg: SystemConfig, ref_m: int | None = None,
                   inner_points: int | None = None) -> MiResult:
     """Mutual information of the fully continuous model, in nats.
 
-    Fine-grid approximation of the operator determinant
-    log det(1 + T / (n0/2)): the cached unit-power reference spectrum
-    times P * l/ref_m approximates the spectrum of T. That operator-scaled
-    spectrum is exposed on the result for SNR and DoF diagnostics.
+    Gauss-Legendre Nystrom approximation of the operator determinant
+    log det(1 + T / (n0/2)) with ``ref_m`` reference and ``inner_points``
+    source nodes: the cached unit-power reference spectrum times P
+    approximates the spectrum of T. That operator-scaled spectrum
+    (min(ref_m, inner_points) entries) is exposed on the result for SNR
+    and DoF diagnostics.
     """
     ref_m, inner_points = _resolve(cfg, ref_m, inner_points)
     if ref_m < 64:
@@ -219,7 +237,7 @@ def noise_rx(grid: QuadratureGrid, cfg: SystemConfig,
     inner_points = resolve_inner_points(cfg, inner_points)
     if cfg.power_density == 0.0:
         raise ZeroTraceError("SNR matching undefined: zero transmit power density")
-    trace = cfg.power_density * _unit_trace(_geometry(cfg), inner_points)
+    trace = cfg.power_density * _unit_trace(_geometry(cfg))
     diag_sum = float(kernel_diagonal(grid.points, cfg, inner_points).sum())
     n_value = cfg.noise_density * diag_sum / trace
     l, m, n0 = cfg.aperture_m, grid.m, cfg.noise_density
@@ -231,18 +249,17 @@ def noise_rx(grid: QuadratureGrid, cfg: SystemConfig,
 
 
 def noise_trx(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
-              cfg: SystemConfig, inner_points: int | None = None) -> NoiseControl:
+              cfg: SystemConfig) -> NoiseControl:
     """SNR-matched noise density for the discrete-transceiver model.
 
     n_trx = n0 * (sum of |G| over all antenna pairs squared) / (double
     integral of |G|^2); power density cancels, so this is defined even at
     zero power. The gap bound carries the min(m_tx, m_rx)^-2 midpoint
-    error of the pair sum. ``inner_points`` only affects the reference
-    denominator.
+    error of the pair sum.
     """
     if rx_grid.m < 1 or tx_grid.m < 1:
         raise ValueError("grids must be nonempty")
-    unit_trace = _unit_trace(_geometry(cfg), resolve_inner_points(cfg, inner_points))
+    unit_trace = _unit_trace(_geometry(cfg))
     H = assemble_channel_matrix(rx_grid, tx_grid, cfg)
     pair_sum = float(np.sum(H.real**2 + H.imag**2))
     n_value = cfg.noise_density * pair_sum / unit_trace
@@ -279,8 +296,7 @@ def mi_discrete_rx(m: int, cfg: SystemConfig,
                     noise_used=control.n_value, grid_m=m, inner_points=inner_points)
 
 
-def mi_discrete_trx(m1: int, m2: int, cfg: SystemConfig,
-                    inner_points: int | None = None) -> MiResult:
+def mi_discrete_trx(m1: int, m2: int, cfg: SystemConfig) -> MiResult:
     """Mutual information with m1 transmit and m2 receive point antennas.
 
     Equal power density per transmit antenna: log det(I + P * H H^H /
@@ -291,7 +307,7 @@ def mi_discrete_trx(m1: int, m2: int, cfg: SystemConfig,
         raise ValueError(f"antenna counts must be >= 1, got ({m1}, {m2})")
     tx_grid = midpoint_grid(cfg.aperture_m, m1)
     rx_grid = midpoint_grid(cfg.aperture_m, m2)
-    control = noise_trx(rx_grid, tx_grid, cfg, inner_points)
+    control = noise_trx(rx_grid, tx_grid, cfg)
     K = gram_from_channel(assemble_channel_matrix(rx_grid, tx_grid, cfg), 1.0)
     value = logdet_from_eigenvalues(hermitian_eigenvalues(K).eigenvalues,
                                     2.0 * cfg.power_density / control.n_value)
@@ -328,7 +344,7 @@ def mi_intermediate(kind: str, cfg: SystemConfig, ref_m: int | None = None,
         if m1 is None or m2 is None:
             raise ValueError('kind "trx" requires m1 and m2')
         if noise is None:
-            noise = noise_trx(midpoint_grid(l, m2), midpoint_grid(l, m1), cfg, inner_points)
+            noise = noise_trx(midpoint_grid(l, m2), midpoint_grid(l, m1), cfg)
         z = 2.0 * m1 * m2 / (l * l * noise.n_value)
         tag, counts = MODEL_REF_RESCALED_TRX, {"grid_m1": m1, "grid_m2": m2}
     else:

@@ -4,8 +4,10 @@ Geometry convention: the transmit aperture occupies positions s in [0, l]
 on the line (0, 0, z), the receive aperture occupies r in [0, l] on the
 parallel line (d, 0, z). Everything downstream (field autocorrelation,
 operator trace, mutual-information models) is built from the scalar
-propagation coefficient ``green_scalar`` and composite midpoint
-quadrature over the source coordinate.
+propagation coefficient ``green_scalar`` and composite Gauss-Legendre
+quadrature over the source coordinate (``gauss_legendre``). The midpoint
+nodes (``midpoints``) are the antenna layout of the discrete models, not
+a quadrature rule for the continuous apertures.
 
 All functions here are pure and accept numpy arrays for the position
 arguments (broadcasting applies); they are safe to call concurrently.
@@ -15,11 +17,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 # free-space intrinsic impedance, ohms
 Z0_OHMS = 120.0 * math.pi
+
+# nodes per Gauss-Legendre panel of the source and reference rules
+PANEL_NODES = 16
+
+# largest number of propagation coefficients kernel_diagonal holds at once
+DIAGONAL_BLOCK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -115,27 +124,53 @@ def midpoints(length: float, n: int) -> np.ndarray:
     return (np.arange(n, dtype=np.float64) + 0.5) * (length / n)
 
 
+@lru_cache(maxsize=64)
+def gauss_legendre(length: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes and weights of an n-node rule on (0, length).
+
+    ceil(n / PANEL_NODES) panels whose node counts differ by at most one,
+    each as wide as its share of the n nodes; n a multiple of 16 gives
+    equal 16-node panels. Exponentially convergent for the
+    analytic integrands of this package once the panels resolve the
+    wavelength and the distance. Returned arrays are read-only.
+    ``numpy.polynomial`` is imported on the first call, not with the package.
+    """
+    _check_points("Gauss-Legendre node count", n)
+    panels = -(-n // PANEL_NODES)
+    small, extra = divmod(n, panels)
+    nodes, weights = [], []
+    left = 0
+    for order, count in ((small + 1, extra), (small, panels - extra)):
+        t, w = np.polynomial.legendre.leggauss(order)
+        half = 0.5 * order * length / n
+        centres = (left + order * (np.arange(count) + 0.5)) * (length / n)
+        nodes.append((centres[:, None] + half * t[None, :]).ravel())
+        weights.append(np.tile(half * w, count))
+        left += order * count
+    x, w = np.concatenate(nodes), np.concatenate(weights)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def kernel_value(r: float, r_prime: float, cfg: SystemConfig,
                  inner_points: int | None = None) -> complex:
     """Autocorrelation of the received field between positions r and r_prime.
 
-    Midpoint-rule approximation of P * integral_0^l G(r,s) G*(r_prime,s) ds
-    with ``inner_points`` source samples. Conjugate symmetry
+    Gauss-Legendre approximation of P * integral_0^l G(r,s) G*(r_prime,s) ds
+    with ``inner_points`` source nodes. Conjugate symmetry
     kernel_value(a, b) == conj(kernel_value(b, a)) holds exactly: the pair
     is evaluated once in canonical order and mirrored by conjugation, and
-    the diagonal is forced real.
+    the diagonal is ``kernel_diagonal``, real.
     """
     inner_points = resolve_inner_points(cfg, inner_points)
     if r == r_prime:
-        s = midpoints(cfg.aperture_m, inner_points)
-        g = green_offset(r - s, cfg)
-        val = cfg.power_density * (cfg.aperture_m / inner_points) * np.sum(g.real**2 + g.imag**2)
-        return complex(val, 0.0)
+        return complex(kernel_diagonal(np.array([r]), cfg, inner_points)[0], 0.0)
     if r > r_prime:
         return complex(kernel_value(r_prime, r, cfg, inner_points)).conjugate()
-    s = midpoints(cfg.aperture_m, inner_points)
+    s, w = gauss_legendre(cfg.aperture_m, inner_points)
     prod = green_offset(r - s, cfg) * np.conj(green_offset(r_prime - s, cfg))
-    return complex(cfg.power_density * (cfg.aperture_m / inner_points) * np.sum(prod))
+    return complex(cfg.power_density * np.sum(w * prod))
 
 
 def kernel_diagonal(positions: np.ndarray, cfg: SystemConfig,
@@ -143,26 +178,38 @@ def kernel_diagonal(positions: np.ndarray, cfg: SystemConfig,
     """Vectorized kernel_value(r, r) for an array of receive positions.
 
     The diagonal is the per-position received signal power; it feeds the
-    SNR-matching rules and the operator trace, so a single quadrature
-    convention is used everywhere.
+    SNR-matching rules, so it uses the source quadrature of every kernel.
+    Positions are evaluated in blocks of at most DIAGONAL_BLOCK_ENTRIES
+    propagation coefficients, so memory stays bounded for any count.
     """
     inner_points = resolve_inner_points(cfg, inner_points)
     positions = np.asarray(positions, dtype=np.float64)
-    s = midpoints(cfg.aperture_m, inner_points)
-    g = green_offset(positions[:, None] - s[None, :], cfg)
-    return cfg.power_density * (cfg.aperture_m / inner_points) * np.sum(g.real**2 + g.imag**2, axis=1)
+    s, w = gauss_legendre(cfg.aperture_m, inner_points)
+    out = np.empty(positions.shape[0], dtype=np.float64)
+    step = max(1, DIAGONAL_BLOCK_ENTRIES // inner_points)
+    for start in range(0, positions.shape[0], step):
+        g = green_offset(positions[start:start + step, None] - s[None, :], cfg)
+        out[start:start + step] = np.sum(w * (g.real**2 + g.imag**2), axis=1)
+    return cfg.power_density * out
 
 
-def operator_trace(cfg: SystemConfig, outer_points: int | None = None,
-                   inner_points: int | None = None) -> float:
-    """Total received signal power P * iint |G(r,s)|^2 dr ds over [0, l]^2.
+def default_trace_nodes(cfg: SystemConfig) -> int:
+    """One 16-node panel per min(wavelength, distance) along the aperture."""
+    return PANEL_NODES * math.ceil(cfg.aperture_m / min(cfg.wavelength_m, cfg.distance_m))
 
-    Composite midpoint rule on both axes; equals the sum of the field
-    operator's eigenvalues in the continuum limit. Nonnegative.
+
+def operator_trace(cfg: SystemConfig, nodes: int | None = None) -> float:
+    """Total received signal power P * iint |G(r - s)|^2 dr ds over [0, l]^2.
+
+    |G| depends only on the offset x = r - s and is even in x, so the
+    square reduces to the one integral 2 P int_0^l |G(x)|^2 (l - x) dx,
+    taken with an n-node composite Gauss-Legendre rule (default
+    ``default_trace_nodes``). Equals the sum of the field operator's
+    eigenvalues. Nonnegative.
     """
-    if outer_points is None:
-        outer_points = 2000
-    _check_points("outer_points", outer_points)
-    r = midpoints(cfg.aperture_m, outer_points)
-    diag = kernel_diagonal(r, cfg, inner_points)
-    return float((cfg.aperture_m / outer_points) * diag.sum())
+    if nodes is None:
+        nodes = default_trace_nodes(cfg)
+    x, w = gauss_legendre(cfg.aperture_m, nodes)
+    g = green_offset(x, cfg)
+    return float(cfg.power_density * (2.0 * np.sum(w * (g.real**2 + g.imag**2)
+                                                   * (cfg.aperture_m - x))))

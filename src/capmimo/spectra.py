@@ -1,32 +1,48 @@
-"""Midpoint grids and the one spectral path shared by every model.
+"""Quadrature grids and the one spectral path shared by every model.
 
 Every mutual-information value in the package is the same computation:
 
     hermitian_eigenvalues(gram_from_channel(
-        assemble_channel_matrix(rx_grid, tx_grid, cfg), weight))
+        weighted channel matrix between two grids, weight))
 
 followed by ``logdet_from_eigenvalues``, the only ``sum log(1 + s*lambda)``
-in the package. The models differ only in the two sampling grids and the
-Gram weight, which is the quadrature weight of the transmit side: the
-continuous operator samples a fine reference grid against the n-point
-inner source grid with weight l/n, the discrete receiver samples its
-antennas against the same source grid, and the discrete transceiver
-samples antennas on both sides with weight 1. ``assemble_kernel_matrix``
-is this path on the source grid with weight P * l/n.
+in the package. The models differ only in the two grids and in which
+side carries its quadrature weights. The continuous operator samples a
+composite Gauss-Legendre reference grid against the Gauss-Legendre
+source grid, A = sqrt(w_r) G sqrt(w_s), and takes the Gram matrix on
+the smaller side of A. The discrete receiver samples its antennas (the
+midpoint layout, which is the physical array and carries no weight)
+against the source grid, G sqrt(w_s); the discrete transceiver samples
+antennas on both sides with weight 1. ``assemble_kernel_matrix`` is this
+path on the source grid with weight P.
 
 Kernel matrices are plain complex ndarrays that satisfy, by
 construction, K[i, j] == conj(K[j, i]) entrywise-exactly with an exactly
 real diagonal; ``validate_hermitian`` enforces this contract on any
-externally supplied matrix.
+externally supplied matrix. Every matrix of propagation coefficients is
+checked against the machine's physical memory (``check_matrix_size``)
+before it is allocated.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .physics import SystemConfig, green_offset, midpoints, resolve_inner_points
+from .physics import (
+    SystemConfig,
+    gauss_legendre,
+    green_offset,
+    midpoints,
+    resolve_inner_points,
+)
+
+# bytes per entry while a matrix of propagation coefficients is evaluated:
+# the complex result plus the float and complex temporaries of green_offset
+# (peak measured with tracemalloc on a 1600 x 1000 matrix)
+BYTES_PER_ENTRY = 112
 
 
 class PSDViolationError(ValueError):
@@ -35,11 +51,16 @@ class PSDViolationError(ValueError):
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Equal-weight midpoint grid r_i = (i - 0.5) * l / m on (0, l)."""
+    """Nodes r_i and weights w_i of an m-point quadrature rule on (0, l).
+
+    ``weight`` is the mean weight l / m; the midpoint rule has every
+    weight equal to it.
+    """
 
     points: np.ndarray = field(compare=False)
     weight: float
     m: int
+    weights: np.ndarray = field(compare=False)
 
     @property
     def length(self) -> float:
@@ -47,11 +68,11 @@ class QuadratureGrid:
 
 
 def midpoint_grid(length: float, m: int) -> QuadratureGrid:
-    """Build the m-point midpoint grid on (0, length).
+    """Build the m-point midpoint grid r_i = (i - 0.5) * l / m on (0, length).
 
-    This is simultaneously the quadrature rule for the field operator and
-    the evenly spaced antenna layout of the discrete models (spacing
-    length/m, first element at half a spacing from the edge).
+    This is the evenly spaced antenna layout of the discrete models
+    (spacing length/m, first element at half a spacing from the edge),
+    and the equal-weight midpoint rule on that layout.
     """
     if m < 1:
         raise ValueError(f"grid size m must be >= 1, got {m}")
@@ -59,7 +80,35 @@ def midpoint_grid(length: float, m: int) -> QuadratureGrid:
         raise ValueError(f"grid length must be positive, got {length}")
     pts = midpoints(length, m)
     pts.setflags(write=False)
-    return QuadratureGrid(points=pts, weight=length / m, m=m)
+    return QuadratureGrid(points=pts, weight=length / m, m=m,
+                          weights=np.broadcast_to(length / m, (m,)))
+
+
+def gauss_legendre_grid(length: float, n: int) -> QuadratureGrid:
+    """The n-node composite Gauss-Legendre rule on (0, length): source and reference grids."""
+    if not length > 0:
+        raise ValueError(f"grid length must be positive, got {length}")
+    pts, weights = gauss_legendre(length, n)
+    return QuadratureGrid(points=pts, weight=length / n, m=n, weights=weights)
+
+
+def check_matrix_size(rows: int, cols: int) -> None:
+    """Fail fast when a rows x cols complex matrix cannot be evaluated in physical memory.
+
+    The estimate is BYTES_PER_ENTRY per entry; raises a one-line
+    ValueError before anything is allocated. Skipped where the platform
+    does not report its physical memory.
+    """
+    need = BYTES_PER_ENTRY * rows * cols
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    if need > have:
+        raise ValueError(
+            f"a {rows} x {cols} complex matrix needs about {need / 2**30:.3g} GiB, "
+            f"more than the {have / 2**30:.3g} GiB of physical memory; "
+            f"lower ref_m, inner_points, the antenna counts or l / wavelength")
 
 
 def _hermitize_in_place(K: np.ndarray) -> np.ndarray:
@@ -74,23 +123,26 @@ def assemble_kernel_matrix(grid: QuadratureGrid, cfg: SystemConfig,
                            inner_points: int | None = None) -> np.ndarray:
     """Sampled field-autocorrelation matrix K[i, j] = kernel_value(r_i, r_j).
 
-    The channel from the n-point source grid to ``grid``, A[i, k] =
-    G(r_i - s_k), gives K = P * (l/n) * A A^H with exact Hermitian
-    symmetry. Cost O(m^2 n).
+    The channel from the n-node Gauss-Legendre source grid to ``grid``,
+    weighted by the source weights, A[i, k] = G(r_i - s_k) sqrt(w_k),
+    gives K = P * A A^H with exact Hermitian symmetry. Cost O(m^2 n).
     """
-    source = midpoint_grid(cfg.aperture_m, resolve_inner_points(cfg, inner_points))
-    return gram_from_channel(assemble_channel_matrix(grid, source, cfg),
-                             cfg.power_density * cfg.aperture_m / source.m)
+    source = gauss_legendre_grid(cfg.aperture_m, resolve_inner_points(cfg, inner_points))
+    A = assemble_channel_matrix(grid, source, cfg)
+    A *= np.sqrt(source.weights)
+    return gram_from_channel(A, cfg.power_density)
 
 
 def assemble_channel_matrix(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
                             cfg: SystemConfig) -> np.ndarray:
     """Point-to-point gain matrix H[i, k] = G(r_i - s_k), shape (m_rx, m_tx)."""
+    check_matrix_size(rx_grid.m, tx_grid.m)
     return green_offset(rx_grid.points[:, None] - tx_grid.points[None, :], cfg)
 
 
 def gram_from_channel(H: np.ndarray, weight: float) -> np.ndarray:
     """Weighted Gram matrix weight * H H^H with exact Hermitian symmetry."""
+    check_matrix_size(H.shape[0], H.shape[0])
     K = weight * (H @ H.conj().T)
     return _hermitize_in_place(K)
 

@@ -1,6 +1,8 @@
 """Config resolution, CSV emission, sidecar metadata, exit codes."""
 
 import json
+import time
+import tracemalloc
 
 import pytest
 
@@ -205,3 +207,26 @@ def test_csv_reports_both_nats_and_bits(tmp_path):
         cells = line.split(",")
         assert float(cells[idx_bits]) == pytest.approx(
             float(cells[idx_nats]) / math.log(2.0), rel=1e-12)
+
+
+def test_infeasible_reference_fails_fast(tmp_path, capsys):
+    # l = 10 m at wavelength 1 mm asks for a 320000 x 200000 reference
+    # matrix (about 1 TB of coefficients alone): refused before any array
+    # is allocated, with one line on stderr and exit 2
+    out = tmp_path / "huge.csv"
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = main(["sweep-receiver", "--length", "10", "--wavelength", "0.001",
+                     "--out", str(out)])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: a 320000 x 200000 complex matrix needs")
+    assert err.count("\n") == 1 and "physical memory" in err
+    assert not out.exists()
+    assert elapsed < 1.0
+    assert peak < 1 << 20

@@ -13,7 +13,7 @@ from capmimo import (
     midpoint_grid,
     validate_hermitian,
 )
-from capmimo.spectra import gram_from_channel
+from capmimo.spectra import check_matrix_size, gauss_legendre_grid, gram_from_channel
 
 from oracles import logdet_by_row_reduction
 
@@ -60,6 +60,31 @@ def test_grid_invariants_random():
         expected = (np.arange(m) + 0.5) * (l / m)
         assert np.array_equal(g.points, expected)
         assert g.weight * m == pytest.approx(l, rel=1e-15)
+
+
+def test_gauss_legendre_grid_any_node_count():
+    # panels of at most 16 nodes, any n >= 2: exact for polynomials of
+    # degree 2 * (n // ceil(n / 16)) - 1, positive weights summing to l
+    for n in (2, 3, 15, 16, 17, 31, 100, 1000, 1600):
+        g = gauss_legendre_grid(2.0, n)
+        assert g.m == n and g.points.shape == g.weights.shape == (n,)
+        assert np.all(np.diff(g.points) > 0) and np.all((g.points > 0) & (g.points < 2.0))
+        assert np.all(g.weights > 0)
+        degree = min(2 * (n // -(-n // 16)) - 1, 7)
+        for p in range(degree + 1):
+            exact = 2.0 ** (p + 1) / (p + 1)
+            assert float(np.sum(g.weights * g.points**p)) == pytest.approx(exact, rel=1e-14)
+    with pytest.raises(ValueError):
+        gauss_legendre_grid(2.0, 1)
+
+
+def test_matrix_size_guard():
+    check_matrix_size(1600, 1000)
+    with pytest.raises(ValueError, match="physical memory"):
+        check_matrix_size(10**7, 10**7)
+    with pytest.raises(ValueError, match="physical memory"):
+        assemble_channel_matrix(midpoint_grid(2.0, 10**7), midpoint_grid(2.0, 10**7),
+                                SystemConfig())
 
 
 def test_grid_rejects_bad_arguments():
