@@ -88,11 +88,7 @@ def _checked_lists(distances: Sequence[float], m_values: Sequence[int],
         raise ValueError("distances must be nonempty")
     if not m_values:
         raise ValueError("m_values must be nonempty")
-    if ref_m is None:
-        ref_m = default_ref_m(cfg)
-    if ref_m <= max(m_values):
-        raise ValueError(f"ref_m = {ref_m} must exceed max(m_values) = {max(m_values)}")
-    return ref_m
+    return default_ref_m(cfg) if ref_m is None else ref_m
 
 
 def _cell_row(scenario: str, d: float, m1: int | None, m2: int, ref_m: int,

@@ -10,15 +10,14 @@ in the two sampling grids, their weights and the noise density n:
   discretization of the field operator, whose determinant converges
   exponentially in the node counts (Bornemann, Math. Comp. 79, 2010).
 * ``mi_discrete_rx``  -- m point antennas (midpoint layout, no weight)
-  against the source grid, G sqrt(w_s); noise density rescaled by
-  ``noise_rx`` so the total receive SNR matches the continuous model.
-* ``mi_discrete_trx`` -- point antennas on both sides, weight 1; noise
-  rescaled by ``noise_trx``.
+  against the source grid, G sqrt(w_s).
+* ``mi_discrete_trx`` -- point antennas on both sides, weight 1.
 
-Both noise rescalings divide by the operator trace, the one-dimensional
-integral ``physics.operator_trace``; the receiver rescaling's numerator
-uses the same Gauss-Legendre source rule, so its gap is the pure
-midpoint error of the antenna layout.
+The discrete models match the continuous receive SNR with the noise
+density n0 * trace(own unit-power Gram matrix) / ``physics.operator_trace``,
+so each propagation coefficient is evaluated once. ``noise_rx`` and
+``noise_trx`` give the same densities plus midpoint-error bounds, both
+from one sampled |G|^2 profile.
 
 ``mi_intermediate`` evaluates the reference-grid determinant at the
 rescaled noise of a discrete model, which splits a discrete-vs-continuous
@@ -57,9 +56,9 @@ from .spectra import (
     midpoint_grid,
 )
 
-# diagonal second-derivative estimate: central differences on this many
-# intervals across the aperture
-CURVATURE_GRID_INTERVALS = 2000
+# |G|^2 profile behind both gap bounds: central differences on this many
+# intervals per aperture length, over offsets in [-l, l]
+PROFILE_INTERVALS = 40000
 
 MODEL_CONTINUOUS = "continuous"
 MODEL_DISCRETE_RX = "discrete_rx"
@@ -152,35 +151,26 @@ def _reference_spectrum(geometry: SystemConfig, ref_m: int,
 
 
 @lru_cache(maxsize=64)
-def _diag_curvature_sup(geometry: SystemConfig, inner_points: int) -> float:
-    """sup |d^2/dr^2 kernel_value(r, r)| estimated by central differences.
+def _profile_curvatures(geometry: SystemConfig) -> tuple[float, float]:
+    """Unit-power curvature estimates behind the noise_rx and noise_trx gap bounds.
 
-    Sampled on CURVATURE_GRID_INTERVALS + 1 equispaced diagonal points;
-    an estimate of the supremum, not a certified one.
+    From central differences of p(x) = |G(x)|^2 on offsets in [-l, l]:
+    sup |p'(r) - p'(r - l)| over r in [0, l], the second derivative of
+    the diagonal int_{r-l}^{r} p, and sup |p''| on [0, l], either second
+    partial of |G(r - s)|^2 (p is even).
     """
-    n = CURVATURE_GRID_INTERVALS
-    r = np.linspace(0.0, geometry.aperture_m, n + 1)
-    h = geometry.aperture_m / n
-    diag = kernel_diagonal(r, geometry, inner_points)
-    second = (diag[2:] - 2.0 * diag[1:-1] + diag[:-2]) / (h * h)
-    return float(np.abs(second).max())
+    n, l = PROFILE_INTERVALS, geometry.aperture_m
+    h = l / n
+    g = green_offset(np.arange(-n - 1, n + 2) * h, geometry)
+    p = g.real**2 + g.imag**2                  # offsets -l - h .. l + h
+    slope = (p[2:] - p[:-2]) / (2.0 * h)       # offsets -l .. l
+    second = (p[2:] - 2.0 * p[1:-1] + p[:-2]) / (h * h)
+    return float(np.abs(slope[n:] - slope[:n + 1]).max()), float(np.abs(second[n:]).max())
 
 
-@lru_cache(maxsize=64)
-def _offset_power_curvature_sup(geometry: SystemConfig) -> float:
-    """sup over the aperture square of |d^2/dr^2| and |d^2/ds^2| of |G(r-s)|^2.
-
-    |G|^2 depends on r and s only through x = r - s and is even in x, so
-    both second partials reduce to the same one-dimensional profile on
-    x in [0, l].
-    """
-    n = 40000
-    x = np.linspace(0.0, geometry.aperture_m, n + 1)
-    h = geometry.aperture_m / n
-    g = green_offset(x, geometry)
-    power = g.real**2 + g.imag**2
-    second = (power[2:] - 2.0 * power[1:-1] + power[:-2]) / (h * h)
-    return float(np.abs(second).max())
+def _matched_noise(cfg: SystemConfig, unit_power_sum: float) -> float:
+    """SNR-matched noise density n0 * (sampled unit-power signal) / (unit-power trace)."""
+    return cfg.noise_density * unit_power_sum / _unit_trace(_geometry(cfg))
 
 
 def default_ref_m(cfg: SystemConfig) -> int:
@@ -229,21 +219,22 @@ def noise_rx(grid: QuadratureGrid, cfg: SystemConfig,
 
     n_rx = n0 * (sum of sampled signal powers) / (total received power),
     so the array's aggregate SNR equals the continuous receiver's. The
-    denominator is the cached reference trace. Raises ZeroTraceError at
-    zero transmit power, where the ratio degenerates to 0/0.
+    numerator is the unit-power diagonal sum, trace(K) of
+    ``mi_discrete_rx``. Raises ZeroTraceError at zero transmit power,
+    where the ratio degenerates to 0/0.
     """
     if grid.m < 1:
         raise ValueError("grid must be nonempty")
     inner_points = resolve_inner_points(cfg, inner_points)
     if cfg.power_density == 0.0:
         raise ZeroTraceError("SNR matching undefined: zero transmit power density")
-    trace = cfg.power_density * _unit_trace(_geometry(cfg))
-    diag_sum = float(kernel_diagonal(grid.points, cfg, inner_points).sum())
-    n_value = cfg.noise_density * diag_sum / trace
+    geometry = _geometry(cfg)
+    diag_sum = float(kernel_diagonal(grid.points, geometry, inner_points).sum())
+    n_value = _matched_noise(cfg, diag_sum)
     l, m, n0 = cfg.aperture_m, grid.m, cfg.noise_density
     gap = abs(l * n_value / m - n0)
-    curvature = cfg.power_density * _diag_curvature_sup(_geometry(cfg), inner_points)
-    bound = n0 * l**3 * curvature / (24.0 * m * m * trace)
+    curvature = _profile_curvatures(geometry)[0]
+    bound = n0 * l**3 * curvature / (24.0 * m * m * _unit_trace(geometry))
     return NoiseControl(n_value=n_value, limit_value=m * n0 / l,
                         gap=gap, gap_bound=bound)
 
@@ -252,22 +243,21 @@ def noise_trx(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
               cfg: SystemConfig) -> NoiseControl:
     """SNR-matched noise density for the discrete-transceiver model.
 
-    n_trx = n0 * (sum of |G| over all antenna pairs squared) / (double
-    integral of |G|^2); power density cancels, so this is defined even at
-    zero power. The gap bound carries the min(m_tx, m_rx)^-2 midpoint
-    error of the pair sum.
+    n_trx = n0 * ||H||_F^2 / (double integral of |G|^2), the numerator
+    being trace(H H^H) of ``mi_discrete_trx``; power density cancels, so
+    this is defined even at zero power. The gap bound carries the
+    min(m_tx, m_rx)^-2 midpoint error of the pair sum.
     """
     if rx_grid.m < 1 or tx_grid.m < 1:
         raise ValueError("grids must be nonempty")
-    unit_trace = _unit_trace(_geometry(cfg))
     H = assemble_channel_matrix(rx_grid, tx_grid, cfg)
-    pair_sum = float(np.sum(H.real**2 + H.imag**2))
-    n_value = cfg.noise_density * pair_sum / unit_trace
+    n_value = _matched_noise(cfg, float(np.sum(H.real**2 + H.imag**2)))
     l, n0 = cfg.aperture_m, cfg.noise_density
     m1, m2 = tx_grid.m, rx_grid.m
     gap = abs(n0 - l * l * n_value / (m1 * m2))
-    sup2 = _offset_power_curvature_sup(_geometry(cfg))
-    bound = n0 * l**4 * (sup2 + sup2) / (24.0 * min(m1, m2) ** 2 * unit_trace)
+    geometry = _geometry(cfg)
+    sup2 = _profile_curvatures(geometry)[1]
+    bound = n0 * l**4 * (sup2 + sup2) / (24.0 * min(m1, m2) ** 2 * _unit_trace(geometry))
     return NoiseControl(n_value=n_value, limit_value=m1 * m2 * n0 / (l * l),
                         gap=gap, gap_bound=bound)
 
@@ -276,10 +266,10 @@ def mi_discrete_rx(m: int, cfg: SystemConfig,
                    inner_points: int | None = None) -> MiResult:
     """Mutual information with a continuous transmitter and m point antennas.
 
-    log det(I + P * K / (n_rx / 2)) on the unit-power kernel matrix
+    log det(I + P * K / (n_rx / 2)) on the unit-power kernel matrix K
     sampled at the antennas; the grid weight is absorbed by the rescaled
-    noise, so no explicit quadrature weight appears. Zero power
-    short-circuits to zero information.
+    noise, so no explicit quadrature weight appears. n_rx is the
+    ``noise_rx`` density. Zero power short-circuits to zero information.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -288,12 +278,12 @@ def mi_discrete_rx(m: int, cfg: SystemConfig,
     if cfg.power_density == 0.0:
         return MiResult(value_nats=0.0, model_tag=MODEL_DISCRETE_RX,
                         noise_used=math.nan, grid_m=m, inner_points=inner_points)
-    control = noise_rx(grid, cfg, inner_points)
     K = assemble_kernel_matrix(grid, _geometry(cfg), inner_points)
+    n_rx = _matched_noise(cfg, float(np.trace(K).real))
     value = logdet_from_eigenvalues(hermitian_eigenvalues(K).eigenvalues,
-                                    2.0 * cfg.power_density / control.n_value)
+                                    2.0 * cfg.power_density / n_rx)
     return MiResult(value_nats=value, model_tag=MODEL_DISCRETE_RX,
-                    noise_used=control.n_value, grid_m=m, inner_points=inner_points)
+                    noise_used=n_rx, grid_m=m, inner_points=inner_points)
 
 
 def mi_discrete_trx(m1: int, m2: int, cfg: SystemConfig) -> MiResult:
@@ -301,18 +291,19 @@ def mi_discrete_trx(m1: int, m2: int, cfg: SystemConfig) -> MiResult:
 
     Equal power density per transmit antenna: log det(I + P * H H^H /
     (n_trx / 2)) over the m2 receive dimensions, with the unit-weight
-    channel Gram matrix H H^H and P applied in the scale.
+    channel Gram matrix H H^H and P applied in the scale; n_trx is the
+    ``noise_trx`` density.
     """
     if m1 < 1 or m2 < 1:
         raise ValueError(f"antenna counts must be >= 1, got ({m1}, {m2})")
     tx_grid = midpoint_grid(cfg.aperture_m, m1)
     rx_grid = midpoint_grid(cfg.aperture_m, m2)
-    control = noise_trx(rx_grid, tx_grid, cfg)
     K = gram_from_channel(assemble_channel_matrix(rx_grid, tx_grid, cfg), 1.0)
+    n_trx = _matched_noise(cfg, float(np.trace(K).real))
     value = logdet_from_eigenvalues(hermitian_eigenvalues(K).eigenvalues,
-                                    2.0 * cfg.power_density / control.n_value)
+                                    2.0 * cfg.power_density / n_trx)
     return MiResult(value_nats=value, model_tag=MODEL_DISCRETE_TRX,
-                    noise_used=control.n_value, grid_m1=m1, grid_m2=m2)
+                    noise_used=n_trx, grid_m1=m1, grid_m2=m2)
 
 
 def mi_intermediate(kind: str, cfg: SystemConfig, ref_m: int | None = None,

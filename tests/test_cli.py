@@ -88,6 +88,13 @@ def _run_small_sweep(tmp_path, name="sweep.csv", extra=()):
     return code, out
 
 
+def test_sweep_ladder_may_exceed_ref_m(tmp_path):
+    out = tmp_path / "large.csv"
+    assert main(["sweep-receiver", "--m-list", "100", "--ref-m", "64",
+                 "--inner-points", "128", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 4  # header + three default distances
+
+
 def test_sweep_receiver_writes_csv_and_meta(tmp_path, capsys):
     code, out = _run_small_sweep(tmp_path)
     assert code == 0

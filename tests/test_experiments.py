@@ -6,6 +6,7 @@ from capmimo import (
     SweepRow,
     SystemConfig,
     fit_convergence_slope,
+    mi_continuous,
     mi_discrete_trx,
     sweep_grid,
     sweep_receiver,
@@ -90,13 +91,20 @@ def test_sweep_receiver_zero_power_single_antenna():
     assert row.n_used is None  # rescaling undefined at zero power
 
 
-def test_sweep_requires_ref_above_ladder(default_cfg):
-    with pytest.raises(ValueError):
-        sweep_receiver(default_cfg, [10.0], [8, 128], ref_m=64)
+def test_sweep_rejects_empty_lists(default_cfg):
     with pytest.raises(ValueError):
         sweep_receiver(default_cfg, [], [8], ref_m=64)
     with pytest.raises(ValueError):
         sweep_receiver(default_cfg, [10.0], [], ref_m=64)
+
+
+def test_sweep_accepts_arrays_larger_than_reference():
+    # the Gauss-Legendre reference does not depend on the antenna count,
+    # so a ladder may go past ref_m
+    cfg = SystemConfig()
+    (row,) = sweep_receiver(cfg, [10.0], [80], ref_m=64, inner_points=256)
+    assert row.error is None
+    assert row.mi_ref_nats == mi_continuous(cfg, 64, 256).value_nats
 
 
 def test_sweep_transceiver_diagonal_matches_grid(default_cfg):

@@ -20,7 +20,8 @@ from capmimo import (
     noise_rx,
     noise_trx,
 )
-from capmimo import models
+from capmimo import models, physics, spectra
+from capmimo.physics import green_offset, kernel_diagonal
 from capmimo.spectra import assemble_kernel_matrix
 
 from oracles import (
@@ -231,6 +232,55 @@ def test_mi_discrete_trx_monotone_in_power():
     values = [mi_discrete_trx(6, 6, SystemConfig(power_density=p)).value_nats
               for p in (0.0, 1.0, 3.0)]
     assert all(b >= a for a, b in zip(values, values[1:]))
+
+
+# ------------------------------------------- SNR matching and gap bounds
+
+@pytest.mark.parametrize("distance", [10.0, 1.0, 0.1])
+def test_profile_curvatures_match_direct_differences(distance):
+    # independent estimates of both curvatures: central second differences
+    # of the Gauss-Legendre diagonal itself (2001 points) and of |G|^2 on
+    # [0, l] (40001 points); measured worst disagreement 1.3e-4 (d = 0.1 m)
+    geometry = SystemConfig(distance_m=distance)
+    l = geometry.aperture_m
+    r = np.linspace(0.0, l, 2001)
+    diag = kernel_diagonal(r, geometry, 1000)
+    diag_second = np.diff(diag, 2) / (r[1] - r[0]) ** 2
+    x = np.linspace(0.0, l, 40001)
+    power = np.abs(green_offset(x, geometry)) ** 2
+    power_second = np.diff(power, 2) / (x[1] - x[0]) ** 2
+    diag_sup, power_sup = models._profile_curvatures(geometry)
+    assert diag_sup == pytest.approx(np.abs(diag_second).max(), rel=1e-3)
+    assert power_sup == pytest.approx(np.abs(power_second).max(), rel=1e-3)
+
+
+def test_discrete_models_evaluate_each_coefficient_once(monkeypatch):
+    # the SNR-matched noise reads the trace of the Gram matrix the model
+    # solves, so a warm call evaluates each antenna or source coefficient
+    # once and no curvature profile
+    cfg = SystemConfig(distance_m=3.0, power_density=1.7)
+    m, m1, m2, inner = 9, 7, 5, 256
+    rx = mi_discrete_rx(m, cfg, inner)
+    trx = mi_discrete_trx(m1, m2, cfg)
+    counted = [0]
+
+    def counting(x, cfg):
+        counted[0] += np.size(x)
+        return green_offset(x, cfg)
+
+    # every module that evaluates propagation coefficients holds its own name
+    for module in (physics, spectra, models):
+        monkeypatch.setattr(module, "green_offset", counting)
+    assert mi_discrete_rx(m, cfg, inner) == rx
+    assert counted[0] == m * inner
+    counted[0] = 0
+    assert mi_discrete_trx(m1, m2, cfg) == trx
+    assert counted[0] == m1 * m2
+    l = cfg.aperture_m
+    n_rx = noise_rx(midpoint_grid(l, m), cfg, inner).n_value
+    n_trx = noise_trx(midpoint_grid(l, m2), midpoint_grid(l, m1), cfg).n_value
+    assert rx.noise_used == pytest.approx(n_rx, rel=1e-13)
+    assert trx.noise_used == pytest.approx(n_trx, rel=1e-13)
 
 
 # ---------------------------------------------------------- intermediates
