@@ -43,8 +43,8 @@ from .spectra import (
     SpectralResult,
     assemble_channel_matrix,
     assemble_kernel_matrix,
+    centrosymmetric_spectrum,
     hermitian_eigenvalues,
-    logdet_one_plus_scaled,
     midpoint_grid,
     validate_hermitian,
 )
@@ -66,6 +66,7 @@ __all__ = [
     "ZeroTraceError",
     "assemble_channel_matrix",
     "assemble_kernel_matrix",
+    "centrosymmetric_spectrum",
     "default_ref_m",
     "dof_estimate",
     "fit_convergence_slope",
@@ -73,7 +74,6 @@ __all__ = [
     "hermitian_eigenvalues",
     "kernel_diagonal",
     "kernel_value",
-    "logdet_one_plus_scaled",
     "mi_continuous",
     "mi_discrete_rx",
     "mi_discrete_trx",

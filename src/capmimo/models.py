@@ -1,9 +1,10 @@
 """Mutual-information models for continuous and discretized transceivers.
 
 All three models are the one spectral computation of ``spectra``: the
-eigenvalues of a weighted Gram matrix of sampled propagation
-coefficients, then log det(I + (2 / n) K) as a sum of log1p. They differ
-in the two sampling grids, their weights and the noise density n:
+squared singular values of the two centrosymmetric halves of a weighted
+matrix of sampled propagation coefficients A, then log det(I + (2 / n)
+A A^H) as a sum of log1p. They differ in the two sampling grids, their
+weights and the noise density n:
 
 * ``mi_continuous``   -- Gauss-Legendre reference grid against the
   Gauss-Legendre source grid, A = sqrt(w_r) G sqrt(w_s): a Nystrom
@@ -14,8 +15,9 @@ in the two sampling grids, their weights and the noise density n:
 * ``mi_discrete_trx`` -- point antennas on both sides, weight 1.
 
 The discrete models match the continuous receive SNR with the noise
-density n0 * trace(own unit-power Gram matrix) / ``physics.operator_trace``,
-so each propagation coefficient is evaluated once. ``noise_rx`` and
+density n0 * ||own unit-power A||_F^2 / ``physics.operator_trace``, where
+the squared norm is the halves' sum, so each propagation coefficient of
+the top half of A is evaluated once. ``noise_rx`` and
 ``noise_trx`` give the same densities plus midpoint-error bounds, both
 from one sampled |G|^2 profile.
 
@@ -45,13 +47,10 @@ from .physics import (
 )
 from .spectra import (
     QuadratureGrid,
-    SpectralResult,
     assemble_channel_matrix,
-    assemble_kernel_matrix,
+    centrosymmetric_spectrum,
     check_matrix_size,
     gauss_legendre_grid,
-    gram_from_channel,
-    hermitian_eigenvalues,
     logdet_from_eigenvalues,
     midpoint_grid,
 )
@@ -132,22 +131,17 @@ def _unit_trace(geometry: SystemConfig) -> float:
 
 
 @lru_cache(maxsize=32)
-def _reference_spectrum(geometry: SystemConfig, ref_m: int,
-                        inner_points: int) -> SpectralResult:
+def _reference_spectrum(geometry: SystemConfig, ref_m: int, inner_points: int) -> np.ndarray:
     """Unit-power field-operator spectrum from the Gauss-Legendre Nystrom matrix.
 
-    A = sqrt(w_r) G(r_i - s_k) sqrt(w_s) with ref_m reference and
-    inner_points source nodes; its squared singular values are the
-    eigenvalues of the Gram matrix on its smaller side, so the spectrum
-    has min(ref_m, inner_points) entries.
+    The squared singular values of A = sqrt(w_r) G(r_i - s_k) sqrt(w_s)
+    with ref_m reference and inner_points source nodes: min(ref_m,
+    inner_points) entries, nonincreasing and read-only.
     """
     check_matrix_size(ref_m, inner_points)
     ref = gauss_legendre_grid(geometry.aperture_m, ref_m)
     source = gauss_legendre_grid(geometry.aperture_m, inner_points)
-    A = assemble_channel_matrix(ref, source, geometry)
-    A *= np.sqrt(source.weights)
-    A *= np.sqrt(ref.weights)[:, None]
-    return hermitian_eigenvalues(gram_from_channel(A if ref_m <= inner_points else A.T, 1.0))
+    return centrosymmetric_spectrum(ref, source, geometry, weigh_rx=True, weigh_tx=True)[0]
 
 
 @lru_cache(maxsize=64)
@@ -186,7 +180,7 @@ def _resolve(cfg: SystemConfig, ref_m: int | None, inner_points: int | None) -> 
 
 def _operator_spectrum(cfg: SystemConfig, ref_m: int, inner_points: int) -> np.ndarray:
     """Per-subchannel signal powers: the unit-power reference spectrum scaled by P."""
-    unit = _reference_spectrum(_geometry(cfg), ref_m, inner_points).eigenvalues
+    unit = _reference_spectrum(_geometry(cfg), ref_m, inner_points)
     scaled = cfg.power_density * unit
     scaled.setflags(write=False)
     return scaled
@@ -266,10 +260,11 @@ def mi_discrete_rx(m: int, cfg: SystemConfig,
                    inner_points: int | None = None) -> MiResult:
     """Mutual information with a continuous transmitter and m point antennas.
 
-    log det(I + P * K / (n_rx / 2)) on the unit-power kernel matrix K
-    sampled at the antennas; the grid weight is absorbed by the rescaled
-    noise, so no explicit quadrature weight appears. n_rx is the
-    ``noise_rx`` density. Zero power short-circuits to zero information.
+    log det(I + P * K / (n_rx / 2)) on the unit-power kernel matrix
+    K = A A^H sampled at the antennas, A = G sqrt(w_s); the grid weight is
+    absorbed by the rescaled noise, so no explicit quadrature weight
+    appears. n_rx is the ``noise_rx`` density, from ||A||_F^2 = trace(K).
+    Zero power short-circuits to zero information.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -278,10 +273,10 @@ def mi_discrete_rx(m: int, cfg: SystemConfig,
     if cfg.power_density == 0.0:
         return MiResult(value_nats=0.0, model_tag=MODEL_DISCRETE_RX,
                         noise_used=math.nan, grid_m=m, inner_points=inner_points)
-    K = assemble_kernel_matrix(grid, _geometry(cfg), inner_points)
-    n_rx = _matched_noise(cfg, float(np.trace(K).real))
-    value = logdet_from_eigenvalues(hermitian_eigenvalues(K).eigenvalues,
-                                    2.0 * cfg.power_density / n_rx)
+    source = gauss_legendre_grid(cfg.aperture_m, inner_points)
+    spectrum, unit_power_sum = centrosymmetric_spectrum(grid, source, cfg, weigh_tx=True)
+    n_rx = _matched_noise(cfg, unit_power_sum)
+    value = logdet_from_eigenvalues(spectrum, 2.0 * cfg.power_density / n_rx)
     return MiResult(value_nats=value, model_tag=MODEL_DISCRETE_RX,
                     noise_used=n_rx, grid_m=m, inner_points=inner_points)
 
@@ -290,18 +285,17 @@ def mi_discrete_trx(m1: int, m2: int, cfg: SystemConfig) -> MiResult:
     """Mutual information with m1 transmit and m2 receive point antennas.
 
     Equal power density per transmit antenna: log det(I + P * H H^H /
-    (n_trx / 2)) over the m2 receive dimensions, with the unit-weight
-    channel Gram matrix H H^H and P applied in the scale; n_trx is the
-    ``noise_trx`` density.
+    (n_trx / 2)) over the m2 receive dimensions, from the squared
+    singular values of the unit-weight channel H with P applied in the
+    scale; n_trx is the ``noise_trx`` density, from ||H||_F^2.
     """
     if m1 < 1 or m2 < 1:
         raise ValueError(f"antenna counts must be >= 1, got ({m1}, {m2})")
     tx_grid = midpoint_grid(cfg.aperture_m, m1)
     rx_grid = midpoint_grid(cfg.aperture_m, m2)
-    K = gram_from_channel(assemble_channel_matrix(rx_grid, tx_grid, cfg), 1.0)
-    n_trx = _matched_noise(cfg, float(np.trace(K).real))
-    value = logdet_from_eigenvalues(hermitian_eigenvalues(K).eigenvalues,
-                                    2.0 * cfg.power_density / n_trx)
+    spectrum, unit_power_sum = centrosymmetric_spectrum(rx_grid, tx_grid, cfg)
+    n_trx = _matched_noise(cfg, unit_power_sum)
+    value = logdet_from_eigenvalues(spectrum, 2.0 * cfg.power_density / n_trx)
     return MiResult(value_nats=value, model_tag=MODEL_DISCRETE_TRX,
                     noise_used=n_trx, grid_m1=m1, grid_m2=m2)
 

@@ -130,23 +130,35 @@ def gauss_legendre(length: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     ceil(n / PANEL_NODES) panels whose node counts differ by at most one,
     each as wide as its share of the n nodes; n a multiple of 16 gives
-    equal 16-node panels. Exponentially convergent for the
-    analytic integrands of this package once the panels resolve the
-    wavelength and the distance. Returned arrays are read-only.
-    ``numpy.polynomial`` is imported on the first call, not with the package.
+    equal 16-node panels. The layout is mirror-symmetric about length/2
+    (nodes x[::-1] = length - x up to rounding, weights exactly mirrored):
+    the panel size that occurs an even number of times is split between
+    the two ends, the other fills the middle, and when both sizes occur
+    an odd number of times the panel count grows by one. Exponentially
+    convergent for the analytic integrands of this package once the
+    panels resolve the wavelength and the distance. Returned arrays are
+    read-only. ``numpy.polynomial`` is imported on the first call, not
+    with the package.
     """
     _check_points("Gauss-Legendre node count", n)
     panels = -(-n // PANEL_NODES)
     small, extra = divmod(n, panels)
+    if extra % 2 and (panels - extra) % 2:
+        panels += 1
+        small, extra = divmod(n, panels)
+    if extra % 2 == 0:
+        outer, inner = [small + 1] * (extra // 2), [small] * (panels - extra)
+    else:
+        outer, inner = [small] * ((panels - extra) // 2), [small + 1] * extra
+    rules = {order: np.polynomial.legendre.leggauss(order) for order in (small, small + 1)}
     nodes, weights = [], []
     left = 0
-    for order, count in ((small + 1, extra), (small, panels - extra)):
-        t, w = np.polynomial.legendre.leggauss(order)
+    for order in outer + inner + outer:
+        t, w = rules[order]
         half = 0.5 * order * length / n
-        centres = (left + order * (np.arange(count) + 0.5)) * (length / n)
-        nodes.append((centres[:, None] + half * t[None, :]).ravel())
-        weights.append(np.tile(half * w, count))
-        left += order * count
+        nodes.append((left + 0.5 * order) * (length / n) + half * t)
+        weights.append(half * w)
+        left += order
     x, w = np.concatenate(nodes), np.concatenate(weights)
     x.setflags(write=False)
     w.setflags(write=False)

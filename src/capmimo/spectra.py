@@ -1,31 +1,38 @@
 """Quadrature grids and the one spectral path shared by every model.
 
 Every mutual-information value in the package is the same computation:
-
-    hermitian_eigenvalues(gram_from_channel(
-        weighted channel matrix between two grids, weight))
-
-followed by ``logdet_from_eigenvalues``, the only ``sum log(1 + s*lambda)``
-in the package. The models differ only in the two grids and in which
-side carries its quadrature weights. The continuous operator samples a
+the squared singular values of the two centrosymmetric halves of a
+weighted propagation matrix (``centrosymmetric_spectrum``), followed by
+``logdet_from_eigenvalues``, the only ``sum log(1 + s*lambda)`` in the
+package. The models differ only in the two grids and in which side
+carries its quadrature weights. The continuous operator samples a
 composite Gauss-Legendre reference grid against the Gauss-Legendre
-source grid, A = sqrt(w_r) G sqrt(w_s), and takes the Gram matrix on
-the smaller side of A. The discrete receiver samples its antennas (the
-midpoint layout, which is the physical array and carries no weight)
-against the source grid, G sqrt(w_s); the discrete transceiver samples
-antennas on both sides with weight 1. ``assemble_kernel_matrix`` is this
-path on the source grid with weight P.
+source grid, A = sqrt(w_r) G sqrt(w_s). The discrete receiver samples
+its antennas (the midpoint layout, which is the physical array and
+carries no weight) against the source grid, G sqrt(w_s); the discrete
+transceiver samples antennas on both sides with weight 1.
 
-Kernel matrices are plain complex ndarrays that satisfy, by
-construction, K[i, j] == conj(K[j, i]) entrywise-exactly with an exactly
-real diagonal; ``validate_hermitian`` enforces this contract on any
-externally supplied matrix. Every matrix of propagation coefficients is
-checked against the machine's physical memory (``check_matrix_size``)
-before it is allocated.
+G(x) is even and every grid is mirror-symmetric about l/2, so each of
+these matrices is centrosymmetric, J A J = A with J the exchange
+matrix. An orthogonal change of basis on both sides turns A into
+diag(B+, B-), two blocks of half the size built from its top rows
+(Cantoni & Butler, Linear Algebra Appl. 13, 1976); only those rows are
+evaluated.
+
+``assemble_kernel_matrix``, ``gram_from_channel`` and
+``hermitian_eigenvalues`` are the kernel-matrix API: the sampled field
+autocorrelation K = P A A^H and its eigenvalues. Kernel matrices are
+plain complex ndarrays that satisfy, by construction, K[i, j] ==
+conj(K[j, i]) entrywise-exactly with an exactly real diagonal;
+``validate_hermitian`` enforces this contract on any externally
+supplied matrix. Every matrix of propagation coefficients is checked
+against the machine's physical memory (``check_matrix_size``) before it
+is allocated.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -140,6 +147,42 @@ def assemble_channel_matrix(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
     return green_offset(rx_grid.points[:, None] - tx_grid.points[None, :], cfg)
 
 
+def centrosymmetric_spectrum(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
+                             cfg: SystemConfig, weigh_rx: bool = False,
+                             weigh_tx: bool = False) -> tuple[np.ndarray, float]:
+    """Squared singular values and ||A||_F^2 of A = sqrt(w_r) G(r_i - s_k) sqrt(w_s).
+
+    Each side carries its grid weights when ``weigh_rx`` / ``weigh_tx``
+    is set and unit weights otherwise; both grids must be mirror-symmetric
+    about l/2. Only the top ceil(p/2) rows [L c R] of the p x q matrix
+    are evaluated (c is the middle column when q is odd). A's singular
+    values are those of B- = L - R J and B+ = [L + R J, sqrt(2) c], whose
+    middle row (when p is odd) is divided by sqrt(2). Returns the
+    min(p, q) squared singular values, nonincreasing and read-only, and
+    ||A||_F^2 = ||B+||_F^2 + ||B-||_F^2.
+    """
+    p, q = rx_grid.m, tx_grid.m
+    top, half = -(-p // 2), q // 2
+    rows = QuadratureGrid(points=rx_grid.points[:top], weight=rx_grid.weight, m=top,
+                          weights=rx_grid.weights[:top])  # the top rows of rx_grid
+    T = assemble_channel_matrix(rows, tx_grid, cfg)
+    if weigh_tx:
+        T *= np.sqrt(tx_grid.weights)
+    if weigh_rx:
+        T *= np.sqrt(rows.weights)[:, None]
+    left, mirrored = T[:, :half], T[:, q - half:][:, ::-1]
+    minus = (left - mirrored)[:p // 2]
+    plus = left + mirrored
+    if q % 2:
+        plus = np.hstack((plus, math.sqrt(2.0) * T[:, half:half + 1]))
+    if p % 2:
+        plus[-1] /= math.sqrt(2.0)
+    sigma = np.concatenate([np.linalg.svd(B, compute_uv=False) for B in (plus, minus)])
+    values = np.sort(sigma * sigma)[::-1]
+    values.setflags(write=False)
+    return values, float(np.vdot(plus, plus).real + np.vdot(minus, minus).real)
+
+
 def gram_from_channel(H: np.ndarray, weight: float) -> np.ndarray:
     """Weighted Gram matrix weight * H H^H with exact Hermitian symmetry."""
     check_matrix_size(H.shape[0], H.shape[0])
@@ -204,9 +247,3 @@ def logdet_from_eigenvalues(eigenvalues: np.ndarray, scale: float) -> float:
     if scale < 0:
         raise ValueError(f"scale must be >= 0, got {scale}")
     return float(np.sum(np.log1p(scale * eigenvalues)))
-
-
-def logdet_one_plus_scaled(K: np.ndarray, scale: float,
-                           clamp_rel: float = 1e-12) -> float:
-    """log det(I + scale * K) of a Hermitian PSD matrix via its clamped spectrum."""
-    return logdet_from_eigenvalues(hermitian_eigenvalues(K, clamp_rel).eigenvalues, scale)

@@ -4,10 +4,11 @@ Each deliberately takes a different numerical route than the library:
 hand-rolled Gaussian elimination instead of the eigenvalue path for
 determinants, adaptive quadrature and single-panel Gauss-Legendre
 tensor rules instead of the library's composite Gauss-Legendre source
-rule for integrals, a singular value decomposition of a square Nystrom
-matrix instead of the library's Gram matrix and Hermitian eigensolver
-for the field operator's spectrum, and the Fresnel-limit prolate
-spheroidal spectrum for the shape of that spectrum.
+rule for integrals, a singular value decomposition of a whole matrix
+(a square Nystrom matrix for the field operator's spectrum) instead of
+the library's split into two centrosymmetric halves, and the
+Fresnel-limit prolate spheroidal spectrum for the shape of that
+spectrum.
 """
 
 from __future__ import annotations
@@ -73,6 +74,23 @@ def nystrom_spectrum_svd(cfg: SystemConfig, nodes: int) -> np.ndarray:
     root_w = np.sqrt(w)
     a = root_w[:, None] * green_offset(x[:, None] - x[None, :], cfg) * root_w[None, :]
     return np.linalg.svd(a, compute_uv=False) ** 2
+
+
+def full_matrix_spectrum(cfg: SystemConfig, rx_points: np.ndarray, tx_points: np.ndarray,
+                         rx_weights: np.ndarray | None = None,
+                         tx_weights: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """Squared singular values and squared Frobenius norm of a whole weighted matrix.
+
+    A = sqrt(w_r) G(r_i - s_k) sqrt(w_s), unit weights where None, every
+    entry evaluated and the full matrix passed to ``np.linalg.svd``: no
+    symmetry of the grids is used. Squared singular values nonincreasing.
+    """
+    a = green_offset(np.subtract.outer(rx_points, tx_points), cfg)
+    if rx_weights is not None:
+        a = np.sqrt(rx_weights)[:, None] * a
+    if tx_weights is not None:
+        a = a * np.sqrt(tx_weights)[None, :]
+    return np.linalg.svd(a, compute_uv=False) ** 2, float(np.sum(a.real**2 + a.imag**2))
 
 
 @lru_cache(maxsize=8)

@@ -11,7 +11,6 @@ from capmimo import (
     SystemConfig,
     ZeroTraceError,
     dof_estimate,
-    logdet_one_plus_scaled,
     mi_continuous,
     mi_discrete_rx,
     mi_discrete_trx,
@@ -22,11 +21,17 @@ from capmimo import (
 )
 from capmimo import models, physics, spectra
 from capmimo.physics import green_offset, kernel_diagonal
-from capmimo.spectra import assemble_kernel_matrix
+from capmimo.spectra import (
+    assemble_kernel_matrix,
+    gauss_legendre_grid,
+    hermitian_eigenvalues,
+    logdet_from_eigenvalues,
+)
 
 from oracles import (
     converged_operator_spectrum,
     diagonal_power_quad,
+    full_matrix_spectrum,
     mi_continuous_oracle,
     prolate_concentration_spectrum,
     total_power_quad,
@@ -38,6 +43,10 @@ from oracles import (
 # rescaling at m1 = m2 = 4
 N_RX_ORACLE_M4 = 4.002362089337236
 N_TRX_ORACLE_44 = 8.009459269328541
+
+
+def _logdet(K: np.ndarray, scale: float) -> float:
+    return logdet_from_eigenvalues(hermitian_eigenvalues(K).eigenvalues, scale)
 
 
 @pytest.fixture
@@ -85,15 +94,31 @@ def test_mi_continuous_reference_refinement(default_cfg):
 @pytest.mark.parametrize("distance", [10.0, 1.0, 0.1])
 def test_mi_continuous_matches_nystrom_svd_oracle(distance):
     # the default reference (1600 Gauss-Legendre reference nodes against
-    # 1000 source nodes, Gram matrix + Hermitian eigensolver) against a
-    # square 1024-node Nystrom matrix solved by SVD and checked against 512
-    # nodes; measured 1.7e-11, 6.9e-11 and 4.3e-10 relative at d = 10, 1,
-    # 0.1 m, where the former 1600-point midpoint reference missed by
+    # 1000 source nodes, squared singular values of its two centrosymmetric
+    # halves) against a square 1024-node Nystrom matrix solved by a full
+    # SVD and checked against 512 nodes; measured 2.7e-15, 5.2e-16 and
+    # 7.4e-16 relative at d = 10, 1, 0.1 m, where the Gram matrix +
+    # Hermitian eigensolver route missed by 1.7e-11, 7.0e-11 and 4.2e-10
+    # (its roundoff floor) and the former 1600-point midpoint reference by
     # 1.1e-5, 4.6e-5 and 4.3e-5
     cfg = SystemConfig(distance_m=distance)
     oracle = mi_continuous_oracle(cfg)
     value = mi_continuous(cfg, ref_m=1600).value_nats
-    assert abs(value - oracle) <= 1e-8 * oracle
+    assert abs(value - oracle) <= 1e-12 * oracle
+
+
+@pytest.mark.parametrize("ref_m, inner_points", [(65, 129), (129, 65), (97, 97)])
+def test_mi_continuous_odd_sizes_keep_every_singular_value(ref_m, inner_points):
+    # odd node counts put a middle row and column into the split; the
+    # spectrum still has min(ref_m, inner_points) entries, those of the
+    # whole Nystrom matrix
+    cfg = SystemConfig(distance_m=1.0)
+    res = mi_continuous(cfg, ref_m=ref_m, inner_points=inner_points)
+    assert res.eigenvalues.size == min(ref_m, inner_points)
+    ref = gauss_legendre_grid(cfg.aperture_m, ref_m)
+    source = gauss_legendre_grid(cfg.aperture_m, inner_points)
+    oracle = full_matrix_spectrum(cfg, ref.points, source.points, ref.weights, source.weights)[0]
+    assert np.max(np.abs(res.eigenvalues - oracle)) <= 1e-13 * oracle[0]
 
 
 def test_mi_continuous_monotone_in_power(default_cfg):
@@ -161,7 +186,7 @@ def test_mi_discrete_rx_consistency_identity(default_cfg):
     m = 8
     res = mi_discrete_rx(m, default_cfg)
     K = assemble_kernel_matrix(midpoint_grid(default_cfg.aperture_m, m), default_cfg)
-    assert res.value_nats == logdet_one_plus_scaled(K, 2.0 / res.noise_used)
+    assert res.value_nats == _logdet(K, 2.0 / res.noise_used)
 
 
 def test_mi_discrete_rx_monotone_in_power():
@@ -223,8 +248,8 @@ def test_mi_discrete_trx_transmit_order_free(default_cfg):
     tx = midpoint_grid(2.0, 6)
     H = assemble_channel_matrix(rx, tx, default_cfg)
     perm = np.random.default_rng(0).permutation(6)
-    v1 = logdet_one_plus_scaled(gram_from_channel(H, 1.0), 0.3)
-    v2 = logdet_one_plus_scaled(gram_from_channel(H[:, perm], 1.0), 0.3)
+    v1 = _logdet(gram_from_channel(H, 1.0), 0.3)
+    v2 = _logdet(gram_from_channel(H[:, perm], 1.0), 0.3)
     assert v1 == pytest.approx(v2, rel=1e-12)
 
 
@@ -255,9 +280,9 @@ def test_profile_curvatures_match_direct_differences(distance):
 
 
 def test_discrete_models_evaluate_each_coefficient_once(monkeypatch):
-    # the SNR-matched noise reads the trace of the Gram matrix the model
-    # solves, so a warm call evaluates each antenna or source coefficient
-    # once and no curvature profile
+    # the SNR-matched noise reads ||A||_F^2 from the two centrosymmetric
+    # halves the model solves, so a warm call evaluates each coefficient of
+    # the top ceil(rows / 2) rows of A once and no curvature profile
     cfg = SystemConfig(distance_m=3.0, power_density=1.7)
     m, m1, m2, inner = 9, 7, 5, 256
     rx = mi_discrete_rx(m, cfg, inner)
@@ -272,10 +297,10 @@ def test_discrete_models_evaluate_each_coefficient_once(monkeypatch):
     for module in (physics, spectra, models):
         monkeypatch.setattr(module, "green_offset", counting)
     assert mi_discrete_rx(m, cfg, inner) == rx
-    assert counted[0] == m * inner
+    assert counted[0] == (m + 1) // 2 * inner
     counted[0] = 0
     assert mi_discrete_trx(m1, m2, cfg) == trx
-    assert counted[0] == m1 * m2
+    assert counted[0] == (m2 + 1) // 2 * m1
     l = cfg.aperture_m
     n_rx = noise_rx(midpoint_grid(l, m), cfg, inner).n_value
     n_trx = noise_trx(midpoint_grid(l, m2), midpoint_grid(l, m1), cfg).n_value

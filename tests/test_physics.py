@@ -160,6 +160,23 @@ def test_trace_equals_weighted_diagonal_sum(default_cfg):
     assert operator_trace(default_cfg) == pytest.approx(diag_sum, rel=1e-13)
 
 
+@pytest.mark.parametrize("length", [2.0, 0.37])
+def test_gauss_legendre_mirror_symmetric(length):
+    # the centrosymmetric split needs x[::-1] = l - x and mirrored weights;
+    # n = 17 has one panel of 9 and one of 8 nodes, so it takes three
+    # panels of 6, 5 and 6 nodes instead
+    eps = np.finfo(np.float64).eps
+    for n in (*range(2, 201), 999, 1000, 1001, 1600):
+        x, w = gauss_legendre(length, n)
+        assert np.max(np.abs(x[::-1] - (length - x))) <= 2 * eps * length, n
+        assert np.array_equal(w[::-1], w), n
+        assert abs(float(np.sum(w)) - length) <= 4 * eps * length, n
+    w = gauss_legendre(length, 17)[1]
+    panels = [w[:6].sum(), w[6:11].sum(), w[11:].sum()]
+    assert panels == pytest.approx([6 * length / 17, 5 * length / 17, 6 * length / 17],
+                                   rel=1e-14)
+
+
 def test_trace_rejects_tiny_grids(default_cfg):
     for nodes in (1, 0):
         with pytest.raises(ValueError):

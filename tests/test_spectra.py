@@ -9,13 +9,18 @@ from capmimo import (
     assemble_channel_matrix,
     assemble_kernel_matrix,
     hermitian_eigenvalues,
-    logdet_one_plus_scaled,
     midpoint_grid,
     validate_hermitian,
 )
-from capmimo.spectra import check_matrix_size, gauss_legendre_grid, gram_from_channel
+from capmimo.spectra import (
+    centrosymmetric_spectrum,
+    check_matrix_size,
+    gauss_legendre_grid,
+    gram_from_channel,
+    logdet_from_eigenvalues,
+)
 
-from oracles import logdet_by_row_reduction
+from oracles import full_matrix_spectrum, logdet_by_row_reduction
 
 
 def _random_psd(n: int, seed: int) -> np.ndarray:
@@ -122,6 +127,30 @@ def test_channel_gram_is_exactly_hermitian(default_cfg):
     assert np.array_equal(K, K.conj().T)
 
 
+@pytest.mark.parametrize("rows, cols", [(40, 26), (40, 27), (41, 26), (41, 27),
+                                        (1, 1), (1, 6), (5, 1), (2, 3)])
+@pytest.mark.parametrize("layout", ["antennas", "receiver", "nystrom"])
+def test_centrosymmetric_spectrum_matches_full_svd(rows, cols, layout):
+    # the two half-size blocks against a full SVD of every entry, for all
+    # four parities of (rows, cols): unit weights on antenna grids, the
+    # discrete receiver's weighted source columns, and a Nystrom matrix
+    # weighted on both sides
+    cfg = SystemConfig(distance_m=0.7)
+    l = cfg.aperture_m
+    weigh_rx = layout == "nystrom"
+    weigh_tx = layout != "antennas"
+    rx = gauss_legendre_grid(l, max(rows, 2)) if weigh_rx else midpoint_grid(l, rows)
+    tx = gauss_legendre_grid(l, max(cols, 2)) if weigh_tx else midpoint_grid(l, cols)
+    values, norm = centrosymmetric_spectrum(rx, tx, cfg, weigh_rx, weigh_tx)
+    oracle, oracle_norm = full_matrix_spectrum(cfg, rx.points, tx.points,
+                                               rx.weights if weigh_rx else None,
+                                               tx.weights if weigh_tx else None)
+    assert values.shape == oracle.shape == (min(rx.m, tx.m),)
+    assert np.all(np.diff(values) <= 0) and not values.flags.writeable
+    assert np.max(np.abs(values - oracle)) <= 1e-13 * oracle[0]
+    assert norm == pytest.approx(oracle_norm, rel=1e-14)
+
+
 def test_validate_hermitian_rejects(default_cfg):
     bad = np.array([[1.0, 2.0], [2.0000001, 1.0]], dtype=complex)
     with pytest.raises(ValueError):
@@ -191,13 +220,17 @@ def test_negative_clamp_rel_rejected():
 
 # --------------------------------------------------------------- logdet
 
+def _logdet(K: np.ndarray, scale: float) -> float:
+    return logdet_from_eigenvalues(hermitian_eigenvalues(K).eigenvalues, scale)
+
+
 def test_logdet_zero_scale():
-    assert logdet_one_plus_scaled(_random_psd(5, 0), 0.0) == 0.0
+    assert _logdet(_random_psd(5, 0), 0.0) == 0.0
 
 
 def test_logdet_scaled_identity():
     n, c, scale = 4, 0.31, 2.5
-    val = logdet_one_plus_scaled(c * np.eye(n, dtype=complex), scale)
+    val = _logdet(c * np.eye(n, dtype=complex), scale)
     assert val == pytest.approx(n * np.log1p(scale * c), rel=1e-14)
 
 
@@ -205,12 +238,12 @@ def test_logdet_against_row_reduction_oracle():
     K = _random_psd(6, 12)
     scale = 0.37
     oracle = logdet_by_row_reduction(np.eye(6) + scale * K)
-    assert logdet_one_plus_scaled(K, scale) == pytest.approx(oracle, rel=1e-10)
+    assert _logdet(K, scale) == pytest.approx(oracle, rel=1e-10)
 
 
 def test_logdet_monotone_in_scale():
     K = _random_psd(7, 5)
-    vals = [logdet_one_plus_scaled(K, s) for s in (0.0, 0.1, 0.5, 2.0, 10.0)]
+    vals = [_logdet(K, s) for s in (0.0, 0.1, 0.5, 2.0, 10.0)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
@@ -221,10 +254,9 @@ def test_logdet_permutation_invariant():
     rng = np.random.default_rng(1)
     perm = rng.permutation(6)
     Kp = K[np.ix_(perm, perm)]
-    assert logdet_one_plus_scaled(K, 0.7) == \
-        pytest.approx(logdet_one_plus_scaled(Kp, 0.7), rel=5e-14)
+    assert _logdet(K, 0.7) == pytest.approx(_logdet(Kp, 0.7), rel=5e-14)
 
 
 def test_logdet_rejects_negative_scale():
     with pytest.raises(ValueError):
-        logdet_one_plus_scaled(np.eye(2, dtype=complex), -0.1)
+        _logdet(np.eye(2, dtype=complex), -0.1)
