@@ -25,7 +25,6 @@ from .models import (
     mi_continuous,
     mi_discrete_rx,
     mi_discrete_trx,
-    mi_intermediate,
     noise_rx,
     noise_trx,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "mi_continuous",
     "mi_discrete_rx",
     "mi_discrete_trx",
-    "mi_intermediate",
     "midpoint_grid",
     "noise_rx",
     "noise_trx",

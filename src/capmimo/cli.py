@@ -51,6 +51,9 @@ DOF_COLUMNS = ("scenario", "d_m", "ref_m", "threshold_rel", "eigen_count", "anal
 DEFAULT_M_LIST = (5, 10, 20, 40, 80, 100, 160)
 DEFAULT_DISTANCES = (10.0, 1.0, 0.1)
 
+# the commands whose discrete receiver takes inner_points source nodes
+INNER_POINTS_COMMANDS = ("sweep-receiver", "bounds")
+
 
 class ConfigError(ValueError):
     """Invalid, unknown, or missing run configuration."""
@@ -85,30 +88,32 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
-    def resolved_dict(self) -> dict:
+    def resolved_dict(self, command: str) -> dict:
+        """The settings with every default filled in.
+
+        The node-count defaults depend on the distance: each is given at
+        its largest over the distances ``command`` runs at (every CSV row
+        carries its own ref_m).
+        """
         d = dataclasses.asdict(self)
-        cfg = self.system_config()
-        d["ref_m"] = self.ref_m if self.ref_m is not None else default_ref_m(cfg)
-        d["inner_points"] = (self.inner_points if self.inner_points is not None
-                             else cfg.default_inner_points())
+        base = self.system_config()
+        multi = command in ("sweep-receiver", "sweep-transceiver")
+        cfgs = [dataclasses.replace(base, distance_m=x)
+                for x in (self.distances if multi else (self.distance,))]
+        if self.ref_m is None:
+            d["ref_m"] = max(default_ref_m(cfg) for cfg in cfgs)
+        if self.inner_points is None:
+            d["inner_points"] = max(cfg.default_inner_points() for cfg in cfgs)
         return d
 
 
-def _parse_int_list(raw: str, key: str) -> tuple[int, ...]:
+def _parse_list(raw: str, key: str, kind: type) -> tuple:
+    """A nonempty comma-separated list of ``kind`` values (int or float)."""
     try:
-        vals = tuple(int(tok) for tok in raw.split(",") if tok.strip())
+        vals = tuple(kind(tok) for tok in raw.split(",") if tok.strip())
     except ValueError:
-        raise ConfigError(f"{key}: expected comma-separated integers, got {raw!r}") from None
-    if not vals:
-        raise ConfigError(f"{key}: list must be nonempty")
-    return vals
-
-
-def _parse_float_list(raw: str, key: str) -> tuple[float, ...]:
-    try:
-        vals = tuple(float(tok) for tok in raw.split(",") if tok.strip())
-    except ValueError:
-        raise ConfigError(f"{key}: expected comma-separated numbers, got {raw!r}") from None
+        raise ConfigError(f"{key}: expected comma-separated {kind.__name__} values, "
+                          f"got {raw!r}") from None
     if not vals:
         raise ConfigError(f"{key}: list must be nonempty")
     return vals
@@ -128,14 +133,14 @@ _FILE_PARSERS = {
     "wavelength": float,
     "length": float,
     "distance": float,
-    "distances": lambda v: _parse_float_list(v, "distances"),
+    "distances": lambda v: _parse_list(v, "distances", float),
     "power": float,
     "noise": float,
     "ref_m": int,
     "inner_points": int,
-    "m_list": lambda v: _parse_int_list(v, "m_list"),
-    "m1_list": lambda v: _parse_int_list(v, "m1_list"),
-    "m2_list": lambda v: _parse_int_list(v, "m2_list"),
+    "m_list": lambda v: _parse_list(v, "m_list", int),
+    "m1_list": lambda v: _parse_list(v, "m1_list", int),
+    "m2_list": lambda v: _parse_list(v, "m2_list", int),
     "out": str,
     "keep_going": _parse_bool,
     "log_base": str,
@@ -192,10 +197,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--noise", type=float, help="receiver noise density")
         p.add_argument("--ref-m", type=int, dest="ref_m",
                        help="Gauss-Legendre nodes on the receive aperture of the "
-                            "continuous reference")
+                            "continuous reference (default: the node rule, at least 1600)")
         p.add_argument("--inner-points", type=int, dest="inner_points",
-                       help="Gauss-Legendre nodes on the continuous transmit (source) "
-                            "aperture")
+                       help="Gauss-Legendre source nodes of the discrete receiver, "
+                            "sweep-receiver and bounds only (default: 16 per "
+                            "min(wavelength, distance) along the aperture)")
         p.add_argument("--m-list", dest="m_list", help="comma list of antenna counts")
         p.add_argument("--m1-list", dest="m1_list", help="comma list of transmit counts")
         p.add_argument("--m2-list", dest="m2_list", help="comma list of receive counts")
@@ -215,15 +221,15 @@ def parse_config(argv: list[str]) -> tuple[str, RunConfig]:
     settings: dict = {}
     if args.config:
         settings.update(_load_config_file(args.config))
-    for key in _FILE_PARSERS:
-        if key in ("distances", "m_list", "m1_list", "m2_list"):
-            raw = getattr(args, key, None)
-            if raw is not None:
-                parser_fn = _FILE_PARSERS[key]
-                settings[key] = parser_fn(raw)
-        elif getattr(args, key, None) is not None:
-            settings[key] = getattr(args, key)
+    for key, parse in _FILE_PARSERS.items():
+        value = getattr(args, key, None)
+        if value is not None:  # list flags arrive as raw strings
+            is_list = key in ("distances", "m_list", "m1_list", "m2_list")
+            settings[key] = parse(value) if is_list else value
     settings.setdefault("scenario", args.command)
+    if "inner_points" in settings and args.command not in INNER_POINTS_COMMANDS:
+        raise ConfigError(f"inner_points is used only by {' and '.join(INNER_POINTS_COMMANDS)}, "
+                          f"not by {args.command}")
     if settings.get("log_base") not in (None, "e", "2"):
         raise ConfigError(f"log_base must be 'e' or '2', got {settings['log_base']!r}")
     try:
@@ -264,30 +270,6 @@ def write_rows_csv(rows: list[SweepRow], path: Path, timings: bool = False) -> N
     _write_csv(path, CSV_COLUMNS, [_row_record(row, timings) for row in rows])
 
 
-def read_rows_csv(path: Path) -> list[SweepRow]:
-    """Inverse of write_rows_csv over the SweepRow fields (mi_bits is derived)."""
-    rows = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
-            raise ValueError(f"unexpected CSV header in {path}: {reader.fieldnames}")
-        for rec in reader:
-            tag = rec["model_tag"]
-            error = None
-            if tag.startswith("error:"):
-                tag, error = "error", tag[len("error:"):]
-            rows.append(SweepRow(
-                scenario=rec["scenario"], d_m=float(rec["d_m"]),
-                m1=int(rec["m1"]) if rec["m1"] else None, m2=int(rec["m2"]),
-                ref_m=int(rec["ref_m"]),
-                mi_nats=float(rec["mi_nats"]) if rec["mi_nats"] else None,
-                mi_ref_nats=float(rec["mi_ref_nats"]) if rec["mi_ref_nats"] else None,
-                abs_gap=float(rec["abs_gap"]) if rec["abs_gap"] else None,
-                n_used=float(rec["n_used"]) if rec["n_used"] else None,
-                model_tag=tag, wall_time_s=float(rec["wall_time_s"]), error=error))
-    return rows
-
-
 def _write_outputs(command: str, rc: RunConfig, columns: tuple[str, ...],
                    records: list[list], meta: dict) -> bool:
     """Write rc.out as CSV plus its JSON sidecar (.meta suffix).
@@ -297,7 +279,7 @@ def _write_outputs(command: str, rc: RunConfig, columns: tuple[str, ...],
     """
     out = Path(rc.out)
     payload = {"tool": "capmimo", "version": __version__, "command": command,
-               "resolved_config": rc.resolved_dict(), **meta}
+               "resolved_config": rc.resolved_dict(command), **meta}
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
         _write_csv(out, columns, records)
@@ -312,7 +294,7 @@ def _write_outputs(command: str, rc: RunConfig, columns: tuple[str, ...],
 
 def _print_resolved(command: str, rc: RunConfig) -> None:
     print(f"# capmimo {__version__} :: {command}")
-    for key, value in sorted(rc.resolved_dict().items()):
+    for key, value in sorted(rc.resolved_dict(command).items()):
         print(f"{key} = {value}")
 
 
@@ -361,7 +343,7 @@ def _finish_sweep(rows: list[SweepRow], command: str, rc: RunConfig,
 
 def _run_dof(command: str, rc: RunConfig) -> int:
     cfg = rc.system_config()
-    est = dof_estimate(cfg, rc.ref_m, inner_points=rc.inner_points)
+    est = dof_estimate(cfg, rc.ref_m)
     print(f"eigen_count = {est.eigen_count} (threshold {est.threshold_rel:g} of largest)")
     print(f"analytic_dof = {est.analytic}")
     if rc.out is None:
@@ -406,11 +388,11 @@ def run(command: str, rc: RunConfig) -> int:
         return _finish_sweep(rows, command, rc, started)
     if command == "sweep-transceiver":
         rows = sweep_transceiver(cfg, rc.distances, rc.m_list, rc.ref_m,
-                                 rc.inner_points, scenario=rc.scenario)
+                                 scenario=rc.scenario)
         return _finish_sweep(rows, command, rc, started)
     if command == "sweep-grid":
         grid = sweep_grid(cfg, rc.distance, rc.m1_list, rc.m2_list, rc.ref_m,
-                          rc.inner_points, scenario=rc.scenario)
+                          scenario=rc.scenario)
         print(f"symmetry_gap = {grid.symmetry_gap!r}")
         return _finish_sweep(list(grid.rows), command, rc, started,
                              extra={"symmetry_gap": grid.symmetry_gap})
@@ -427,10 +409,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         command, rc = parse_config(argv)
         return run(command, rc)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

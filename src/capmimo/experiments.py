@@ -18,13 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .models import (
-    MiResult,
-    default_ref_m,
-    mi_continuous,
-    mi_discrete_rx,
-    mi_discrete_trx,
-)
+from .models import MiResult, mi_continuous, mi_discrete_rx, mi_discrete_trx
 from .physics import SystemConfig
 
 # rows whose gap is below this fraction of the reference have converged
@@ -82,31 +76,29 @@ class GridSweep:
     symmetry_gap: float
 
 
-def _checked_lists(distances: Sequence[float], m_values: Sequence[int],
-                   cfg: SystemConfig, ref_m: int | None) -> int:
+def _check_lists(distances: Sequence[float], m_values: Sequence[int]) -> None:
     if not distances:
         raise ValueError("distances must be nonempty")
     if not m_values:
         raise ValueError("m_values must be nonempty")
-    return default_ref_m(cfg) if ref_m is None else ref_m
 
 
-def _cell_row(scenario: str, d: float, m1: int | None, m2: int, ref_m: int,
-              ref_nats: float, compute: Callable[[], MiResult]) -> SweepRow:
+def _cell_row(scenario: str, d: float, m1: int | None, m2: int, ref: MiResult,
+              compute: Callable[[], MiResult]) -> SweepRow:
     start = time.perf_counter()
     try:
         res = compute()
     except Exception as exc:  # failed cells are recorded, not dropped
-        return SweepRow(scenario=scenario, d_m=d, m1=m1, m2=m2, ref_m=ref_m,
-                        mi_nats=None, mi_ref_nats=ref_nats, abs_gap=None,
+        return SweepRow(scenario=scenario, d_m=d, m1=m1, m2=m2, ref_m=ref.ref_m,
+                        mi_nats=None, mi_ref_nats=ref.value_nats, abs_gap=None,
                         n_used=None, model_tag="error",
                         wall_time_s=time.perf_counter() - start,
                         error=f"{type(exc).__name__}: {exc}")
     elapsed = time.perf_counter() - start
     noise = res.noise_used if math.isfinite(res.noise_used) else None
-    return SweepRow(scenario=scenario, d_m=d, m1=m1, m2=m2, ref_m=ref_m,
-                    mi_nats=res.value_nats, mi_ref_nats=ref_nats,
-                    abs_gap=abs(res.value_nats - ref_nats), n_used=noise,
+    return SweepRow(scenario=scenario, d_m=d, m1=m1, m2=m2, ref_m=ref.ref_m,
+                    mi_nats=res.value_nats, mi_ref_nats=ref.value_nats,
+                    abs_gap=abs(res.value_nats - ref.value_nats), n_used=noise,
                     model_tag=res.model_tag, wall_time_s=elapsed)
 
 
@@ -117,15 +109,16 @@ def sweep_receiver(cfg: SystemConfig, distances: Sequence[float],
     """Discretize the receiver only: one row per (distance, m) cell.
 
     The reference column is the continuous model at the same distance on
-    the ref_m grid (computed once per distance, before the cells run).
+    the ref_m grid (computed once per distance, before the cells run);
+    ``inner_points`` is the source rule of the discrete receiver only.
     """
-    ref_m = _checked_lists(distances, m_values, cfg, ref_m)
+    _check_lists(distances, m_values)
     rows: list[SweepRow] = []
     for d in distances:
         cfg_d = dataclasses.replace(cfg, distance_m=d)
-        ref = mi_continuous(cfg_d, ref_m, inner_points).value_nats
+        ref = mi_continuous(cfg_d, ref_m)
         for m in m_values:
-            rows.append(_cell_row(scenario, d, None, m, ref_m, ref,
+            rows.append(_cell_row(scenario, d, None, m, ref,
                                   lambda: mi_discrete_rx(m, cfg_d, inner_points)))
     rows.sort(key=lambda r: (r.d_m, r.m2))
     return rows
@@ -133,16 +126,15 @@ def sweep_receiver(cfg: SystemConfig, distances: Sequence[float],
 
 def sweep_transceiver(cfg: SystemConfig, distances: Sequence[float],
                       m_values: Sequence[int], ref_m: int | None = None,
-                      inner_points: int | None = None,
                       scenario: str = "transceiver") -> list[SweepRow]:
     """Discretize both sides with m1 = m2 = m: one row per (distance, m)."""
-    ref_m = _checked_lists(distances, m_values, cfg, ref_m)
+    _check_lists(distances, m_values)
     rows: list[SweepRow] = []
     for d in distances:
         cfg_d = dataclasses.replace(cfg, distance_m=d)
-        ref = mi_continuous(cfg_d, ref_m, inner_points).value_nats
+        ref = mi_continuous(cfg_d, ref_m)
         for m in m_values:
-            rows.append(_cell_row(scenario, d, m, m, ref_m, ref,
+            rows.append(_cell_row(scenario, d, m, m, ref,
                                   lambda: mi_discrete_trx(m, m, cfg_d)))
     rows.sort(key=lambda r: (r.d_m, r.m2))
     return rows
@@ -150,15 +142,13 @@ def sweep_transceiver(cfg: SystemConfig, distances: Sequence[float],
 
 def sweep_grid(cfg: SystemConfig, d: float, m1_values: Sequence[int],
                m2_values: Sequence[int], ref_m: int | None = None,
-               inner_points: int | None = None,
                scenario: str = "grid") -> GridSweep:
     """Full Cartesian product of transmit and receive antenna counts at one d."""
     if not m1_values or not m2_values:
         raise ValueError("m1_values and m2_values must be nonempty")
-    ref_m = _checked_lists([d], list(m1_values) + list(m2_values), cfg, ref_m)
     cfg_d = dataclasses.replace(cfg, distance_m=d)
-    ref = mi_continuous(cfg_d, ref_m, inner_points).value_nats
-    rows = sorted((_cell_row(scenario, d, m1, m2, ref_m, ref,
+    ref = mi_continuous(cfg_d, ref_m)
+    rows = sorted((_cell_row(scenario, d, m1, m2, ref,
                              lambda: mi_discrete_trx(m1, m2, cfg_d))
                    for m1 in m1_values for m2 in m2_values),
                   key=lambda r: (r.m1, r.m2))

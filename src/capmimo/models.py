@@ -21,9 +21,10 @@ the top half of A is evaluated once. ``noise_rx`` and
 ``noise_trx`` give the same densities plus midpoint-error bounds, both
 from one sampled |G|^2 profile.
 
-``mi_intermediate`` evaluates the reference-grid determinant at the
-rescaled noise of a discrete model, which splits a discrete-vs-continuous
-gap into its quadrature and SNR-control parts for diagnostics.
+Every continuous integral (the reference's source side, the trace, the
+default source rule of ``mi_discrete_rx``) takes its node count from the
+one rule ``SystemConfig.default_inner_points``; ``default_ref_m`` keeps
+the reference's receive side at 1600 nodes or more.
 
 Power and noise density only rescale these quantities: every cache is
 keyed on the geometry alone and holds unit-power values, and P and n0
@@ -62,8 +63,6 @@ PROFILE_INTERVALS = 40000
 MODEL_CONTINUOUS = "continuous"
 MODEL_DISCRETE_RX = "discrete_rx"
 MODEL_DISCRETE_TRX = "discrete_trx"
-MODEL_REF_RESCALED_RX = "ref_rescaled_rx"
-MODEL_REF_RESCALED_TRX = "ref_rescaled_trx"
 
 
 class ZeroTraceError(ValueError):
@@ -131,16 +130,18 @@ def _unit_trace(geometry: SystemConfig) -> float:
 
 
 @lru_cache(maxsize=32)
-def _reference_spectrum(geometry: SystemConfig, ref_m: int, inner_points: int) -> np.ndarray:
+def _reference_spectrum(geometry: SystemConfig, ref_m: int) -> np.ndarray:
     """Unit-power field-operator spectrum from the Gauss-Legendre Nystrom matrix.
 
     The squared singular values of A = sqrt(w_r) G(r_i - s_k) sqrt(w_s)
-    with ref_m reference and inner_points source nodes: min(ref_m,
-    inner_points) entries, nonincreasing and read-only.
+    with ref_m reference nodes and the rule's source nodes: min(ref_m,
+    n_source) entries, nonincreasing and read-only. Only the top
+    ceil(ref_m / 2) rows are evaluated, so only they must fit in memory.
     """
-    check_matrix_size(ref_m, inner_points)
+    n_source = geometry.default_inner_points()
+    check_matrix_size(-(-ref_m // 2), n_source)
     ref = gauss_legendre_grid(geometry.aperture_m, ref_m)
-    source = gauss_legendre_grid(geometry.aperture_m, inner_points)
+    source = gauss_legendre_grid(geometry.aperture_m, n_source)
     return centrosymmetric_spectrum(ref, source, geometry, weigh_rx=True, weigh_tx=True)[0]
 
 
@@ -168,43 +169,37 @@ def _matched_noise(cfg: SystemConfig, unit_power_sum: float) -> float:
 
 
 def default_ref_m(cfg: SystemConfig) -> int:
-    """Reference node count: at least 16 Gauss-Legendre nodes per half wavelength."""
-    return max(1600, 16 * math.ceil(2.0 * cfg.aperture_m / cfg.wavelength_m))
+    """Reference receive-node count: the package's node rule, at least 1600."""
+    return max(1600, cfg.default_inner_points())
 
 
-def _resolve(cfg: SystemConfig, ref_m: int | None, inner_points: int | None) -> tuple[int, int]:
-    if ref_m is None:
-        ref_m = default_ref_m(cfg)
-    return ref_m, resolve_inner_points(cfg, inner_points)
-
-
-def _operator_spectrum(cfg: SystemConfig, ref_m: int, inner_points: int) -> np.ndarray:
+def _operator_spectrum(cfg: SystemConfig, ref_m: int) -> np.ndarray:
     """Per-subchannel signal powers: the unit-power reference spectrum scaled by P."""
-    unit = _reference_spectrum(_geometry(cfg), ref_m, inner_points)
+    unit = _reference_spectrum(_geometry(cfg), ref_m)
     scaled = cfg.power_density * unit
     scaled.setflags(write=False)
     return scaled
 
 
-def mi_continuous(cfg: SystemConfig, ref_m: int | None = None,
-                  inner_points: int | None = None) -> MiResult:
+def mi_continuous(cfg: SystemConfig, ref_m: int | None = None) -> MiResult:
     """Mutual information of the fully continuous model, in nats.
 
     Gauss-Legendre Nystrom approximation of the operator determinant
-    log det(1 + T / (n0/2)) with ``ref_m`` reference and ``inner_points``
-    source nodes: the cached unit-power reference spectrum times P
-    approximates the spectrum of T. That operator-scaled spectrum
-    (min(ref_m, inner_points) entries) is exposed on the result for SNR
-    and DoF diagnostics.
+    log det(1 + T / (n0/2)) with ``ref_m`` reference nodes (default
+    ``default_ref_m``) and ``cfg.default_inner_points()`` source nodes:
+    the cached unit-power reference spectrum times P approximates the
+    spectrum of T. That operator-scaled spectrum (min(ref_m, source
+    nodes) entries) is exposed on the result for SNR and DoF diagnostics.
     """
-    ref_m, inner_points = _resolve(cfg, ref_m, inner_points)
+    if ref_m is None:
+        ref_m = default_ref_m(cfg)
     if ref_m < 64:
         raise ValueError(f"ref_m must be >= 64 for a usable reference, got {ref_m}")
-    scaled = _operator_spectrum(cfg, ref_m, inner_points)
+    scaled = _operator_spectrum(cfg, ref_m)
     value = logdet_from_eigenvalues(scaled, 2.0 / cfg.noise_density)
     return MiResult(value_nats=value, model_tag=MODEL_CONTINUOUS,
                     noise_used=cfg.noise_density, ref_m=ref_m,
-                    inner_points=inner_points, eigenvalues=scaled)
+                    inner_points=cfg.default_inner_points(), eigenvalues=scaled)
 
 
 def noise_rx(grid: QuadratureGrid, cfg: SystemConfig,
@@ -300,48 +295,8 @@ def mi_discrete_trx(m1: int, m2: int, cfg: SystemConfig) -> MiResult:
                     noise_used=n_trx, grid_m1=m1, grid_m2=m2)
 
 
-def mi_intermediate(kind: str, cfg: SystemConfig, ref_m: int | None = None,
-                    m: int | None = None, m1: int | None = None, m2: int | None = None,
-                    noise: NoiseControl | None = None,
-                    inner_points: int | None = None) -> MiResult:
-    """Reference-grid determinant evaluated at a discrete model's noise level.
-
-    kind "rx" uses the m-antenna receiver rescaling (requires m), kind
-    "trx" the (m1, m2) transceiver rescaling. Pass ``noise`` to reuse an
-    already computed control; otherwise it is evaluated here. The value
-    isolates how much of a discrete model's deviation comes from the SNR
-    rescaling alone.
-    """
-    ref_m, inner_points = _resolve(cfg, ref_m, inner_points)
-    l = cfg.aperture_m
-    if kind == "rx":
-        if m is None:
-            raise ValueError('kind "rx" requires m')
-        if noise is None:
-            if cfg.power_density == 0.0:
-                return MiResult(value_nats=0.0, model_tag=MODEL_REF_RESCALED_RX,
-                                noise_used=math.nan, grid_m=m, ref_m=ref_m,
-                                inner_points=inner_points)
-            noise = noise_rx(midpoint_grid(l, m), cfg, inner_points)
-        z = 2.0 * m / (l * noise.n_value)
-        tag, counts = MODEL_REF_RESCALED_RX, {"grid_m": m}
-    elif kind == "trx":
-        if m1 is None or m2 is None:
-            raise ValueError('kind "trx" requires m1 and m2')
-        if noise is None:
-            noise = noise_trx(midpoint_grid(l, m2), midpoint_grid(l, m1), cfg)
-        z = 2.0 * m1 * m2 / (l * l * noise.n_value)
-        tag, counts = MODEL_REF_RESCALED_TRX, {"grid_m1": m1, "grid_m2": m2}
-    else:
-        raise ValueError(f'kind must be "rx" or "trx", got {kind!r}')
-    value = logdet_from_eigenvalues(_operator_spectrum(cfg, ref_m, inner_points), z)
-    return MiResult(value_nats=value, model_tag=tag, noise_used=noise.n_value,
-                    ref_m=ref_m, inner_points=inner_points, **counts)
-
-
 def dof_estimate(cfg: SystemConfig, ref_m: int | None = None,
-                 threshold_rel: float = 0.01,
-                 inner_points: int | None = None) -> DofEstimate:
+                 threshold_rel: float = 0.01) -> DofEstimate:
     """Count reference-spectrum eigenvalues >= threshold_rel * largest.
 
     Returned next to the analytic parallel-segment rule N = l^2 / (d * wavelength)
@@ -355,8 +310,7 @@ def dof_estimate(cfg: SystemConfig, ref_m: int | None = None,
     """
     if not 0.0 < threshold_rel < 1.0:
         raise ValueError(f"threshold_rel must lie in (0, 1), got {threshold_rel}")
-    ref_m, inner_points = _resolve(cfg, ref_m, inner_points)
-    spectrum = _operator_spectrum(cfg, ref_m, inner_points)
+    spectrum = _operator_spectrum(cfg, default_ref_m(cfg) if ref_m is None else ref_m)
     lam_max = float(spectrum[0]) if spectrum.size else 0.0
     count = 0 if lam_max <= 0.0 else int(np.sum(spectrum >= threshold_rel * lam_max))
     analytic = cfg.aperture_m**2 / (cfg.distance_m * cfg.wavelength_m)

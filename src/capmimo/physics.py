@@ -67,8 +67,13 @@ class SystemConfig:
         return 2.0 * math.pi / self.wavelength_m
 
     def default_inner_points(self) -> int:
-        """Source-quadrature resolution: at least 20 samples per wavelength along l."""
-        return max(512, math.ceil(20.0 * self.aperture_m / self.wavelength_m))
+        """The package's one node rule: a 16-node panel per min(wavelength, distance) along l.
+
+        Gauss-Legendre Nystrom and trace rules converge exponentially once
+        their panels resolve both the oscillation and the near-field peak
+        of the propagation coefficient (Bornemann, Math. Comp. 79, 2010).
+        """
+        return PANEL_NODES * math.ceil(self.aperture_m / min(self.wavelength_m, self.distance_m))
 
 
 def green_offset(x, cfg: SystemConfig):
@@ -205,23 +210,16 @@ def kernel_diagonal(positions: np.ndarray, cfg: SystemConfig,
     return cfg.power_density * out
 
 
-def default_trace_nodes(cfg: SystemConfig) -> int:
-    """One 16-node panel per min(wavelength, distance) along the aperture."""
-    return PANEL_NODES * math.ceil(cfg.aperture_m / min(cfg.wavelength_m, cfg.distance_m))
-
-
 def operator_trace(cfg: SystemConfig, nodes: int | None = None) -> float:
     """Total received signal power P * iint |G(r - s)|^2 dr ds over [0, l]^2.
 
     |G| depends only on the offset x = r - s and is even in x, so the
     square reduces to the one integral 2 P int_0^l |G(x)|^2 (l - x) dx,
     taken with an n-node composite Gauss-Legendre rule (default
-    ``default_trace_nodes``). Equals the sum of the field operator's
-    eigenvalues. Nonnegative.
+    ``SystemConfig.default_inner_points``). Equals the sum of the field
+    operator's eigenvalues. Nonnegative.
     """
-    if nodes is None:
-        nodes = default_trace_nodes(cfg)
-    x, w = gauss_legendre(cfg.aperture_m, nodes)
+    x, w = gauss_legendre(cfg.aperture_m, cfg.default_inner_points() if nodes is None else nodes)
     g = green_offset(x, cfg)
     return float(cfg.power_density * (2.0 * np.sum(w * (g.real**2 + g.imag**2)
                                                    * (cfg.aperture_m - x))))

@@ -115,7 +115,7 @@ def check_matrix_size(rows: int, cols: int) -> None:
         raise ValueError(
             f"a {rows} x {cols} complex matrix needs about {need / 2**30:.3g} GiB, "
             f"more than the {have / 2**30:.3g} GiB of physical memory; "
-            f"lower ref_m, inner_points, the antenna counts or l / wavelength")
+            f"lower ref_m, inner_points, the antenna counts or l / min(wavelength, d)")
 
 
 def _hermitize_in_place(K: np.ndarray) -> np.ndarray:

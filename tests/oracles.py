@@ -113,9 +113,9 @@ def converged_operator_spectrum(cfg: SystemConfig, nodes: int = 512) -> np.ndarr
     return spectrum
 
 
-def mi_continuous_oracle(cfg: SystemConfig) -> float:
-    """log det(1 + T / (n0/2)) from the converged Nystrom spectrum, in nats."""
-    spectrum = converged_operator_spectrum(cfg)
+def mi_continuous_oracle(cfg: SystemConfig, nodes: int = 512) -> float:
+    """log det(1 + T / (n0/2)) from the Nystrom spectrum converged at n vs 2n nodes, in nats."""
+    spectrum = converged_operator_spectrum(cfg, nodes)
     return float(np.sum(np.log1p((2.0 / cfg.noise_density) * spectrum)))
 
 

@@ -1,20 +1,45 @@
 """Config resolution, CSV emission, sidecar metadata, exit codes."""
 
+import csv
 import json
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from capmimo import cli
+from capmimo import SweepRow, cli
 from capmimo.cli import (
     CSV_COLUMNS,
     ConfigError,
     main,
     parse_config,
-    read_rows_csv,
     write_rows_csv,
 )
+
+
+def read_rows_csv(path: Path) -> list[SweepRow]:
+    """Inverse of write_rows_csv over the SweepRow fields (mi_bits is derived)."""
+    rows = []
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
+            raise ValueError(f"unexpected CSV header in {path}: {reader.fieldnames}")
+        for rec in reader:
+            tag = rec["model_tag"]
+            error = None
+            if tag.startswith("error:"):
+                tag, error = "error", tag[len("error:"):]
+            rows.append(SweepRow(
+                scenario=rec["scenario"], d_m=float(rec["d_m"]),
+                m1=int(rec["m1"]) if rec["m1"] else None, m2=int(rec["m2"]),
+                ref_m=int(rec["ref_m"]),
+                mi_nats=float(rec["mi_nats"]) if rec["mi_nats"] else None,
+                mi_ref_nats=float(rec["mi_ref_nats"]) if rec["mi_ref_nats"] else None,
+                abs_gap=float(rec["abs_gap"]) if rec["abs_gap"] else None,
+                n_used=float(rec["n_used"]) if rec["n_used"] else None,
+                model_tag=tag, wall_time_s=float(rec["wall_time_s"]), error=error))
+    return rows
 
 
 def test_defaults_from_empty_file(tmp_path):
@@ -28,9 +53,9 @@ def test_defaults_from_empty_file(tmp_path):
     assert rc.noise == 2.0
     assert rc.distances == (10.0, 1.0, 0.1)
     assert rc.m_list == (5, 10, 20, 40, 80, 100, 160)
-    resolved = rc.resolved_dict()
+    resolved = rc.resolved_dict(command)
     assert resolved["ref_m"] == 1600
-    assert resolved["inner_points"] == 1000
+    assert resolved["inner_points"] == 800
 
 
 def test_flag_overrides_file(tmp_path):
@@ -65,6 +90,22 @@ def test_misspelled_boolean_rejected(tmp_path):
     cfg_file.write_text("keep_going = No\ntimings = YES\n")
     _, rc = parse_config(["dof", "--config", str(cfg_file)])
     assert (rc.keep_going, rc.timings) == (False, True)
+
+
+@pytest.mark.parametrize("command", ["sweep-transceiver", "sweep-grid", "dof"])
+def test_inner_points_rejected_where_inert(command, tmp_path, capsys):
+    # only the discrete receiver has a source rule to set; elsewhere the
+    # flag or config key would do nothing, so it is refused
+    out = str(tmp_path / "x.csv")
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("inner_points = 512\n")
+    for argv in ([command, "--inner-points", "512", "--out", out],
+                 [command, "--config", str(cfg_file), "--out", out]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "sweep-receiver" in err and "bounds" in err and command in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_zero_wavelength_rejected():
@@ -111,6 +152,18 @@ def test_sweep_receiver_writes_csv_and_meta(tmp_path, capsys):
     assert "slope_fits" in meta and "timings" in meta
 
 
+def test_default_ref_m_resolved_per_distance(tmp_path):
+    # the node rule resolves min(wavelength, d): at d = 1 mm a 0.11 m
+    # aperture needs 16 * 110 = 1760 reference nodes, at d = 1 m the floor
+    # of 1600; each row reports its own, the sidecar the largest
+    out = tmp_path / "close.csv"
+    assert main(["sweep-receiver", "--length", "0.11", "--distances", "1,0.001",
+                 "--m-list", "2", "--out", str(out)]) == 0
+    assert {(r.d_m, r.ref_m) for r in read_rows_csv(out)} == {(1.0, 1600), (0.001, 1760)}
+    resolved = json.loads(out.with_suffix(".meta").read_text())["resolved_config"]
+    assert (resolved["ref_m"], resolved["inner_points"]) == (1760, 1760)
+
+
 def test_csv_round_trip(tmp_path):
     _, out = _run_small_sweep(tmp_path)
     rows = read_rows_csv(out)
@@ -138,8 +191,7 @@ def test_timings_flag_fills_wall_time(tmp_path):
 def test_sweep_grid_meta_has_symmetry(tmp_path):
     out = tmp_path / "grid.csv"
     code = main(["sweep-grid", "--distance", "10", "--m1-list", "2,4",
-                 "--m2-list", "2,4", "--ref-m", "64", "--inner-points", "512",
-                 "--out", str(out)])
+                 "--m2-list", "2,4", "--ref-m", "64", "--out", str(out)])
     assert code == 0
     meta = json.loads(out.with_suffix(".meta").read_text())
     assert meta["symmetry_gap"] >= 0.0
@@ -217,9 +269,10 @@ def test_csv_reports_both_nats_and_bits(tmp_path):
 
 
 def test_infeasible_reference_fails_fast(tmp_path, capsys):
-    # l = 10 m at wavelength 1 mm asks for a 320000 x 200000 reference
-    # matrix (about 1 TB of coefficients alone): refused before any array
-    # is allocated, with one line on stderr and exit 2
+    # l = 10 m at wavelength 1 mm asks for a 160000 x 160000 reference
+    # matrix, of which the top 80000 rows are evaluated (about 1.4 TB while
+    # evaluating): refused before any array is allocated, with one line on
+    # stderr and exit 2
     out = tmp_path / "huge.csv"
     tracemalloc.start()
     start = time.perf_counter()
@@ -232,7 +285,7 @@ def test_infeasible_reference_fails_fast(tmp_path, capsys):
         tracemalloc.stop()
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error: a 320000 x 200000 complex matrix needs")
+    assert err.startswith("error: a 80000 x 160000 complex matrix needs")
     assert err.count("\n") == 1 and "physical memory" in err
     assert not out.exists()
     assert elapsed < 1.0

@@ -7,14 +7,12 @@ import numpy as np
 import pytest
 
 from capmimo import (
-    NoiseControl,
     SystemConfig,
     ZeroTraceError,
     dof_estimate,
     mi_continuous,
     mi_discrete_rx,
     mi_discrete_trx,
-    mi_intermediate,
     midpoint_grid,
     noise_rx,
     noise_trx,
@@ -91,34 +89,62 @@ def test_mi_continuous_reference_refinement(default_cfg):
     assert abs(coarse - fine) / fine < 1e-4
 
 
-@pytest.mark.parametrize("distance", [10.0, 1.0, 0.1])
-def test_mi_continuous_matches_nystrom_svd_oracle(distance):
-    # the default reference (1600 Gauss-Legendre reference nodes against
-    # 1000 source nodes, squared singular values of its two centrosymmetric
-    # halves) against a square 1024-node Nystrom matrix solved by a full
-    # SVD and checked against 512 nodes; measured 2.7e-15, 5.2e-16 and
-    # 7.4e-16 relative at d = 10, 1, 0.1 m, where the Gram matrix +
-    # Hermitian eigensolver route missed by 1.7e-11, 7.0e-11 and 4.2e-10
-    # (its roundoff floor) and the former 1600-point midpoint reference by
-    # 1.1e-5, 4.6e-5 and 4.3e-5
-    cfg = SystemConfig(distance_m=distance)
-    oracle = mi_continuous_oracle(cfg)
-    value = mi_continuous(cfg, ref_m=1600).value_nats
+@pytest.mark.parametrize("cfg, nodes", [
+    pytest.param(SystemConfig(distance_m=10.0), 512, id="10.0"),
+    pytest.param(SystemConfig(distance_m=1.0), 512, id="1.0"),
+    pytest.param(SystemConfig(distance_m=0.1), 512, id="0.1"),
+    pytest.param(SystemConfig(aperture_m=1.0, distance_m=0.01), 1024, id="l1-d0.01"),
+])
+def test_mi_continuous_matches_nystrom_svd_oracle(cfg, nodes):
+    # the default reference (default_ref_m reference nodes against the
+    # node rule's source nodes: 1600 x 800 at l = 2 m, 1600 x 1600 at
+    # l = 1 m, d = 0.01 m; squared singular values of its two
+    # centrosymmetric halves) against a square 2n-node Nystrom matrix solved
+    # by a full SVD and checked against n nodes; measured, in order, 1.2e-15, 7.7e-16,
+    # 5.9e-16 and 1.2e-16 relative, where the Gram matrix + Hermitian
+    # eigensolver route missed by 1.7e-11, 7.0e-11 and 4.2e-10 at d = 10,
+    # 1, 0.1 m (its roundoff floor), the former 1600-point midpoint
+    # reference by 1.1e-5, 4.6e-5 and 4.3e-5, and a source rule blind to d
+    # (512 nodes) by 28.7 nats (7.4e-3) at d = 0.01 m
+    oracle = mi_continuous_oracle(cfg, nodes)
+    value = mi_continuous(cfg).value_nats
     assert abs(value - oracle) <= 1e-12 * oracle
 
 
 @pytest.mark.parametrize("ref_m, inner_points", [(65, 129), (129, 65), (97, 97)])
-def test_mi_continuous_odd_sizes_keep_every_singular_value(ref_m, inner_points):
+def test_mi_continuous_odd_sizes_keep_every_singular_value(ref_m, inner_points, monkeypatch):
     # odd node counts put a middle row and column into the split; the
-    # spectrum still has min(ref_m, inner_points) entries, those of the
-    # whole Nystrom matrix
+    # spectrum still has min(ref_m, source nodes) entries, those of the
+    # whole Nystrom matrix. The node rule only yields multiples of 16, so
+    # the odd source counts are put in its place.
     cfg = SystemConfig(distance_m=1.0)
-    res = mi_continuous(cfg, ref_m=ref_m, inner_points=inner_points)
+    monkeypatch.setattr(SystemConfig, "default_inner_points", lambda self: inner_points)
+    models._reference_spectrum.cache_clear()
+    try:
+        res = mi_continuous(cfg, ref_m=ref_m)
+    finally:
+        models._reference_spectrum.cache_clear()
     assert res.eigenvalues.size == min(ref_m, inner_points)
+    assert res.inner_points == inner_points
     ref = gauss_legendre_grid(cfg.aperture_m, ref_m)
     source = gauss_legendre_grid(cfg.aperture_m, inner_points)
     oracle = full_matrix_spectrum(cfg, ref.points, source.points, ref.weights, source.weights)[0]
     assert np.max(np.abs(res.eigenvalues - oracle)) <= 1e-13 * oracle[0]
+
+
+def test_reference_memory_guard_sizes_the_evaluated_half(monkeypatch):
+    # only the top ceil(ref_m / 2) rows of the reference matrix are
+    # evaluated: with physical memory between the half's and the whole
+    # matrix's estimate the reference must still be computed
+    cfg = SystemConfig(distance_m=7.25)
+    n_source = cfg.default_inner_points()
+    half = spectra.BYTES_PER_ENTRY * 32 * n_source
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 3 * half // 2}
+    monkeypatch.setattr(spectra.os, "sysconf", pages.__getitem__)
+    models._reference_spectrum.cache_clear()
+    assert mi_continuous(cfg, ref_m=64).eigenvalues.size == 64
+    with pytest.raises(ValueError, match="physical memory"):
+        mi_continuous(cfg, ref_m=128)
 
 
 def test_mi_continuous_monotone_in_power(default_cfg):
@@ -187,6 +213,18 @@ def test_mi_discrete_rx_consistency_identity(default_cfg):
     res = mi_discrete_rx(m, default_cfg)
     K = assemble_kernel_matrix(midpoint_grid(default_cfg.aperture_m, m), default_cfg)
     assert res.value_nats == _logdet(K, 2.0 / res.noise_used)
+
+
+def test_mi_discrete_rx_default_source_rule_converged_close_range():
+    # at d = 0.01 m << wavelength the source rule must resolve d, not only
+    # the wavelength: the default 1600 nodes agree with 3200 within 1.6e-16
+    # relative (a rule blind to d, 512 nodes against 1024, missed by 2.9e-9
+    # at m = 50 and 1.3e-8 at m = 200)
+    cfg = SystemConfig(aperture_m=1.0, distance_m=0.01)
+    for m in (50, 200):
+        default = mi_discrete_rx(m, cfg).value_nats
+        fine = mi_discrete_rx(m, cfg, 2 * cfg.default_inner_points()).value_nats
+        assert abs(default - fine) <= 1e-12 * fine, m
 
 
 def test_mi_discrete_rx_monotone_in_power():
@@ -308,49 +346,6 @@ def test_discrete_models_evaluate_each_coefficient_once(monkeypatch):
     assert trx.noise_used == pytest.approx(n_trx, rel=1e-13)
 
 
-# ---------------------------------------------------------- intermediates
-
-def test_intermediate_collapses_to_continuous_at_limit_noise(default_cfg):
-    # with the rescaled noise exactly at its dense-array limit m * n0 / l
-    # (all powers of two here), the rescaled determinant IS the continuous
-    # one, bit for bit
-    m = 4
-    limit = m * default_cfg.noise_density / default_cfg.aperture_m
-    noise = NoiseControl(n_value=limit, limit_value=limit, gap=0.0, gap_bound=0.0)
-    a = mi_intermediate("rx", default_cfg, ref_m=64, m=m, noise=noise)
-    b = mi_continuous(default_cfg, ref_m=64)
-    assert a.value_nats == b.value_nats
-
-
-def test_intermediate_zero_power():
-    res = mi_intermediate("rx", SystemConfig(power_density=0.0), ref_m=64, m=4)
-    assert res.value_nats == 0.0
-
-
-def test_intermediate_requires_counts(default_cfg):
-    with pytest.raises(ValueError):
-        mi_intermediate("rx", default_cfg, ref_m=64)
-    with pytest.raises(ValueError):
-        mi_intermediate("trx", default_cfg, ref_m=64, m1=4)
-    with pytest.raises(ValueError):
-        mi_intermediate("sideways", default_cfg, ref_m=64, m=4)
-
-
-def test_intermediate_rx_ladder_quadratic(default_cfg):
-    ref = mi_continuous(default_cfg, ref_m=1600).value_nats
-    ms = (25, 50, 100, 200)
-    gaps = [abs(mi_intermediate("rx", default_cfg, ref_m=1600, m=m).value_nats - ref)
-            for m in ms]
-    slope = np.polyfit(np.log(ms), np.log(gaps), 1)[0]
-    assert slope <= -1.7
-
-
-def test_intermediate_trx_tag(default_cfg):
-    res = mi_intermediate("trx", default_cfg, ref_m=64, m1=4, m2=8)
-    assert res.model_tag == "ref_rescaled_trx"
-    assert res.value_nats > 0
-
-
 # ------------------------------------------------------------------ DoF
 
 def test_dof_analytic_values():
@@ -410,13 +405,9 @@ def test_results_power_of_two_noise_scaling(default_cfg):
 
 
 _SCALE_INVARIANT_MODELS = {
-    "continuous": lambda cfg: mi_continuous(cfg, ref_m=64, inner_points=512),
+    "continuous": lambda cfg: mi_continuous(cfg, ref_m=64),
     "discrete_rx": lambda cfg: mi_discrete_rx(6, cfg, inner_points=512),
     "discrete_trx": lambda cfg: mi_discrete_trx(5, 7, cfg),
-    "intermediate_rx": lambda cfg: mi_intermediate("rx", cfg, ref_m=64, m=6,
-                                                   inner_points=512),
-    "intermediate_trx": lambda cfg: mi_intermediate("trx", cfg, ref_m=64, m1=5, m2=7,
-                                                    inner_points=512),
 }
 
 
@@ -479,11 +470,11 @@ def test_model_nondecreasing_in_snr(name, seed):
 def test_mi_discrete_trx_mirror_symmetry(seed):
     # G is even in the offset, so the (b, a) channel is the transpose of the
     # (a, b) one: the same singular values and the same noise rescaling
-    # (worst measured 3.4e-10 relative over these seeds, from the two Gram
-    # matrices' different sizes)
+    # (worst measured 1.4e-15 relative over these seeds: the two splits
+    # solve different half-size blocks, so only roundoff differs)
     rng = np.random.default_rng(300 + seed)
     cfg = SystemConfig(distance_m=float(10.0 ** rng.uniform(-1.0, 1.7)))
     a, b = (int(v) for v in rng.integers(2, 200, size=2))
     forward = mi_discrete_trx(a, b, cfg).value_nats
     mirrored = mi_discrete_trx(b, a, cfg).value_nats
-    assert mirrored == pytest.approx(forward, rel=1e-8)
+    assert mirrored == pytest.approx(forward, rel=1e-13)

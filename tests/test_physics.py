@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from capmimo import SystemConfig, kernel_diagonal, kernel_value, operator_trace
-from capmimo.physics import default_trace_nodes, gauss_legendre, green_scalar
+from capmimo.physics import gauss_legendre, green_scalar
 
 from oracles import gauss_legendre_nodes, kernel_value_quad, total_power_quad
 
@@ -146,7 +146,7 @@ def test_trace_refinement_order():
     for lam, l, d in itertools.product((0.01, 0.04, 0.3), (0.5, 2.0, 5.0),
                                        (0.01, 0.1, 1.0, 10.0, 200.0)):
         cfg = SystemConfig(wavelength_m=lam, aperture_m=l, distance_m=d)
-        n = default_trace_nodes(cfg)
+        n = cfg.default_inner_points()
         fine = operator_trace(cfg, 2 * n)
         assert abs(operator_trace(cfg, n) - fine) <= 1e-12 * fine, (lam, l, d)
 
