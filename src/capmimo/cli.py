@@ -10,7 +10,9 @@ Sweep output is an RFC-4180-style CSV with the fixed column set
     scenario,d_m,m1,m2,ref_m,mi_nats,mi_bits,mi_ref_nats,abs_gap,n_used,model_tag,wall_time_s
 
 plus a JSON sidecar (same basename, .meta suffix) holding the resolved
-config, tool version, measured timings, and slope fits. The CSV itself
+config, tool version, environment (numpy, BLAS, CPU count, thread
+settings), measured timings, slope fits and, per distance, the
+reference's node counts and effective rank. The CSV itself
 is byte-identical across reruns of the same resolved config on one
 platform; per-cell wall times are therefore written as 0.0 placeholders
 unless --timings is given (real timings always go to the sidecar).
@@ -24,10 +26,13 @@ import dataclasses
 import io
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .experiments import (
@@ -37,8 +42,8 @@ from .experiments import (
     sweep_receiver,
     sweep_transceiver,
 )
-from .models import default_ref_m, dof_estimate, noise_rx
-from .physics import SystemConfig
+from .models import default_ref_m, dof_estimate, mi_continuous, noise_rx, resolve_ref_m
+from .physics import SystemConfig, resolve_inner_points
 from .spectra import midpoint_grid
 
 CSV_COLUMNS = ("scenario", "d_m", "m1", "m2", "ref_m", "mi_nats", "mi_bits",
@@ -215,6 +220,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_counts(rc: RunConfig) -> None:
+    """Fail fast on invalid physics values and node or antenna counts, before any solve."""
+    cfg = rc.system_config()
+    for key in ("m_list", "m1_list", "m2_list"):
+        low = min(getattr(rc, key))
+        if low < 1:
+            raise ConfigError(f"{key}: antenna counts must be >= 1, got {low}")
+    try:
+        resolve_ref_m(cfg, rc.ref_m)
+        resolve_inner_points(cfg, rc.inner_points)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def parse_config(argv: list[str]) -> tuple[str, RunConfig]:
     """Resolve command + settings from flags and the optional config file."""
     args = _build_parser().parse_args(argv)
@@ -236,7 +255,7 @@ def parse_config(argv: list[str]) -> tuple[str, RunConfig]:
         rc = RunConfig(**settings)
     except TypeError as exc:
         raise ConfigError(str(exc)) from None
-    rc.system_config()  # fail fast on invalid physics values
+    _check_counts(rc)
     return args.command, rc
 
 
@@ -270,6 +289,34 @@ def write_rows_csv(rows: list[SweepRow], path: Path, timings: bool = False) -> N
     _write_csv(path, CSV_COLUMNS, [_row_record(row, timings) for row in rows])
 
 
+def _environment() -> dict:
+    """numpy and BLAS versions, CPU count and BLAS thread settings of this process."""
+    try:  # numpy's configuration as a dict, where this numpy has it
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas.get("name"), "version": blas.get("version")}
+    except (TypeError, KeyError):
+        blas = None
+    return {"numpy": np.__version__, "blas": blas, "cpu_count": os.cpu_count(),
+            **{var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}}
+
+
+def _reference_health(rows: list[SweepRow], rc: RunConfig) -> dict:
+    """Per sweep distance: the reference's node counts and effective rank.
+
+    The rank is the count of eigenvalues at or above 1e-3 and 1e-12 of
+    the largest, read from the reference spectrum the sweep cached.
+    """
+    health = {}
+    for d in sorted({r.d_m for r in rows}):
+        ref = mi_continuous(dataclasses.replace(rc.system_config(), distance_m=d), rc.ref_m)
+        ev = ref.eigenvalues
+        top = float(ev[0]) if ev.size else 0.0
+        counts = {key: int(np.sum(ev >= rel * top)) if top > 0.0 else 0
+                  for key, rel in (("eigen_count_1e-3", 1e-3), ("eigen_count_1e-12", 1e-12))}
+        health[repr(d)] = {"ref_m": ref.ref_m, "source_nodes": ref.inner_points, **counts}
+    return health
+
+
 def _write_outputs(command: str, rc: RunConfig, columns: tuple[str, ...],
                    records: list[list], meta: dict) -> bool:
     """Write rc.out as CSV plus its JSON sidecar (.meta suffix).
@@ -279,7 +326,8 @@ def _write_outputs(command: str, rc: RunConfig, columns: tuple[str, ...],
     """
     out = Path(rc.out)
     payload = {"tool": "capmimo", "version": __version__, "command": command,
-               "resolved_config": rc.resolved_dict(command), **meta}
+               "resolved_config": rc.resolved_dict(command),
+               "environment": _environment(), **meta}
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
         _write_csv(out, columns, records)
@@ -325,7 +373,8 @@ def _finish_sweep(rows: list[SweepRow], command: str, rc: RunConfig,
             "errors": [{"d_m": r.d_m, "m1": r.m1, "m2": r.m2, "error": r.error}
                        for r in errors],
             "timings": {"total_s": time.perf_counter() - started,
-                        "cells_s": [r.wall_time_s for r in rows]}}
+                        "cells_s": [r.wall_time_s for r in rows]},
+            "references": _reference_health(rows, rc)}
     if extra:
         meta.update(extra)
     for d in sorted({r.d_m for r in rows}):
@@ -348,7 +397,7 @@ def _run_dof(command: str, rc: RunConfig) -> int:
     print(f"analytic_dof = {est.analytic}")
     if rc.out is None:
         return 0
-    ref_m = rc.ref_m if rc.ref_m is not None else default_ref_m(cfg)
+    ref_m = resolve_ref_m(cfg, rc.ref_m)
     records = [[rc.scenario, rc.distance, ref_m, est.threshold_rel, est.eigen_count,
                 est.analytic]]
     meta = {"eigen_count": est.eigen_count, "analytic_dof": est.analytic}

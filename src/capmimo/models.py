@@ -173,6 +173,15 @@ def default_ref_m(cfg: SystemConfig) -> int:
     return max(1600, cfg.default_inner_points())
 
 
+def resolve_ref_m(cfg: SystemConfig, ref_m: int | None) -> int:
+    """Reference receive-node count: ``ref_m``, or ``default_ref_m`` when None; at least 64."""
+    if ref_m is None:
+        return default_ref_m(cfg)
+    if ref_m < 64:
+        raise ValueError(f"ref_m must be >= 64 for a usable reference, got {ref_m}")
+    return ref_m
+
+
 def _operator_spectrum(cfg: SystemConfig, ref_m: int) -> np.ndarray:
     """Per-subchannel signal powers: the unit-power reference spectrum scaled by P."""
     unit = _reference_spectrum(_geometry(cfg), ref_m)
@@ -191,10 +200,7 @@ def mi_continuous(cfg: SystemConfig, ref_m: int | None = None) -> MiResult:
     spectrum of T. That operator-scaled spectrum (min(ref_m, source
     nodes) entries) is exposed on the result for SNR and DoF diagnostics.
     """
-    if ref_m is None:
-        ref_m = default_ref_m(cfg)
-    if ref_m < 64:
-        raise ValueError(f"ref_m must be >= 64 for a usable reference, got {ref_m}")
+    ref_m = resolve_ref_m(cfg, ref_m)
     scaled = _operator_spectrum(cfg, ref_m)
     value = logdet_from_eigenvalues(scaled, 2.0 / cfg.noise_density)
     return MiResult(value_nats=value, model_tag=MODEL_CONTINUOUS,
@@ -310,7 +316,7 @@ def dof_estimate(cfg: SystemConfig, ref_m: int | None = None,
     """
     if not 0.0 < threshold_rel < 1.0:
         raise ValueError(f"threshold_rel must lie in (0, 1), got {threshold_rel}")
-    spectrum = _operator_spectrum(cfg, default_ref_m(cfg) if ref_m is None else ref_m)
+    spectrum = _operator_spectrum(cfg, resolve_ref_m(cfg, ref_m))
     lam_max = float(spectrum[0]) if spectrum.size else 0.0
     count = 0 if lam_max <= 0.0 else int(np.sum(spectrum >= threshold_rel * lam_max))
     analytic = cfg.aperture_m**2 / (cfg.distance_m * cfg.wavelength_m)

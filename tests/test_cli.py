@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import time
 import tracemalloc
 from pathlib import Path
@@ -290,3 +291,53 @@ def test_infeasible_reference_fails_fast(tmp_path, capsys):
     assert not out.exists()
     assert elapsed < 1.0
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dof", "--ref-m", "2"], "ref_m must be >= 64"),
+    (["sweep-receiver", "--distances", "10", "--m-list", "0,5"], "m_list: antenna counts"),
+    (["sweep-grid", "--m2-list", "-3"], "m2_list: antenna counts"),
+    (["sweep-receiver", "--distances", "10", "--m-list", "2", "--inner-points", "1"],
+     "inner_points must be >= 2"),
+    (["bounds", "--m-list", "10,0"], "m_list: antenna counts"),
+])
+def test_invalid_counts_fail_before_any_solve(argv, message, tmp_path, capsys, monkeypatch):
+    # a count no model accepts is refused while the settings are parsed:
+    # exit 2, one line on stderr, nothing on stdout, no CSV, no solve
+    from capmimo import models
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a spectrum was solved before the counts were checked")
+
+    monkeypatch.setattr(models, "centrosymmetric_spectrum", no_solve)
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_sweep_meta_records_reference_health_and_environment(tmp_path, monkeypatch):
+    # each distance's reference node counts and effective rank come from the
+    # spectrum the sweep cached (three solves for three distances, no more),
+    # next to the numpy / BLAS versions and thread settings of the run
+    import numpy as np
+
+    from capmimo import models
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    models._reference_spectrum.cache_clear()
+    out = tmp_path / "health.csv"
+    assert main(["sweep-receiver", "--m-list", "5", "--out", str(out)]) == 0
+    assert models._reference_spectrum.cache_info().misses == 3
+    meta = json.loads(out.with_suffix(".meta").read_text())
+    counts = {d: (ref["ref_m"], ref["source_nodes"], ref["eigen_count_1e-3"],
+                  ref["eigen_count_1e-12"]) for d, ref in meta["references"].items()}
+    assert counts == {"10.0": (1600, 800, 13, 21), "1.0": (1600, 800, 66, 77),
+                      "0.1": (1600, 800, 98, 135)}
+    env = meta["environment"]
+    assert env["numpy"] == np.__version__ and env["cpu_count"] == os.cpu_count()
+    assert (env["OMP_NUM_THREADS"], env["OPENBLAS_NUM_THREADS"]) == ("1", None)
+    assert set(env["blas"] or {}) <= {"name", "version"}

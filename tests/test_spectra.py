@@ -1,5 +1,11 @@
 """Grid construction, Hermitian eigen-decomposition, log-det engine."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,7 +18,10 @@ from capmimo import (
     midpoint_grid,
     validate_hermitian,
 )
+from capmimo import spectra
 from capmimo.spectra import (
+    BYTES_PER_ENTRY,
+    _block_spectrum,
     centrosymmetric_spectrum,
     check_matrix_size,
     gauss_legendre_grid,
@@ -127,6 +136,17 @@ def test_channel_gram_is_exactly_hermitian(default_cfg):
     assert np.array_equal(K, K.conj().T)
 
 
+def _check_against_full_svd(cfg, rx, tx, weigh_rx, weigh_tx):
+    values, norm = centrosymmetric_spectrum(rx, tx, cfg, weigh_rx, weigh_tx)
+    oracle, oracle_norm = full_matrix_spectrum(cfg, rx.points, tx.points,
+                                               rx.weights if weigh_rx else None,
+                                               tx.weights if weigh_tx else None)
+    assert values.shape == oracle.shape == (min(rx.m, tx.m),)
+    assert np.all(np.diff(values) <= 0) and not values.flags.writeable
+    assert np.max(np.abs(values - oracle)) <= 1e-13 * oracle[0]
+    assert norm == pytest.approx(oracle_norm, rel=1e-14)
+
+
 @pytest.mark.parametrize("rows, cols", [(40, 26), (40, 27), (41, 26), (41, 27),
                                         (1, 1), (1, 6), (5, 1), (2, 3)])
 @pytest.mark.parametrize("layout", ["antennas", "receiver", "nystrom"])
@@ -141,14 +161,94 @@ def test_centrosymmetric_spectrum_matches_full_svd(rows, cols, layout):
     weigh_tx = layout != "antennas"
     rx = gauss_legendre_grid(l, max(rows, 2)) if weigh_rx else midpoint_grid(l, rows)
     tx = gauss_legendre_grid(l, max(cols, 2)) if weigh_tx else midpoint_grid(l, cols)
-    values, norm = centrosymmetric_spectrum(rx, tx, cfg, weigh_rx, weigh_tx)
-    oracle, oracle_norm = full_matrix_spectrum(cfg, rx.points, tx.points,
-                                               rx.weights if weigh_rx else None,
-                                               tx.weights if weigh_tx else None)
-    assert values.shape == oracle.shape == (min(rx.m, tx.m),)
-    assert np.all(np.diff(values) <= 0) and not values.flags.writeable
-    assert np.max(np.abs(values - oracle)) <= 1e-13 * oracle[0]
-    assert norm == pytest.approx(oracle_norm, rel=1e-14)
+    _check_against_full_svd(cfg, rx, tx, weigh_rx, weigh_tx)
+
+
+def _large_case(layout: str, d: float):
+    """Grids of the four large layouts the sketch serves, at distance d."""
+    cfg = SystemConfig(distance_m=d)
+    l = cfg.aperture_m
+    if layout == "trx1200x1200":
+        return cfg, midpoint_grid(l, 1200), midpoint_grid(l, 1200), False, False
+    if layout == "trx800x1200":
+        return cfg, midpoint_grid(l, 1200), midpoint_grid(l, 800), False, False
+    if layout == "rx400":
+        return (cfg, midpoint_grid(l, 400), gauss_legendre_grid(l, cfg.default_inner_points()),
+                False, True)
+    return cfg, gauss_legendre_grid(l, 1600), gauss_legendre_grid(l, 800), True, True
+
+
+@pytest.mark.parametrize("d", [10.0, 1.0, 0.1, 0.03])
+@pytest.mark.parametrize("layout", ["trx1200x1200", "trx800x1200", "rx400", "nystrom1600x800"])
+def test_sketched_spectrum_matches_full_svd(layout, d):
+    # blocks large enough for the rank-sized sketch (far field) and for the
+    # full SVD it falls back to (d = 0.03 m), against a full SVD of every entry
+    _check_against_full_svd(*_large_case(layout, d))
+
+
+def test_sketch_retries_when_first_width_misses_rank(monkeypatch):
+    # with no mode count the first sketch (16 columns) is narrower than the
+    # 44 singular values each block holds at d = 1 m: the residual test
+    # must reject it and the doubled widths must reach the full spectrum
+    widths = []
+    phases = spectra._phases
+
+    def recording(rows, cols):
+        widths.append(cols)
+        return phases(rows, cols)
+
+    monkeypatch.setattr(spectra, "_mode_count", lambda cfg: 0.0)
+    monkeypatch.setattr(spectra, "_phases", recording)
+    _check_against_full_svd(*_large_case("trx1200x1200", 1.0))
+    assert widths == [16, 32, 64] * 2
+
+
+def test_full_rank_block_falls_back_to_full_svd_bitwise():
+    # a random block has full rank: every sketch (4, 8, 16 columns) fails
+    # its residual test, and the 60 x 50 block gets np.linalg.svd itself
+    rng = np.random.default_rng(8)
+    B = rng.normal(size=(60, 50)) + 1j * rng.normal(size=(60, 50))
+    norm = float(np.vdot(B, B).real)
+    assert np.array_equal(_block_spectrum(B, norm, 4), np.linalg.svd(B, compute_uv=False) ** 2)
+
+
+def test_sketched_spectrum_is_bitwise_repeatable():
+    cfg, rx, tx, weigh_rx, weigh_tx = _large_case("trx1200x1200", 10.0)
+    first = centrosymmetric_spectrum(rx, tx, cfg, weigh_rx, weigh_tx)
+    second = centrosymmetric_spectrum(rx, tx, cfg, weigh_rx, weigh_tx)
+    assert np.array_equal(first[0], second[0]) and first[1] == second[1]
+
+
+def test_model_call_does_not_import_numpy_random():
+    # the sketch draws its matrix from a hash, so a model call pulls in no
+    # random-number module (importing numpy.random costs time and memory)
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys; from capmimo import SystemConfig, mi_continuous, mi_discrete_trx; "
+            "mi_discrete_trx(400, 400, SystemConfig()); mi_continuous(SystemConfig()); "
+            "print('numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("layout", ["trx1200x1200", "nystrom1600x800"])
+def test_spectrum_peak_memory_within_guard(layout):
+    # the memory guard sizes the evaluated top half at BYTES_PER_ENTRY per
+    # entry, which is the evaluation's own peak; the split blocks, the
+    # sketch and the solve must fit under it (plus one complex value per
+    # grid node for the grids and small objects)
+    cfg, rx, tx, weigh_rx, weigh_tx = _large_case(layout, 10.0)
+    tracemalloc.start()
+    try:
+        centrosymmetric_spectrum(rx, tx, cfg, weigh_rx, weigh_tx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= BYTES_PER_ENTRY * -(-rx.m // 2) * tx.m + 16 * (rx.m + tx.m)
 
 
 def test_validate_hermitian_rejects(default_cfg):
