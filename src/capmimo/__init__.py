@@ -19,7 +19,6 @@ from .models import (
     DofEstimate,
     MiResult,
     NoiseControl,
-    ZeroTraceError,
     default_ref_m,
     dof_estimate,
     mi_continuous,
@@ -62,7 +61,6 @@ __all__ = [
     "SweepRow",
     "SystemConfig",
     "Z0_OHMS",
-    "ZeroTraceError",
     "assemble_channel_matrix",
     "assemble_kernel_matrix",
     "centrosymmetric_spectrum",

@@ -251,10 +251,7 @@ def parse_config(argv: list[str]) -> tuple[str, RunConfig]:
                           f"not by {args.command}")
     if settings.get("log_base") not in (None, "e", "2"):
         raise ConfigError(f"log_base must be 'e' or '2', got {settings['log_base']!r}")
-    try:
-        rc = RunConfig(**settings)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    rc = RunConfig(**settings)
     _check_counts(rc)
     return args.command, rc
 

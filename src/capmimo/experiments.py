@@ -1,17 +1,17 @@
 """Sweep drivers over antenna counts and distances, plus slope fitting.
 
 Each sweep tabulates a discrete model against the continuous reference
-at the same distance, one row per cell. Cells run one after another in
-the calling thread, so every cell at one geometry reuses the cached
-reference trace and spectrum; matrix products and eigensolves use the
-BLAS's own threads. Results are sorted by their keys before being
-returned.
+at the same distance, one row per (distance, (m1, m2)) cell, through the
+one loop ``_sweep``: it checks every antenna count and distance before
+the first reference solve. Cells run one after another in the calling
+thread, so every cell at one geometry reuses the cached reference trace
+and spectrum; matrix products and eigensolves use the BLAS's own
+threads. Results are sorted by (d, m1, m2) before being returned.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .models import MiResult, mi_continuous, mi_discrete_rx, mi_discrete_trx
-from .physics import SystemConfig
+from .physics import SystemConfig, resolve_inner_points
 
 # rows whose gap is below this fraction of the reference have converged
 # to the floating-point floor and carry no slope information
@@ -76,30 +76,43 @@ class GridSweep:
     symmetry_gap: float
 
 
-def _check_lists(distances: Sequence[float], m_values: Sequence[int]) -> None:
-    if not distances:
-        raise ValueError("distances must be nonempty")
-    if not m_values:
-        raise ValueError("m_values must be nonempty")
-
-
 def _cell_row(scenario: str, d: float, m1: int | None, m2: int, ref: MiResult,
               compute: Callable[[], MiResult]) -> SweepRow:
     start = time.perf_counter()
     try:
         res = compute()
     except Exception as exc:  # failed cells are recorded, not dropped
-        return SweepRow(scenario=scenario, d_m=d, m1=m1, m2=m2, ref_m=ref.ref_m,
-                        mi_nats=None, mi_ref_nats=ref.value_nats, abs_gap=None,
-                        n_used=None, model_tag="error",
-                        wall_time_s=time.perf_counter() - start,
-                        error=f"{type(exc).__name__}: {exc}")
-    elapsed = time.perf_counter() - start
-    noise = res.noise_used if math.isfinite(res.noise_used) else None
+        fields = dict(mi_nats=None, abs_gap=None, n_used=None, model_tag="error",
+                      error=f"{type(exc).__name__}: {exc}")
+    else:
+        fields = dict(mi_nats=res.value_nats, abs_gap=abs(res.value_nats - ref.value_nats),
+                      n_used=res.noise_used, model_tag=res.model_tag)
     return SweepRow(scenario=scenario, d_m=d, m1=m1, m2=m2, ref_m=ref.ref_m,
-                    mi_nats=res.value_nats, mi_ref_nats=ref.value_nats,
-                    abs_gap=abs(res.value_nats - ref.value_nats), n_used=noise,
-                    model_tag=res.model_tag, wall_time_s=elapsed)
+                    mi_ref_nats=ref.value_nats, wall_time_s=time.perf_counter() - start,
+                    **fields)
+
+
+def _sweep(scenario: str, cfg: SystemConfig, distances: Sequence[float],
+           cells: Sequence[tuple[int | None, int]], ref_m: int | None,
+           model: Callable[[int | None, int, SystemConfig], MiResult]) -> list[SweepRow]:
+    """One row per (distance, (m1, m2)) cell, sorted by (d, m1, m2).
+
+    Every antenna count and distance is checked before the first
+    reference solve. The continuous reference at each distance is then
+    solved once, before that distance's cells run ``model(m1, m2, cfg_d)``.
+    """
+    if not distances or not cells:
+        raise ValueError("distances and antenna counts must be nonempty")
+    low = min(m for cell in cells for m in cell if m is not None)
+    if low < 1:
+        raise ValueError(f"antenna counts must be >= 1, got {low}")
+    cfgs = [dataclasses.replace(cfg, distance_m=d) for d in distances]
+    rows: list[SweepRow] = []
+    for d, cfg_d in zip(distances, cfgs):
+        ref = mi_continuous(cfg_d, ref_m)
+        rows.extend(_cell_row(scenario, d, m1, m2, ref, lambda: model(m1, m2, cfg_d))
+                    for m1, m2 in cells)
+    return sorted(rows, key=lambda r: (r.d_m, r.m1, r.m2))
 
 
 def sweep_receiver(cfg: SystemConfig, distances: Sequence[float],
@@ -112,70 +125,42 @@ def sweep_receiver(cfg: SystemConfig, distances: Sequence[float],
     the ref_m grid (computed once per distance, before the cells run);
     ``inner_points`` is the source rule of the discrete receiver only.
     """
-    _check_lists(distances, m_values)
-    rows: list[SweepRow] = []
-    for d in distances:
-        cfg_d = dataclasses.replace(cfg, distance_m=d)
-        ref = mi_continuous(cfg_d, ref_m)
-        for m in m_values:
-            rows.append(_cell_row(scenario, d, None, m, ref,
-                                  lambda: mi_discrete_rx(m, cfg_d, inner_points)))
-    rows.sort(key=lambda r: (r.d_m, r.m2))
-    return rows
+    resolve_inner_points(cfg, inner_points)  # fail before any solve
+    return _sweep(scenario, cfg, distances, [(None, m) for m in m_values], ref_m,
+                  lambda m1, m2, cfg_d: mi_discrete_rx(m2, cfg_d, inner_points))
 
 
 def sweep_transceiver(cfg: SystemConfig, distances: Sequence[float],
                       m_values: Sequence[int], ref_m: int | None = None,
                       scenario: str = "transceiver") -> list[SweepRow]:
     """Discretize both sides with m1 = m2 = m: one row per (distance, m)."""
-    _check_lists(distances, m_values)
-    rows: list[SweepRow] = []
-    for d in distances:
-        cfg_d = dataclasses.replace(cfg, distance_m=d)
-        ref = mi_continuous(cfg_d, ref_m)
-        for m in m_values:
-            rows.append(_cell_row(scenario, d, m, m, ref,
-                                  lambda: mi_discrete_trx(m, m, cfg_d)))
-    rows.sort(key=lambda r: (r.d_m, r.m2))
-    return rows
+    return _sweep(scenario, cfg, distances, [(m, m) for m in m_values], ref_m,
+                  mi_discrete_trx)
 
 
 def sweep_grid(cfg: SystemConfig, d: float, m1_values: Sequence[int],
                m2_values: Sequence[int], ref_m: int | None = None,
                scenario: str = "grid") -> GridSweep:
     """Full Cartesian product of transmit and receive antenna counts at one d."""
-    if not m1_values or not m2_values:
-        raise ValueError("m1_values and m2_values must be nonempty")
-    cfg_d = dataclasses.replace(cfg, distance_m=d)
-    ref = mi_continuous(cfg_d, ref_m)
-    rows = sorted((_cell_row(scenario, d, m1, m2, ref,
-                             lambda: mi_discrete_trx(m1, m2, cfg_d))
-                   for m1 in m1_values for m2 in m2_values),
-                  key=lambda r: (r.m1, r.m2))
+    rows = _sweep(scenario, cfg, [d], [(m1, m2) for m1 in m1_values for m2 in m2_values],
+                  ref_m, mi_discrete_trx)
     by_key = {(r.m1, r.m2): r.mi_nats for r in rows if r.mi_nats is not None}
-    sym = 0.0
-    for (m1, m2), v in by_key.items():
-        mirrored = by_key.get((m2, m1))
-        if mirrored is not None:
-            sym = max(sym, abs(v - mirrored))
+    sym = max((abs(v - by_key[m2, m1]) for (m1, m2), v in by_key.items()
+               if (m2, m1) in by_key), default=0.0)
     return GridSweep(rows=tuple(rows), symmetry_gap=sym)
 
 
-def fit_convergence_slope(rows: Sequence[SweepRow], drop_head: int = 0) -> SlopeFit:
+def fit_convergence_slope(rows: Sequence[SweepRow]) -> SlopeFit:
     """Fit log(abs_gap) against log(sampling number) by least squares.
 
     Error rows, zero gaps, and gaps below GAP_FLOOR_REL of the reference
-    are excluded as uninformative; ``drop_head`` additionally discards
-    the smallest-m points of a pre-asymptotic ladder. At least three
-    usable points at distinct m are required.
+    are excluded as uninformative. At least three usable points at
+    distinct m are required.
     """
     usable = [r for r in rows
               if r.error is None and r.abs_gap is not None and r.abs_gap > 0.0
               and r.mi_ref_nats is not None
               and r.abs_gap >= GAP_FLOOR_REL * abs(r.mi_ref_nats)]
-    usable.sort(key=lambda r: r.sampling_number)
-    if drop_head:
-        usable = usable[drop_head:]
     ms = [r.sampling_number for r in usable]
     if len(set(ms)) < 3:
         raise ValueError(f"slope fit needs >= 3 usable rows at distinct m, got {len(set(ms))}")

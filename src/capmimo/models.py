@@ -14,10 +14,11 @@ weights and the noise density n:
   against the source grid, G sqrt(w_s).
 * ``mi_discrete_trx`` -- point antennas on both sides, weight 1.
 
-The discrete models match the continuous receive SNR with the noise
-density n0 * ||own unit-power A||_F^2 / ``physics.operator_trace``, where
-the squared norm is the halves' sum, so each propagation coefficient of
-the top half of A is evaluated once. ``noise_rx`` and
+The discrete models are one body, ``_discrete_mi``, on two grids. It
+matches the continuous receive SNR with the noise density n0 * ||own
+unit-power A||_F^2 / ``physics.operator_trace``, defined at every power
+including zero; the squared norm is the halves' sum, so each propagation
+coefficient of the top half of A is evaluated once. ``noise_rx`` and
 ``noise_trx`` give the same densities plus midpoint-error bounds, both
 from one sampled |G|^2 profile.
 
@@ -33,7 +34,6 @@ are applied on each call (P in the scale 2P/n for the discrete models).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -65,15 +65,11 @@ MODEL_DISCRETE_RX = "discrete_rx"
 MODEL_DISCRETE_TRX = "discrete_trx"
 
 
-class ZeroTraceError(ValueError):
-    """Zero transmit power: the SNR-matching ratio is undefined (0/0)."""
-
-
 @dataclass(frozen=True)
 class MiResult:
     """A mutual-information value with its provenance.
 
-    value_nats uses the natural logarithm; ``value_bits`` converts.
+    value_nats uses the natural logarithm.
     ``eigenvalues`` carries the operator-scaled spectrum for the
     continuous model (per-subchannel signal powers), None otherwise.
     """
@@ -81,16 +77,9 @@ class MiResult:
     value_nats: float
     model_tag: str
     noise_used: float
-    grid_m: int | None = None
-    grid_m1: int | None = None
-    grid_m2: int | None = None
     ref_m: int | None = None
     inner_points: int | None = None
     eigenvalues: np.ndarray | None = field(default=None, compare=False, repr=False)
-
-    @property
-    def value_bits(self) -> float:
-        return self.value_nats / math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -215,14 +204,12 @@ def noise_rx(grid: QuadratureGrid, cfg: SystemConfig,
     n_rx = n0 * (sum of sampled signal powers) / (total received power),
     so the array's aggregate SNR equals the continuous receiver's. The
     numerator is the unit-power diagonal sum, trace(K) of
-    ``mi_discrete_rx``. Raises ZeroTraceError at zero transmit power,
-    where the ratio degenerates to 0/0.
+    ``mi_discrete_rx``; power density cancels, so this is defined even
+    at zero power.
     """
     if grid.m < 1:
         raise ValueError("grid must be nonempty")
     inner_points = resolve_inner_points(cfg, inner_points)
-    if cfg.power_density == 0.0:
-        raise ZeroTraceError("SNR matching undefined: zero transmit power density")
     geometry = _geometry(cfg)
     diag_sum = float(kernel_diagonal(grid.points, geometry, inner_points).sum())
     n_value = _matched_noise(cfg, diag_sum)
@@ -257,6 +244,20 @@ def noise_trx(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
                         gap=gap, gap_bound=bound)
 
 
+def _discrete_mi(model_tag: str, rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
+                 cfg: SystemConfig, weigh_tx: bool) -> MiResult:
+    """log det(I + P A A^H / (n / 2)), A = G(r_i - s_k) with sqrt(w_s) when ``weigh_tx``.
+
+    n is the ``_matched_noise`` density from ||A||_F^2; a weighted
+    ``tx_grid`` is the source rule, reported as ``inner_points``.
+    """
+    spectrum, unit_power_sum = centrosymmetric_spectrum(rx_grid, tx_grid, cfg, weigh_tx=weigh_tx)
+    noise = _matched_noise(cfg, unit_power_sum)
+    value = logdet_from_eigenvalues(spectrum, 2.0 * cfg.power_density / noise)
+    return MiResult(value_nats=value, model_tag=model_tag, noise_used=noise,
+                    inner_points=tx_grid.m if weigh_tx else None)
+
+
 def mi_discrete_rx(m: int, cfg: SystemConfig,
                    inner_points: int | None = None) -> MiResult:
     """Mutual information with a continuous transmitter and m point antennas.
@@ -265,21 +266,12 @@ def mi_discrete_rx(m: int, cfg: SystemConfig,
     K = A A^H sampled at the antennas, A = G sqrt(w_s); the grid weight is
     absorbed by the rescaled noise, so no explicit quadrature weight
     appears. n_rx is the ``noise_rx`` density, from ||A||_F^2 = trace(K).
-    Zero power short-circuits to zero information.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    inner_points = resolve_inner_points(cfg, inner_points)
-    grid = midpoint_grid(cfg.aperture_m, m)
-    if cfg.power_density == 0.0:
-        return MiResult(value_nats=0.0, model_tag=MODEL_DISCRETE_RX,
-                        noise_used=math.nan, grid_m=m, inner_points=inner_points)
-    source = gauss_legendre_grid(cfg.aperture_m, inner_points)
-    spectrum, unit_power_sum = centrosymmetric_spectrum(grid, source, cfg, weigh_tx=True)
-    n_rx = _matched_noise(cfg, unit_power_sum)
-    value = logdet_from_eigenvalues(spectrum, 2.0 * cfg.power_density / n_rx)
-    return MiResult(value_nats=value, model_tag=MODEL_DISCRETE_RX,
-                    noise_used=n_rx, grid_m=m, inner_points=inner_points)
+    source = gauss_legendre_grid(cfg.aperture_m, resolve_inner_points(cfg, inner_points))
+    return _discrete_mi(MODEL_DISCRETE_RX, midpoint_grid(cfg.aperture_m, m), source, cfg,
+                        weigh_tx=True)
 
 
 def mi_discrete_trx(m1: int, m2: int, cfg: SystemConfig) -> MiResult:
@@ -292,13 +284,8 @@ def mi_discrete_trx(m1: int, m2: int, cfg: SystemConfig) -> MiResult:
     """
     if m1 < 1 or m2 < 1:
         raise ValueError(f"antenna counts must be >= 1, got ({m1}, {m2})")
-    tx_grid = midpoint_grid(cfg.aperture_m, m1)
-    rx_grid = midpoint_grid(cfg.aperture_m, m2)
-    spectrum, unit_power_sum = centrosymmetric_spectrum(rx_grid, tx_grid, cfg)
-    n_trx = _matched_noise(cfg, unit_power_sum)
-    value = logdet_from_eigenvalues(spectrum, 2.0 * cfg.power_density / n_trx)
-    return MiResult(value_nats=value, model_tag=MODEL_DISCRETE_TRX,
-                    noise_used=n_trx, grid_m1=m1, grid_m2=m2)
+    return _discrete_mi(MODEL_DISCRETE_TRX, midpoint_grid(cfg.aperture_m, m2),
+                        midpoint_grid(cfg.aperture_m, m1), cfg, weigh_tx=False)
 
 
 def dof_estimate(cfg: SystemConfig, ref_m: int | None = None,

@@ -68,6 +68,9 @@ SKETCH_TOL = 1e-12
 SKETCH_OVERSAMPLING = 16
 RESIDUAL_CHUNK = 128
 
+# ``hermitian_eigenvalues`` clamps eigenvalues in [-CLAMP_REL * lambda_max, 0) to zero
+CLAMP_REL = 1e-12
+
 
 class PSDViolationError(ValueError):
     """An eigenvalue fell below the negative tolerance band: matrix not PSD."""
@@ -85,10 +88,6 @@ class QuadratureGrid:
     weight: float
     m: int
     weights: np.ndarray = field(compare=False)
-
-    @property
-    def length(self) -> float:
-        return self.weight * self.m
 
 
 def midpoint_grid(length: float, m: int) -> QuadratureGrid:
@@ -299,32 +298,29 @@ class SpectralResult:
 
     eigenvalues: np.ndarray = field(compare=False)
     clamped_count: int
-    clamp_floor: float
 
 
-def hermitian_eigenvalues(K: np.ndarray, clamp_rel: float = 1e-12) -> SpectralResult:
+def hermitian_eigenvalues(K: np.ndarray) -> SpectralResult:
     """Eigenvalues of a Hermitian PSD matrix, sorted nonincreasing.
 
-    Eigenvalues in [-clamp_rel * lambda_max, 0) are clamped to zero;
+    Eigenvalues in [-CLAMP_REL * lambda_max, 0) are clamped to zero;
     anything below that band raises PSDViolationError. The returned sum
     of eigenvalues matches the matrix trace up to the clamped mass.
     """
-    if clamp_rel < 0:
-        raise ValueError(f"clamp_rel must be >= 0, got {clamp_rel}")
     validate_hermitian(K)
     ev = np.linalg.eigvalsh(np.asarray(K, dtype=np.complex128))[::-1]
     lam_max = max(float(ev[0]), 0.0)
-    floor = clamp_rel * lam_max
+    floor = CLAMP_REL * lam_max
     worst = float(ev[-1])
     if worst < -floor:
         raise PSDViolationError(
-            f"eigenvalue {worst:.6e} below -{clamp_rel:.1e} * lambda_max = {-floor:.6e}")
+            f"eigenvalue {worst:.6e} below -{CLAMP_REL:.1e} * lambda_max = {-floor:.6e}")
     # negatives within dim*eps*lambda_max are indistinguishable from zero
     roundoff = K.shape[0] * np.finfo(np.float64).eps * lam_max
     clamped = int(np.sum((ev < -roundoff) & (ev < 0.0)))
     ev = np.maximum(ev, 0.0)
     ev.setflags(write=False)
-    return SpectralResult(eigenvalues=ev, clamped_count=clamped, clamp_floor=floor)
+    return SpectralResult(eigenvalues=ev, clamped_count=clamped)
 
 
 def logdet_from_eigenvalues(eigenvalues: np.ndarray, scale: float) -> float:
