@@ -1,9 +1,11 @@
 """Command-line entry point: scenario config, sweep execution, CSV emission.
 
 Subcommands: sweep-receiver, sweep-transceiver, sweep-grid, dof, bounds.
-Settings come from an optional ``key = value`` config file plus flags
-(flags win); the fully resolved configuration is printed before any
-computation runs.
+Each setting is one ``RunConfig`` field, named as its config key and, with
+``-`` for ``_``, as its ``--`` flag; one parser reads both. Settings come
+from an optional ``key = value`` config file plus flags (flags win), are
+all checked before anything is printed, and the fully resolved
+configuration is printed before any computation runs.
 
 Sweep output is an RFC-4180-style CSV with the fixed column set
 
@@ -30,7 +32,9 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -42,7 +46,7 @@ from .experiments import (
     sweep_receiver,
     sweep_transceiver,
 )
-from .models import default_ref_m, dof_estimate, mi_continuous, noise_rx, resolve_ref_m
+from .models import dof_estimate, mi_continuous, noise_rx, resolve_ref_m
 from .physics import SystemConfig, resolve_inner_points
 from .spectra import midpoint_grid
 
@@ -54,7 +58,6 @@ BOUNDS_COLUMNS = ("scenario", "d_m", "m", "n_rx", "scaled_gap", "gap_bound", "wi
 DOF_COLUMNS = ("scenario", "d_m", "ref_m", "threshold_rel", "eigen_count", "analytic_dof")
 
 DEFAULT_M_LIST = (5, 10, 20, 40, 80, 100, 160)
-DEFAULT_DISTANCES = (10.0, 1.0, 0.1)
 
 # the commands whose discrete receiver takes inner_points source nodes
 INNER_POINTS_COMMANDS = ("sweep-receiver", "bounds")
@@ -64,64 +67,24 @@ class ConfigError(ValueError):
     """Invalid, unknown, or missing run configuration."""
 
 
-@dataclass
-class RunConfig:
-    """Fully resolved run settings; validated before any computation."""
-
-    scenario: str
-    wavelength: float = 0.04
-    length: float = 2.0
-    distance: float = 10.0
-    distances: tuple[float, ...] = DEFAULT_DISTANCES
-    power: float = 1.0
-    noise: float = 2.0
-    ref_m: int | None = None
-    inner_points: int | None = None
-    m_list: tuple[int, ...] = DEFAULT_M_LIST
-    m1_list: tuple[int, ...] = DEFAULT_M_LIST
-    m2_list: tuple[int, ...] = DEFAULT_M_LIST
-    out: str | None = None
-    keep_going: bool = False
-    log_base: str = "e"
-    timings: bool = False
-
-    def system_config(self) -> SystemConfig:
-        try:
-            return SystemConfig(wavelength_m=self.wavelength, aperture_m=self.length,
-                                distance_m=self.distance, power_density=self.power,
-                                noise_density=self.noise)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-
-    def resolved_dict(self, command: str) -> dict:
-        """The settings with every default filled in.
-
-        The node-count defaults depend on the distance: each is given at
-        its largest over the distances ``command`` runs at (every CSV row
-        carries its own ref_m).
-        """
-        d = dataclasses.asdict(self)
-        base = self.system_config()
-        multi = command in ("sweep-receiver", "sweep-transceiver")
-        cfgs = [dataclasses.replace(base, distance_m=x)
-                for x in (self.distances if multi else (self.distance,))]
-        if self.ref_m is None:
-            d["ref_m"] = max(default_ref_m(cfg) for cfg in cfgs)
-        if self.inner_points is None:
-            d["inner_points"] = max(cfg.default_inner_points() for cfg in cfgs)
-        return d
-
-
-def _parse_list(raw: str, key: str, kind: type) -> tuple:
+def _parse_list(raw: str, kind: type) -> tuple:
     """A nonempty comma-separated list of ``kind`` values (int or float)."""
     try:
         vals = tuple(kind(tok) for tok in raw.split(",") if tok.strip())
     except ValueError:
-        raise ConfigError(f"{key}: expected comma-separated {kind.__name__} values, "
-                          f"got {raw!r}") from None
+        raise ValueError(f"expected comma-separated {kind.__name__} values, "
+                         f"got {raw!r}") from None
     if not vals:
-        raise ConfigError(f"{key}: list must be nonempty")
+        raise ValueError("list must be nonempty")
     return vals
+
+
+def _parse_counts(raw: str) -> tuple[int, ...]:
+    """A nonempty comma-separated list of antenna counts, each >= 1."""
+    counts = _parse_list(raw, int)
+    if min(counts) < 1:
+        raise ValueError(f"antenna counts must be >= 1, got {min(counts)}")
+    return counts
 
 
 def _parse_bool(raw: str) -> bool:
@@ -133,24 +96,94 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-_FILE_PARSERS = {
-    "scenario": str,
-    "wavelength": float,
-    "length": float,
-    "distance": float,
-    "distances": lambda v: _parse_list(v, "distances", float),
-    "power": float,
-    "noise": float,
-    "ref_m": int,
-    "inner_points": int,
-    "m_list": lambda v: _parse_list(v, "m_list", int),
-    "m1_list": lambda v: _parse_list(v, "m1_list", int),
-    "m2_list": lambda v: _parse_list(v, "m2_list", int),
-    "out": str,
-    "keep_going": _parse_bool,
-    "log_base": str,
-    "timings": _parse_bool,
-}
+def _parse_log_base(raw: str) -> str:
+    if raw not in ("e", "2"):
+        raise ValueError(f"must be 'e' or '2', got {raw!r}")
+    return raw
+
+
+def _parse_out(raw: str) -> str:
+    if Path(raw).suffix == ".meta":
+        raise ValueError(f"{raw!r} ends in .meta: the CSV's .meta sidecar would overwrite it")
+    return raw
+
+
+def _setting(parse: Callable[[str], object], help: str, default=dataclasses.MISSING):
+    """One RunConfig field: its default, the parser of its flag and config value, its help."""
+    return dataclasses.field(default=default, metadata={"parse": parse, "help": help})
+
+
+@dataclass
+class RunConfig:
+    """Fully resolved run settings; validated before any computation.
+
+    One field per setting: its name is the config key and, with ``-`` for
+    ``_``, the ``--`` flag; its metadata holds the one parser of both
+    (``_parse_bool`` makes the flag a switch) and the help text.
+    """
+
+    scenario: str = _setting(str, "scenario label for output rows")
+    wavelength: float = _setting(float, "carrier wavelength [m]", 0.04)
+    length: float = _setting(float, "aperture length [m]", 2.0)
+    distance: float = _setting(float, "single transceiver distance [m]", 10.0)
+    distances: tuple[float, ...] = _setting(partial(_parse_list, kind=float),
+                                            "comma list of distances [m] for sweeps",
+                                            (10.0, 1.0, 0.1))
+    power: float = _setting(float, "transmit power density", 1.0)
+    noise: float = _setting(float, "receiver noise density", 2.0)
+    ref_m: int | None = _setting(
+        int, "Gauss-Legendre nodes on the receive aperture of the continuous reference "
+             "(default: the node rule, at least 1600)", None)
+    inner_points: int | None = _setting(
+        int, "Gauss-Legendre source nodes of the discrete receiver, sweep-receiver and "
+             "bounds only (default: 16 per min(wavelength, distance) along the aperture)",
+        None)
+    m_list: tuple[int, ...] = _setting(_parse_counts, "comma list of antenna counts",
+                                       DEFAULT_M_LIST)
+    m1_list: tuple[int, ...] = _setting(_parse_counts, "comma list of transmit counts",
+                                        DEFAULT_M_LIST)
+    m2_list: tuple[int, ...] = _setting(_parse_counts, "comma list of receive counts",
+                                        DEFAULT_M_LIST)
+    out: str | None = _setting(_parse_out, "output CSV path (sidecar written next to it)",
+                               None)
+    keep_going: bool = _setting(_parse_bool, "exit 0 even if some cells fail", False)
+    log_base: str = _setting(_parse_log_base, "base for values printed to stdout (e or 2)",
+                             "e")
+    timings: bool = _setting(_parse_bool, "write real per-cell wall times into the CSV "
+                                          "(forgoes byte-identical reruns)", False)
+
+    def system_config(self) -> SystemConfig:
+        return SystemConfig(wavelength_m=self.wavelength, aperture_m=self.length,
+                            distance_m=self.distance, power_density=self.power,
+                            noise_density=self.noise)
+
+    def resolved_dict(self, command: str) -> dict:
+        """The settings with every default filled in.
+
+        Builds the scenario at every distance ``command`` runs at, so it
+        raises ValueError on any invalid physics value or node count. The
+        node counts are each given at their largest over those distances
+        (every CSV row carries its own ref_m).
+        """
+        d = dataclasses.asdict(self)
+        base = self.system_config()
+        multi = command in ("sweep-receiver", "sweep-transceiver")
+        cfgs = [dataclasses.replace(base, distance_m=x)
+                for x in (self.distances if multi else (self.distance,))]
+        d["ref_m"] = max(resolve_ref_m(cfg, self.ref_m) for cfg in cfgs)
+        d["inner_points"] = max(resolve_inner_points(cfg, self.inner_points) for cfg in cfgs)
+        return d
+
+
+_SETTINGS = {f.name: f for f in dataclasses.fields(RunConfig)}
+
+
+def _parse(name: str, raw: str):
+    """A flag string or config value, read by its setting's parser."""
+    try:
+        return _SETTINGS[name].metadata["parse"](raw)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
 
 
 def _load_config_file(path: str) -> dict:
@@ -168,14 +201,12 @@ def _load_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line.strip()!r}")
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _FILE_PARSERS:
+        if key not in _SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            out[key] = _FILE_PARSERS[key](value)
-        except ConfigError:
-            raise
-        except ValueError:
-            raise ConfigError(f"{path}:{lineno}: invalid value for {key}: {value!r}") from None
+            out[key] = _parse(key, value)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return out
 
 
@@ -192,67 +223,29 @@ def _build_parser() -> argparse.ArgumentParser:
             ("bounds", "noise-rescaling gap vs its quadrature bound over an m ladder")):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="key = value config file")
-        p.add_argument("--out", help="output CSV path (sidecar written next to it)")
-        p.add_argument("--scenario", help="scenario label for output rows")
-        p.add_argument("--wavelength", type=float, help="carrier wavelength [m]")
-        p.add_argument("--length", type=float, help="aperture length [m]")
-        p.add_argument("--distance", type=float, help="single transceiver distance [m]")
-        p.add_argument("--distances", help="comma list of distances [m] for sweeps")
-        p.add_argument("--power", type=float, help="transmit power density")
-        p.add_argument("--noise", type=float, help="receiver noise density")
-        p.add_argument("--ref-m", type=int, dest="ref_m",
-                       help="Gauss-Legendre nodes on the receive aperture of the "
-                            "continuous reference (default: the node rule, at least 1600)")
-        p.add_argument("--inner-points", type=int, dest="inner_points",
-                       help="Gauss-Legendre source nodes of the discrete receiver, "
-                            "sweep-receiver and bounds only (default: 16 per "
-                            "min(wavelength, distance) along the aperture)")
-        p.add_argument("--m-list", dest="m_list", help="comma list of antenna counts")
-        p.add_argument("--m1-list", dest="m1_list", help="comma list of transmit counts")
-        p.add_argument("--m2-list", dest="m2_list", help="comma list of receive counts")
-        p.add_argument("--keep-going", action="store_true", default=None,
-                       help="exit 0 even if some cells fail")
-        p.add_argument("--log-base", choices=("e", "2"), dest="log_base",
-                       help="base for values printed to stdout")
-        p.add_argument("--timings", action="store_true", default=None,
-                       help="write real per-cell wall times into the CSV "
-                            "(forgoes byte-identical reruns)")
+        for f in _SETTINGS.values():
+            # a switch passes "true" through the same parser as its config value
+            switch = {"action": "store_const", "const": "true"} \
+                if f.metadata["parse"] is _parse_bool else {}
+            p.add_argument("--" + f.name.replace("_", "-"), help=f.metadata["help"], **switch)
     return parser
 
 
-def _check_counts(rc: RunConfig) -> None:
-    """Fail fast on invalid physics values and node or antenna counts, before any solve."""
-    cfg = rc.system_config()
-    for key in ("m_list", "m1_list", "m2_list"):
-        low = min(getattr(rc, key))
-        if low < 1:
-            raise ConfigError(f"{key}: antenna counts must be >= 1, got {low}")
-    try:
-        resolve_ref_m(cfg, rc.ref_m)
-        resolve_inner_points(cfg, rc.inner_points)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def parse_config(argv: list[str]) -> tuple[str, RunConfig]:
-    """Resolve command + settings from flags and the optional config file."""
+def parse_config(argv: list[str] | None) -> tuple[str, RunConfig]:
+    """Resolve command + settings from flags (sys.argv[1:] when None) and the optional
+    config file. Every value is checked here, before anything is printed or solved."""
     args = _build_parser().parse_args(argv)
-    settings: dict = {}
-    if args.config:
-        settings.update(_load_config_file(args.config))
-    for key, parse in _FILE_PARSERS.items():
-        value = getattr(args, key, None)
-        if value is not None:  # list flags arrive as raw strings
-            is_list = key in ("distances", "m_list", "m1_list", "m2_list")
-            settings[key] = parse(value) if is_list else value
+    settings = _load_config_file(args.config) if args.config else {}
+    for name in _SETTINGS:
+        raw = getattr(args, name)
+        if raw is not None:
+            settings[name] = _parse(name, raw)
     settings.setdefault("scenario", args.command)
     if "inner_points" in settings and args.command not in INNER_POINTS_COMMANDS:
         raise ConfigError(f"inner_points is used only by {' and '.join(INNER_POINTS_COMMANDS)}, "
                           f"not by {args.command}")
-    if settings.get("log_base") not in (None, "e", "2"):
-        raise ConfigError(f"log_base must be 'e' or '2', got {settings['log_base']!r}")
     rc = RunConfig(**settings)
-    _check_counts(rc)
+    rc.resolved_dict(args.command)
     return args.command, rc
 
 
@@ -297,23 +290,6 @@ def _environment() -> dict:
             **{var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}}
 
 
-def _reference_health(rows: list[SweepRow], rc: RunConfig) -> dict:
-    """Per sweep distance: the reference's node counts and effective rank.
-
-    The rank is the count of eigenvalues at or above 1e-3 and 1e-12 of
-    the largest, read from the reference spectrum the sweep cached.
-    """
-    health = {}
-    for d in sorted({r.d_m for r in rows}):
-        ref = mi_continuous(dataclasses.replace(rc.system_config(), distance_m=d), rc.ref_m)
-        ev = ref.eigenvalues
-        top = float(ev[0]) if ev.size else 0.0
-        counts = {key: int(np.sum(ev >= rel * top)) if top > 0.0 else 0
-                  for key, rel in (("eigen_count_1e-3", 1e-3), ("eigen_count_1e-12", 1e-12))}
-        health[repr(d)] = {"ref_m": ref.ref_m, "source_nodes": ref.inner_points, **counts}
-    return health
-
-
 def _write_outputs(command: str, rc: RunConfig, columns: tuple[str, ...],
                    records: list[list], meta: dict) -> bool:
     """Write rc.out as CSV plus its JSON sidecar (.meta suffix).
@@ -349,35 +325,35 @@ def _stdout_mi(nats: float, rc: RunConfig) -> str:
     return f"{nats:.6f} nats"
 
 
-def _slope_fits_by_distance(rows: list[SweepRow]) -> dict:
-    fits = {}
-    for d in sorted({r.d_m for r in rows}):
-        subset = [r for r in rows if r.d_m == d]
-        try:
-            fit = fit_convergence_slope(subset)
-        except ValueError:
-            continue
-        fits[repr(d)] = {"slope": fit.slope, "intercept": fit.intercept,
-                         "r_squared": fit.r_squared, "m_range": list(fit.m_range)}
-    return fits
-
-
 def _finish_sweep(rows: list[SweepRow], command: str, rc: RunConfig,
                   started: float, extra: dict | None = None) -> int:
+    """Print each distance's reference; write the CSV and a sidecar holding, per distance,
+    the slope fit and the reference's node counts and effective rank (its eigenvalues at
+    or above 1e-3 and 1e-12 of the largest, from the spectrum the sweep cached)."""
     errors = [r for r in rows if r.error is not None]
-    meta = {"rows": len(rows),
-            "slope_fits": _slope_fits_by_distance(rows),
+    fits, references = {}, {}
+    for d in sorted({r.d_m for r in rows}):
+        try:
+            fit = fit_convergence_slope([r for r in rows if r.d_m == d])
+        except ValueError:  # under three usable rows at this distance: no fit
+            pass
+        else:
+            fits[repr(d)] = {"slope": fit.slope, "intercept": fit.intercept,
+                             "r_squared": fit.r_squared, "m_range": list(fit.m_range)}
+        ref = mi_continuous(dataclasses.replace(rc.system_config(), distance_m=d), rc.ref_m)
+        ev = ref.eigenvalues
+        top = float(ev[0]) if ev.size else 0.0
+        counts = {key: int(np.sum(ev >= rel * top)) if top > 0.0 else 0
+                  for key, rel in (("eigen_count_1e-3", 1e-3), ("eigen_count_1e-12", 1e-12))}
+        references[repr(d)] = {"ref_m": ref.ref_m, "source_nodes": ref.inner_points, **counts}
+        print(f"d={d:g}: reference {_stdout_mi(ref.value_nats, rc)}")
+    meta = {"rows": len(rows), "slope_fits": fits, "references": references,
             "errors": [{"d_m": r.d_m, "m1": r.m1, "m2": r.m2, "error": r.error}
                        for r in errors],
             "timings": {"total_s": time.perf_counter() - started,
-                        "cells_s": [r.wall_time_s for r in rows]},
-            "references": _reference_health(rows, rc)}
+                        "cells_s": [r.wall_time_s for r in rows]}}
     if extra:
         meta.update(extra)
-    for d in sorted({r.d_m for r in rows}):
-        refs = [r.mi_ref_nats for r in rows if r.d_m == d and r.mi_ref_nats is not None]
-        if refs:
-            print(f"d={d:g}: reference {_stdout_mi(refs[0], rc)}")
     records = [_row_record(row, rc.timings) for row in rows]
     if not _write_outputs(command, rc, CSV_COLUMNS, records, meta):
         return 1
@@ -450,8 +426,6 @@ def run(command: str, rc: RunConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     try:
         command, rc = parse_config(argv)
         return run(command, rc)

@@ -1,8 +1,10 @@
 """Config resolution, CSV emission, sidecar metadata, exit codes."""
 
 import csv
+import dataclasses
 import json
 import os
+import re
 import time
 import tracemalloc
 from pathlib import Path
@@ -13,6 +15,7 @@ from capmimo import SweepRow, cli
 from capmimo.cli import (
     CSV_COLUMNS,
     ConfigError,
+    RunConfig,
     main,
     parse_config,
     write_rows_csv,
@@ -107,6 +110,65 @@ def test_inner_points_rejected_where_inert(command, tmp_path, capsys):
         assert err.count("\n") == 1
         assert "sweep-receiver" in err and "bounds" in err and command in err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["dof", "--wavelength", "abc"], "wavelength"),
+    (["dof", "--ref-m", "1e3"], "ref_m"),
+    (["sweep-receiver", "--log-base", "3", "--out", "x.csv"], "log_base"),
+    # the sidecar is the CSV path with a .meta suffix, so it would replace the CSV
+    (["dof", "--distance", "100", "--ref-m", "64", "--out", "x.meta"], "out"),
+])
+def test_malformed_flag_values_fail_like_config_values(argv, key, tmp_path, monkeypatch,
+                                                       capsys):
+    # a flag string and a config value go through the setting's one parser:
+    # ConfigError naming the key, one stderr line, exit 2, nothing written
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ConfigError, match=key):
+        parse_config(argv)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {key}: ") and captured.err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+    raw = argv[argv.index("--" + key.replace("_", "-")) + 1]
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{key} = {raw}\n")
+    with pytest.raises(ConfigError, match=key):
+        parse_config([argv[0], "--config", str(cfg_file)])
+
+
+# one raw string per setting, each parsing to a value other than its default
+SETTING_SAMPLES = {
+    "scenario": "lab", "wavelength": "0.05", "length": "1.5", "distance": "20",
+    "distances": "20,5", "power": "3", "noise": "1", "ref_m": "128", "inner_points": "512",
+    "m_list": "2,4", "m1_list": "3,6", "m2_list": "5", "out": "o.csv", "keep_going": "true",
+    "log_base": "2", "timings": "true",
+}
+
+
+def test_each_setting_is_declared_once(tmp_path, capsys):
+    # every RunConfig field is both a config key and a flag read by the same
+    # parser (a switch sets true), and every subcommand's --help lists one
+    # flag per field plus --config
+    fields = dataclasses.fields(RunConfig)
+    assert {f.name for f in fields} == set(SETTING_SAMPLES)
+    cfg_file = tmp_path / "run.cfg"
+    for f in fields:
+        raw = SETTING_SAMPLES[f.name]
+        flag = "--" + f.name.replace("_", "-")
+        switch = f.metadata["parse"] is cli._parse_bool
+        _, from_flag = parse_config(["sweep-receiver", flag] + ([] if switch else [raw]))
+        cfg_file.write_text(f"{f.name} = {raw}\n")
+        _, from_file = parse_config(["sweep-receiver", "--config", str(cfg_file)])
+        value = getattr(from_flag, f.name)
+        assert value == getattr(from_file, f.name) != f.default, f.name
+    expected = sorted(["--help", "--config"] + ["--" + f.name.replace("_", "-") for f in fields])
+    for command in ("sweep-receiver", "sweep-transceiver", "sweep-grid", "dof", "bounds"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        listed = re.findall(r"^  (?:-h, )?(--[a-z0-9-]+)", capsys.readouterr().out, re.M)
+        assert sorted(listed) == expected, command
 
 
 def test_zero_wavelength_rejected():
@@ -300,6 +362,8 @@ def test_infeasible_reference_fails_fast(tmp_path, capsys):
     (["sweep-receiver", "--distances", "10", "--m-list", "2", "--inner-points", "1"],
      "inner_points must be >= 2"),
     (["bounds", "--m-list", "10,0"], "m_list: antenna counts"),
+    (["sweep-receiver", "--distances", "10,-1", "--m-list", "4"],
+     "distance_m must be positive, got -1.0"),
 ])
 def test_invalid_counts_fail_before_any_solve(argv, message, tmp_path, capsys, monkeypatch):
     # a count no model accepts is refused while the settings are parsed:
