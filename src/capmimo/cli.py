@@ -46,9 +46,9 @@ from .experiments import (
     sweep_receiver,
     sweep_transceiver,
 )
-from .models import dof_estimate, mi_continuous, noise_rx, resolve_ref_m
+from .models import dof_estimate, mi_continuous, noise_rx, reference_shape, resolve_ref_m
 from .physics import SystemConfig, resolve_inner_points
-from .spectra import midpoint_grid
+from .spectra import check_matrix_size, midpoint_grid
 
 CSV_COLUMNS = ("scenario", "d_m", "m1", "m2", "ref_m", "mi_nats", "mi_bits",
                "mi_ref_nats", "abs_gap", "n_used", "model_tag", "wall_time_s")
@@ -161,7 +161,8 @@ class RunConfig:
         """The settings with every default filled in.
 
         Builds the scenario at every distance ``command`` runs at, so it
-        raises ValueError on any invalid physics value or node count. The
+        raises ValueError on any invalid physics value or node count, and
+        on a reference matrix that would not fit in physical memory. The
         node counts are each given at their largest over those distances
         (every CSV row carries its own ref_m).
         """
@@ -171,6 +172,9 @@ class RunConfig:
         cfgs = [dataclasses.replace(base, distance_m=x)
                 for x in (self.distances if multi else (self.distance,))]
         d["ref_m"] = max(resolve_ref_m(cfg, self.ref_m) for cfg in cfgs)
+        if command != "bounds":  # every other command solves the reference at each distance
+            for cfg in cfgs:
+                check_matrix_size(*reference_shape(cfg, self.ref_m))
         d["inner_points"] = max(resolve_inner_points(cfg, self.inner_points) for cfg in cfgs)
         return d
 
@@ -210,8 +214,20 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, and the parser of each subcommand, that raises its mistakes.
+
+    An unknown flag, a flag without its value or a missing subcommand
+    becomes a ConfigError, reported in one line like every other setting
+    error; ``--help`` still prints and exits 0.
+    """
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="capmimo",
         description="Mutual information of continuous vs discretized line apertures.")
     sub = parser.add_subparsers(dest="command", required=True)

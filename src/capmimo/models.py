@@ -17,15 +17,17 @@ weights and the noise density n:
 The discrete models are one body, ``_discrete_mi``, on two grids. It
 matches the continuous receive SNR with the noise density n0 * ||own
 unit-power A||_F^2 / ``physics.operator_trace``, defined at every power
-including zero; the squared norm is the halves' sum, so each propagation
-coefficient of the top half of A is evaluated once. ``noise_rx`` and
+including zero; the squared norm is the halves' sum, so the top half of
+A is assembled once. ``noise_rx`` and
 ``noise_trx`` give the same densities plus midpoint-error bounds, both
 from one sampled |G|^2 profile.
 
 Every continuous integral (the reference's source side, the trace, the
 default source rule of ``mi_discrete_rx``) takes its node count from the
 one rule ``SystemConfig.default_inner_points``; ``default_ref_m`` keeps
-the reference's receive side at 1600 nodes or more.
+the reference's receive side at 1600 nodes or more. ``reference_shape``
+is the size of the reference matrix as evaluated, by which the reference
+and the command line check it against physical memory.
 
 Power and noise density only rescale these quantities: every cache is
 keyed on the geometry alone and holds unit-power values, and P and n0
@@ -127,8 +129,8 @@ def _reference_spectrum(geometry: SystemConfig, ref_m: int) -> np.ndarray:
     n_source) entries, nonincreasing and read-only. Only the top
     ceil(ref_m / 2) rows are evaluated, so only they must fit in memory.
     """
-    n_source = geometry.default_inner_points()
-    check_matrix_size(-(-ref_m // 2), n_source)
+    rows, n_source = reference_shape(geometry, ref_m)
+    check_matrix_size(rows, n_source)
     ref = gauss_legendre_grid(geometry.aperture_m, ref_m)
     source = gauss_legendre_grid(geometry.aperture_m, n_source)
     return centrosymmetric_spectrum(ref, source, geometry, weigh_rx=True, weigh_tx=True)[0]
@@ -169,6 +171,11 @@ def resolve_ref_m(cfg: SystemConfig, ref_m: int | None) -> int:
     if ref_m < 64:
         raise ValueError(f"ref_m must be >= 64 for a usable reference, got {ref_m}")
     return ref_m
+
+
+def reference_shape(cfg: SystemConfig, ref_m: int | None) -> tuple[int, int]:
+    """The evaluated reference matrix: (top ceil(ref_m / 2) rows, the rule's source nodes)."""
+    return -(-resolve_ref_m(cfg, ref_m) // 2), cfg.default_inner_points()
 
 
 def _operator_spectrum(cfg: SystemConfig, ref_m: int) -> np.ndarray:

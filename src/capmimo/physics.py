@@ -27,8 +27,9 @@ Z0_OHMS = 120.0 * math.pi
 # nodes per Gauss-Legendre panel of the source and reference rules
 PANEL_NODES = 16
 
-# largest number of propagation coefficients kernel_diagonal holds at once
-DIAGONAL_BLOCK_ENTRIES = 1 << 20
+# largest number of propagation coefficients evaluated in one green_offset
+# call by kernel_diagonal and the channel assembly: bounds their temporaries
+GREEN_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -196,14 +197,14 @@ def kernel_diagonal(positions: np.ndarray, cfg: SystemConfig,
 
     The diagonal is the per-position received signal power; it feeds the
     SNR-matching rules, so it uses the source quadrature of every kernel.
-    Positions are evaluated in blocks of at most DIAGONAL_BLOCK_ENTRIES
+    Positions are evaluated in blocks of at most GREEN_BLOCK_ENTRIES
     propagation coefficients, so memory stays bounded for any count.
     """
     inner_points = resolve_inner_points(cfg, inner_points)
     positions = np.asarray(positions, dtype=np.float64)
     s, w = gauss_legendre(cfg.aperture_m, inner_points)
     out = np.empty(positions.shape[0], dtype=np.float64)
-    step = max(1, DIAGONAL_BLOCK_ENTRIES // inner_points)
+    step = max(1, GREEN_BLOCK_ENTRIES // inner_points)
     for start in range(0, positions.shape[0], step):
         g = green_offset(positions[start:start + step, None] - s[None, :], cfg)
         out[start:start + step] = np.sum(w * (g.real**2 + g.imag**2), axis=1)

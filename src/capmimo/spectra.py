@@ -19,6 +19,17 @@ diag(B+, B-), two blocks of half the size built from its top rows
 (Cantoni & Butler, Linear Algebra Appl. 13, 1976); only those rows are
 evaluated.
 
+Every grid is a lattice of equal panels that repeat one node pattern:
+the midpoint layout is m one-node panels, a Gauss-Legendre rule of 16k
+nodes is k sixteen-node panels. So r_i - s_k is an integer multiple of
+l / lcm(P_rx, P_tx), for panel counts P, plus the offset of a pair of
+pattern nodes, and a matrix holds few distinct offsets.
+``assemble_channel_matrix`` evaluates G once per distinct (multiple,
+pattern pair) into a table and gathers the matrix from it; where that
+table would be as large as the matrix (panels of unequal size, panel
+counts whose lcm is far above both) it evaluates every entry directly,
+in row blocks.
+
 The spectrum of a propagation matrix collapses past the spatial degrees
 of freedom, so each block is first sketched by a randomized range finder
 (Halko, Martinsson & Tropp, SIAM Review 53, 2011) whose width comes from
@@ -49,6 +60,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .physics import (
+    GREEN_BLOCK_ENTRIES,
+    PANEL_NODES,
     SystemConfig,
     gauss_legendre,
     green_offset,
@@ -56,10 +69,12 @@ from .physics import (
     resolve_inner_points,
 )
 
-# bytes per entry while a matrix of propagation coefficients is evaluated:
-# the complex result plus the float and complex temporaries of green_offset
-# (peak measured with tracemalloc on a 1600 x 1000 matrix)
-BYTES_PER_ENTRY = 112
+# bytes per entry of the evaluated top half while its spectrum is taken: the
+# complex matrix, the gather index or green_offset's row-block temporaries,
+# then the two split blocks and the sketch (tracemalloc peak at most 42.4 on
+# antenna, receiver and Nystrom matrices of 400-1601 rows, d = 0.03-10 m,
+# gathered or evaluated directly)
+BYTES_PER_ENTRY = 48
 
 # relative Frobenius residual below which a block's sketch stands in for
 # its full SVD; columns added to the a-priori mode count; residual columns
@@ -78,16 +93,25 @@ class PSDViolationError(ValueError):
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Nodes r_i and weights w_i of an m-point quadrature rule on (0, l).
+    """Nodes r_i and weights w_i of an m-point quadrature rule on (0, length).
 
-    ``weight`` is the mean weight l / m; the midpoint rule has every
-    weight equal to it.
+    The nodes are a lattice of ``panels`` equal panels, each holding the
+    same ``pattern`` of k node offsets in panel widths: r_i = (i // k +
+    pattern[i % k]) * length / panels, up to rounding. A rule whose panels
+    differ is one panel whose pattern is every node. ``weight`` is the
+    mean weight length / m; the midpoint rule has every weight equal to it.
     """
 
     points: np.ndarray = field(compare=False)
-    weight: float
+    length: float
     m: int
     weights: np.ndarray = field(compare=False)
+    panels: int
+    pattern: np.ndarray = field(compare=False)
+
+    @property
+    def weight(self) -> float:
+        return self.length / self.m
 
 
 def midpoint_grid(length: float, m: int) -> QuadratureGrid:
@@ -95,7 +119,7 @@ def midpoint_grid(length: float, m: int) -> QuadratureGrid:
 
     This is the evenly spaced antenna layout of the discrete models
     (spacing length/m, first element at half a spacing from the edge),
-    and the equal-weight midpoint rule on that layout.
+    and the equal-weight midpoint rule on that layout: m one-node panels.
     """
     if m < 1:
         raise ValueError(f"grid size m must be >= 1, got {m}")
@@ -103,16 +127,25 @@ def midpoint_grid(length: float, m: int) -> QuadratureGrid:
         raise ValueError(f"grid length must be positive, got {length}")
     pts = midpoints(length, m)
     pts.setflags(write=False)
-    return QuadratureGrid(points=pts, weight=length / m, m=m,
-                          weights=np.broadcast_to(length / m, (m,)))
+    return QuadratureGrid(points=pts, length=length, m=m,
+                          weights=np.broadcast_to(length / m, (m,)), panels=m,
+                          pattern=np.broadcast_to(0.5, (1,)))
 
 
 def gauss_legendre_grid(length: float, n: int) -> QuadratureGrid:
-    """The n-node composite Gauss-Legendre rule on (0, length): source and reference grids."""
+    """The n-node composite Gauss-Legendre rule on (0, length): source and reference grids.
+
+    n a multiple of PANEL_NODES gives n / PANEL_NODES equal panels;
+    otherwise the panels differ in size and the grid is one panel.
+    """
     if not length > 0:
         raise ValueError(f"grid length must be positive, got {length}")
     pts, weights = gauss_legendre(length, n)
-    return QuadratureGrid(points=pts, weight=length / n, m=n, weights=weights)
+    panels = 1 if n % PANEL_NODES else n // PANEL_NODES
+    pattern = pts[:n // panels] * (panels / length)
+    pattern.setflags(write=False)
+    return QuadratureGrid(points=pts, length=length, m=n, weights=weights, panels=panels,
+                          pattern=pattern)
 
 
 def check_matrix_size(rows: int, cols: int) -> None:
@@ -157,10 +190,47 @@ def assemble_kernel_matrix(grid: QuadratureGrid, cfg: SystemConfig,
 
 
 def assemble_channel_matrix(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
-                            cfg: SystemConfig) -> np.ndarray:
-    """Point-to-point gain matrix H[i, k] = G(r_i - s_k), shape (m_rx, m_tx)."""
-    check_matrix_size(rx_grid.m, tx_grid.m)
-    return green_offset(rx_grid.points[:, None] - tx_grid.points[None, :], cfg)
+                            cfg: SystemConfig, rows: int | None = None) -> np.ndarray:
+    """Point-to-point gain matrix H[i, k] = G(r_i - s_k), shape (rows, m_tx).
+
+    ``rows`` keeps the first receive nodes only (all of them when None).
+    On two grids of one length l, r_i - s_k is D l / lcm(P_rx, P_tx) for
+    an integer lattice difference D, plus the offset of a pair of
+    pattern nodes. G is evaluated once per (D, pattern pair) into a table,
+    and H is gathered from it by one integer index, row part minus column
+    part. Where that table would hold at least as many entries as H
+    (unequal panels, an lcm far above both panel counts, or grids of
+    different lengths), every entry is evaluated directly instead.
+    """
+    rows = rx_grid.m if rows is None else rows
+    if not 0 < rows <= rx_grid.m:
+        raise ValueError(f"rows must lie in [1, {rx_grid.m}], got {rows}")
+    check_matrix_size(rows, tx_grid.m)
+    k_rx, k_tx = rx_grid.pattern.size, tx_grid.pattern.size
+    lcm = math.lcm(rx_grid.panels, tx_grid.panels)
+    step_rx, step_tx = lcm // rx_grid.panels, lcm // tx_grid.panels
+    low, high = -(tx_grid.panels - 1) * step_tx, (rows - 1) // k_rx * step_rx
+    pairs = k_rx * k_tx
+    if rx_grid.length != tx_grid.length or (high - low + 1) * pairs >= rows * tx_grid.m:
+        return _green_matrix(rx_grid.points[:rows], tx_grid.points, cfg)
+    # table[D - low, a * k_tx + b] = G(D l / lcm + rx pattern node a - tx pattern node b)
+    l = rx_grid.length
+    pattern_offsets = (tx_grid.pattern * (l / tx_grid.panels))[None, :] \
+        - (rx_grid.pattern * (l / rx_grid.panels))[:, None]
+    table = _green_matrix(np.arange(low, high + 1) * (l / lcm), pattern_offsets.ravel(), cfg)
+    i, k = np.arange(rows), np.arange(tx_grid.m)
+    row_part = (i // k_rx * step_rx - low) * pairs + i % k_rx * k_tx
+    col_part = k // k_tx * step_tx * pairs - k % k_tx
+    return table.ravel()[row_part[:, None] - col_part]
+
+
+def _green_matrix(r: np.ndarray, s: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """G(r_i - s_k) for every pair, in row blocks of at most GREEN_BLOCK_ENTRIES entries."""
+    out = np.empty((r.size, s.size), dtype=np.complex128)
+    step = max(1, GREEN_BLOCK_ENTRIES // s.size)
+    for start in range(0, r.size, step):
+        out[start:start + step] = green_offset(r[start:start + step, None] - s[None, :], cfg)
+    return out
 
 
 def centrosymmetric_spectrum(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
@@ -185,13 +255,11 @@ def centrosymmetric_spectrum(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
     """
     p, q = rx_grid.m, tx_grid.m
     top, half = -(-p // 2), q // 2
-    rows = QuadratureGrid(points=rx_grid.points[:top], weight=rx_grid.weight, m=top,
-                          weights=rx_grid.weights[:top])  # the top rows of rx_grid
-    T = assemble_channel_matrix(rows, tx_grid, cfg)
+    T = assemble_channel_matrix(rx_grid, tx_grid, cfg, rows=top)
     if weigh_tx:
         T *= np.sqrt(tx_grid.weights)
     if weigh_rx:
-        T *= np.sqrt(rows.weights)[:, None]
+        T *= np.sqrt(rx_grid.weights[:top])[:, None]
     left, mirrored = T[:, :half], T[:, q - half:][:, ::-1]
     minus = (left - mirrored)[:p // 2]
     plus = left + mirrored

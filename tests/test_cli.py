@@ -355,6 +355,44 @@ def test_infeasible_reference_fails_fast(tmp_path, capsys):
     assert peak < 1 << 20
 
 
+def test_infeasible_reference_refused_before_any_output(tmp_path, capsys):
+    # every distance's reference is sized while the settings are parsed, so
+    # the refusal comes before the resolved config is printed; bounds solves
+    # no reference and is not refused
+    out = tmp_path / "huge.csv"
+    argv = ["--length", "10", "--wavelength", "0.001", "--out", str(out)]
+    for command in ("sweep-receiver", "sweep-transceiver", "sweep-grid", "dof"):
+        assert main([command, *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "", command
+        assert captured.err.startswith("error: a 80000 x 160000 complex matrix needs"), command
+        assert captured.err.count("\n") == 1, command
+    assert not out.exists()
+    assert parse_config(["bounds", *argv])[0] == "bounds"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dof", "--wavelenght", "0.04"], "unrecognized arguments: --wavelenght 0.04"),
+    (["dof", "--ref-m"], "argument --ref-m: expected one argument"),
+    ([], "required: command"),
+    (["sweep-everything"], "invalid choice: 'sweep-everything'"),
+])
+def test_argument_mistakes_fail_in_one_line(argv, message, capsys):
+    # an unknown flag, a flag without its value, and a missing or unknown
+    # subcommand are setting errors like the others: ConfigError, exit 2,
+    # one stderr line and no usage block; --help still exits 0
+    with pytest.raises(ConfigError, match=message):
+        parse_config(argv)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+    with pytest.raises(SystemExit) as exc:
+        main(["dof", "--help"])
+    assert exc.value.code == 0
+
+
 @pytest.mark.parametrize("argv, message", [
     (["dof", "--ref-m", "2"], "ref_m must be >= 64"),
     (["sweep-receiver", "--distances", "10", "--m-list", "0,5"], "m_list: antenna counts"),

@@ -339,6 +339,34 @@ def test_discrete_models_evaluate_each_coefficient_once(monkeypatch):
     assert trx.noise_used == pytest.approx(n_trx, rel=1e-13)
 
 
+def test_default_sized_models_evaluate_each_table_entry_once(monkeypatch):
+    # G is evaluated once per (lattice difference, pattern pair), the
+    # table the top half of each matrix is gathered from: far fewer
+    # evaluations than the entries it fills
+    cfg = SystemConfig()
+    mi_discrete_trx(1200, 800, cfg)  # warms the trace the noise density divides by
+    counted = [0]
+
+    def counting(x, cfg):
+        counted[0] += np.size(x)
+        return green_offset(x, cfg)
+
+    for module in (physics, spectra, models):
+        monkeypatch.setattr(module, "green_offset", counting)
+    # 800 receive antennas (top 400) against 1200 transmit ones: steps 3 and 2
+    # of l / lcm(800, 1200), differences -1199 * 2 .. 399 * 3, one pattern pair
+    mi_discrete_trx(1200, 800, cfg)
+    assert counted[0] == 1199 * 2 + 399 * 3 + 1 == 3596
+    assert 100 * counted[0] < 400 * 1200
+    # 1600 reference nodes (top 800: 50 panels of 16) against 800 source nodes
+    # (50 panels): steps 1 and 2 of l / 100, differences -49 * 2 .. 49, 16 x 16 pairs
+    counted[0] = 0
+    models._reference_spectrum.cache_clear()
+    mi_continuous(cfg, ref_m=1600)
+    assert counted[0] == (49 * 2 + 49 + 1) * 16 * 16 == 37888
+    assert 10 * counted[0] < 800 * 800
+
+
 # ------------------------------------------------------------------ DoF
 
 def test_dof_analytic_values():

@@ -19,6 +19,7 @@ from capmimo import (
     validate_hermitian,
 )
 from capmimo import spectra
+from capmimo.physics import green_offset
 from capmimo.spectra import (
     BYTES_PER_ENTRY,
     _block_spectrum,
@@ -74,6 +75,13 @@ def test_grid_invariants_random():
         expected = (np.arange(m) + 0.5) * (l / m)
         assert np.array_equal(g.points, expected)
         assert g.weight * m == pytest.approx(l, rel=1e-15)
+        assert (g.length, g.panels, list(g.pattern)) == (l, m, [0.5])
+
+
+def _lattice_points(g) -> np.ndarray:
+    """r_i = (i // k + pattern[i % k]) * length / panels, k the pattern size."""
+    i, k = np.arange(g.m), g.pattern.size
+    return (i // k + g.pattern[i % k]) * (g.length / g.panels)
 
 
 def test_gauss_legendre_grid_any_node_count():
@@ -84,6 +92,10 @@ def test_gauss_legendre_grid_any_node_count():
         assert g.m == n and g.points.shape == g.weights.shape == (n,)
         assert np.all(np.diff(g.points) > 0) and np.all((g.points > 0) & (g.points < 2.0))
         assert np.all(g.weights > 0)
+        # equal 16-node panels when 16 divides n, else one panel of every node
+        assert g.panels == (n // 16 if n % 16 == 0 else 1)
+        assert g.pattern.size == n // g.panels
+        assert np.allclose(_lattice_points(g), g.points, rtol=0.0, atol=4e-16 * 2.0)
         degree = min(2 * (n // -(-n // 16)) - 1, 7)
         for p in range(degree + 1):
             exact = 2.0 ** (p + 1) / (p + 1)
@@ -136,6 +148,54 @@ def test_channel_gram_is_exactly_hermitian(default_cfg):
     assert np.array_equal(K, K.conj().T)
 
 
+def _gather_cases():
+    """(label, rx grid, tx grid) pairs on l = 2 m for the table-gather oracle."""
+    l = 2.0
+    for m1 in (1, 2, 7, 8):  # every parity of (m1, m2), one row and one column included
+        for m2 in (1, 5, 6, 40):
+            yield f"midpoint {m1} x {m2}", midpoint_grid(l, m1), midpoint_grid(l, m2)
+    yield "gauss 1600 x 800", gauss_legendre_grid(l, 1600), gauss_legendre_grid(l, 800)
+    yield "gauss 800 x 800", gauss_legendre_grid(l, 800), gauss_legendre_grid(l, 800)
+    yield "midpoint 160 x gauss 800", midpoint_grid(l, 160), gauss_legendre_grid(l, 800)
+    yield "gauss 800 x midpoint 100", gauss_legendre_grid(l, 800), midpoint_grid(l, 100)
+    # the direct branch: unequal panels, and an lcm far above both panel counts
+    yield "direct gauss 1000 x 800", gauss_legendre_grid(l, 1000), gauss_legendre_grid(l, 800)
+    yield "direct midpoint 1201 x 1200", midpoint_grid(l, 1201), midpoint_grid(l, 1200)
+
+
+@pytest.mark.parametrize("d", [10.0, 1.0, 0.1, 0.03])
+def test_gathered_channel_matches_direct_evaluation(d, monkeypatch):
+    # the table gather against G(r_i - s_k) evaluated entry by entry, for
+    # all rows and for the top ceil(p / 2) the spectrum evaluates: equal
+    # within the phase roundoff of k r, never with more evaluations than
+    # entries and, beyond small matrices, with fewer; the direct branch
+    # evaluates every entry once
+    cfg = SystemConfig(distance_m=d)
+    counted = [0]
+
+    def counting(x, cfg):
+        counted[0] += np.size(x)
+        return green_offset(x, cfg)
+
+    monkeypatch.setattr(spectra, "green_offset", counting)
+    for label, rx, tx in _gather_cases():
+        for rows in (rx.m, -(-rx.m // 2)):
+            counted[0] = 0
+            H = assemble_channel_matrix(rx, tx, cfg, rows=rows)
+            direct = green_offset(rx.points[:rows, None] - tx.points[None, :], cfg)
+            assert H.shape == direct.shape, label
+            assert np.max(np.abs(H - direct) / np.abs(direct)) <= 1e-12, label
+            assert counted[0] <= H.size, label
+            if label.startswith("direct"):
+                assert counted[0] == H.size, label
+            elif H.size >= 1000:
+                assert counted[0] < H.size, label
+    grid = midpoint_grid(2.0, 4)
+    for rows in (0, 5):
+        with pytest.raises(ValueError, match="rows"):
+            assemble_channel_matrix(grid, grid, cfg, rows=rows)
+
+
 def _check_against_full_svd(cfg, rx, tx, weigh_rx, weigh_tx):
     values, norm = centrosymmetric_spectrum(rx, tx, cfg, weigh_rx, weigh_tx)
     oracle, oracle_norm = full_matrix_spectrum(cfg, rx.points, tx.points,
@@ -165,13 +225,17 @@ def test_centrosymmetric_spectrum_matches_full_svd(rows, cols, layout):
 
 
 def _large_case(layout: str, d: float):
-    """Grids of the four large layouts the sketch serves, at distance d."""
+    """Grids of the large layouts the sketch serves, at distance d."""
     cfg = SystemConfig(distance_m=d)
     l = cfg.aperture_m
     if layout == "trx1200x1200":
         return cfg, midpoint_grid(l, 1200), midpoint_grid(l, 1200), False, False
     if layout == "trx800x1200":
         return cfg, midpoint_grid(l, 1200), midpoint_grid(l, 800), False, False
+    if layout == "trx1201x1200":
+        return cfg, midpoint_grid(l, 1201), midpoint_grid(l, 1200), False, False
+    if layout == "nystrom1600x1000":
+        return cfg, gauss_legendre_grid(l, 1600), gauss_legendre_grid(l, 1000), True, True
     if layout == "rx400":
         return (cfg, midpoint_grid(l, 400), gauss_legendre_grid(l, cfg.default_inner_points()),
                 False, True)
@@ -235,12 +299,15 @@ def test_model_call_does_not_import_numpy_random():
     assert proc.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("layout", ["trx1200x1200", "nystrom1600x800"])
+@pytest.mark.parametrize("layout", ["trx1200x1200", "nystrom1600x800",
+                                    "trx1201x1200", "nystrom1600x1000"])
 def test_spectrum_peak_memory_within_guard(layout):
     # the memory guard sizes the evaluated top half at BYTES_PER_ENTRY per
-    # entry, which is the evaluation's own peak; the split blocks, the
-    # sketch and the solve must fit under it (plus one complex value per
-    # grid node for the grids and small objects)
+    # entry: the gather (the first two layouts) and the row-blocked direct
+    # evaluation (an lcm far above both panel counts, a 1000-node rule of
+    # unequal panels), then the split blocks, the sketch and the solve must
+    # fit under it (plus one complex value per grid node for the grids and
+    # small objects)
     cfg, rx, tx, weigh_rx, weigh_tx = _large_case(layout, 10.0)
     tracemalloc.start()
     try:
