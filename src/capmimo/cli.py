@@ -46,7 +46,16 @@ from .experiments import (
     sweep_receiver,
     sweep_transceiver,
 )
-from .models import dof_estimate, mi_continuous, noise_rx, reference_shape, resolve_ref_m
+from .models import (
+    MODEL_CONTINUOUS,
+    MODEL_DISCRETE_RX,
+    MODEL_DISCRETE_TRX,
+    dof_estimate,
+    evaluated_shape,
+    mi_continuous,
+    noise_rx,
+    resolve_ref_m,
+)
 from .physics import SystemConfig, resolve_inner_points
 from .spectra import check_matrix_size, midpoint_grid
 
@@ -162,9 +171,9 @@ class RunConfig:
 
         Builds the scenario at every distance ``command`` runs at, so it
         raises ValueError on any invalid physics value or node count, and
-        on a reference matrix that would not fit in physical memory. The
-        node counts are each given at their largest over those distances
-        (every CSV row carries its own ref_m).
+        on a reference matrix or largest discrete matrix that would not
+        fit in physical memory. The node counts are each given at their
+        largest over those distances (every CSV row carries its own ref_m).
         """
         d = dataclasses.asdict(self)
         base = self.system_config()
@@ -172,9 +181,16 @@ class RunConfig:
         cfgs = [dataclasses.replace(base, distance_m=x)
                 for x in (self.distances if multi else (self.distance,))]
         d["ref_m"] = max(resolve_ref_m(cfg, self.ref_m) for cfg in cfgs)
-        if command != "bounds":  # every other command solves the reference at each distance
-            for cfg in cfgs:
-                check_matrix_size(*reference_shape(cfg, self.ref_m))
+        model = {"sweep-receiver": MODEL_DISCRETE_RX, "sweep-transceiver": MODEL_DISCRETE_TRX,
+                 "sweep-grid": MODEL_DISCRETE_TRX}.get(command)
+        grid = command == "sweep-grid"
+        m1, m2 = (max(self.m1_list), max(self.m2_list)) if grid else (max(self.m_list),) * 2
+        for cfg in cfgs:
+            if command != "bounds":  # every other command solves the reference at each distance
+                check_matrix_size(*evaluated_shape(cfg, MODEL_CONTINUOUS, ref_m=self.ref_m))
+            if model is not None:  # a sweep's largest matrix is that of its largest counts
+                check_matrix_size(*evaluated_shape(cfg, model, m1, m2,
+                                                   inner_points=self.inner_points))
         d["inner_points"] = max(resolve_inner_points(cfg, self.inner_points) for cfg in cfgs)
         return d
 

@@ -25,9 +25,9 @@ from one sampled |G|^2 profile.
 Every continuous integral (the reference's source side, the trace, the
 default source rule of ``mi_discrete_rx``) takes its node count from the
 one rule ``SystemConfig.default_inner_points``; ``default_ref_m`` keeps
-the reference's receive side at 1600 nodes or more. ``reference_shape``
-is the size of the reference matrix as evaluated, by which the reference
-and the command line check it against physical memory.
+the reference's receive side at 1600 nodes or more. ``evaluated_shape``
+is the one size rule of every model's matrix as evaluated, by which the
+models and the command line check it against physical memory.
 
 Power and noise density only rescale these quantities: every cache is
 keyed on the geometry alone and holds unit-power values, and P and n0
@@ -129,7 +129,7 @@ def _reference_spectrum(geometry: SystemConfig, ref_m: int) -> np.ndarray:
     n_source) entries, nonincreasing and read-only. Only the top
     ceil(ref_m / 2) rows are evaluated, so only they must fit in memory.
     """
-    rows, n_source = reference_shape(geometry, ref_m)
+    rows, n_source = evaluated_shape(geometry, MODEL_CONTINUOUS, ref_m=ref_m)
     check_matrix_size(rows, n_source)
     ref = gauss_legendre_grid(geometry.aperture_m, ref_m)
     source = gauss_legendre_grid(geometry.aperture_m, n_source)
@@ -173,9 +173,23 @@ def resolve_ref_m(cfg: SystemConfig, ref_m: int | None) -> int:
     return ref_m
 
 
-def reference_shape(cfg: SystemConfig, ref_m: int | None) -> tuple[int, int]:
-    """The evaluated reference matrix: (top ceil(ref_m / 2) rows, the rule's source nodes)."""
-    return -(-resolve_ref_m(cfg, ref_m) // 2), cfg.default_inner_points()
+def evaluated_shape(cfg: SystemConfig, model_tag: str, m1: int | None = None,
+                    m2: int | None = None, ref_m: int | None = None,
+                    inner_points: int | None = None) -> tuple[int, int]:
+    """(rows, columns) of the matrix a model call evaluates: the top ceil(p / 2) rows of p x q.
+
+    The continuous model is ``resolve_ref_m`` reference nodes against the
+    rule's source nodes; ``mi_discrete_rx`` m2 antennas against
+    ``resolve_inner_points`` source nodes; ``mi_discrete_trx`` m2 receive
+    against m1 transmit antennas.
+    """
+    if model_tag == MODEL_CONTINUOUS:
+        p, q = resolve_ref_m(cfg, ref_m), cfg.default_inner_points()
+    elif model_tag == MODEL_DISCRETE_RX:
+        p, q = m2, resolve_inner_points(cfg, inner_points)
+    else:
+        p, q = m2, m1
+    return -(-p // 2), q
 
 
 def _operator_spectrum(cfg: SystemConfig, ref_m: int) -> np.ndarray:
@@ -251,18 +265,25 @@ def noise_trx(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
                         gap=gap, gap_bound=bound)
 
 
-def _discrete_mi(model_tag: str, rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
-                 cfg: SystemConfig, weigh_tx: bool) -> MiResult:
-    """log det(I + P A A^H / (n / 2)), A = G(r_i - s_k) with sqrt(w_s) when ``weigh_tx``.
+def _discrete_mi(model_tag: str, m1: int | None, m2: int, cfg: SystemConfig,
+                 inner_points: int | None = None) -> MiResult:
+    """log det(I + P A A^H / (n / 2)) for m2 receive antennas, sized by ``evaluated_shape``.
 
-    n is the ``_matched_noise`` density from ||A||_F^2; a weighted
-    ``tx_grid`` is the source rule, reported as ``inner_points``.
+    The transmitter is m1 antennas (weight 1) for ``mi_discrete_trx`` and
+    the source rule (A = G sqrt(w_s)) for ``mi_discrete_rx``, whose node
+    count is reported as ``inner_points``. n is the ``_matched_noise``
+    density from ||A||_F^2.
     """
-    spectrum, unit_power_sum = centrosymmetric_spectrum(rx_grid, tx_grid, cfg, weigh_tx=weigh_tx)
+    rows, cols = evaluated_shape(cfg, model_tag, m1, m2, inner_points=inner_points)
+    check_matrix_size(rows, cols)
+    l, continuous_tx = cfg.aperture_m, model_tag == MODEL_DISCRETE_RX
+    tx_grid = gauss_legendre_grid(l, cols) if continuous_tx else midpoint_grid(l, cols)
+    spectrum, unit_power_sum = centrosymmetric_spectrum(midpoint_grid(l, m2), tx_grid, cfg,
+                                                        weigh_tx=continuous_tx)
     noise = _matched_noise(cfg, unit_power_sum)
     value = logdet_from_eigenvalues(spectrum, 2.0 * cfg.power_density / noise)
     return MiResult(value_nats=value, model_tag=model_tag, noise_used=noise,
-                    inner_points=tx_grid.m if weigh_tx else None)
+                    inner_points=cols if continuous_tx else None)
 
 
 def mi_discrete_rx(m: int, cfg: SystemConfig,
@@ -276,9 +297,7 @@ def mi_discrete_rx(m: int, cfg: SystemConfig,
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    source = gauss_legendre_grid(cfg.aperture_m, resolve_inner_points(cfg, inner_points))
-    return _discrete_mi(MODEL_DISCRETE_RX, midpoint_grid(cfg.aperture_m, m), source, cfg,
-                        weigh_tx=True)
+    return _discrete_mi(MODEL_DISCRETE_RX, None, m, cfg, inner_points)
 
 
 def mi_discrete_trx(m1: int, m2: int, cfg: SystemConfig) -> MiResult:
@@ -291,8 +310,7 @@ def mi_discrete_trx(m1: int, m2: int, cfg: SystemConfig) -> MiResult:
     """
     if m1 < 1 or m2 < 1:
         raise ValueError(f"antenna counts must be >= 1, got ({m1}, {m2})")
-    return _discrete_mi(MODEL_DISCRETE_TRX, midpoint_grid(cfg.aperture_m, m2),
-                        midpoint_grid(cfg.aperture_m, m1), cfg, weigh_tx=False)
+    return _discrete_mi(MODEL_DISCRETE_TRX, m1, m2, cfg)
 
 
 def dof_estimate(cfg: SystemConfig, ref_m: int | None = None,

@@ -33,12 +33,13 @@ in row blocks.
 The spectrum of a propagation matrix collapses past the spatial degrees
 of freedom, so each block is first sketched by a randomized range finder
 (Halko, Martinsson & Tropp, SIAM Review 53, 2011) whose width comes from
-the geometry's mode count, about (l / pi)(k l / sqrt(l^2 + d^2) +
+the geometry's mode count, about (l / pi) hypot(k l / sqrt(l^2 + d^2),
 (5/4) ln(1e12) / d). The sketch is kept only when the residual it
 leaves is below 1e-12 of the block's Frobenius norm, which bounds every
-value it drops; otherwise the width doubles, and past a third of the
-block size the block gets a full SVD. The cost is O(p q k) for k
-retained modes instead of O(p q min(p, q)).
+value it drops; otherwise the width doubles, and from 0.4 of the
+block's smaller side on the block gets a full SVD. Every SVD runs on
+the tall side of its matrix. The cost is O(p q k) for k retained modes
+instead of O(p q min(p, q)).
 
 ``assemble_kernel_matrix``, ``gram_from_channel`` and
 ``hermitian_eigenvalues`` are the kernel-matrix API: the sampled field
@@ -70,11 +71,12 @@ from .physics import (
 )
 
 # bytes per entry of the evaluated top half while its spectrum is taken: the
-# complex matrix, the gather index or green_offset's row-block temporaries,
-# then the two split blocks and the sketch (tracemalloc peak at most 42.4 on
-# antenna, receiver and Nystrom matrices of 400-1601 rows, d = 0.03-10 m,
-# gathered or evaluated directly)
-BYTES_PER_ENTRY = 48
+# complex matrix with the gather index or green_offset's row-block
+# temporaries, then the same matrix holding both split blocks with a copy of
+# one block or the sketch's factors (tracemalloc peak at most 28.9 on antenna
+# and Nystrom matrices of 1200-1601 rows, d = 0.03-10 m, gathered or
+# evaluated directly; the widest sketch, at d = 0.1 m, sets it)
+BYTES_PER_ENTRY = 30
 
 # relative Frobenius residual below which a block's sketch stands in for
 # its full SVD; columns added to the a-priori mode count; residual columns
@@ -252,6 +254,8 @@ def centrosymmetric_spectrum(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
     count ``_mode_count``, accepted only when its residual certifies it.
     Every value is then at most SKETCH_TOL^2 ||A||_F^2 below the exact
     one, and log det(I + s A A^H) at most s SKETCH_TOL^2 ||A||_F^2 low.
+    The blocks are written over the evaluated rows, so no second matrix
+    of their size is allocated.
     """
     p, q = rx_grid.m, tx_grid.m
     top, half = -(-p // 2), q // 2
@@ -260,36 +264,52 @@ def centrosymmetric_spectrum(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
         T *= np.sqrt(tx_grid.weights)
     if weigh_rx:
         T *= np.sqrt(rx_grid.weights[:top])[:, None]
-    left, mirrored = T[:, :half], T[:, q - half:][:, ::-1]
-    minus = (left - mirrored)[:p // 2]
-    plus = left + mirrored
-    if q % 2:
-        plus = np.hstack((plus, math.sqrt(2.0) * T[:, half:half + 1]))
+    # B+ overwrites T's left columns and B- J (B- with its columns reversed:
+    # the same singular values) its right ones, a few rows at a time
+    step = max(1, GREEN_BLOCK_ENTRIES // q)
+    for start in range(0, top, step):
+        left, right = T[start:start + step, :half], T[start:start + step, q - half:]
+        diff = left - right[:, ::-1]
+        left += right[:, ::-1]
+        right[:, ::-1] = diff
+    T[:, half:q - half] *= math.sqrt(2.0)  # the middle column c when q is odd
+    plus, minus = T[:, :q - half], T[:p // 2, q - half:]
     if p % 2:
         plus[-1] /= math.sqrt(2.0)
     width = math.ceil(_mode_count(cfg) / 2) + SKETCH_OVERSAMPLING
-    norms = [float(np.vdot(B, B).real) for B in (plus, minus)]
+    norms = [_squared_norm(B) for B in (plus, minus)]
     values = np.sort(np.concatenate([_block_spectrum(B, norm, width)
                                      for B, norm in zip((plus, minus), norms)]))[::-1]
     values.setflags(write=False)
     return values, norms[0] + norms[1]
 
 
+def _squared_norm(B: np.ndarray) -> float:
+    """||B||_F^2 of a block whose rows are contiguous, without copying it."""
+    parts = B.view(np.float64)  # real and imaginary parts side by side
+    return float(np.einsum("ij,ij->", parts, parts))
+
+
 def _mode_count(cfg: SystemConfig) -> float:
     """A-priori count of the modes between the apertures that carry more than SKETCH_TOL.
 
-    N = (l / pi) (k l / sqrt(l^2 + d^2) + (5/4) ln(1 / tau) / d), with
-    tau = SKETCH_TOL: a band of spatial frequencies of width K holds
+    N = (l / pi) hypot(k l / sqrt(l^2 + d^2), (5/4) ln(1 / tau) / d),
+    with tau = SKETCH_TOL: a band of spatial frequencies |kx| <= K holds
     l K / pi modes over the aperture. Frequencies up to k l / sqrt(l^2 +
-    d^2) propagate across it; evanescent ones decay like exp(-kx d),
-    which reaches tau at kx = ln(1 / tau) / d. The factor 5/4 covers the
-    slower decay of the near-field terms at k d < 1: the measured need is
-    at most 1.07 ln(1 / tau) over wavelengths 0.01-0.3 m, apertures
-    0.5-2 m and distances 0.03-10 m.
+    d^2) propagate across it. A wave with kx > k is evanescent, with
+    kz = i kappa and kx^2 = k^2 + kappa^2, and decays like exp(-kappa d),
+    which reaches tau at kappa = ln(1 / tau) / d; so the band edge is the
+    hypot of the propagating edge and that kappa, not their sum. The
+    factor 5/4 covers the slower decay of the near-field terms at k d < 1.
+    Over 54 geometries (wavelengths 0.01, 0.04 and 0.3 m, apertures 0.5,
+    1 and 2 m, distances 0.03-10 m; the blocks of 2n x n Nystrom matrices,
+    n the node rule) ceil(N / 2) + SKETCH_OVERSAMPLING is at least 11
+    columns above the measured need, the fewest singular values whose
+    dropped tail stays below tau^2 ||B||_F^2.
     """
     l, d = cfg.aperture_m, cfg.distance_m
     evanescent = 1.25 * math.log(1.0 / SKETCH_TOL) / d
-    return l / math.pi * (cfg.wavenumber * l / math.hypot(l, d) + evanescent)
+    return l / math.pi * math.hypot(cfg.wavenumber * l / math.hypot(l, d), evanescent)
 
 
 def _phases(rows: int, cols: int) -> np.ndarray:
@@ -312,9 +332,14 @@ def _block_spectrum(B: np.ndarray, norm: float, width: int) -> np.ndarray:
     R = B - Q C is formed in column chunks; when ||R||_F^2 <= tau^2 norm
     (tau = SKETCH_TOL, norm = ||B||_F^2) C's squared singular values are
     returned, padded with zeros to min(B.shape). Otherwise the width
-    doubles. Once three times the width reaches min(B.shape) the full
-    SVD of B runs instead: a sketch costs as much as the SVD at about
-    0.4 min(B.shape) columns.
+    doubles. Once five times the width reaches twice min(B.shape) the
+    full SVD of B runs instead: on 80 x 400 to 1000 x 500 blocks (numpy
+    2.4 with OpenBLAS 0.3.31, 2 cores) a sketch of 0.4 min(B.shape)
+    columns took 0.6-0.7 of the full SVD's time, and one of 0.5
+    min(B.shape) columns 0.8-1.0. Every SVD, of B or of C, is taken on
+    the tall side, of M.T when M is wide: the singular values are the
+    same, and numpy's SVD of a wide C-ordered matrix takes about twice as
+    long as that of its transpose.
 
     The residual certifies the result: sigma_i(C) <= sigma_i(B) and
     sum_i (sigma_i(B)^2 - sigma_i(C)^2) = ||R||_F^2, so each returned
@@ -323,7 +348,7 @@ def _block_spectrum(B: np.ndarray, norm: float, width: int) -> np.ndarray:
     random draw only decides how often the full SVD runs.
     """
     n = min(B.shape)
-    while 3 * width < n:
+    while 5 * width < 2 * n:
         Q = np.linalg.qr(B @ _phases(B.shape[1], width))[0]
         C = Q.conj().T @ B
         residual = 0.0
@@ -332,10 +357,15 @@ def _block_spectrum(B: np.ndarray, norm: float, width: int) -> np.ndarray:
             residual += float(np.vdot(R, R).real)
         if residual <= SKETCH_TOL**2 * norm:
             out = np.zeros(n)
-            out[:width] = np.linalg.svd(C, compute_uv=False) ** 2
+            out[:width] = _singular_values(C) ** 2
             return out
         width *= 2
-    return np.linalg.svd(B, compute_uv=False) ** 2
+    return _singular_values(B) ** 2
+
+
+def _singular_values(M: np.ndarray) -> np.ndarray:
+    """Singular values of M from the SVD of its tall side (M.T when M is wide)."""
+    return np.linalg.svd(M.T if M.shape[0] < M.shape[1] else M, compute_uv=False)
 
 
 def gram_from_channel(H: np.ndarray, weight: float) -> np.ndarray:

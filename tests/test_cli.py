@@ -371,6 +371,31 @@ def test_infeasible_reference_refused_before_any_output(tmp_path, capsys):
     assert parse_config(["bounds", *argv])[0] == "bounds"
 
 
+@pytest.mark.parametrize("argv, shape", [
+    (["sweep-grid", "--m1-list", "100,400000", "--m2-list", "400000"], "200000 x 400000"),
+    (["sweep-transceiver", "--m-list", "5,400000"], "200000 x 400000"),
+    (["sweep-receiver", "--m-list", "5,4000000"], "2000000 x 800"),
+])
+def test_infeasible_discrete_cell_refused_before_any_output(argv, shape, tmp_path, capsys,
+                                                            monkeypatch):
+    # the command's largest discrete matrix is sized with the references
+    # while the settings are parsed: one error line, exit 2, nothing on
+    # stdout, no CSV and no solve
+    from capmimo import models
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a spectrum was solved before the cells were sized")
+
+    monkeypatch.setattr(models, "centrosymmetric_spectrum", no_solve)
+    out = tmp_path / "big.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: a {shape} complex matrix needs")
+    assert captured.err.count("\n") == 1 and "physical memory" in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["dof", "--wavelenght", "0.04"], "unrecognized arguments: --wavelenght 0.04"),
     (["dof", "--ref-m"], "argument --ref-m: expected one argument"),

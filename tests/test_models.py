@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,6 +145,29 @@ def test_reference_memory_guard_sizes_the_evaluated_half(monkeypatch):
     assert mi_continuous(cfg, ref_m=64).eigenvalues.size == 64
     with pytest.raises(ValueError, match="physical memory"):
         mi_continuous(cfg, ref_m=128)
+
+
+def test_every_model_sizes_its_matrix_before_allocating():
+    # one shape rule sizes every model's evaluated top half; a discrete
+    # cell too large for memory is refused before its grids are built
+    # (4e6 antennas would take 32 MB per grid array)
+    cfg = SystemConfig(distance_m=0.1)
+    n_source = cfg.default_inner_points()
+    assert models.evaluated_shape(cfg, models.MODEL_CONTINUOUS) == (800, n_source)
+    assert models.evaluated_shape(cfg, models.MODEL_CONTINUOUS, ref_m=101) == (51, n_source)
+    assert models.evaluated_shape(cfg, models.MODEL_DISCRETE_RX, m2=7) == (4, n_source)
+    assert models.evaluated_shape(cfg, models.MODEL_DISCRETE_RX, m2=7, inner_points=96) == (4, 96)
+    assert models.evaluated_shape(cfg, models.MODEL_DISCRETE_TRX, 5, 8) == (4, 5)
+    for call in (lambda: mi_discrete_rx(4 * 10**6, cfg),
+                 lambda: mi_discrete_trx(4 * 10**6, 4 * 10**6, cfg)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="physical memory"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_mi_continuous_monotone_in_power(default_cfg):

@@ -1,5 +1,7 @@
 """Grid construction, Hermitian eigen-decomposition, log-det engine."""
 
+import itertools
+import math
 import os
 import subprocess
 import sys
@@ -250,10 +252,9 @@ def test_sketched_spectrum_matches_full_svd(layout, d):
     _check_against_full_svd(*_large_case(layout, d))
 
 
-def test_sketch_retries_when_first_width_misses_rank(monkeypatch):
-    # with no mode count the first sketch (16 columns) is narrower than the
-    # 44 singular values each block holds at d = 1 m: the residual test
-    # must reject it and the doubled widths must reach the full spectrum
+@pytest.fixture
+def sketch_widths(monkeypatch):
+    """The width of every sketch drawn while the test runs, in order."""
     widths = []
     phases = spectra._phases
 
@@ -261,10 +262,79 @@ def test_sketch_retries_when_first_width_misses_rank(monkeypatch):
         widths.append(cols)
         return phases(rows, cols)
 
-    monkeypatch.setattr(spectra, "_mode_count", lambda cfg: 0.0)
     monkeypatch.setattr(spectra, "_phases", recording)
+    return widths
+
+
+def test_sketch_retries_when_first_width_misses_rank(monkeypatch, sketch_widths):
+    # with no mode count the first sketch (16 columns) is narrower than the
+    # 44 singular values each block holds at d = 1 m: the residual test
+    # must reject it and the doubled widths must reach the full spectrum
+    monkeypatch.setattr(spectra, "_mode_count", lambda cfg: 0.0)
     _check_against_full_svd(*_large_case("trx1200x1200", 1.0))
-    assert widths == [16, 32, 64] * 2
+    assert sketch_widths == [16, 32, 64] * 2
+
+
+def _first_width_cases():
+    """(label, cfg, rx, tx, weigh_rx, weigh_tx) over a grid of geometries and both layouts.
+
+    Each grid is the smallest multiple of 16 nodes whose blocks are sketched
+    (five first widths below twice the smaller block side), or 128 nodes
+    where that would be above 704 and the blocks take the full SVD instead.
+    """
+    for lam, l, d in itertools.product((0.01, 0.04, 0.3), (0.5, 2.0), (0.03, 0.1, 1.0, 10.0)):
+        cfg = SystemConfig(wavelength_m=lam, aperture_m=l, distance_m=d)
+        width = math.ceil(spectra._mode_count(cfg) / 2) + spectra.SKETCH_OVERSAMPLING
+        n = 16 * -(-(5 * width + 1) // 16)
+        n = n if n <= 704 else 128
+        label = f"lambda {lam} l {l} d {d} n {n}"
+        yield (label + " nystrom", cfg, gauss_legendre_grid(l, 2 * n), gauss_legendre_grid(l, n),
+               True, True)
+        yield label + " antennas", cfg, midpoint_grid(l, n), midpoint_grid(l, n), False, False
+
+
+def test_first_width_certifies(sketch_widths):
+    # the a-priori width (l / pi) hypot(k l / sqrt(l^2 + d^2), (5/4) ln(1 / tau) / d)
+    # is wide enough that each sketched block passes its residual test at
+    # the first try, from far field to d = 0.03 m: one sketch per block, of
+    # the first width, and every value matches the whole matrix's SVD
+    sketched = 0
+    for label, cfg, rx, tx, weigh_rx, weigh_tx in _first_width_cases():
+        sketch_widths.clear()
+        _check_against_full_svd(cfg, rx, tx, weigh_rx, weigh_tx)
+        width = math.ceil(spectra._mode_count(cfg) / 2) + spectra.SKETCH_OVERSAMPLING
+        blocks = ((-(-rx.m // 2), tx.m - tx.m // 2), (rx.m // 2, tx.m // 2))
+        expected = [width] * sum(5 * width < 2 * min(shape) for shape in blocks)
+        assert sketch_widths == expected, label
+        sketched += len(sketch_widths)
+    assert sketched >= 70
+
+
+@pytest.mark.parametrize("shape", [(50, 60), (60, 50)])
+def test_full_svd_is_taken_on_the_tall_side(shape):
+    # a wide block's full SVD runs on its transpose: a full-rank block and
+    # its transpose give bitwise the same values
+    rng = np.random.default_rng(9)
+    B = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    norm = float(np.vdot(B, B).real)
+    assert np.array_equal(_block_spectrum(B, norm, 4), _block_spectrum(B.T, norm, 4))
+    assert np.array_equal(_block_spectrum(B, norm, 4), _block_spectrum(B.T.copy(), norm, 4))
+
+
+def test_wide_low_rank_block_matches_oracle(sketch_widths):
+    # 160 antennas against 800 weighted source nodes at d = 10 m: a wide
+    # block of low rank is sketched (from its columns) and solved on the
+    # sketch factor's tall side; it and its transpose match the SVD of
+    # every entry
+    cfg = SystemConfig(distance_m=10.0)
+    rx, tx = midpoint_grid(cfg.aperture_m, 160), gauss_legendre_grid(cfg.aperture_m, 800)
+    B = assemble_channel_matrix(rx, tx, cfg) * np.sqrt(tx.weights)
+    norm = float(np.vdot(B, B).real)
+    oracle = full_matrix_spectrum(cfg, rx.points, tx.points, None, tx.weights)[0]
+    for block in (B, B.T):
+        values = np.sort(_block_spectrum(block, norm, 32))[::-1]
+        assert np.max(np.abs(values - oracle)) <= 1e-13 * oracle[0]
+    assert sketch_widths == [32, 32]
 
 
 def test_full_rank_block_falls_back_to_full_svd_bitwise():
@@ -307,15 +377,16 @@ def test_spectrum_peak_memory_within_guard(layout):
     # evaluation (an lcm far above both panel counts, a 1000-node rule of
     # unequal panels), then the split blocks, the sketch and the solve must
     # fit under it (plus one complex value per grid node for the grids and
-    # small objects)
-    cfg, rx, tx, weigh_rx, weigh_tx = _large_case(layout, 10.0)
-    tracemalloc.start()
-    try:
-        centrosymmetric_spectrum(rx, tx, cfg, weigh_rx, weigh_tx)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= BYTES_PER_ENTRY * -(-rx.m // 2) * tx.m + 16 * (rx.m + tx.m)
+    # small objects), at d = 10 m and at d = 0.1 m, where the sketch is widest
+    for d in (10.0, 0.1):
+        cfg, rx, tx, weigh_rx, weigh_tx = _large_case(layout, d)
+        tracemalloc.start()
+        try:
+            centrosymmetric_spectrum(rx, tx, cfg, weigh_rx, weigh_tx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= BYTES_PER_ENTRY * -(-rx.m // 2) * tx.m + 16 * (rx.m + tx.m), d
 
 
 def test_validate_hermitian_rejects(default_cfg):
