@@ -360,8 +360,8 @@ def _stdout_mi(nats: float, rc: RunConfig) -> str:
 def _finish_sweep(rows: list[SweepRow], command: str, rc: RunConfig,
                   started: float, extra: dict | None = None) -> int:
     """Print each distance's reference; write the CSV and a sidecar holding, per distance,
-    the slope fit and the reference's node counts and effective rank (its eigenvalues at
-    or above 1e-3 and 1e-12 of the largest, from the spectrum the sweep cached)."""
+    the slope fit and the reference's node counts and effective rank (``dof_estimate``'s
+    counts at 1e-3 and 1e-12 of the largest eigenvalue, on the spectrum the sweep cached)."""
     errors = [r for r in rows if r.error is not None]
     fits, references = {}, {}
     for d in sorted({r.d_m for r in rows}):
@@ -372,10 +372,9 @@ def _finish_sweep(rows: list[SweepRow], command: str, rc: RunConfig,
         else:
             fits[repr(d)] = {"slope": fit.slope, "intercept": fit.intercept,
                              "r_squared": fit.r_squared, "m_range": list(fit.m_range)}
-        ref = mi_continuous(dataclasses.replace(rc.system_config(), distance_m=d), rc.ref_m)
-        ev = ref.eigenvalues
-        top = float(ev[0]) if ev.size else 0.0
-        counts = {key: int(np.sum(ev >= rel * top)) if top > 0.0 else 0
+        cfg = dataclasses.replace(rc.system_config(), distance_m=d)
+        ref = mi_continuous(cfg, rc.ref_m)
+        counts = {key: dof_estimate(cfg, rc.ref_m, rel).eigen_count
                   for key, rel in (("eigen_count_1e-3", 1e-3), ("eigen_count_1e-12", 1e-12))}
         references[repr(d)] = {"ref_m": ref.ref_m, "source_nodes": ref.inner_points, **counts}
         print(f"d={d:g}: reference {_stdout_mi(ref.value_nats, rc)}")

@@ -2,11 +2,13 @@
 
 Each sweep tabulates a discrete model against the continuous reference
 at the same distance, one row per (distance, (m1, m2)) cell, through the
-one loop ``_sweep``: it checks every antenna count and distance before
-the first reference solve. Cells run one after another in the calling
-thread, so every cell at one geometry reuses the cached reference trace
-and spectrum; matrix products and eigensolves use the BLAS's own
-threads. Results are sorted by (d, m1, m2) before being returned.
+one loop ``_sweep``: before the first reference solve it checks every
+antenna count and distance and sizes every reference and cell against
+physical memory, so an infeasible sweep raises instead of solving. Cells
+run one after another in the calling thread, so every cell at one
+geometry reuses the cached reference trace and spectrum; matrix products
+and eigensolves use the BLAS's own threads. Results are sorted by (d,
+m1, m2) before being returned.
 """
 
 from __future__ import annotations
@@ -18,8 +20,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .models import MiResult, mi_continuous, mi_discrete_rx, mi_discrete_trx
-from .physics import SystemConfig, resolve_inner_points
+from .models import (
+    MODEL_CONTINUOUS,
+    MODEL_DISCRETE_RX,
+    MODEL_DISCRETE_TRX,
+    MiResult,
+    evaluated_shape,
+    mi_continuous,
+    mi_discrete_rx,
+    mi_discrete_trx,
+)
+from .physics import SystemConfig
+from .spectra import check_matrix_size
 
 # rows whose gap is below this fraction of the reference have converged
 # to the floating-point floor and carry no slope information
@@ -94,12 +106,15 @@ def _cell_row(scenario: str, d: float, m1: int | None, m2: int, ref: MiResult,
 
 def _sweep(scenario: str, cfg: SystemConfig, distances: Sequence[float],
            cells: Sequence[tuple[int | None, int]], ref_m: int | None,
-           model: Callable[[int | None, int, SystemConfig], MiResult]) -> list[SweepRow]:
+           inner_points: int | None = None) -> list[SweepRow]:
     """One row per (distance, (m1, m2)) cell, sorted by (d, m1, m2).
 
-    Every antenna count and distance is checked before the first
-    reference solve. The continuous reference at each distance is then
-    solved once, before that distance's cells run ``model(m1, m2, cfg_d)``.
+    A cell is ``mi_discrete_rx(m2)`` when m1 is None, else
+    ``mi_discrete_trx(m1, m2)``. Every antenna count and distance is
+    checked, and every reference and cell sized against physical memory
+    by ``evaluated_shape``, before the first reference solve. The
+    continuous reference at each distance is then solved once, before
+    that distance's cells run.
     """
     if not distances or not cells:
         raise ValueError("distances and antenna counts must be nonempty")
@@ -107,10 +122,17 @@ def _sweep(scenario: str, cfg: SystemConfig, distances: Sequence[float],
     if low < 1:
         raise ValueError(f"antenna counts must be >= 1, got {low}")
     cfgs = [dataclasses.replace(cfg, distance_m=d) for d in distances]
+    for cfg_d in cfgs:
+        check_matrix_size(*evaluated_shape(cfg_d, MODEL_CONTINUOUS, ref_m=ref_m))
+        for m1, m2 in cells:
+            tag = MODEL_DISCRETE_RX if m1 is None else MODEL_DISCRETE_TRX
+            check_matrix_size(*evaluated_shape(cfg_d, tag, m1, m2, inner_points=inner_points))
     rows: list[SweepRow] = []
     for d, cfg_d in zip(distances, cfgs):
         ref = mi_continuous(cfg_d, ref_m)
-        rows.extend(_cell_row(scenario, d, m1, m2, ref, lambda: model(m1, m2, cfg_d))
+        rows.extend(_cell_row(scenario, d, m1, m2, ref,
+                              lambda: mi_discrete_rx(m2, cfg_d, inner_points) if m1 is None
+                              else mi_discrete_trx(m1, m2, cfg_d))
                     for m1, m2 in cells)
     return sorted(rows, key=lambda r: (r.d_m, r.m1, r.m2))
 
@@ -125,17 +147,15 @@ def sweep_receiver(cfg: SystemConfig, distances: Sequence[float],
     the ref_m grid (computed once per distance, before the cells run);
     ``inner_points`` is the source rule of the discrete receiver only.
     """
-    resolve_inner_points(cfg, inner_points)  # fail before any solve
     return _sweep(scenario, cfg, distances, [(None, m) for m in m_values], ref_m,
-                  lambda m1, m2, cfg_d: mi_discrete_rx(m2, cfg_d, inner_points))
+                  inner_points)
 
 
 def sweep_transceiver(cfg: SystemConfig, distances: Sequence[float],
                       m_values: Sequence[int], ref_m: int | None = None,
                       scenario: str = "transceiver") -> list[SweepRow]:
     """Discretize both sides with m1 = m2 = m: one row per (distance, m)."""
-    return _sweep(scenario, cfg, distances, [(m, m) for m in m_values], ref_m,
-                  mi_discrete_trx)
+    return _sweep(scenario, cfg, distances, [(m, m) for m in m_values], ref_m)
 
 
 def sweep_grid(cfg: SystemConfig, d: float, m1_values: Sequence[int],
@@ -143,7 +163,7 @@ def sweep_grid(cfg: SystemConfig, d: float, m1_values: Sequence[int],
                scenario: str = "grid") -> GridSweep:
     """Full Cartesian product of transmit and receive antenna counts at one d."""
     rows = _sweep(scenario, cfg, [d], [(m1, m2) for m1 in m1_values for m2 in m2_values],
-                  ref_m, mi_discrete_trx)
+                  ref_m)
     by_key = {(r.m1, r.m2): r.mi_nats for r in rows if r.mi_nats is not None}
     sym = max((abs(v - by_key[m2, m1]) for (m1, m2), v in by_key.items()
                if (m2, m1) in by_key), default=0.0)

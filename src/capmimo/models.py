@@ -14,20 +14,21 @@ weights and the noise density n:
   against the source grid, G sqrt(w_s).
 * ``mi_discrete_trx`` -- point antennas on both sides, weight 1.
 
-The discrete models are one body, ``_discrete_mi``, on two grids. It
-matches the continuous receive SNR with the noise density n0 * ||own
-unit-power A||_F^2 / ``physics.operator_trace``, defined at every power
-including zero; the squared norm is the halves' sum, so the top half of
-A is assembled once. ``noise_rx`` and
-``noise_trx`` give the same densities plus midpoint-error bounds, both
-from one sampled |G|^2 profile.
+One body, ``_spectrum``, builds the grids of every model call and takes
+their spectrum; ``_reference_spectrum`` is its cached continuous call. The
+discrete models match the continuous receive SNR with the noise density
+n0 * ||own unit-power A||_F^2 / ``physics.operator_trace``, defined at
+every power including zero; ``noise_rx`` and ``noise_trx`` give the same
+densities plus midpoint-error bounds through one body, from one sampled
+|G|^2 profile.
 
 Every continuous integral (the reference's source side, the trace, the
 default source rule of ``mi_discrete_rx``) takes its node count from the
 one rule ``SystemConfig.default_inner_points``; ``default_ref_m`` keeps
 the reference's receive side at 1600 nodes or more. ``evaluated_shape``
-is the one size rule of every model's matrix as evaluated, by which the
-models and the command line check it against physical memory.
+is the one size rule of every model's matrix as evaluated, by which
+``_spectrum``, the sweeps and the command line check it against physical
+memory before any grid exists.
 
 Power and noise density only rescale these quantities: every cache is
 keyed on the geometry alone and holds unit-power values, and P and n0
@@ -36,6 +37,7 @@ are applied on each call (P in the scale 2P/n for the discrete models).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -122,18 +124,8 @@ def _unit_trace(geometry: SystemConfig) -> float:
 
 @lru_cache(maxsize=32)
 def _reference_spectrum(geometry: SystemConfig, ref_m: int) -> np.ndarray:
-    """Unit-power field-operator spectrum from the Gauss-Legendre Nystrom matrix.
-
-    The squared singular values of A = sqrt(w_r) G(r_i - s_k) sqrt(w_s)
-    with ref_m reference nodes and the rule's source nodes: min(ref_m,
-    n_source) entries, nonincreasing and read-only. Only the top
-    ceil(ref_m / 2) rows are evaluated, so only they must fit in memory.
-    """
-    rows, n_source = evaluated_shape(geometry, MODEL_CONTINUOUS, ref_m=ref_m)
-    check_matrix_size(rows, n_source)
-    ref = gauss_legendre_grid(geometry.aperture_m, ref_m)
-    source = gauss_legendre_grid(geometry.aperture_m, n_source)
-    return centrosymmetric_spectrum(ref, source, geometry, weigh_rx=True, weigh_tx=True)[0]
+    """Unit-power field-operator spectrum: ``_spectrum`` of the continuous model, cached."""
+    return _spectrum(geometry, MODEL_CONTINUOUS, None, ref_m)[0]
 
 
 @lru_cache(maxsize=64)
@@ -192,12 +184,20 @@ def evaluated_shape(cfg: SystemConfig, model_tag: str, m1: int | None = None,
     return -(-p // 2), q
 
 
-def _operator_spectrum(cfg: SystemConfig, ref_m: int) -> np.ndarray:
-    """Per-subchannel signal powers: the unit-power reference spectrum scaled by P."""
-    unit = _reference_spectrum(_geometry(cfg), ref_m)
-    scaled = cfg.power_density * unit
-    scaled.setflags(write=False)
-    return scaled
+def _spectrum(cfg: SystemConfig, model_tag: str, m1: int | None, m2: int,
+              inner_points: int | None = None) -> tuple[np.ndarray, float]:
+    """Squared singular values and ||A||_F^2 of a model's A, sized before any grid exists.
+
+    Gauss-Legendre and weighted: the continuous model's receive side (m2 =
+    ref_m nodes) and the transmit side when m1 is None (the source rule).
+    Midpoint antennas of weight 1: every other side.
+    """
+    rows, cols = evaluated_shape(cfg, model_tag, m1, m2, ref_m=m2, inner_points=inner_points)
+    check_matrix_size(rows, cols)
+    l, weigh_rx, weigh_tx = cfg.aperture_m, model_tag == MODEL_CONTINUOUS, m1 is None
+    rx_grid = gauss_legendre_grid(l, m2) if weigh_rx else midpoint_grid(l, m2)
+    tx_grid = gauss_legendre_grid(l, cols) if weigh_tx else midpoint_grid(l, cols)
+    return centrosymmetric_spectrum(rx_grid, tx_grid, cfg, weigh_rx, weigh_tx)
 
 
 def mi_continuous(cfg: SystemConfig, ref_m: int | None = None) -> MiResult:
@@ -211,11 +211,29 @@ def mi_continuous(cfg: SystemConfig, ref_m: int | None = None) -> MiResult:
     nodes) entries) is exposed on the result for SNR and DoF diagnostics.
     """
     ref_m = resolve_ref_m(cfg, ref_m)
-    scaled = _operator_spectrum(cfg, ref_m)
+    scaled = cfg.power_density * _reference_spectrum(_geometry(cfg), ref_m)
+    scaled.setflags(write=False)
     value = logdet_from_eigenvalues(scaled, 2.0 / cfg.noise_density)
     return MiResult(value_nats=value, model_tag=MODEL_CONTINUOUS,
                     noise_used=cfg.noise_density, ref_m=ref_m,
                     inner_points=cfg.default_inner_points(), eigenvalues=scaled)
+
+
+def _noise_control(cfg: SystemConfig, unit_power_sum: float, counts: tuple[int, ...],
+                   curvature: float) -> NoiseControl:
+    """Matched density of an array of ``counts`` antennas per side, k = len(counts) sides.
+
+    The dense-array limit is prod(counts) n0 / l^k, the gap |l^k n /
+    prod(counts) - n0|, and the midpoint bound n0 l^(k+2) curvature / (24
+    min(counts)^2 T) with T the unit-power trace.
+    """
+    n_value = _matched_noise(cfg, unit_power_sum)
+    l, n0, k, low = cfg.aperture_m, cfg.noise_density, len(counts), min(counts)
+    # volume = l^k as a product of l's: l ** 2 can differ from l * l in the last bit
+    samples, volume = math.prod(counts), math.prod([l] * k)
+    bound = n0 * l ** (k + 2) * curvature / (24.0 * low * low * _unit_trace(_geometry(cfg)))
+    return NoiseControl(n_value=n_value, limit_value=samples * n0 / volume,
+                        gap=abs(volume * n_value / samples - n0), gap_bound=bound)
 
 
 def noise_rx(grid: QuadratureGrid, cfg: SystemConfig,
@@ -230,16 +248,10 @@ def noise_rx(grid: QuadratureGrid, cfg: SystemConfig,
     """
     if grid.m < 1:
         raise ValueError("grid must be nonempty")
-    inner_points = resolve_inner_points(cfg, inner_points)
     geometry = _geometry(cfg)
-    diag_sum = float(kernel_diagonal(grid.points, geometry, inner_points).sum())
-    n_value = _matched_noise(cfg, diag_sum)
-    l, m, n0 = cfg.aperture_m, grid.m, cfg.noise_density
-    gap = abs(l * n_value / m - n0)
-    curvature = _profile_curvatures(geometry)[0]
-    bound = n0 * l**3 * curvature / (24.0 * m * m * _unit_trace(geometry))
-    return NoiseControl(n_value=n_value, limit_value=m * n0 / l,
-                        gap=gap, gap_bound=bound)
+    diag_sum = kernel_diagonal(grid.points, geometry, resolve_inner_points(cfg, inner_points))
+    return _noise_control(cfg, float(diag_sum.sum()), (grid.m,),
+                          _profile_curvatures(geometry)[0])
 
 
 def noise_trx(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
@@ -254,36 +266,23 @@ def noise_trx(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
     if rx_grid.m < 1 or tx_grid.m < 1:
         raise ValueError("grids must be nonempty")
     H = assemble_channel_matrix(rx_grid, tx_grid, cfg)
-    n_value = _matched_noise(cfg, float(np.sum(H.real**2 + H.imag**2)))
-    l, n0 = cfg.aperture_m, cfg.noise_density
-    m1, m2 = tx_grid.m, rx_grid.m
-    gap = abs(n0 - l * l * n_value / (m1 * m2))
-    geometry = _geometry(cfg)
-    sup2 = _profile_curvatures(geometry)[1]
-    bound = n0 * l**4 * (sup2 + sup2) / (24.0 * min(m1, m2) ** 2 * _unit_trace(geometry))
-    return NoiseControl(n_value=n_value, limit_value=m1 * m2 * n0 / (l * l),
-                        gap=gap, gap_bound=bound)
+    sup2 = _profile_curvatures(_geometry(cfg))[1]
+    return _noise_control(cfg, float(np.sum(H.real**2 + H.imag**2)), (tx_grid.m, rx_grid.m),
+                          sup2 + sup2)
 
 
 def _discrete_mi(model_tag: str, m1: int | None, m2: int, cfg: SystemConfig,
                  inner_points: int | None = None) -> MiResult:
-    """log det(I + P A A^H / (n / 2)) for m2 receive antennas, sized by ``evaluated_shape``.
+    """log det(I + P A A^H / (n / 2)) for m2 receive antennas from ``_spectrum``.
 
-    The transmitter is m1 antennas (weight 1) for ``mi_discrete_trx`` and
-    the source rule (A = G sqrt(w_s)) for ``mi_discrete_rx``, whose node
-    count is reported as ``inner_points``. n is the ``_matched_noise``
-    density from ||A||_F^2.
+    n is the ``_matched_noise`` density from ||A||_F^2; the source rule of
+    ``mi_discrete_rx`` (m1 None) is reported as ``inner_points``.
     """
-    rows, cols = evaluated_shape(cfg, model_tag, m1, m2, inner_points=inner_points)
-    check_matrix_size(rows, cols)
-    l, continuous_tx = cfg.aperture_m, model_tag == MODEL_DISCRETE_RX
-    tx_grid = gauss_legendre_grid(l, cols) if continuous_tx else midpoint_grid(l, cols)
-    spectrum, unit_power_sum = centrosymmetric_spectrum(midpoint_grid(l, m2), tx_grid, cfg,
-                                                        weigh_tx=continuous_tx)
+    spectrum, unit_power_sum = _spectrum(cfg, model_tag, m1, m2, inner_points)
     noise = _matched_noise(cfg, unit_power_sum)
     value = logdet_from_eigenvalues(spectrum, 2.0 * cfg.power_density / noise)
     return MiResult(value_nats=value, model_tag=model_tag, noise_used=noise,
-                    inner_points=cols if continuous_tx else None)
+                    inner_points=resolve_inner_points(cfg, inner_points) if m1 is None else None)
 
 
 def mi_discrete_rx(m: int, cfg: SystemConfig,
@@ -328,8 +327,7 @@ def dof_estimate(cfg: SystemConfig, ref_m: int | None = None,
     """
     if not 0.0 < threshold_rel < 1.0:
         raise ValueError(f"threshold_rel must lie in (0, 1), got {threshold_rel}")
-    spectrum = _operator_spectrum(cfg, resolve_ref_m(cfg, ref_m))
-    lam_max = float(spectrum[0]) if spectrum.size else 0.0
-    count = 0 if lam_max <= 0.0 else int(np.sum(spectrum >= threshold_rel * lam_max))
+    spectrum = mi_continuous(cfg, ref_m).eigenvalues
+    count = int(np.sum(spectrum >= threshold_rel * spectrum[0])) if spectrum[0] > 0.0 else 0
     analytic = cfg.aperture_m**2 / (cfg.distance_m * cfg.wavelength_m)
     return DofEstimate(eigen_count=count, analytic=analytic, threshold_rel=threshold_rel)

@@ -78,6 +78,14 @@ from .physics import (
 # evaluated directly; the widest sketch, at d = 0.1 m, sets it)
 BYTES_PER_ENTRY = 30
 
+# bytes per entry of one green_offset row block of min(rows * cols,
+# GREEN_BLOCK_ENTRIES) entries: its offsets, temporaries and result
+# (tracemalloc peak 112 per entry plus about 2 kB of array headers, on blocks
+# of 100-65536 entries). The block does not shrink with the matrix, so on
+# small matrices it outweighs BYTES_PER_ENTRY: the spectrum of 100 antennas
+# against the source rule at d = 0.03 m peaks at 128 B per evaluated entry
+BLOCK_BYTES_PER_ENTRY = 112
+
 # relative Frobenius residual below which a block's sketch stands in for
 # its full SVD; columns added to the a-priori mode count; residual columns
 # formed at once
@@ -150,14 +158,20 @@ def gauss_legendre_grid(length: float, n: int) -> QuadratureGrid:
                           pattern=pattern)
 
 
+def matrix_bytes(rows: int, cols: int) -> int:
+    """The memory guard's estimate for a rows x cols matrix: its entries plus one row block."""
+    return (BYTES_PER_ENTRY * rows * cols
+            + BLOCK_BYTES_PER_ENTRY * min(rows * cols, GREEN_BLOCK_ENTRIES))
+
+
 def check_matrix_size(rows: int, cols: int) -> None:
     """Fail fast when a rows x cols complex matrix cannot be evaluated in physical memory.
 
-    The estimate is BYTES_PER_ENTRY per entry; raises a one-line
-    ValueError before anything is allocated. Skipped where the platform
-    does not report its physical memory.
+    The estimate is ``matrix_bytes``; raises a one-line ValueError before
+    anything is allocated. Skipped where the platform does not report its
+    physical memory.
     """
-    need = BYTES_PER_ENTRY * rows * cols
+    need = matrix_bytes(rows, cols)
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):

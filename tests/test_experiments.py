@@ -102,6 +102,12 @@ def test_sweeps_check_counts_before_any_solve():
         sweep_receiver(cfg, [10.0], [4], inner_points=1)
     with pytest.raises(ValueError):
         sweep_receiver(cfg, [10.0, -1.0], [4])
+    # a matrix too large for physical memory, the reference's or a cell's,
+    # is refused before the first reference solve
+    with pytest.raises(ValueError, match="physical memory"):
+        sweep_grid(cfg, 10.0, [400000], [400000])
+    with pytest.raises(ValueError, match="physical memory"):
+        sweep_receiver(cfg, [10.0], [5, 10**7], ref_m=64)
     assert models._reference_spectrum.cache_info().misses == 0
 
 

@@ -138,7 +138,7 @@ def test_reference_memory_guard_sizes_the_evaluated_half(monkeypatch):
     # matrix's estimate the reference must still be computed
     cfg = SystemConfig(distance_m=7.25)
     n_source = cfg.default_inner_points()
-    half = spectra.BYTES_PER_ENTRY * 32 * n_source
+    half = spectra.matrix_bytes(32, n_source)
     pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 3 * half // 2}
     monkeypatch.setattr(spectra.os, "sysconf", pages.__getitem__)
     models._reference_spectrum.cache_clear()

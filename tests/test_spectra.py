@@ -30,6 +30,7 @@ from capmimo.spectra import (
     gauss_legendre_grid,
     gram_from_channel,
     logdet_from_eigenvalues,
+    matrix_bytes,
 )
 
 from oracles import full_matrix_spectrum, logdet_by_row_reduction
@@ -238,9 +239,9 @@ def _large_case(layout: str, d: float):
         return cfg, midpoint_grid(l, 1201), midpoint_grid(l, 1200), False, False
     if layout == "nystrom1600x1000":
         return cfg, gauss_legendre_grid(l, 1600), gauss_legendre_grid(l, 1000), True, True
-    if layout == "rx400":
-        return (cfg, midpoint_grid(l, 400), gauss_legendre_grid(l, cfg.default_inner_points()),
-                False, True)
+    if layout.startswith("rx"):  # rx<m>: m antennas against the source rule
+        return (cfg, midpoint_grid(l, int(layout[2:])),
+                gauss_legendre_grid(l, cfg.default_inner_points()), False, True)
     return cfg, gauss_legendre_grid(l, 1600), gauss_legendre_grid(l, 800), True, True
 
 
@@ -369,16 +370,24 @@ def test_model_call_does_not_import_numpy_random():
     assert proc.stdout.strip() == "False"
 
 
+# receivers whose evaluated matrix is about the size of one green_offset row
+# block or below, at the distance where each was measured above the per-entry term
+SMALL_LAYOUTS = {"rx100": 0.03, "rx400": 0.03, "rx64": 1.0}
+
+
 @pytest.mark.parametrize("layout", ["trx1200x1200", "nystrom1600x800",
-                                    "trx1201x1200", "nystrom1600x1000"])
+                                    "trx1201x1200", "nystrom1600x1000", *SMALL_LAYOUTS])
 def test_spectrum_peak_memory_within_guard(layout):
     # the memory guard sizes the evaluated top half at BYTES_PER_ENTRY per
     # entry: the gather (the first two layouts) and the row-blocked direct
     # evaluation (an lcm far above both panel counts, a 1000-node rule of
     # unequal panels), then the split blocks, the sketch and the solve must
     # fit under it (plus one complex value per grid node for the grids and
-    # small objects), at d = 10 m and at d = 0.1 m, where the sketch is widest
-    for d in (10.0, 0.1):
+    # small objects), at d = 10 m and at d = 0.1 m, where the sketch is widest.
+    # The small layouts, whose green_offset row block is not small beside
+    # the matrix, must fit under the guard's whole estimate, matrix_bytes
+    small = layout in SMALL_LAYOUTS
+    for d in (SMALL_LAYOUTS[layout],) if small else (10.0, 0.1):
         cfg, rx, tx, weigh_rx, weigh_tx = _large_case(layout, d)
         tracemalloc.start()
         try:
@@ -386,7 +395,9 @@ def test_spectrum_peak_memory_within_guard(layout):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= BYTES_PER_ENTRY * -(-rx.m // 2) * tx.m + 16 * (rx.m + tx.m), d
+        top = -(-rx.m // 2)
+        guard = matrix_bytes(top, tx.m) if small else BYTES_PER_ENTRY * top * tx.m
+        assert peak <= guard + 16 * (rx.m + tx.m), d
 
 
 def test_validate_hermitian_rejects(default_cfg):
