@@ -84,17 +84,41 @@ def green_offset(x, cfg: SystemConfig):
     source/observer separated by (d, 0, x): radiating term plus the two
     near-field corrections, all even in x. Returns complex values with
     the same shape as ``x``.
+
+    The value is (1j Z0 / (2 lam r)) exp(1j k r) (t + 1j n / (k r) - n /
+    (k r)^2) with r^2 = x^2 + d^2, t = d^2 / r^2 the radiating direction
+    factor and n = (d^2 - 2 x^2) / r^2 that of the 1/kr terms. Each step
+    runs in place, in that order, so at most three complex and one real
+    array of x's shape are alive at once.
     """
     x = np.asarray(x, dtype=np.float64)
-    d = cfg.distance_m
-    lam = cfg.wavelength_m
-    r_sq = x * x + d * d
+    if x.ndim == 0:  # numpy returns scalars from 0-d arrays, which have no buffer to reuse
+        return green_offset(x[None], cfg)[0]
+    dd = cfg.distance_m * cfg.distance_m
+    r_sq = x * x
+    r_sq += dd
+    near = 2.0 * x
+    near *= x
+    np.subtract(dd, near, out=near)
+    near /= r_sq
     r_abs = np.sqrt(r_sq)
+    transverse = np.divide(dd, r_sq, out=r_sq)
+    del r_sq
     kr = cfg.wavenumber * r_abs
-    transverse = (d * d) / r_sq               # radiating direction factor
-    near = (d * d - 2.0 * x * x) / r_sq       # direction factor of the 1/kr terms
-    bracket = transverse + 1j * near / kr - near / (kr * kr)
-    return (1j * Z0_OHMS / (2.0 * lam * r_abs)) * np.exp(1j * kr) * bracket
+    bracket = 1j * near
+    bracket /= kr
+    bracket += transverse
+    near /= np.multiply(kr, kr, out=transverse)
+    bracket -= near
+    del near, transverse
+    phase = 1j * kr
+    del kr
+    np.exp(phase, out=phase)
+    r_abs *= 2.0 * cfg.wavelength_m
+    out = np.divide(1j * Z0_OHMS, r_abs)
+    out *= phase
+    out *= bracket
+    return out
 
 
 def green_scalar(r, s, cfg: SystemConfig):

@@ -24,11 +24,15 @@ the midpoint layout is m one-node panels, a Gauss-Legendre rule of 16k
 nodes is k sixteen-node panels. So r_i - s_k is an integer multiple of
 l / lcm(P_rx, P_tx), for panel counts P, plus the offset of a pair of
 pattern nodes, and a matrix holds few distinct offsets.
-``assemble_channel_matrix`` evaluates G once per distinct (multiple,
-pattern pair) into a table and gathers the matrix from it; where that
-table would be as large as the matrix (panels of unequal size, panel
-counts whose lcm is far above both) it evaluates every entry directly,
-in row blocks.
+G is evaluated once per distinct (multiple, pattern pair) into a table,
+with the grid weights folded in, and the matrix is a strided view of
+that table (``_lattice``): ``assemble_channel_matrix`` copies it out,
+and ``centrosymmetric_spectrum`` forms its two blocks from the view and
+its column mirror a chunk of rows or columns at a time, so the top half
+is never held whole. Where that table would be as large as the matrix
+(panels of unequal size, panel counts whose lcm is far above both)
+every entry is evaluated directly, in row blocks, and the blocks are
+written over the evaluated rows.
 
 The spectrum of a propagation matrix collapses past the spatial degrees
 of freedom, so each block is first sketched by a randomized range finder
@@ -57,6 +61,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -70,28 +75,29 @@ from .physics import (
     resolve_inner_points,
 )
 
-# bytes per entry of the evaluated top half while its spectrum is taken: the
-# complex matrix with the gather index or green_offset's row-block
+# bytes per entry of the evaluated top half while its spectrum is taken.
+# Evaluated directly, the complex matrix with green_offset's row-block
 # temporaries, then the same matrix holding both split blocks with a copy of
-# one block or the sketch's factors (tracemalloc peak at most 28.9 on antenna
-# and Nystrom matrices of 1200-1601 rows, d = 0.03-10 m, gathered or
-# evaluated directly; the widest sketch, at d = 0.1 m, sets it)
+# one block or the sketch's factors (tracemalloc peak at most 27.6 on antenna
+# and Nystrom matrices of 1200-1601 rows, d = 0.03-10 m; the widest sketch,
+# at d = 0.1 m, sets it). Formed from an offset table, the blocks never hold
+# the top half, and the same matrices peak at 7.7-18.4
 BYTES_PER_ENTRY = 30
 
 # bytes per entry of one green_offset row block of min(rows * cols,
 # GREEN_BLOCK_ENTRIES) entries: its offsets, temporaries and result
-# (tracemalloc peak 112 per entry plus about 2 kB of array headers, on blocks
-# of 100-65536 entries). The block does not shrink with the matrix, so on
-# small matrices it outweighs BYTES_PER_ENTRY: the spectrum of 100 antennas
-# against the source rule at d = 0.03 m peaks at 128 B per evaluated entry
-BLOCK_BYTES_PER_ENTRY = 112
+# (tracemalloc peak 66 per entry on blocks of 65536 entries, at most 82 on
+# blocks of 1000-65536, where numpy's cast buffer of 8192 entries is not
+# small beside the block). The block does not shrink with the matrix, so on
+# small matrices it outweighs BYTES_PER_ENTRY
+BLOCK_BYTES_PER_ENTRY = 82
 
 # relative Frobenius residual below which a block's sketch stands in for
-# its full SVD; columns added to the a-priori mode count; residual columns
-# formed at once
+# its full SVD; columns added to the a-priori mode count; rows or columns
+# of a block formed at once
 SKETCH_TOL = 1e-12
 SKETCH_OVERSAMPLING = 16
-RESIDUAL_CHUNK = 128
+BLOCK_CHUNK = 128
 
 # ``hermitian_eigenvalues`` clamps eigenvalues in [-CLAMP_REL * lambda_max, 0) to zero
 CLAMP_REL = 1e-12
@@ -107,7 +113,8 @@ class QuadratureGrid:
 
     The nodes are a lattice of ``panels`` equal panels, each holding the
     same ``pattern`` of k node offsets in panel widths: r_i = (i // k +
-    pattern[i % k]) * length / panels, up to rounding. A rule whose panels
+    pattern[i % k]) * length / panels, up to rounding, and the same k
+    weights, w_i = weights[i % k] bitwise. A rule whose panels
     differ is one panel whose pattern is every node. ``weight`` is the
     mean weight length / m; the midpoint rule has every weight equal to it.
     """
@@ -213,31 +220,51 @@ def assemble_channel_matrix(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
     On two grids of one length l, r_i - s_k is D l / lcm(P_rx, P_tx) for
     an integer lattice difference D, plus the offset of a pair of
     pattern nodes. G is evaluated once per (D, pattern pair) into a table,
-    and H is gathered from it by one integer index, row part minus column
-    part. Where that table would hold at least as many entries as H
-    (unequal panels, an lcm far above both panel counts, or grids of
-    different lengths), every entry is evaluated directly instead.
+    and H is copied out of the table's strided view ``_lattice``. Where
+    that table would hold at least as many entries as H (unequal panels,
+    an lcm far above both panel counts, or grids of different lengths),
+    every entry is evaluated directly instead.
     """
     rows = rx_grid.m if rows is None else rows
     if not 0 < rows <= rx_grid.m:
         raise ValueError(f"rows must lie in [1, {rx_grid.m}], got {rows}")
     check_matrix_size(rows, tx_grid.m)
+    lattice = _lattice(rx_grid, tx_grid, cfg, rows)
+    if lattice is None:
+        return _green_matrix(rx_grid.points[:rows], tx_grid.points, cfg)
+    return lattice.reshape(-1, tx_grid.m)[:rows]
+
+
+def _lattice(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid, cfg: SystemConfig, rows: int,
+             weigh_rx: bool = False, weigh_tx: bool = False) -> np.ndarray | None:
+    """H[i, k] as a read-only view V[I, a, K, b] of an offset table, or None.
+
+    Node i = I k_rx + a is pattern node a of receive panel I, node k = K
+    k_tx + b node b of transmit panel K, over the panels that hold the
+    first ``rows`` receive nodes. Each side's weights, when asked, are
+    folded into the table once: every panel repeats its pattern's
+    weights. None where the table would hold at least as many entries as
+    the rows x m_tx matrix.
+    """
     k_rx, k_tx = rx_grid.pattern.size, tx_grid.pattern.size
     lcm = math.lcm(rx_grid.panels, tx_grid.panels)
     step_rx, step_tx = lcm // rx_grid.panels, lcm // tx_grid.panels
     low, high = -(tx_grid.panels - 1) * step_tx, (rows - 1) // k_rx * step_rx
-    pairs = k_rx * k_tx
-    if rx_grid.length != tx_grid.length or (high - low + 1) * pairs >= rows * tx_grid.m:
-        return _green_matrix(rx_grid.points[:rows], tx_grid.points, cfg)
-    # table[D - low, a * k_tx + b] = G(D l / lcm + rx pattern node a - tx pattern node b)
+    if rx_grid.length != tx_grid.length or (high - low + 1) * k_rx * k_tx >= rows * tx_grid.m:
+        return None
+    # table[D - low, a, b] = G(D l / lcm + rx pattern node a - tx pattern node b)
     l = rx_grid.length
     pattern_offsets = (tx_grid.pattern * (l / tx_grid.panels))[None, :] \
         - (rx_grid.pattern * (l / rx_grid.panels))[:, None]
     table = _green_matrix(np.arange(low, high + 1) * (l / lcm), pattern_offsets.ravel(), cfg)
-    i, k = np.arange(rows), np.arange(tx_grid.m)
-    row_part = (i // k_rx * step_rx - low) * pairs + i % k_rx * k_tx
-    col_part = k // k_tx * step_tx * pairs - k % k_tx
-    return table.ravel()[row_part[:, None] - col_part]
+    table = table.reshape(-1, k_rx, k_tx)
+    if weigh_tx:
+        table *= np.sqrt(tx_grid.weights[:k_tx])
+    if weigh_rx:
+        table *= np.sqrt(rx_grid.weights[:k_rx])[:, None]
+    # D - low = I step_rx + (P_tx - 1 - K) step_tx: windows[j, a, b, w] = table[j + w, a, b]
+    windows = np.lib.stride_tricks.sliding_window_view(table, 1 - low, axis=0)
+    return windows[::step_rx, :, :, ::-step_tx].transpose(0, 1, 3, 2)
 
 
 def _green_matrix(r: np.ndarray, s: np.ndarray, cfg: SystemConfig) -> np.ndarray:
@@ -247,6 +274,39 @@ def _green_matrix(r: np.ndarray, s: np.ndarray, cfg: SystemConfig) -> np.ndarray
     for start in range(0, r.size, step):
         out[start:start + step] = green_offset(r[start:start + step, None] - s[None, :], cfg)
     return out
+
+
+class _SplitBlock:
+    """B+ (op np.add) or B- (np.subtract) of a centrosymmetric matrix, formed on demand.
+
+    B[i, k] = op(H[i, k], H[i, q - 1 - k]) from the lattice view of H and
+    its column mirror; B+ keeps the middle column q // 2 as sqrt(2) c and
+    divides the middle row p // 2 by sqrt(2). Indexing B with row and
+    column ranges copies only that part out of the table.
+    """
+
+    def __init__(self, lattice: np.ndarray, op, shape: tuple[int, int], p: int, q: int):
+        self.lattice, self.mirror, self.op = lattice, lattice[:, :, ::-1, ::-1], op
+        self.shape, self.middle = shape, (p // 2, q // 2)
+
+    def __getitem__(self, key) -> np.ndarray:
+        rows, cols = key if isinstance(key, tuple) else (key, slice(None))
+        (r0, r1, _), (c0, c1, _) = rows.indices(self.shape[0]), cols.indices(self.shape[1])
+        _, k_rx, _, k_tx = self.lattice.shape
+        (I0, a0), (K0, b0) = divmod(r0, k_rx), divmod(c0, k_tx)
+        I1, K1 = -(-r1 // k_rx), -(-c1 // k_tx)
+        part = np.empty((I1 - I0, k_rx, K1 - K0, k_tx), dtype=np.complex128)
+        np.copyto(part, self.lattice[I0:I1, :, K0:K1])
+        # numpy adds a strided array into a contiguous one faster than two strided ones
+        self.op(part, self.mirror[I0:I1, :, K0:K1], out=part)
+        part = part.reshape((I1 - I0) * k_rx, (K1 - K0) * k_tx)
+        part = part[a0:a0 + r1 - r0, b0:b0 + c1 - c0]
+        row, col = self.middle
+        if c0 <= col < c1:  # the middle column c appears in H and its mirror: c + c
+            part[:, col - c0] *= math.sqrt(0.5)
+        if r0 <= row < r1:
+            part[row - r0] /= math.sqrt(2.0)
+        return part
 
 
 def centrosymmetric_spectrum(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
@@ -268,39 +328,52 @@ def centrosymmetric_spectrum(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
     count ``_mode_count``, accepted only when its residual certifies it.
     Every value is then at most SKETCH_TOL^2 ||A||_F^2 below the exact
     one, and log det(I + s A A^H) at most s SKETCH_TOL^2 ||A||_F^2 low.
-    The blocks are written over the evaluated rows, so no second matrix
-    of their size is allocated.
+
+    Where the rows have an offset table (``_lattice``) the blocks are
+    ``_SplitBlock``s, formed from the table a chunk at a time, so the
+    top rows are never held whole; a block that takes the full SVD is
+    formed whole. Where they are evaluated directly, the blocks are
+    written over the evaluated rows, so no second matrix of their size
+    is allocated.
     """
     p, q = rx_grid.m, tx_grid.m
     top, half = -(-p // 2), q // 2
-    T = assemble_channel_matrix(rx_grid, tx_grid, cfg, rows=top)
-    if weigh_tx:
-        T *= np.sqrt(tx_grid.weights)
-    if weigh_rx:
-        T *= np.sqrt(rx_grid.weights[:top])[:, None]
-    # B+ overwrites T's left columns and B- J (B- with its columns reversed:
-    # the same singular values) its right ones, a few rows at a time
-    step = max(1, GREEN_BLOCK_ENTRIES // q)
-    for start in range(0, top, step):
-        left, right = T[start:start + step, :half], T[start:start + step, q - half:]
-        diff = left - right[:, ::-1]
-        left += right[:, ::-1]
-        right[:, ::-1] = diff
-    T[:, half:q - half] *= math.sqrt(2.0)  # the middle column c when q is odd
-    plus, minus = T[:, :q - half], T[:p // 2, q - half:]
-    if p % 2:
-        plus[-1] /= math.sqrt(2.0)
+    check_matrix_size(top, q)
+    lattice = _lattice(rx_grid, tx_grid, cfg, top, weigh_rx, weigh_tx)
+    if lattice is not None:
+        plus = _SplitBlock(lattice, np.add, (top, q - half), p, q)
+        minus = _SplitBlock(lattice, np.subtract, (p // 2, half), p, q)
+    else:
+        T = _green_matrix(rx_grid.points[:top], tx_grid.points, cfg)
+        if weigh_tx:
+            T *= np.sqrt(tx_grid.weights)
+        if weigh_rx:
+            T *= np.sqrt(rx_grid.weights[:top])[:, None]
+        # B+ overwrites T's left columns and B- J (B- with its columns reversed:
+        # the same singular values) its right ones, a few rows at a time
+        step = max(1, GREEN_BLOCK_ENTRIES // q)
+        for start in range(0, top, step):
+            left, right = T[start:start + step, :half], T[start:start + step, q - half:]
+            diff = left - right[:, ::-1]
+            left += right[:, ::-1]
+            right[:, ::-1] = diff
+        T[:, half:q - half] *= math.sqrt(2.0)  # the middle column c when q is odd
+        plus, minus = T[:, :q - half], T[:p // 2, q - half:]
+        if p % 2:
+            plus[-1] /= math.sqrt(2.0)
     width = math.ceil(_mode_count(cfg) / 2) + SKETCH_OVERSAMPLING
-    norms = [_squared_norm(B) for B in (plus, minus)]
-    values = np.sort(np.concatenate([_block_spectrum(B, norm, width)
-                                     for B, norm in zip((plus, minus), norms)]))[::-1]
+    (plus_values, plus_norm), (minus_values, minus_norm) = (
+        _block_spectrum(B, width) for B in (plus, minus))
+    values = np.sort(np.concatenate([plus_values, minus_values]))[::-1]
     values.setflags(write=False)
-    return values, norms[0] + norms[1]
+    return values, plus_norm + minus_norm
 
 
 def _squared_norm(B: np.ndarray) -> float:
-    """||B||_F^2 of a block whose rows are contiguous, without copying it."""
-    parts = B.view(np.float64)  # real and imaginary parts side by side
+    """||B||_F^2 from its real and imaginary parts side by side; copies B if rows are strided."""
+    if B.strides[-1] != B.itemsize:
+        B = np.ascontiguousarray(B)
+    parts = B.view(np.float64)
     return float(np.einsum("ij,ij->", parts, parts))
 
 
@@ -326,32 +399,38 @@ def _mode_count(cfg: SystemConfig) -> float:
     return l / math.pi * math.hypot(cfg.wavenumber * l / math.hypot(l, d), evanescent)
 
 
+@lru_cache(maxsize=8)
 def _phases(rows: int, cols: int) -> np.ndarray:
-    """Deterministic rows x cols sketch matrix exp(2 pi i u), u uniform on [0, 1).
+    """Deterministic rows x cols sketch matrix exp(2 pi i u), u uniform on [0, 1), read-only.
 
     u is the splitmix64 hash of the entry's index, so every call draws the
-    same matrix without ``numpy.random``.
+    same matrix without ``numpy.random``; both blocks of a matrix and
+    every matrix of one shape and width share it.
     """
     z = np.arange(1, rows * cols + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     u = (z ^ (z >> np.uint64(31))) >> np.uint64(11)
-    return np.exp((2.0 * math.pi * 2.0**-53) * 1j * u).reshape(rows, cols)
+    omega = np.exp((2.0 * math.pi * 2.0**-53) * 1j * u).reshape(rows, cols)
+    omega.setflags(write=False)
+    return omega
 
 
-def _block_spectrum(B: np.ndarray, norm: float, width: int) -> np.ndarray:
-    """Squared singular values of B, certified from a sketch of ``width`` columns.
+def _block_spectrum(B, width: int) -> tuple[np.ndarray, float]:
+    """Squared singular values and ||B||_F^2 of B, certified from a sketch of ``width`` columns.
 
-    With Q an orthonormal basis of B Omega and C = Q^H B, the residual
-    R = B - Q C is formed in column chunks; when ||R||_F^2 <= tau^2 norm
-    (tau = SKETCH_TOL, norm = ||B||_F^2) C's squared singular values are
+    B is an ndarray or a ``_SplitBlock``; it is read BLOCK_CHUNK rows or
+    columns at a time. One pass over its rows forms Y = B Omega and
+    ||B||_F^2; with Q an orthonormal basis of Y, one pass over its columns
+    forms C = Q^H B and the residual R = B - Q C. When ||R||_F^2 <= tau^2
+    ||B||_F^2 (tau = SKETCH_TOL) C's squared singular values are
     returned, padded with zeros to min(B.shape). Otherwise the width
     doubles. Once five times the width reaches twice min(B.shape) the
-    full SVD of B runs instead: on 80 x 400 to 1000 x 500 blocks (numpy
-    2.4 with OpenBLAS 0.3.31, 2 cores) a sketch of 0.4 min(B.shape)
-    columns took 0.6-0.7 of the full SVD's time, and one of 0.5
-    min(B.shape) columns 0.8-1.0. Every SVD, of B or of C, is taken on
-    the tall side, of M.T when M is wide: the singular values are the
+    full SVD of B, formed whole, runs instead: on 80 x 400 to 1000 x 500
+    blocks (numpy 2.4 with OpenBLAS 0.3.31, 2 cores) a sketch of 0.4
+    min(B.shape) columns took 0.6-0.7 of the full SVD's time, and one of
+    0.5 min(B.shape) columns 0.8-1.0. Every SVD, of B or of C, is taken
+    on the tall side, of M.T when M is wide: the singular values are the
     same, and numpy's SVD of a wide C-ordered matrix takes about twice as
     long as that of its transpose.
 
@@ -361,20 +440,33 @@ def _block_spectrum(B: np.ndarray, norm: float, width: int) -> np.ndarray:
     log(1 + s lambda) at most s tau^2 ||B||_F^2 below the exact sum. The
     random draw only decides how often the full SVD runs.
     """
-    n = min(B.shape)
-    while 5 * width < 2 * n:
-        Q = np.linalg.qr(B @ _phases(B.shape[1], width))[0]
-        C = Q.conj().T @ B
+    m, n = B.shape
+    while 5 * width < 2 * min(m, n):
+        omega = _phases(n, width)
+        Y = np.empty((m, width), dtype=np.complex128)
+        norm = 0.0
+        for i in range(0, m, BLOCK_CHUNK):
+            rows = B[i:i + BLOCK_CHUNK]
+            np.matmul(rows, omega, out=Y[i:i + BLOCK_CHUNK])
+            norm += _squared_norm(rows)
+        Q = np.linalg.qr(Y)[0]
+        del Y
+        Q_h = Q.conj().T
+        C = np.empty((width, n), dtype=np.complex128)
         residual = 0.0
-        for j in range(0, B.shape[1], RESIDUAL_CHUNK):
-            R = B[:, j:j + RESIDUAL_CHUNK] - Q @ C[:, j:j + RESIDUAL_CHUNK]
+        for j in range(0, n, BLOCK_CHUNK):
+            cols = B[:, j:j + BLOCK_CHUNK]
+            np.matmul(Q_h, cols, out=C[:, j:j + BLOCK_CHUNK])
+            R = Q @ C[:, j:j + BLOCK_CHUNK]
+            np.subtract(cols, R, out=R)
             residual += float(np.vdot(R, R).real)
         if residual <= SKETCH_TOL**2 * norm:
-            out = np.zeros(n)
-            out[:width] = _singular_values(C) ** 2
-            return out
+            values = np.zeros(min(m, n))
+            values[:width] = _singular_values(C) ** 2
+            return values, norm
         width *= 2
-    return _singular_values(B) ** 2
+    B = B[:, :]
+    return _singular_values(B) ** 2, _squared_norm(B)
 
 
 def _singular_values(M: np.ndarray) -> np.ndarray:

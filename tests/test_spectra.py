@@ -237,6 +237,9 @@ def _large_case(layout: str, d: float):
         return cfg, midpoint_grid(l, 1200), midpoint_grid(l, 800), False, False
     if layout == "trx1201x1200":
         return cfg, midpoint_grid(l, 1201), midpoint_grid(l, 1200), False, False
+    if layout in ("trx1125x1000", "trx1000x1125"):  # receive x transmit: a middle row or column
+        m_rx, m_tx = map(int, layout[3:].split("x"))
+        return cfg, midpoint_grid(l, m_rx), midpoint_grid(l, m_tx), False, False
     if layout == "nystrom1600x1000":
         return cfg, gauss_legendre_grid(l, 1600), gauss_legendre_grid(l, 1000), True, True
     if layout.startswith("rx"):  # rx<m>: m antennas against the source rule
@@ -245,11 +248,15 @@ def _large_case(layout: str, d: float):
     return cfg, gauss_legendre_grid(l, 1600), gauss_legendre_grid(l, 800), True, True
 
 
-@pytest.mark.parametrize("d", [10.0, 1.0, 0.1, 0.03])
-@pytest.mark.parametrize("layout", ["trx1200x1200", "trx800x1200", "rx400", "nystrom1600x800"])
+@pytest.mark.parametrize("layout, d", [
+    *itertools.product(["trx1200x1200", "trx800x1200", "rx400", "nystrom1600x800"],
+                       [10.0, 1.0, 0.1, 0.03]),
+    *itertools.product(["trx1125x1000", "trx1000x1125"], [10.0, 0.1])])
 def test_sketched_spectrum_matches_full_svd(layout, d):
     # blocks large enough for the rank-sized sketch (far field) and for the
-    # full SVD it falls back to (d = 0.03 m), against a full SVD of every entry
+    # full SVD it falls back to (d = 0.03 m), against a full SVD of every entry.
+    # 1125 x 1000 and 1000 x 1125 antennas (lcm 9000) have a middle row and a
+    # middle column, formed from their offset table, and both blocks sketched
     _check_against_full_svd(*_large_case(layout, d))
 
 
@@ -317,9 +324,8 @@ def test_full_svd_is_taken_on_the_tall_side(shape):
     # its transpose give bitwise the same values
     rng = np.random.default_rng(9)
     B = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    norm = float(np.vdot(B, B).real)
-    assert np.array_equal(_block_spectrum(B, norm, 4), _block_spectrum(B.T, norm, 4))
-    assert np.array_equal(_block_spectrum(B, norm, 4), _block_spectrum(B.T.copy(), norm, 4))
+    assert np.array_equal(_block_spectrum(B, 4)[0], _block_spectrum(B.T, 4)[0])
+    assert np.array_equal(_block_spectrum(B, 4)[0], _block_spectrum(B.T.copy(), 4)[0])
 
 
 def test_wide_low_rank_block_matches_oracle(sketch_widths):
@@ -330,10 +336,9 @@ def test_wide_low_rank_block_matches_oracle(sketch_widths):
     cfg = SystemConfig(distance_m=10.0)
     rx, tx = midpoint_grid(cfg.aperture_m, 160), gauss_legendre_grid(cfg.aperture_m, 800)
     B = assemble_channel_matrix(rx, tx, cfg) * np.sqrt(tx.weights)
-    norm = float(np.vdot(B, B).real)
     oracle = full_matrix_spectrum(cfg, rx.points, tx.points, None, tx.weights)[0]
     for block in (B, B.T):
-        values = np.sort(_block_spectrum(block, norm, 32))[::-1]
+        values = np.sort(_block_spectrum(block, 32)[0])[::-1]
         assert np.max(np.abs(values - oracle)) <= 1e-13 * oracle[0]
     assert sketch_widths == [32, 32]
 
@@ -343,8 +348,7 @@ def test_full_rank_block_falls_back_to_full_svd_bitwise():
     # its residual test, and the 60 x 50 block gets np.linalg.svd itself
     rng = np.random.default_rng(8)
     B = rng.normal(size=(60, 50)) + 1j * rng.normal(size=(60, 50))
-    norm = float(np.vdot(B, B).real)
-    assert np.array_equal(_block_spectrum(B, norm, 4), np.linalg.svd(B, compute_uv=False) ** 2)
+    assert np.array_equal(_block_spectrum(B, 4)[0], np.linalg.svd(B, compute_uv=False) ** 2)
 
 
 def test_sketched_spectrum_is_bitwise_repeatable():
@@ -389,15 +393,31 @@ def test_spectrum_peak_memory_within_guard(layout):
     small = layout in SMALL_LAYOUTS
     for d in (SMALL_LAYOUTS[layout],) if small else (10.0, 0.1):
         cfg, rx, tx, weigh_rx, weigh_tx = _large_case(layout, d)
-        tracemalloc.start()
-        try:
-            centrosymmetric_spectrum(rx, tx, cfg, weigh_rx, weigh_tx)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _spectrum_peak(cfg, rx, tx, weigh_rx, weigh_tx)
         top = -(-rx.m // 2)
         guard = matrix_bytes(top, tx.m) if small else BYTES_PER_ENTRY * top * tx.m
         assert peak <= guard + 16 * (rx.m + tx.m), d
+
+
+@pytest.mark.parametrize("layout", ["trx1200x1200", "nystrom1600x800"])
+def test_blocks_from_the_offset_table_never_hold_the_top_half(layout):
+    # where the rows have an offset table the split blocks are formed from
+    # it a chunk at a time, so at d = 10 m the spectrum peaks at 12 B per
+    # evaluated top-half entry or less: below the 16 B that holding the
+    # complex top half alone would take
+    cfg, rx, tx, weigh_rx, weigh_tx = _large_case(layout, 10.0)
+    peak = _spectrum_peak(cfg, rx, tx, weigh_rx, weigh_tx)
+    assert peak <= 12 * -(-rx.m // 2) * tx.m
+
+
+def _spectrum_peak(cfg, rx, tx, weigh_rx, weigh_tx) -> int:
+    """tracemalloc peak of one centrosymmetric_spectrum call, in bytes."""
+    tracemalloc.start()
+    try:
+        centrosymmetric_spectrum(rx, tx, cfg, weigh_rx, weigh_tx)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_validate_hermitian_rejects(default_cfg):
