@@ -25,14 +25,14 @@ nodes is k sixteen-node panels. So r_i - s_k is an integer multiple of
 l / lcm(P_rx, P_tx), for panel counts P, plus the offset of a pair of
 pattern nodes, and a matrix holds few distinct offsets.
 G is evaluated once per distinct (multiple, pattern pair) into a table,
-with the grid weights folded in, and the matrix is a strided view of
-that table (``_lattice``): ``assemble_channel_matrix`` copies it out,
-and ``centrosymmetric_spectrum`` forms its two blocks from the view and
-its column mirror a chunk of rows or columns at a time, so the top half
-is never held whole. Where that table would be as large as the matrix
-(panels of unequal size, panel counts whose lcm is far above both)
-every entry is evaluated directly, in row blocks, and the blocks are
-written over the evaluated rows.
+with the grid weights folded in, and the matrix is a (panel, node,
+panel, node) view of that table (``_lattice``). Where that table would
+be as large as the matrix (panels of unequal size, panel counts whose
+lcm is far above both) every entry is evaluated directly, in row
+blocks, and the view reads those rows as one-node panels. Either way
+``assemble_channel_matrix`` copies the matrix out of the view, and
+``centrosymmetric_spectrum`` forms its two blocks from the view and its
+column mirror a chunk of rows or columns at a time.
 
 The spectrum of a propagation matrix collapses past the spatial degrees
 of freedom, so each block is first sketched by a randomized range finder
@@ -76,12 +76,13 @@ from .physics import (
 )
 
 # bytes per entry of the evaluated top half while its spectrum is taken.
-# Evaluated directly, the complex matrix with green_offset's row-block
-# temporaries, then the same matrix holding both split blocks with a copy of
-# one block or the sketch's factors (tracemalloc peak at most 27.6 on antenna
-# and Nystrom matrices of 1200-1601 rows, d = 0.03-10 m; the widest sketch,
-# at d = 0.1 m, sets it). Formed from an offset table, the blocks never hold
-# the top half, and the same matrices peak at 7.7-18.4
+# Evaluated directly, the top half is held whole while the split blocks are
+# formed from it a chunk at a time, with the sketch's factors, or one block
+# whole for its full SVD (tracemalloc peak at most 29.8 on 1201 x 1200
+# antennas and a 1600 x 1000 Nystrom matrix, d = 0.03-10 m, when the call
+# draws its sketch matrix, 28.4 when that is cached; the widest sketch, at
+# d = 0.1 m, sets it). From an offset table the top half is never held
+# whole, and 1000-1600-row matrices peak at 7.9-18.4
 BYTES_PER_ENTRY = 30
 
 # bytes per entry of one green_offset row block of min(rows * cols,
@@ -213,55 +214,56 @@ def assemble_kernel_matrix(grid: QuadratureGrid, cfg: SystemConfig,
 
 
 def assemble_channel_matrix(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
-                            cfg: SystemConfig, rows: int | None = None) -> np.ndarray:
-    """Point-to-point gain matrix H[i, k] = G(r_i - s_k), shape (rows, m_tx).
+                            cfg: SystemConfig) -> np.ndarray:
+    """Point-to-point gain matrix H[i, k] = G(r_i - s_k), shape (m_rx, m_tx), a fresh array.
 
-    ``rows`` keeps the first receive nodes only (all of them when None).
-    On two grids of one length l, r_i - s_k is D l / lcm(P_rx, P_tx) for
-    an integer lattice difference D, plus the offset of a pair of
-    pattern nodes. G is evaluated once per (D, pattern pair) into a table,
-    and H is copied out of the table's strided view ``_lattice``. Where
-    that table would hold at least as many entries as H (unequal panels,
-    an lcm far above both panel counts, or grids of different lengths),
-    every entry is evaluated directly instead.
+    H is copied out of the view ``_lattice``. On two grids of one length
+    l, r_i - s_k is D l / lcm(P_rx, P_tx) for an integer lattice
+    difference D, plus the offset of a pair of pattern nodes, and G is
+    evaluated once per (D, pattern pair) into a table. Where that table
+    would hold at least as many entries as H (unequal panels, an lcm far
+    above both panel counts, or grids of different lengths), every entry
+    is evaluated directly instead.
     """
-    rows = rx_grid.m if rows is None else rows
-    if not 0 < rows <= rx_grid.m:
-        raise ValueError(f"rows must lie in [1, {rx_grid.m}], got {rows}")
-    check_matrix_size(rows, tx_grid.m)
-    lattice = _lattice(rx_grid, tx_grid, cfg, rows)
-    if lattice is None:
-        return _green_matrix(rx_grid.points[:rows], tx_grid.points, cfg)
-    return lattice.reshape(-1, tx_grid.m)[:rows]
+    check_matrix_size(rx_grid.m, tx_grid.m)
+    H = _lattice(rx_grid, tx_grid, cfg, rx_grid.m).reshape(rx_grid.m, tx_grid.m)
+    # a table view stays a read-only view of aliased entries where the
+    # reshape need not copy (one-node patterns on both sides)
+    return H if H.flags.writeable else H.copy()
 
 
 def _lattice(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid, cfg: SystemConfig, rows: int,
-             weigh_rx: bool = False, weigh_tx: bool = False) -> np.ndarray | None:
-    """H[i, k] as a read-only view V[I, a, K, b] of an offset table, or None.
+             weigh_rx: bool = False, weigh_tx: bool = False) -> np.ndarray:
+    """H[i, k] as a (panel, node, panel, node) view V[I, a, K, b].
 
     Node i = I k_rx + a is pattern node a of receive panel I, node k = K
     k_tx + b node b of transmit panel K, over the panels that hold the
-    first ``rows`` receive nodes. Each side's weights, when asked, are
-    folded into the table once: every panel repeats its pattern's
-    weights. None where the table would hold at least as many entries as
-    the rows x m_tx matrix.
+    first ``rows`` receive nodes. The view reads an offset table and is
+    read-only. Where the table would hold at least as many entries as the
+    rows x m_tx matrix, the view is those rows evaluated directly, read
+    as one-node panels: V[i, 0, k, 0] = H[i, k]. Each side's weights, when
+    asked, are folded in once: every panel repeats its pattern's weights.
     """
     k_rx, k_tx = rx_grid.pattern.size, tx_grid.pattern.size
     lcm = math.lcm(rx_grid.panels, tx_grid.panels)
     step_rx, step_tx = lcm // rx_grid.panels, lcm // tx_grid.panels
     low, high = -(tx_grid.panels - 1) * step_tx, (rows - 1) // k_rx * step_rx
-    if rx_grid.length != tx_grid.length or (high - low + 1) * k_rx * k_tx >= rows * tx_grid.m:
-        return None
-    # table[D - low, a, b] = G(D l / lcm + rx pattern node a - tx pattern node b)
     l = rx_grid.length
-    pattern_offsets = (tx_grid.pattern * (l / tx_grid.panels))[None, :] \
-        - (rx_grid.pattern * (l / rx_grid.panels))[:, None]
-    table = _green_matrix(np.arange(low, high + 1) * (l / lcm), pattern_offsets.ravel(), cfg)
+    direct = l != tx_grid.length or (high - low + 1) * k_rx * k_tx >= rows * tx_grid.m
+    if direct:  # table[0, i, k] = G(r_i - s_k): one pattern of every node on each side
+        k_rx, k_tx = rows, tx_grid.m
+        table = _green_matrix(rx_grid.points[:rows], tx_grid.points, cfg)
+    else:  # table[D - low, a, b] = G(D l / lcm + rx pattern node a - tx pattern node b)
+        pattern_offsets = (tx_grid.pattern * (l / tx_grid.panels))[None, :] \
+            - (rx_grid.pattern * (l / rx_grid.panels))[:, None]
+        table = _green_matrix(np.arange(low, high + 1) * (l / lcm), pattern_offsets.ravel(), cfg)
     table = table.reshape(-1, k_rx, k_tx)
     if weigh_tx:
         table *= np.sqrt(tx_grid.weights[:k_tx])
     if weigh_rx:
         table *= np.sqrt(rx_grid.weights[:k_rx])[:, None]
+    if direct:
+        return table.reshape(rows, 1, k_tx, 1)
     # D - low = I step_rx + (P_tx - 1 - K) step_tx: windows[j, a, b, w] = table[j + w, a, b]
     windows = np.lib.stride_tricks.sliding_window_view(table, 1 - low, axis=0)
     return windows[::step_rx, :, :, ::-step_tx].transpose(0, 1, 3, 2)
@@ -282,7 +284,7 @@ class _SplitBlock:
     B[i, k] = op(H[i, k], H[i, q - 1 - k]) from the lattice view of H and
     its column mirror; B+ keeps the middle column q // 2 as sqrt(2) c and
     divides the middle row p // 2 by sqrt(2). Indexing B with row and
-    column ranges copies only that part out of the table.
+    column ranges copies only that part out of the view.
     """
 
     def __init__(self, lattice: np.ndarray, op, shape: tuple[int, int], p: int, q: int):
@@ -329,38 +331,17 @@ def centrosymmetric_spectrum(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
     Every value is then at most SKETCH_TOL^2 ||A||_F^2 below the exact
     one, and log det(I + s A A^H) at most s SKETCH_TOL^2 ||A||_F^2 low.
 
-    Where the rows have an offset table (``_lattice``) the blocks are
-    ``_SplitBlock``s, formed from the table a chunk at a time, so the
-    top rows are never held whole; a block that takes the full SVD is
-    formed whole. Where they are evaluated directly, the blocks are
-    written over the evaluated rows, so no second matrix of their size
-    is allocated.
+    Both blocks are ``_SplitBlock``s over the view ``_lattice``, formed
+    from it a chunk at a time; a block that takes the full SVD is formed
+    whole. From an offset table the top rows are never held whole; where
+    they are evaluated directly the view holds them.
     """
     p, q = rx_grid.m, tx_grid.m
     top, half = -(-p // 2), q // 2
     check_matrix_size(top, q)
     lattice = _lattice(rx_grid, tx_grid, cfg, top, weigh_rx, weigh_tx)
-    if lattice is not None:
-        plus = _SplitBlock(lattice, np.add, (top, q - half), p, q)
-        minus = _SplitBlock(lattice, np.subtract, (p // 2, half), p, q)
-    else:
-        T = _green_matrix(rx_grid.points[:top], tx_grid.points, cfg)
-        if weigh_tx:
-            T *= np.sqrt(tx_grid.weights)
-        if weigh_rx:
-            T *= np.sqrt(rx_grid.weights[:top])[:, None]
-        # B+ overwrites T's left columns and B- J (B- with its columns reversed:
-        # the same singular values) its right ones, a few rows at a time
-        step = max(1, GREEN_BLOCK_ENTRIES // q)
-        for start in range(0, top, step):
-            left, right = T[start:start + step, :half], T[start:start + step, q - half:]
-            diff = left - right[:, ::-1]
-            left += right[:, ::-1]
-            right[:, ::-1] = diff
-        T[:, half:q - half] *= math.sqrt(2.0)  # the middle column c when q is odd
-        plus, minus = T[:, :q - half], T[:p // 2, q - half:]
-        if p % 2:
-            plus[-1] /= math.sqrt(2.0)
+    plus = _SplitBlock(lattice, np.add, (top, q - half), p, q)
+    minus = _SplitBlock(lattice, np.subtract, (p // 2, half), p, q)
     width = math.ceil(_mode_count(cfg) / 2) + SKETCH_OVERSAMPLING
     (plus_values, plus_norm), (minus_values, minus_norm) = (
         _block_spectrum(B, width) for B in (plus, minus))

@@ -11,6 +11,9 @@ is checked against the Fresnel-limit prolate concentration spectrum at
 c = k l^2 / (4d) = pi (``oracles.prolate_concentration_spectrum``), whose
 top five relative eigenvalues [1, .7641, .2483, .02512, .001087] the
 library's [1, .7635, .2478, .02505, .001082] match to 4e-3 relative.
+
+The Richardson-ladder tests after criterion 05 are not criteria: they
+check the convergence that criteria 04 and 05 fit, at its stated rate.
 """
 
 import itertools
@@ -18,6 +21,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from capmimo import (
     SystemConfig,
@@ -39,6 +43,7 @@ from oracles import (
     fresnel_bandwidth,
     logdet_by_row_reduction,
     prolate_concentration_spectrum,
+    richardson_step,
 )
 
 
@@ -111,6 +116,44 @@ def test_criterion_05_transceiver_convergence_order(default_cfg):
     fit = fit_convergence_slope(rows)
     _criterion(5, "transceiver-convergence-order", fit.slope <= -1.7,
                f"slope = {fit.slope:.3f} (<= -1.7), r^2 = {fit.r_squared:.4f}")
+
+
+# antenna counts of the Richardson ladder: four doublings
+LADDER = (100, 200, 400, 800, 1600)
+
+
+def _ladder_errors(model: str, d: float) -> tuple[np.ndarray, np.ndarray]:
+    """Errors against mi_continuous of one and two Richardson steps over LADDER."""
+    cfg = SystemConfig(distance_m=d)
+    values = [(mi_discrete_trx(m, m, cfg) if model == "trx" else mi_discrete_rx(m, cfg)).value_nats
+              for m in LADDER]
+    r1 = richardson_step(values, 2)
+    r2 = richardson_step(r1, 4)
+    limit = mi_continuous(cfg).value_nats
+    return r1 - limit, r2 - limit
+
+
+@pytest.mark.parametrize("model", ["trx", "rx"])
+def test_richardson_ladder_converges_at_stated_rate(model):
+    # criteria 04/05 fit a slope; here the discrete arrays' extrapolated
+    # limit is checked against the continuous reference at the rate the
+    # midpoint expansion states. At d = 10 m one step (m^-2 removed) leaves
+    # an m^-4 error, 16.01-16.14 times smaller per doubling; a second step
+    # leaves an m^-6 error (ratio 65-70) and reaches the reference within
+    # 8.6e-10 nats from 200/400/800 antennas
+    r1, r2 = _ladder_errors(model, 10.0)
+    ratios = r1[:-1] / r1[1:]
+    assert np.all(np.abs(ratios - 16.0) <= 1.0), ratios
+    assert np.all(r2[:-1] / r2[1:] >= 40.0), r2
+    assert abs(r2[1]) <= 3e-9, r2
+
+
+def test_richardson_ladder_matches_reference_in_near_field():
+    # at d = 1 m the ladder is pre-asymptotic at 100 antennas, yet two
+    # steps from 200/400/800 antennas reach the reference within 1.5e-5 nats
+    _, r2 = _ladder_errors("trx", 1.0)
+    assert np.all(r2[:-1] / r2[1:] >= 40.0), r2
+    assert abs(r2[1]) <= 5e-5, r2
 
 
 def test_criterion_06_noise_rescaling_bound(default_cfg):

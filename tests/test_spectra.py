@@ -135,13 +135,16 @@ def test_assembled_kernel_is_exactly_hermitian(default_cfg):
 
 
 def test_assembled_kernel_matches_scalar_entries(default_cfg):
+    # 512 source nodes are 32 panels read from an offset table; 1000 are
+    # panels of unequal size, evaluated directly
     from capmimo import kernel_value
     grid = midpoint_grid(default_cfg.aperture_m, 4)
-    K = assemble_kernel_matrix(grid, default_cfg, 512)
-    for i, r in enumerate(grid.points):
-        for j, rp in enumerate(grid.points):
-            direct = kernel_value(float(r), float(rp), default_cfg, 512)
-            assert K[i, j] == pytest.approx(direct, rel=1e-12)
+    for source_nodes in (512, 1000):
+        K = assemble_kernel_matrix(grid, default_cfg, source_nodes)
+        for i, r in enumerate(grid.points):
+            for j, rp in enumerate(grid.points):
+                direct = kernel_value(float(r), float(rp), default_cfg, source_nodes)
+                assert K[i, j] == pytest.approx(direct, rel=1e-12), source_nodes
 
 
 def test_channel_gram_is_exactly_hermitian(default_cfg):
@@ -169,10 +172,10 @@ def _gather_cases():
 @pytest.mark.parametrize("d", [10.0, 1.0, 0.1, 0.03])
 def test_gathered_channel_matches_direct_evaluation(d, monkeypatch):
     # the table gather against G(r_i - s_k) evaluated entry by entry, for
-    # all rows and for the top ceil(p / 2) the spectrum evaluates: equal
-    # within the phase roundoff of k r, never with more evaluations than
-    # entries and, beyond small matrices, with fewer; the direct branch
-    # evaluates every entry once
+    # all rows (assemble_channel_matrix) and for the top ceil(p / 2) the
+    # spectrum reads from _lattice: equal within the phase roundoff of k r,
+    # never with more evaluations than entries and, beyond small matrices,
+    # with fewer; the direct branch evaluates every entry once
     cfg = SystemConfig(distance_m=d)
     counted = [0]
 
@@ -184,7 +187,8 @@ def test_gathered_channel_matches_direct_evaluation(d, monkeypatch):
     for label, rx, tx in _gather_cases():
         for rows in (rx.m, -(-rx.m // 2)):
             counted[0] = 0
-            H = assemble_channel_matrix(rx, tx, cfg, rows=rows)
+            H = (assemble_channel_matrix(rx, tx, cfg) if rows == rx.m
+                 else spectra._lattice(rx, tx, cfg, rows).reshape(-1, tx.m)[:rows])
             direct = green_offset(rx.points[:rows, None] - tx.points[None, :], cfg)
             assert H.shape == direct.shape, label
             assert np.max(np.abs(H - direct) / np.abs(direct)) <= 1e-12, label
@@ -193,10 +197,19 @@ def test_gathered_channel_matches_direct_evaluation(d, monkeypatch):
                 assert counted[0] == H.size, label
             elif H.size >= 1000:
                 assert counted[0] < H.size, label
-    grid = midpoint_grid(2.0, 4)
-    for rows in (0, 5):
-        with pytest.raises(ValueError, match="rows"):
-            assemble_channel_matrix(grid, grid, cfg, rows=rows)
+
+
+def test_assembled_channel_is_a_fresh_writable_array():
+    # the offset table's view aliases its entries; H is copied out of it on
+    # every path, so writing one entry leaves every other entry as it was
+    cfg = SystemConfig()
+    for label, rx, tx in _gather_cases():
+        H = assemble_channel_matrix(rx, tx, cfg)
+        assert H.flags.writeable, label
+        before = H.copy()
+        H[0, 0] = 0.0
+        before[0, 0] = 0.0
+        assert np.array_equal(H, before), label
 
 
 def _check_against_full_svd(cfg, rx, tx, weigh_rx, weigh_tx):
@@ -251,12 +264,15 @@ def _large_case(layout: str, d: float):
 @pytest.mark.parametrize("layout, d", [
     *itertools.product(["trx1200x1200", "trx800x1200", "rx400", "nystrom1600x800"],
                        [10.0, 1.0, 0.1, 0.03]),
-    *itertools.product(["trx1125x1000", "trx1000x1125"], [10.0, 0.1])])
+    *itertools.product(["trx1125x1000", "trx1000x1125", "trx1201x1200", "nystrom1600x1000"],
+                       [10.0, 0.1])])
 def test_sketched_spectrum_matches_full_svd(layout, d):
     # blocks large enough for the rank-sized sketch (far field) and for the
     # full SVD it falls back to (d = 0.03 m), against a full SVD of every entry.
     # 1125 x 1000 and 1000 x 1125 antennas (lcm 9000) have a middle row and a
-    # middle column, formed from their offset table, and both blocks sketched
+    # middle column, formed from their offset table, and both blocks sketched.
+    # 1201 x 1200 antennas (lcm 1441200) and a 1000-node rule of unequal
+    # panels are evaluated directly and split from one-node panels
     _check_against_full_svd(*_large_case(layout, d))
 
 
