@@ -16,8 +16,8 @@ config, tool version, environment (numpy, BLAS, CPU count, thread
 settings), measured timings, slope fits and, per distance, the
 reference's node counts and effective rank. The CSV itself
 is byte-identical across reruns of the same resolved config on one
-platform; per-cell wall times are therefore written as 0.0 placeholders
-unless --timings is given (real timings always go to the sidecar).
+platform, so its per-cell wall times are 0.0 placeholders; the real
+ones go to the sidecar.
 """
 
 from __future__ import annotations
@@ -105,12 +105,6 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _parse_log_base(raw: str) -> str:
-    if raw not in ("e", "2"):
-        raise ValueError(f"must be 'e' or '2', got {raw!r}")
-    return raw
-
-
 def _parse_out(raw: str) -> str:
     if Path(raw).suffix == ".meta":
         raise ValueError(f"{raw!r} ends in .meta: the CSV's .meta sidecar would overwrite it")
@@ -156,10 +150,6 @@ class RunConfig:
     out: str | None = _setting(_parse_out, "output CSV path (sidecar written next to it)",
                                None)
     keep_going: bool = _setting(_parse_bool, "exit 0 even if some cells fail", False)
-    log_base: str = _setting(_parse_log_base, "base for values printed to stdout (e or 2)",
-                             "e")
-    timings: bool = _setting(_parse_bool, "write real per-cell wall times into the CSV "
-                                          "(forgoes byte-identical reruns)", False)
 
     def system_config(self) -> SystemConfig:
         return SystemConfig(wavelength_m=self.wavelength, aperture_m=self.length,
@@ -289,12 +279,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _row_record(row: SweepRow, timings: bool) -> list:
+def _row_record(row: SweepRow) -> list:
+    """One CSV record; wall_time_s is the 0.0 placeholder that keeps reruns byte-identical."""
     bits = None if row.mi_nats is None else row.mi_nats / math.log(2.0)
     tag = row.model_tag if row.error is None else f"error:{row.error}"
-    wall = row.wall_time_s if timings else 0.0
     return [row.scenario, row.d_m, row.m1, row.m2, row.ref_m, row.mi_nats, bits,
-            row.mi_ref_nats, row.abs_gap, row.n_used, tag, wall]
+            row.mi_ref_nats, row.abs_gap, row.n_used, tag, 0.0]
 
 
 def _write_csv(path: Path, columns: tuple[str, ...], records: list[list]) -> None:
@@ -306,9 +296,9 @@ def _write_csv(path: Path, columns: tuple[str, ...], records: list[list]) -> Non
     path.write_text(buf.getvalue(), encoding="utf-8")
 
 
-def write_rows_csv(rows: list[SweepRow], path: Path, timings: bool = False) -> None:
+def write_rows_csv(rows: list[SweepRow], path: Path) -> None:
     """Sweep rows under the fixed CSV_COLUMNS header."""
-    _write_csv(path, CSV_COLUMNS, [_row_record(row, timings) for row in rows])
+    _write_csv(path, CSV_COLUMNS, [_row_record(row) for row in rows])
 
 
 def _environment() -> dict:
@@ -351,12 +341,6 @@ def _print_resolved(command: str, rc: RunConfig) -> None:
         print(f"{key} = {value}")
 
 
-def _stdout_mi(nats: float, rc: RunConfig) -> str:
-    if rc.log_base == "2":
-        return f"{nats / math.log(2.0):.6f} bits"
-    return f"{nats:.6f} nats"
-
-
 def _finish_sweep(rows: list[SweepRow], command: str, rc: RunConfig,
                   started: float, extra: dict | None = None) -> int:
     """Print each distance's reference; write the CSV and a sidecar holding, per distance,
@@ -377,7 +361,7 @@ def _finish_sweep(rows: list[SweepRow], command: str, rc: RunConfig,
         counts = {key: dof_estimate(cfg, rc.ref_m, rel).eigen_count
                   for key, rel in (("eigen_count_1e-3", 1e-3), ("eigen_count_1e-12", 1e-12))}
         references[repr(d)] = {"ref_m": ref.ref_m, "source_nodes": ref.inner_points, **counts}
-        print(f"d={d:g}: reference {_stdout_mi(ref.value_nats, rc)}")
+        print(f"d={d:g}: reference {ref.value_nats:.6f} nats")
     meta = {"rows": len(rows), "slope_fits": fits, "references": references,
             "errors": [{"d_m": r.d_m, "m1": r.m1, "m2": r.m2, "error": r.error}
                        for r in errors],
@@ -385,8 +369,7 @@ def _finish_sweep(rows: list[SweepRow], command: str, rc: RunConfig,
                         "cells_s": [r.wall_time_s for r in rows]}}
     if extra:
         meta.update(extra)
-    records = [_row_record(row, rc.timings) for row in rows]
-    if not _write_outputs(command, rc, CSV_COLUMNS, records, meta):
+    if not _write_outputs(command, rc, CSV_COLUMNS, [_row_record(r) for r in rows], meta):
         return 1
     if errors:
         print(f"{len(errors)} cell(s) failed", file=sys.stderr)

@@ -207,7 +207,7 @@ def kernel_value(r: float, r_prime: float, cfg: SystemConfig,
     """
     inner_points = resolve_inner_points(cfg, inner_points)
     if r == r_prime:
-        return complex(kernel_diagonal(np.array([r]), cfg, inner_points)[0], 0.0)
+        return complex(kernel_diagonal(r, cfg, inner_points))
     if r > r_prime:
         return complex(kernel_value(r_prime, r, cfg, inner_points)).conjugate()
     s, w = gauss_legendre(cfg.aperture_m, inner_points)
@@ -222,17 +222,19 @@ def kernel_diagonal(positions: np.ndarray, cfg: SystemConfig,
     The diagonal is the per-position received signal power; it feeds the
     SNR-matching rules, so it uses the source quadrature of every kernel.
     Positions are evaluated in blocks of at most GREEN_BLOCK_ENTRIES
-    propagation coefficients, so memory stays bounded for any count.
+    propagation coefficients, so memory stays bounded for any count. The
+    result has the positions' shape (0-d for a scalar).
     """
     inner_points = resolve_inner_points(cfg, inner_points)
     positions = np.asarray(positions, dtype=np.float64)
+    flat = positions.ravel()
     s, w = gauss_legendre(cfg.aperture_m, inner_points)
-    out = np.empty(positions.shape[0], dtype=np.float64)
+    out = np.empty(flat.size, dtype=np.float64)
     step = max(1, GREEN_BLOCK_ENTRIES // inner_points)
-    for start in range(0, positions.shape[0], step):
-        g = green_offset(positions[start:start + step, None] - s[None, :], cfg)
+    for start in range(0, flat.size, step):
+        g = green_offset(flat[start:start + step, None] - s[None, :], cfg)
         out[start:start + step] = np.sum(w * (g.real**2 + g.imag**2), axis=1)
-    return cfg.power_density * out
+    return (cfg.power_density * out).reshape(positions.shape)
 
 
 def operator_trace(cfg: SystemConfig, nodes: int | None = None) -> float:

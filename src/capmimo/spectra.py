@@ -318,8 +318,9 @@ def centrosymmetric_spectrum(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
 
     Each side carries its grid weights when ``weigh_rx`` / ``weigh_tx``
     is set and unit weights otherwise; both grids must be mirror-symmetric
-    about l/2. Only the top ceil(p/2) rows [L c R] of the p x q matrix
-    are evaluated (c is the middle column when q is odd). A's singular
+    about the same l/2, so grids of unequal length raise ValueError. Only
+    the top ceil(p/2) rows [L c R] of the p x q matrix are evaluated (c
+    is the middle column when q is odd). A's singular
     values are those of B- = L - R J and B+ = [L + R J, sqrt(2) c], whose
     middle row (when p is odd) is divided by sqrt(2). Returns the
     min(p, q) squared singular values, nonincreasing and read-only, and
@@ -336,6 +337,8 @@ def centrosymmetric_spectrum(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
     whole. From an offset table the top rows are never held whole; where
     they are evaluated directly the view holds them.
     """
+    if rx_grid.length != tx_grid.length:
+        raise ValueError(f"grid lengths differ: {rx_grid.length} and {tx_grid.length}")
     p, q = rx_grid.m, tx_grid.m
     top, half = -(-p // 2), q // 2
     check_matrix_size(top, q)
@@ -492,8 +495,9 @@ def hermitian_eigenvalues(K: np.ndarray) -> SpectralResult:
     anything below that band raises PSDViolationError. The returned sum
     of eigenvalues matches the matrix trace up to the clamped mass.
     """
+    K = np.asarray(K, dtype=np.complex128)
     validate_hermitian(K)
-    ev = np.linalg.eigvalsh(np.asarray(K, dtype=np.complex128))[::-1]
+    ev = np.linalg.eigvalsh(K)[::-1]
     lam_max = max(float(ev[0]), 0.0)
     floor = CLAMP_REL * lam_max
     worst = float(ev[-1])

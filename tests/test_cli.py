@@ -70,11 +70,21 @@ def test_flag_overrides_file(tmp_path):
     assert rc.scenario == "filed"
 
 
-def test_unknown_key_rejected(tmp_path):
+def test_unknown_key_rejected(tmp_path, capsys):
+    # a misspelled key, or the key of a setting that no longer exists: exit 2,
+    # one stderr line, nothing on stdout and no output file
     cfg_file = tmp_path / "bad.cfg"
-    cfg_file.write_text("wavelenght = 0.04\n")
-    with pytest.raises(ConfigError):
-        parse_config(["dof", "--config", str(cfg_file)])
+    out = tmp_path / "x.csv"
+    for line in ("wavelenght = 0.04", "timings = true", "log_base = 2"):
+        cfg_file.write_text(line + "\n")
+        with pytest.raises(ConfigError, match="unknown config key"):
+            parse_config(["dof", "--config", str(cfg_file)])
+        assert main(["sweep-receiver", "--config", str(cfg_file), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {cfg_file}:1: unknown config key")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
 
 
 def test_invalid_value_rejected(tmp_path):
@@ -86,14 +96,13 @@ def test_invalid_value_rejected(tmp_path):
 
 def test_misspelled_boolean_rejected(tmp_path):
     cfg_file = tmp_path / "bad.cfg"
-    for key in ("keep_going", "timings"):
-        cfg_file.write_text(f"{key} = ture\n")
-        with pytest.raises(ConfigError):
-            parse_config(["dof", "--config", str(cfg_file)])
-        assert main(["dof", "--config", str(cfg_file)]) == 2
-    cfg_file.write_text("keep_going = No\ntimings = YES\n")
-    _, rc = parse_config(["dof", "--config", str(cfg_file)])
-    assert (rc.keep_going, rc.timings) == (False, True)
+    cfg_file.write_text("keep_going = ture\n")
+    with pytest.raises(ConfigError):
+        parse_config(["dof", "--config", str(cfg_file)])
+    assert main(["dof", "--config", str(cfg_file)]) == 2
+    for raw, value in (("No", False), ("YES", True)):
+        cfg_file.write_text(f"keep_going = {raw}\n")
+        assert parse_config(["dof", "--config", str(cfg_file)])[1].keep_going is value
 
 
 @pytest.mark.parametrize("command", ["sweep-transceiver", "sweep-grid", "dof"])
@@ -115,7 +124,7 @@ def test_inner_points_rejected_where_inert(command, tmp_path, capsys):
 @pytest.mark.parametrize("argv, key", [
     (["dof", "--wavelength", "abc"], "wavelength"),
     (["dof", "--ref-m", "1e3"], "ref_m"),
-    (["sweep-receiver", "--log-base", "3", "--out", "x.csv"], "log_base"),
+    (["sweep-receiver", "--distances", "10,x", "--out", "x.csv"], "distances"),
     # the sidecar is the CSV path with a .meta suffix, so it would replace the CSV
     (["dof", "--distance", "100", "--ref-m", "64", "--out", "x.meta"], "out"),
 ])
@@ -143,7 +152,6 @@ SETTING_SAMPLES = {
     "scenario": "lab", "wavelength": "0.05", "length": "1.5", "distance": "20",
     "distances": "20,5", "power": "3", "noise": "1", "ref_m": "128", "inner_points": "512",
     "m_list": "2,4", "m1_list": "3,6", "m2_list": "5", "out": "o.csv", "keep_going": "true",
-    "log_base": "2", "timings": "true",
 }
 
 
@@ -242,15 +250,6 @@ def test_rerun_byte_identical(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_timings_flag_fills_wall_time(tmp_path):
-    code, out = _run_small_sweep(tmp_path, extra=("--timings",))
-    assert code == 0
-    rows = read_rows_csv(out)
-    assert any(r.wall_time_s > 0 for r in rows)
-    _, plain = _run_small_sweep(tmp_path, "plain.csv")
-    assert all(r.wall_time_s == 0.0 for r in read_rows_csv(plain))
-
-
 def test_sweep_grid_meta_has_symmetry(tmp_path):
     out = tmp_path / "grid.csv"
     code = main(["sweep-grid", "--distance", "10", "--m1-list", "2,4",
@@ -310,13 +309,6 @@ def test_unwritable_output_path(tmp_path, capsys):
         capsys.readouterr()
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
-
-
-def test_log_base_changes_stdout_units(tmp_path, capsys):
-    _run_small_sweep(tmp_path, "nats.csv")
-    assert "nats" in capsys.readouterr().out
-    _run_small_sweep(tmp_path, "bits.csv", extra=("--log-base", "2"))
-    assert "bits" in capsys.readouterr().out
 
 
 def test_csv_reports_both_nats_and_bits(tmp_path):
@@ -401,11 +393,16 @@ def test_infeasible_discrete_cell_refused_before_any_output(argv, shape, tmp_pat
     (["dof", "--ref-m"], "argument --ref-m: expected one argument"),
     ([], "required: command"),
     (["sweep-everything"], "invalid choice: 'sweep-everything'"),
+    # switches that once copied an output elsewhere are unknown flags now
+    (["sweep-receiver", "--timings", "--out", "x.csv"], "unrecognized arguments: --timings"),
+    (["sweep-receiver", "--log-base", "2", "--out", "x.csv"],
+     "unrecognized arguments: --log-base 2"),
 ])
-def test_argument_mistakes_fail_in_one_line(argv, message, capsys):
+def test_argument_mistakes_fail_in_one_line(argv, message, tmp_path, monkeypatch, capsys):
     # an unknown flag, a flag without its value, and a missing or unknown
     # subcommand are setting errors like the others: ConfigError, exit 2,
-    # one stderr line and no usage block; --help still exits 0
+    # one stderr line, no usage block and no output file; --help still exits 0
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(ConfigError, match=message):
         parse_config(argv)
     assert main(argv) == 2
@@ -413,6 +410,7 @@ def test_argument_mistakes_fail_in_one_line(argv, message, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert message in captured.err
+    assert not list(tmp_path.iterdir())
     with pytest.raises(SystemExit) as exc:
         main(["dof", "--help"])
     assert exc.value.code == 0

@@ -116,6 +116,11 @@ def test_kernel_diagonal_matches_scalar_path(default_cfg):
     diag = kernel_diagonal(pts, default_cfg, 512)
     for p, expected in zip(pts, diag):
         assert kernel_value(float(p), float(p), default_cfg, 512).real == expected
+    # a scalar and a 2-D array keep their shape and match the 1-D call bitwise
+    scalar = kernel_diagonal(0.9, default_cfg, 512)
+    assert scalar.shape == () and scalar == diag[1]
+    square = kernel_diagonal(np.stack([pts, pts[::-1]]), default_cfg, 512)
+    assert np.array_equal(square, np.stack([diag, diag[::-1]]))
 
 
 def test_trace_zero_power():

@@ -240,6 +240,13 @@ def test_centrosymmetric_spectrum_matches_full_svd(rows, cols, layout):
     _check_against_full_svd(cfg, rx, tx, weigh_rx, weigh_tx)
 
 
+def test_centrosymmetric_spectrum_rejects_grids_of_unequal_length():
+    # the split mirrors both grids about one l/2; a 1 m grid against a 2 m
+    # grid would read its top value 0.9 % low, so it is refused
+    with pytest.raises(ValueError, match="grid lengths differ"):
+        centrosymmetric_spectrum(midpoint_grid(1.0, 10), midpoint_grid(2.0, 12), SystemConfig())
+
+
 def _large_case(layout: str, d: float):
     """Grids of the large layouts the sketch serves, at distance d."""
     cfg = SystemConfig(distance_m=d)
@@ -427,7 +434,9 @@ def test_blocks_from_the_offset_table_never_hold_the_top_half(layout):
 
 
 def _spectrum_peak(cfg, rx, tx, weigh_rx, weigh_tx) -> int:
-    """tracemalloc peak of one centrosymmetric_spectrum call, in bytes."""
+    """tracemalloc peak of one centrosymmetric_spectrum call, in bytes, measured as a
+    first call: the cached sketch phase matrices are cleared, so the call allocates its own."""
+    spectra._phases.cache_clear()
     tracemalloc.start()
     try:
         centrosymmetric_spectrum(rx, tx, cfg, weigh_rx, weigh_tx)
@@ -453,8 +462,9 @@ def test_eigenvalues_zero_matrix():
 
 
 def test_eigenvalues_scaled_identity():
-    res = hermitian_eigenvalues(0.7 * np.eye(3, dtype=complex))
-    assert np.array_equal(res.eigenvalues, [0.7, 0.7, 0.7])
+    for K in (0.7 * np.eye(3, dtype=complex), (0.7 * np.eye(3)).tolist()):
+        res = hermitian_eigenvalues(K)  # any array-like validate_hermitian accepts
+        assert np.array_equal(res.eigenvalues, [0.7, 0.7, 0.7])
 
 
 def test_eigenvalues_sorted_and_match_general_solver(default_cfg):
