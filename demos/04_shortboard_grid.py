@@ -2,9 +2,10 @@
 """Unequal transmit/receive densities: the weaker side sets the ceiling.
 
 Sweeping transmit and receive antenna counts independently at d = 1 m
-shows a near-symmetric surface whose value is governed by min(m1, m2):
-densifying one side past the other buys almost nothing. The sweep result
-also carries the measured symmetry diagnostic max |I(a,b) - I(b,a)|.
+shows a symmetric surface whose value is governed by min(m1, m2):
+densifying one side past the other buys almost nothing. The (m2, m1)
+channel is the transpose of the (m1, m2) one, so both cells are one
+solve and the sweep's symmetry gap max |I(a,b) - I(b,a)| is 0.
 """
 
 from capmimo import SystemConfig, sweep_grid
@@ -21,8 +22,8 @@ for m1 in counts:
     cells = " ".join(f"{values[(m1, m2)]:9.2f}" for m2 in counts)
     print(f"{m1:>5} {cells}")
 
-print(f"\nsymmetry diagnostic max |I(a,b) - I(b,a)| = {grid.symmetry_gap:.3e}")
+print(f"\nsymmetry gap max |I(a,b) - I(b,a)| (one solve per pair) = {grid.symmetry_gap:.3e}")
 ref = grid.rows[0].mi_ref_nats
-print(f"continuous reference at this distance    = {ref:.2f} nats")
+print(f"continuous reference at this distance                   = {ref:.2f} nats")
 print("\nread along a row: once m2 exceeds m1, extra receive antennas")
 print("barely move the value; the diagonal is where growth happens.")

@@ -13,8 +13,9 @@ Sweep output is an RFC-4180-style CSV with the fixed column set
 
 plus a JSON sidecar (same basename, .meta suffix) holding the resolved
 config, tool version, environment (numpy, BLAS, CPU count, thread
-settings), measured timings, slope fits and, per distance, the
-reference's node counts and effective rank. The CSV itself
+settings), measured timings, the geometry caches' hits and misses over
+the process, slope fits and, per distance, the reference's node counts
+and effective rank. The CSV itself
 is byte-identical across reruns of the same resolved config on one
 platform, so its per-cell wall times are 0.0 placeholders; the real
 ones go to the sidecar.
@@ -50,6 +51,7 @@ from .models import (
     MODEL_CONTINUOUS,
     MODEL_DISCRETE_RX,
     MODEL_DISCRETE_TRX,
+    cache_counts,
     dof_estimate,
     evaluated_shape,
     mi_continuous,
@@ -345,7 +347,8 @@ def _finish_sweep(rows: list[SweepRow], command: str, rc: RunConfig,
                   started: float, extra: dict | None = None) -> int:
     """Print each distance's reference; write the CSV and a sidecar holding, per distance,
     the slope fit and the reference's node counts and effective rank (``dof_estimate``'s
-    counts at 1e-3 and 1e-12 of the largest eigenvalue, on the spectrum the sweep cached)."""
+    counts at 1e-3 and 1e-12 of the largest eigenvalue, on the spectrum the sweep cached),
+    and the geometry caches' ``cache_counts`` once those counts are taken."""
     errors = [r for r in rows if r.error is not None]
     fits, references = {}, {}
     for d in sorted({r.d_m for r in rows}):
@@ -366,7 +369,8 @@ def _finish_sweep(rows: list[SweepRow], command: str, rc: RunConfig,
             "errors": [{"d_m": r.d_m, "m1": r.m1, "m2": r.m2, "error": r.error}
                        for r in errors],
             "timings": {"total_s": time.perf_counter() - started,
-                        "cells_s": [r.wall_time_s for r in rows]}}
+                        "cells_s": [r.wall_time_s for r in rows]},
+            "caches": cache_counts()}
     if extra:
         meta.update(extra)
     if not _write_outputs(command, rc, CSV_COLUMNS, [_row_record(r) for r in rows], meta):

@@ -6,8 +6,9 @@ one loop ``_sweep``: before the first reference solve it checks every
 antenna count and distance and sizes every reference and cell against
 physical memory, so an infeasible sweep raises instead of solving. Cells
 run one after another in the calling thread, so every cell at one
-geometry reuses the cached reference trace and spectrum; matrix products
-and eigensolves use the BLAS's own threads. Results are sorted by (d,
+geometry reuses the cached reference trace and spectrum, and a grid's
+(m2, m1) cell the spectrum of its (m1, m2) cell; matrix products and
+eigensolves use the BLAS's own threads. Results are sorted by (d,
 m1, m2) before being returned.
 """
 
@@ -30,7 +31,7 @@ from .models import (
     mi_discrete_rx,
     mi_discrete_trx,
 )
-from .physics import SystemConfig
+from .physics import SystemConfig, as_count
 from .spectra import check_matrix_size
 
 # rows whose gap is below this fraction of the reference have converged
@@ -80,8 +81,9 @@ class SlopeFit:
 class GridSweep:
     """Cartesian transceiver sweep plus its symmetry diagnostic.
 
-    ``symmetry_gap`` is max |I(a, b) - I(b, a)| over mirrored cell pairs,
-    reported rather than asserted.
+    ``symmetry_gap`` is max |I(a, b) - I(b, a)| over mirrored cell pairs.
+    It is 0.0 by construction: ``mi_discrete_trx`` solves both orders of a
+    pair as one channel, whose transpose is the other's bitwise.
     """
 
     rows: tuple[SweepRow, ...]
@@ -111,13 +113,15 @@ def _sweep(scenario: str, cfg: SystemConfig, distances: Sequence[float],
 
     A cell is ``mi_discrete_rx(m2)`` when m1 is None, else
     ``mi_discrete_trx(m1, m2)``. Every antenna count and distance is
-    checked, and every reference and cell sized against physical memory
-    by ``evaluated_shape``, before the first reference solve. The
-    continuous reference at each distance is then solved once, before
-    that distance's cells run.
+    checked (an integer of at least 1), and every reference and cell sized
+    against physical memory by ``evaluated_shape``, before the first
+    reference solve. The continuous reference at each distance is then
+    solved once, before that distance's cells run.
     """
     if not distances or not cells:
         raise ValueError("distances and antenna counts must be nonempty")
+    cells = [tuple(None if m is None else as_count("antenna count", m) for m in cell)
+             for cell in cells]
     low = min(m for cell in cells for m in cell if m is not None)
     if low < 1:
         raise ValueError(f"antenna counts must be >= 1, got {low}")

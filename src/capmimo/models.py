@@ -15,12 +15,16 @@ weights and the noise density n:
 * ``mi_discrete_trx`` -- point antennas on both sides, weight 1.
 
 One body, ``_spectrum``, builds the grids of every model call and takes
-their spectrum; ``_reference_spectrum`` is its cached continuous call. The
-discrete models match the continuous receive SNR with the noise density
-n0 * ||own unit-power A||_F^2 / ``physics.operator_trace``, defined at
-every power including zero; ``noise_rx`` and ``noise_trx`` give the same
-densities plus midpoint-error bounds through one body, from one sampled
-|G|^2 profile.
+their spectrum; ``_reference_spectrum`` and ``_discrete_spectrum`` are its
+cached calls. G is even and the lattice offsets negate exactly, so the
+channel from m1 transmit to m2 receive antennas is, bitwise, the
+transpose of the one from m2 to m1: ``mi_discrete_trx`` solves each
+unordered pair once, the smaller count on the receive side, and returns
+one value for both orders. The discrete models match the continuous
+receive SNR with the noise density n0 * ||own unit-power A||_F^2 /
+``physics.operator_trace``, defined at every power including zero;
+``noise_rx`` and ``noise_trx`` give the same densities plus
+midpoint-error bounds through one body, from one sampled |G|^2 profile.
 
 Every continuous integral (the reference's source side, the trace, the
 default source rule of ``mi_discrete_rx``) takes its node count from the
@@ -32,7 +36,9 @@ memory before any grid exists.
 
 Power and noise density only rescale these quantities: every cache is
 keyed on the geometry alone and holds unit-power values, and P and n0
-are applied on each call (P in the scale 2P/n for the discrete models).
+are applied on each call (P in the scale 2P/n for the discrete models),
+so a change of either solves nothing again. ``cache_counts`` reports the
+caches' hits and misses for the sweep sidecar.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ import numpy as np
 
 from .physics import (
     SystemConfig,
+    as_count,
     green_offset,
     kernel_diagonal,
     operator_trace,
@@ -52,6 +59,7 @@ from .physics import (
 )
 from .spectra import (
     QuadratureGrid,
+    _squared_norm,
     assemble_channel_matrix,
     centrosymmetric_spectrum,
     check_matrix_size,
@@ -129,6 +137,22 @@ def _reference_spectrum(geometry: SystemConfig, ref_m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
+def _discrete_spectrum(geometry: SystemConfig, model_tag: str, m1: int | None, m2: int,
+                       inner_points: int | None) -> tuple[np.ndarray, float]:
+    """Unit-power spectrum and ||A||_F^2 of a discrete model: ``_spectrum``, cached."""
+    return _spectrum(geometry, model_tag, m1, m2, inner_points)
+
+
+def cache_counts() -> dict[str, dict[str, int]]:
+    """Hits and misses of the geometry caches of the model values, summed over this process."""
+    counts = {}
+    for cache in (_reference_spectrum, _unit_trace, _discrete_spectrum):
+        info = cache.cache_info()
+        counts[cache.__name__.lstrip("_")] = {"hits": info.hits, "misses": info.misses}
+    return counts
+
+
+@lru_cache(maxsize=64)
 def _profile_curvatures(geometry: SystemConfig) -> tuple[float, float]:
     """Unit-power curvature estimates behind the noise_rx and noise_trx gap bounds.
 
@@ -160,6 +184,7 @@ def resolve_ref_m(cfg: SystemConfig, ref_m: int | None) -> int:
     """Reference receive-node count: ``ref_m``, or ``default_ref_m`` when None; at least 64."""
     if ref_m is None:
         return default_ref_m(cfg)
+    ref_m = as_count("ref_m", ref_m)
     if ref_m < 64:
         raise ValueError(f"ref_m must be >= 64 for a usable reference, got {ref_m}")
     return ref_m
@@ -172,15 +197,16 @@ def evaluated_shape(cfg: SystemConfig, model_tag: str, m1: int | None = None,
 
     The continuous model is ``resolve_ref_m`` reference nodes against the
     rule's source nodes; ``mi_discrete_rx`` m2 antennas against
-    ``resolve_inner_points`` source nodes; ``mi_discrete_trx`` m2 receive
-    against m1 transmit antennas.
+    ``resolve_inner_points`` source nodes; ``mi_discrete_trx`` the
+    orientation it solves, min(m1, m2) receive against max(m1, m2)
+    transmit antennas.
     """
     if model_tag == MODEL_CONTINUOUS:
         p, q = resolve_ref_m(cfg, ref_m), cfg.default_inner_points()
     elif model_tag == MODEL_DISCRETE_RX:
         p, q = m2, resolve_inner_points(cfg, inner_points)
     else:
-        p, q = m2, m1
+        p, q = min(m1, m2), max(m1, m2)
     return -(-p // 2), q
 
 
@@ -190,13 +216,16 @@ def _spectrum(cfg: SystemConfig, model_tag: str, m1: int | None, m2: int,
 
     Gauss-Legendre and weighted: the continuous model's receive side (m2 =
     ref_m nodes) and the transmit side when m1 is None (the source rule).
-    Midpoint antennas of weight 1: every other side.
+    Midpoint antennas of weight 1: every other side. Antennas on both sides
+    are solved as given, m2 rows against m1 columns: the check before the
+    grids sizes ``evaluated_shape``'s orientation, within half a row of
+    the same entry count, and ``centrosymmetric_spectrum`` checks this one.
     """
     rows, cols = evaluated_shape(cfg, model_tag, m1, m2, ref_m=m2, inner_points=inner_points)
     check_matrix_size(rows, cols)
     l, weigh_rx, weigh_tx = cfg.aperture_m, model_tag == MODEL_CONTINUOUS, m1 is None
     rx_grid = gauss_legendre_grid(l, m2) if weigh_rx else midpoint_grid(l, m2)
-    tx_grid = gauss_legendre_grid(l, cols) if weigh_tx else midpoint_grid(l, cols)
+    tx_grid = gauss_legendre_grid(l, cols) if weigh_tx else midpoint_grid(l, m1)
     return centrosymmetric_spectrum(rx_grid, tx_grid, cfg, weigh_rx, weigh_tx)
 
 
@@ -267,22 +296,22 @@ def noise_trx(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
         raise ValueError("grids must be nonempty")
     H = assemble_channel_matrix(rx_grid, tx_grid, cfg)
     sup2 = _profile_curvatures(_geometry(cfg))[1]
-    return _noise_control(cfg, float(np.sum(H.real**2 + H.imag**2)), (tx_grid.m, rx_grid.m),
-                          sup2 + sup2)
+    return _noise_control(cfg, _squared_norm(H), (tx_grid.m, rx_grid.m), sup2 + sup2)
 
 
 def _discrete_mi(model_tag: str, m1: int | None, m2: int, cfg: SystemConfig,
                  inner_points: int | None = None) -> MiResult:
-    """log det(I + P A A^H / (n / 2)) for m2 receive antennas from ``_spectrum``.
+    """log det(I + P A A^H / (n / 2)) for m2 receive antennas from ``_discrete_spectrum``.
 
-    n is the ``_matched_noise`` density from ||A||_F^2; the source rule of
-    ``mi_discrete_rx`` (m1 None) is reported as ``inner_points``.
+    n is the ``_matched_noise`` density from ||A||_F^2; ``inner_points``,
+    the resolved source rule of ``mi_discrete_rx`` (m1 None), is reported.
     """
-    spectrum, unit_power_sum = _spectrum(cfg, model_tag, m1, m2, inner_points)
+    spectrum, unit_power_sum = _discrete_spectrum(_geometry(cfg), model_tag, m1, m2,
+                                                  inner_points)
     noise = _matched_noise(cfg, unit_power_sum)
     value = logdet_from_eigenvalues(spectrum, 2.0 * cfg.power_density / noise)
     return MiResult(value_nats=value, model_tag=model_tag, noise_used=noise,
-                    inner_points=resolve_inner_points(cfg, inner_points) if m1 is None else None)
+                    inner_points=inner_points)
 
 
 def mi_discrete_rx(m: int, cfg: SystemConfig,
@@ -294,9 +323,10 @@ def mi_discrete_rx(m: int, cfg: SystemConfig,
     absorbed by the rescaled noise, so no explicit quadrature weight
     appears. n_rx is the ``noise_rx`` density, from ||A||_F^2 = trace(K).
     """
+    m = as_count("m", m)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    return _discrete_mi(MODEL_DISCRETE_RX, None, m, cfg, inner_points)
+    return _discrete_mi(MODEL_DISCRETE_RX, None, m, cfg, resolve_inner_points(cfg, inner_points))
 
 
 def mi_discrete_trx(m1: int, m2: int, cfg: SystemConfig) -> MiResult:
@@ -305,11 +335,15 @@ def mi_discrete_trx(m1: int, m2: int, cfg: SystemConfig) -> MiResult:
     Equal power density per transmit antenna: log det(I + P * H H^H /
     (n_trx / 2)) over the m2 receive dimensions, from the squared
     singular values of the unit-weight channel H with P applied in the
-    scale; n_trx is the ``noise_trx`` density, from ||H||_F^2.
+    scale; n_trx is the ``noise_trx`` density, from ||H||_F^2. The (m2,
+    m1) channel is the transpose of this one, so both orders are solved
+    as the one with the smaller count on the receive side and return the
+    same value.
     """
+    m1, m2 = as_count("m1", m1), as_count("m2", m2)
     if m1 < 1 or m2 < 1:
         raise ValueError(f"antenna counts must be >= 1, got ({m1}, {m2})")
-    return _discrete_mi(MODEL_DISCRETE_TRX, m1, m2, cfg)
+    return _discrete_mi(MODEL_DISCRETE_TRX, max(m1, m2), min(m1, m2), cfg)
 
 
 def dof_estimate(cfg: SystemConfig, ref_m: int | None = None,

@@ -16,6 +16,7 @@ arguments (broadcasting applies); they are safe to call concurrently.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -141,10 +142,24 @@ def _check_points(name: str, n: int) -> None:
         raise ValueError(f"{name} must be >= 2 for a meaningful quadrature, got {n}")
 
 
+def as_count(name: str, value) -> int:
+    """``value`` as a Python int; any integer type is accepted, numpy's included.
+
+    Raises a one-line ValueError naming ``name`` for anything else (a float
+    such as 64.0 too), so a count never reaches a cache key or a grid
+    without being an exact integer.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value}") from None
+
+
 def resolve_inner_points(cfg: SystemConfig, inner_points: int | None) -> int:
     """Source-quadrature size: ``inner_points``, or the config default when None."""
     if inner_points is None:
         inner_points = cfg.default_inner_points()
+    inner_points = as_count("inner_points", inner_points)
     _check_points("inner_points", inner_points)
     return inner_points
 

@@ -256,9 +256,29 @@ def test_sweep_grid_meta_has_symmetry(tmp_path):
                  "--m2-list", "2,4", "--ref-m", "64", "--out", str(out)])
     assert code == 0
     meta = json.loads(out.with_suffix(".meta").read_text())
-    assert meta["symmetry_gap"] >= 0.0
+    assert meta["symmetry_gap"] == 0.0
     rows = read_rows_csv(out)
     assert {(r.m1, r.m2) for r in rows} == {(2, 2), (2, 4), (4, 2), (4, 4)}
+
+
+def test_sweep_meta_records_cache_counts(tmp_path):
+    # the geometry caches' hits and misses over the process: the grid's
+    # mirrored cells (2, 3) and (3, 2) share one solve, and the sidecar's
+    # reference and effective-rank counts read the cached reference
+    from capmimo import models
+    argv = ["sweep-grid", "--distance", "10", "--m1-list", "2,3", "--m2-list", "2,3",
+            "--ref-m", "64"]
+    warm = tmp_path / "warm.csv"
+    assert main([*argv, "--out", str(warm)]) == 0
+    for cache in (models._reference_spectrum, models._unit_trace, models._discrete_spectrum):
+        cache.cache_clear()
+    out = tmp_path / "cold.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    caches = json.loads(out.with_suffix(".meta").read_text())["caches"]
+    assert caches["discrete_spectrum"] == {"hits": 1, "misses": 3}
+    assert caches["reference_spectrum"] == {"hits": 3, "misses": 1}
+    assert caches["unit_trace"]["misses"] == 1
+    assert out.read_bytes() == warm.read_bytes()
 
 
 def test_dof_prints_counts(capsys):

@@ -108,6 +108,13 @@ def test_sweeps_check_counts_before_any_solve():
         sweep_grid(cfg, 10.0, [400000], [400000])
     with pytest.raises(ValueError, match="physical memory"):
         sweep_receiver(cfg, [10.0], [5, 10**7], ref_m=64)
+    # a count that is not an integer, even one equal to an integer
+    with pytest.raises(ValueError, match="^antenna count must be an integer, got 4.5$"):
+        sweep_receiver(cfg, [10.0], [4.5], ref_m=64)
+    with pytest.raises(ValueError, match="^antenna count must be an integer, got 3.0$"):
+        sweep_grid(cfg, 10.0, [3.0], [3], ref_m=64)
+    with pytest.raises(ValueError, match="^ref_m must be an integer, got 64.0$"):
+        sweep_receiver(cfg, [10.0], [4], ref_m=64.0)
     assert models._reference_spectrum.cache_info().misses == 0
 
 
@@ -134,8 +141,8 @@ def test_sweep_grid_cells_match_direct_calls(default_cfg):
     for row in grid.rows:
         direct = mi_discrete_trx(row.m1, row.m2, default_cfg)
         assert row.mi_nats == direct.value_nats
-    assert grid.symmetry_gap >= 0.0
-    assert grid.symmetry_gap < 1e-9
+    # the mirrored cells (2, 3) and (3, 2) are one solve
+    assert grid.symmetry_gap == 0.0
 
 
 def test_sweep_rerun_bit_identical(default_cfg):

@@ -66,6 +66,39 @@ def constant_channel(monkeypatch):
 
 # ------------------------------------------------------------ continuous
 
+@pytest.mark.parametrize("name, valid, invalid", [
+    ("ref_m", lambda cfg: mi_continuous(cfg, 64), lambda cfg: mi_continuous(cfg, 64.0)),
+    ("m", lambda cfg: mi_discrete_rx(4, cfg), lambda cfg: mi_discrete_rx(4.5, cfg)),
+    ("m", lambda cfg: mi_discrete_rx(4, cfg), lambda cfg: mi_discrete_rx(4.0, cfg)),
+    ("inner_points", lambda cfg: mi_discrete_rx(4, cfg, 256),
+     lambda cfg: mi_discrete_rx(4, cfg, 256.0)),
+    ("m1", lambda cfg: mi_discrete_trx(3, 3, cfg), lambda cfg: mi_discrete_trx(3.0, 3, cfg)),
+    ("m2", lambda cfg: mi_discrete_trx(3, 3, cfg),
+     lambda cfg: mi_discrete_trx(3, np.float64(3.0), cfg)),
+])
+def test_non_integer_counts_rejected_cold_and_warm(name, valid, invalid):
+    # a float count equal to an integer hashes like it, so it must be
+    # refused before any cache lookup: the same one-line error whether or
+    # not the integer call has filled the cache
+    cfg = SystemConfig()
+    models._reference_spectrum.cache_clear()
+    models._discrete_spectrum.cache_clear()
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        invalid(cfg)
+    valid(cfg)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        invalid(cfg)
+
+
+def test_numpy_integer_counts_accepted():
+    cfg = SystemConfig()
+    ref = mi_continuous(cfg, np.int64(64))
+    assert ref.ref_m == 64 and type(ref.ref_m) is int
+    assert ref == mi_continuous(cfg, 64)
+    assert mi_discrete_rx(np.int32(4), cfg, np.int64(256)) == mi_discrete_rx(4, cfg, 256)
+    assert mi_discrete_trx(np.int64(3), np.uint8(5), cfg) == mi_discrete_trx(3, 5, cfg)
+
+
 def test_mi_continuous_zero_power():
     res = mi_continuous(SystemConfig(power_density=0.0), ref_m=64)
     assert res.value_nats == 0.0
@@ -157,7 +190,10 @@ def test_every_model_sizes_its_matrix_before_allocating():
     assert models.evaluated_shape(cfg, models.MODEL_CONTINUOUS, ref_m=101) == (51, n_source)
     assert models.evaluated_shape(cfg, models.MODEL_DISCRETE_RX, m2=7) == (4, n_source)
     assert models.evaluated_shape(cfg, models.MODEL_DISCRETE_RX, m2=7, inner_points=96) == (4, 96)
-    assert models.evaluated_shape(cfg, models.MODEL_DISCRETE_TRX, 5, 8) == (4, 5)
+    # the transceiver is sized in the orientation it is solved in: the
+    # smaller count on the receive side
+    assert models.evaluated_shape(cfg, models.MODEL_DISCRETE_TRX, 5, 8) == (3, 8)
+    assert models.evaluated_shape(cfg, models.MODEL_DISCRETE_TRX, 8, 5) == (3, 8)
     for call in (lambda: mi_discrete_rx(4 * 10**6, cfg),
                  lambda: mi_discrete_trx(4 * 10**6, 4 * 10**6, cfg)):
         tracemalloc.start()
@@ -264,6 +300,23 @@ def test_noise_trx_oracle_4x4(default_cfg):
     assert control.limit_value == pytest.approx(16 * 2.0 / 4.0, rel=1e-15)
 
 
+def test_noise_trx_peak_within_the_memory_guard():
+    # ||H||_F^2 is read from H's float view with no temporary beside H: 16 B
+    # per entry, where the sum of the squared real and imaginary parts held
+    # two float arrays of H's size (32 B per entry, above the guard's 31.3
+    # for 2000 x 2000)
+    cfg = SystemConfig()
+    grid = midpoint_grid(cfg.aperture_m, 2000)
+    noise_trx(grid, grid, cfg)  # warms the trace and the curvature profile
+    tracemalloc.start()
+    try:
+        noise_trx(grid, grid, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= spectra.matrix_bytes(2000, 2000)
+
+
 def test_noise_trx_constant_channel_limit(constant_channel):
     cfg = constant_channel
     control = noise_trx(midpoint_grid(cfg.aperture_m, 6), midpoint_grid(cfg.aperture_m, 4), cfg)
@@ -336,8 +389,9 @@ def test_profile_curvatures_match_direct_differences(distance):
 
 def test_discrete_models_evaluate_each_coefficient_once(monkeypatch):
     # the SNR-matched noise reads ||A||_F^2 from the two centrosymmetric
-    # halves the model solves, so a warm call evaluates each coefficient of
-    # the top ceil(rows / 2) rows of A once and no curvature profile
+    # halves the model solves, so a call with the trace warm evaluates each
+    # coefficient of the top ceil(rows / 2) rows of A once and no curvature
+    # profile; with the spectrum cached, a call at another (P, n0) none
     cfg = SystemConfig(distance_m=3.0, power_density=1.7)
     m, m1, m2, inner = 9, 7, 5, 256
     rx = mi_discrete_rx(m, cfg, inner)
@@ -351,11 +405,17 @@ def test_discrete_models_evaluate_each_coefficient_once(monkeypatch):
     # every module that evaluates propagation coefficients holds its own name
     for module in (physics, spectra, models):
         monkeypatch.setattr(module, "green_offset", counting)
+    models._discrete_spectrum.cache_clear()
     assert mi_discrete_rx(m, cfg, inner) == rx
     assert counted[0] == (m + 1) // 2 * inner
     counted[0] = 0
     assert mi_discrete_trx(m1, m2, cfg) == trx
     assert counted[0] == (m2 + 1) // 2 * m1
+    counted[0] = 0
+    other = dataclasses.replace(cfg, power_density=0.4, noise_density=5.0)
+    mi_discrete_rx(m, other, inner)
+    mi_discrete_trx(m1, m2, other)
+    assert counted[0] == 0
     l = cfg.aperture_m
     n_rx = noise_rx(midpoint_grid(l, m), cfg, inner).n_value
     n_trx = noise_trx(midpoint_grid(l, m2), midpoint_grid(l, m1), cfg).n_value
@@ -379,9 +439,16 @@ def test_default_sized_models_evaluate_each_table_entry_once(monkeypatch):
         monkeypatch.setattr(module, "green_offset", counting)
     # 800 receive antennas (top 400) against 1200 transmit ones: steps 3 and 2
     # of l / lcm(800, 1200), differences -1199 * 2 .. 399 * 3, one pattern pair
+    models._discrete_spectrum.cache_clear()
     mi_discrete_trx(1200, 800, cfg)
     assert counted[0] == 1199 * 2 + 399 * 3 + 1 == 3596
     assert 100 * counted[0] < 400 * 1200
+    # the spectrum is cached on the geometry: another (P, n0) and the mirrored
+    # pair evaluate nothing
+    counted[0] = 0
+    mi_discrete_trx(1200, 800, dataclasses.replace(cfg, power_density=3.0, noise_density=0.2))
+    mi_discrete_trx(800, 1200, cfg)
+    assert counted[0] == 0
     # 1600 reference nodes (top 800: 50 panels of 16) against 800 source nodes
     # (50 panels): steps 1 and 2 of l / 100, differences -49 * 2 .. 49, 16 x 16 pairs
     counted[0] = 0
@@ -470,12 +537,30 @@ def test_power_noise_scaling_reuses_geometry_caches(name, seed):
                                  noise_density=c * cfg.noise_density)
     mi = _SCALE_INVARIANT_MODELS[name]
     first = mi(cfg).value_nats
-    misses = (models._reference_spectrum.cache_info().misses,
-              models._unit_trace.cache_info().misses)
+    misses = {cache: count["misses"] for cache, count in models.cache_counts().items()}
     second = mi(scaled).value_nats
     assert second == pytest.approx(first, rel=1e-12)
-    assert (models._reference_spectrum.cache_info().misses,
-            models._unit_trace.cache_info().misses) == misses
+    assert {cache: count["misses"] for cache, count in models.cache_counts().items()} == misses
+
+
+def test_power_ladder_solves_each_discrete_spectrum_once():
+    # three (P, n0) pairs at one geometry: each model's spectrum is solved at
+    # the first pair and read from the cache at the other two, and every
+    # value equals, bitwise, that of a call on an empty cache
+    cfgs = [SystemConfig(power_density=p, noise_density=n0)
+            for p, n0 in ((1.0, 2.0), (0.5, 0.2), (3.0, 0.02))]
+    calls = (lambda cfg: mi_discrete_rx(40, cfg), lambda cfg: mi_discrete_rx(100, cfg),
+             lambda cfg: mi_discrete_trx(100, 100, cfg))
+    cold = []
+    for cfg in cfgs:
+        for call in calls:
+            models._discrete_spectrum.cache_clear()
+            cold.append(call(cfg))
+    models._discrete_spectrum.cache_clear()
+    warm = [call(cfg) for cfg in cfgs for call in calls]
+    info = models._discrete_spectrum.cache_info()
+    assert (info.misses, info.hits) == (3, 6)
+    assert warm == cold
 
 
 # ------------------------------------------------------------- properties
@@ -511,15 +596,25 @@ def test_model_nondecreasing_in_snr(name, seed):
     assert all(b >= a for a, b in zip(values, values[1:])), values
 
 
+def _oriented_trx_mi(cfg: SystemConfig, m1: int, m2: int) -> float:
+    """mi_discrete_trx's value solved uncached as m2 receive against m1 transmit antennas."""
+    values, unit_power_sum = models._spectrum(cfg, models.MODEL_DISCRETE_TRX, m1, m2)
+    noise = models._matched_noise(cfg, unit_power_sum)
+    return logdet_from_eigenvalues(values, 2.0 * cfg.power_density / noise)
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_mi_discrete_trx_mirror_symmetry(seed):
     # G is even in the offset, so the (b, a) channel is the transpose of the
-    # (a, b) one: the same singular values and the same noise rescaling
-    # (worst measured 1.4e-15 relative over these seeds: the two splits
-    # solve different half-size blocks, so only roundoff differs)
+    # (a, b) one: both orders are one solve, with the smaller count on the
+    # receive side, and return one value. Solved uncached in each
+    # orientation they have the same singular values and the same noise
+    # rescaling (worst measured 1.4e-15 relative over these seeds: the two
+    # splits solve different half-size blocks, so only roundoff differs)
     rng = np.random.default_rng(300 + seed)
     cfg = SystemConfig(distance_m=float(10.0 ** rng.uniform(-1.0, 1.7)))
     a, b = (int(v) for v in rng.integers(2, 200, size=2))
-    forward = mi_discrete_trx(a, b, cfg).value_nats
-    mirrored = mi_discrete_trx(b, a, cfg).value_nats
+    assert mi_discrete_trx(a, b, cfg) == mi_discrete_trx(b, a, cfg)
+    forward, mirrored = _oriented_trx_mi(cfg, a, b), _oriented_trx_mi(cfg, b, a)
     assert mirrored == pytest.approx(forward, rel=1e-13)
+    assert mi_discrete_trx(a, b, cfg).value_nats == _oriented_trx_mi(cfg, max(a, b), min(a, b))
