@@ -169,7 +169,6 @@ def midpoints(length: float, n: int) -> np.ndarray:
     return (np.arange(n, dtype=np.float64) + 0.5) * (length / n)
 
 
-@lru_cache(maxsize=64)
 def gauss_legendre(length: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes and weights of an n-node rule on (0, length).
 
@@ -183,8 +182,14 @@ def gauss_legendre(length: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     convergent for the analytic integrands of this package once the
     panels resolve the wavelength and the distance. Returned arrays are
     read-only. ``numpy.polynomial`` is imported on the first call, not
-    with the package.
+    with the package. n must be an integer (``as_count``); the rules are
+    cached on (length, int n).
     """
+    return _gauss_legendre_rule(length, as_count("Gauss-Legendre node count", n))
+
+
+@lru_cache(maxsize=64)
+def _gauss_legendre_rule(length: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     _check_points("Gauss-Legendre node count", n)
     panels = -(-n // PANEL_NODES)
     small, extra = divmod(n, panels)

@@ -32,7 +32,8 @@ lcm is far above both) every entry is evaluated directly, in row
 blocks, and the view reads those rows as one-node panels. Either way
 ``assemble_channel_matrix`` copies the matrix out of the view, and
 ``centrosymmetric_spectrum`` forms its two blocks from the view and its
-column mirror a chunk of rows or columns at a time.
+column mirror a piece at a time: BLOCK_CHUNK rows for the sketch, half
+as many columns for the check of its residual.
 
 The spectrum of a propagation matrix collapses past the spatial degrees
 of freedom, so each block is first sketched by a randomized range finder
@@ -69,6 +70,7 @@ from .physics import (
     GREEN_BLOCK_ENTRIES,
     PANEL_NODES,
     SystemConfig,
+    as_count,
     gauss_legendre,
     green_offset,
     midpoints,
@@ -77,12 +79,13 @@ from .physics import (
 
 # bytes per entry of the evaluated top half while its spectrum is taken.
 # Evaluated directly, the top half is held whole while the split blocks are
-# formed from it a chunk at a time, with the sketch's factors, or one block
-# whole for its full SVD (tracemalloc peak at most 29.8 on 1201 x 1200
+# formed from it a piece at a time, with the sketch's factors, or one block
+# whole for its full SVD (tracemalloc peak at most 27.2 on 1201 x 1200
 # antennas and a 1600 x 1000 Nystrom matrix, d = 0.03-10 m, when the call
-# draws its sketch matrix, 28.4 when that is cached; the widest sketch, at
-# d = 0.1 m, sets it). From an offset table the top half is never held
-# whole, and 1000-1600-row matrices peak at 7.9-18.4
+# draws its sketch matrix, 25.4 when that is cached; the widest sketch, at
+# d = 0.1 m, sets it; 24.2 when every block goes straight to its full SVD,
+# 28.3 when every sketch width fails first). From an offset table the top
+# half is never held whole, and 1200-1600-row matrices peak at 5.4-13.6
 BYTES_PER_ENTRY = 30
 
 # bytes per entry of one green_offset row block of min(rows * cols,
@@ -94,8 +97,9 @@ BYTES_PER_ENTRY = 30
 BLOCK_BYTES_PER_ENTRY = 82
 
 # relative Frobenius residual below which a block's sketch stands in for
-# its full SVD; columns added to the a-priori mode count; rows or columns
-# of a block formed at once
+# its full SVD; columns added to the a-priori mode count; rows of a block
+# formed at once by the sketch (the check of its residual forms half as
+# many columns at once)
 SKETCH_TOL = 1e-12
 SKETCH_OVERSAMPLING = 16
 BLOCK_CHUNK = 128
@@ -139,6 +143,7 @@ def midpoint_grid(length: float, m: int) -> QuadratureGrid:
     (spacing length/m, first element at half a spacing from the edge),
     and the equal-weight midpoint rule on that layout: m one-node panels.
     """
+    m = as_count("grid size m", m)
     if m < 1:
         raise ValueError(f"grid size m must be >= 1, got {m}")
     if not length > 0:
@@ -156,6 +161,7 @@ def gauss_legendre_grid(length: float, n: int) -> QuadratureGrid:
     n a multiple of PANEL_NODES gives n / PANEL_NODES equal panels;
     otherwise the panels differ in size and the grid is one panel.
     """
+    n = as_count("Gauss-Legendre node count", n)
     if not length > 0:
         raise ValueError(f"grid length must be positive, got {length}")
     pts, weights = gauss_legendre(length, n)
@@ -333,7 +339,7 @@ def centrosymmetric_spectrum(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
     one, and log det(I + s A A^H) at most s SKETCH_TOL^2 ||A||_F^2 low.
 
     Both blocks are ``_SplitBlock``s over the view ``_lattice``, formed
-    from it a chunk at a time; a block that takes the full SVD is formed
+    from it a piece at a time; a block that takes the full SVD is formed
     whole. From an offset table the top rows are never held whole; where
     they are evaluated directly the view holds them.
     """
@@ -403,54 +409,74 @@ def _phases(rows: int, cols: int) -> np.ndarray:
 def _block_spectrum(B, width: int) -> tuple[np.ndarray, float]:
     """Squared singular values and ||B||_F^2 of B, certified from a sketch of ``width`` columns.
 
-    B is an ndarray or a ``_SplitBlock``; it is read BLOCK_CHUNK rows or
-    columns at a time. One pass over its rows forms Y = B Omega and
-    ||B||_F^2; with Q an orthonormal basis of Y, one pass over its columns
-    forms C = Q^H B and the residual R = B - Q C. When ||R||_F^2 <= tau^2
-    ||B||_F^2 (tau = SKETCH_TOL) C's squared singular values are
-    returned, padded with zeros to min(B.shape). Otherwise the width
-    doubles. Once five times the width reaches twice min(B.shape) the
-    full SVD of B, formed whole, runs instead: on 80 x 400 to 1000 x 500
-    blocks (numpy 2.4 with OpenBLAS 0.3.31, 2 cores) a sketch of 0.4
-    min(B.shape) columns took 0.6-0.7 of the full SVD's time, and one of
-    0.5 min(B.shape) columns 0.8-1.0. Every SVD, of B or of C, is taken
+    B is an ndarray or a ``_SplitBlock``. Its sketch (``_sketch_spectrum``)
+    is kept when its residual certifies it; otherwise the width doubles.
+    Once five times the width reaches twice min(B.shape) the full SVD of
+    B, formed whole, runs instead: on 80 x 400 to 1000 x 500 blocks (numpy
+    2.4 with OpenBLAS 0.3.31, 2 cores) a sketch of 0.4 min(B.shape)
+    columns took 0.6-0.7 of the full SVD's time, and one of 0.5
+    min(B.shape) columns 0.8-1.0. Every SVD, of B or of a sketch, is taken
     on the tall side, of M.T when M is wide: the singular values are the
     same, and numpy's SVD of a wide C-ordered matrix takes about twice as
-    long as that of its transpose.
+    long as that of its transpose. The random draw only decides how often
+    the full SVD runs.
+    """
+    m, n = B.shape
+    while 5 * width < 2 * min(m, n):
+        sketched = _sketch_spectrum(B, width)
+        if sketched is not None:
+            return sketched
+        width *= 2
+    B = B[:, :]
+    return _singular_values(B) ** 2, _squared_norm(B)
+
+
+def _sketch_spectrum(B, width: int) -> tuple[np.ndarray, float] | None:
+    """B's squared singular values and ||B||_F^2 from a sketch of ``width`` columns, or None.
+
+    B is read a piece at a time. One pass over its rows, BLOCK_CHUNK at a
+    time, forms Y = B Omega and ||B||_F^2; with Q an orthonormal basis of
+    Y, one pass over its columns, BLOCK_CHUNK // 2 at a time, forms C =
+    Q^H B and the residual R = B - Q C, written into one buffer allocated
+    after the QR, so that it adds nothing to the QR's peak. The column
+    pass holds two m x BLOCK_CHUNK // 2 pieces (the columns and their
+    residual) where the row pass holds one BLOCK_CHUNK x n piece, so on a
+    square block both passes peak alike. When ||R||_F^2 <= tau^2
+    ||B||_F^2 (tau = SKETCH_TOL) C's squared singular values are
+    returned, padded with zeros to min(B.shape); otherwise None, and the
+    sketch's factors are freed before B is sketched wider or formed whole.
 
     The residual certifies the result: sigma_i(C) <= sigma_i(B) and
     sum_i (sigma_i(B)^2 - sigma_i(C)^2) = ||R||_F^2, so each returned
     value is at most tau^2 ||B||_F^2 below the exact one, and a sum of
-    log(1 + s lambda) at most s tau^2 ||B||_F^2 below the exact sum. The
-    random draw only decides how often the full SVD runs.
+    log(1 + s lambda) at most s tau^2 ||B||_F^2 below the exact sum.
     """
     m, n = B.shape
-    while 5 * width < 2 * min(m, n):
-        omega = _phases(n, width)
-        Y = np.empty((m, width), dtype=np.complex128)
-        norm = 0.0
-        for i in range(0, m, BLOCK_CHUNK):
-            rows = B[i:i + BLOCK_CHUNK]
-            np.matmul(rows, omega, out=Y[i:i + BLOCK_CHUNK])
-            norm += _squared_norm(rows)
-        Q = np.linalg.qr(Y)[0]
-        del Y
-        Q_h = Q.conj().T
-        C = np.empty((width, n), dtype=np.complex128)
-        residual = 0.0
-        for j in range(0, n, BLOCK_CHUNK):
-            cols = B[:, j:j + BLOCK_CHUNK]
-            np.matmul(Q_h, cols, out=C[:, j:j + BLOCK_CHUNK])
-            R = Q @ C[:, j:j + BLOCK_CHUNK]
-            np.subtract(cols, R, out=R)
-            residual += float(np.vdot(R, R).real)
-        if residual <= SKETCH_TOL**2 * norm:
-            values = np.zeros(min(m, n))
-            values[:width] = _singular_values(C) ** 2
-            return values, norm
-        width *= 2
-    B = B[:, :]
-    return _singular_values(B) ** 2, _squared_norm(B)
+    omega = _phases(n, width)
+    Y = np.empty((m, width), dtype=np.complex128)
+    norm = 0.0
+    for i in range(0, m, BLOCK_CHUNK):
+        rows = B[i:i + BLOCK_CHUNK]
+        np.matmul(rows, omega, out=Y[i:i + BLOCK_CHUNK])
+        norm += _squared_norm(rows)
+    Q = np.linalg.qr(Y)[0]
+    del Y
+    Q_h = Q.conj().T
+    C = np.empty((width, n), dtype=np.complex128)
+    piece = BLOCK_CHUNK // 2
+    buffer = np.empty(m * min(n, piece), dtype=np.complex128)
+    residual = 0.0
+    for j in range(0, n, piece):
+        cols = B[:, j:j + piece]
+        np.matmul(Q_h, cols, out=C[:, j:j + piece])
+        R = np.matmul(Q, C[:, j:j + piece], out=buffer[:cols.size].reshape(cols.shape))
+        np.subtract(cols, R, out=R)
+        residual += float(np.vdot(R, R).real)
+    if residual > SKETCH_TOL**2 * norm:
+        return None
+    values = np.zeros(min(m, n))
+    values[:width] = _singular_values(C) ** 2
+    return values, norm
 
 
 def _singular_values(M: np.ndarray) -> np.ndarray:

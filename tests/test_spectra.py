@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -20,7 +21,7 @@ from capmimo import (
     midpoint_grid,
     validate_hermitian,
 )
-from capmimo import spectra
+from capmimo import physics, spectra
 from capmimo.physics import green_offset
 from capmimo.spectra import (
     BYTES_PER_ENTRY,
@@ -121,6 +122,25 @@ def test_grid_rejects_bad_arguments():
         midpoint_grid(2.0, 0)
     with pytest.raises(ValueError):
         midpoint_grid(0.0, 4)
+
+
+@pytest.mark.parametrize("build, name, count", [
+    (midpoint_grid, "grid size m", 4.5),
+    (midpoint_grid, "grid size m", 4.0),
+    (gauss_legendre_grid, "Gauss-Legendre node count", 64.0),
+    (physics.gauss_legendre, "Gauss-Legendre node count", 64.0),
+])
+def test_grids_reject_non_integer_counts_cold_and_warm(build, name, count):
+    # a float count, even one equal to an integer, is refused in one line
+    # naming it before the cached Gauss-Legendre rule is looked up: the
+    # same error whether or not the integer call has filled the cache
+    physics._gauss_legendre_rule.cache_clear()
+    message = f"^{re.escape(name)} must be an integer, got {re.escape(str(count))}$"
+    with pytest.raises(ValueError, match=message):
+        build(2.0, count)
+    build(2.0, int(count))
+    with pytest.raises(ValueError, match=message):
+        build(2.0, count)
 
 
 # ------------------------------------------------------------- assembly
@@ -397,13 +417,17 @@ def test_model_call_does_not_import_numpy_random():
     assert proc.stdout.strip() == "False"
 
 
+# the large layouts evaluated directly: an lcm far above both panel counts,
+# and a 1000-node rule of unequal panels
+DIRECT_LAYOUTS = ("trx1201x1200", "nystrom1600x1000")
+
 # receivers whose evaluated matrix is about the size of one green_offset row
 # block or below, at the distance where each was measured above the per-entry term
 SMALL_LAYOUTS = {"rx100": 0.03, "rx400": 0.03, "rx64": 1.0}
 
 
 @pytest.mark.parametrize("layout", ["trx1200x1200", "nystrom1600x800",
-                                    "trx1201x1200", "nystrom1600x1000", *SMALL_LAYOUTS])
+                                    *DIRECT_LAYOUTS, *SMALL_LAYOUTS])
 def test_spectrum_peak_memory_within_guard(layout):
     # the memory guard sizes the evaluated top half at BYTES_PER_ENTRY per
     # entry: the gather (the first two layouts) and the row-blocked direct
@@ -411,8 +435,10 @@ def test_spectrum_peak_memory_within_guard(layout):
     # unequal panels), then the split blocks, the sketch and the solve must
     # fit under it (plus one complex value per grid node for the grids and
     # small objects), at d = 10 m and at d = 0.1 m, where the sketch is widest.
-    # The small layouts, whose green_offset row block is not small beside
-    # the matrix, must fit under the guard's whole estimate, matrix_bytes
+    # The direct layouts hold the top half whole and must keep 1.5 B of
+    # margin under the guard. The small layouts, whose green_offset row block
+    # is not small beside the matrix, must fit under the guard's whole
+    # estimate, matrix_bytes
     small = layout in SMALL_LAYOUTS
     for d in (SMALL_LAYOUTS[layout],) if small else (10.0, 0.1):
         cfg, rx, tx, weigh_rx, weigh_tx = _large_case(layout, d)
@@ -420,17 +446,34 @@ def test_spectrum_peak_memory_within_guard(layout):
         top = -(-rx.m // 2)
         guard = matrix_bytes(top, tx.m) if small else BYTES_PER_ENTRY * top * tx.m
         assert peak <= guard + 16 * (rx.m + tx.m), d
+        if layout in DIRECT_LAYOUTS:
+            assert peak <= 28.5 * top * tx.m, d
 
 
 @pytest.mark.parametrize("layout", ["trx1200x1200", "nystrom1600x800"])
 def test_blocks_from_the_offset_table_never_hold_the_top_half(layout):
     # where the rows have an offset table the split blocks are formed from
-    # it a chunk at a time, so at d = 10 m the spectrum peaks at 12 B per
-    # evaluated top-half entry or less: below the 16 B that holding the
+    # it a piece at a time, so at d = 10 m the spectrum peaks at 8 B per
+    # evaluated top-half entry or less: half the 16 B that holding the
     # complex top half alone would take
     cfg, rx, tx, weigh_rx, weigh_tx = _large_case(layout, 10.0)
     peak = _spectrum_peak(cfg, rx, tx, weigh_rx, weigh_tx)
-    assert peak <= 12 * -(-rx.m // 2) * tx.m
+    assert peak <= 8 * -(-rx.m // 2) * tx.m
+
+
+@pytest.mark.parametrize("layout, d, mode_count", [
+    *((layout, 10.0, 1e9) for layout in ("trx1200x1200", "nystrom1600x800", *DIRECT_LAYOUTS)),
+    *((layout, 0.1, 0.0) for layout in DIRECT_LAYOUTS)])
+def test_full_svd_fallback_peak_memory_within_guard(layout, d, mode_count, monkeypatch):
+    # with a mode count no sketch can undercut, every block goes straight to
+    # its full SVD, formed whole; with none at d = 0.1 m, every sketch width
+    # (16 to 128 columns) fails its residual test first, and its factors
+    # must be freed before the block is formed. Either way the fallback
+    # must fit under the guard too
+    monkeypatch.setattr(spectra, "_mode_count", lambda cfg: mode_count)
+    cfg, rx, tx, weigh_rx, weigh_tx = _large_case(layout, d)
+    peak = _spectrum_peak(cfg, rx, tx, weigh_rx, weigh_tx)
+    assert peak <= BYTES_PER_ENTRY * -(-rx.m // 2) * tx.m
 
 
 def _spectrum_peak(cfg, rx, tx, weigh_rx, weigh_tx) -> int:
