@@ -80,12 +80,15 @@ from .physics import (
 # bytes per entry of the evaluated top half while its spectrum is taken.
 # Evaluated directly, the top half is held whole while the split blocks are
 # formed from it a piece at a time, with the sketch's factors, or one block
-# whole for its full SVD (tracemalloc peak at most 27.2 on 1201 x 1200
+# whole for its full SVD (tracemalloc peak at most 25.4 on 1201 x 1200
 # antennas and a 1600 x 1000 Nystrom matrix, d = 0.03-10 m, when the call
-# draws its sketch matrix, 25.4 when that is cached; the widest sketch, at
+# draws its sketch matrix, 23.6 when that is cached; the widest sketch, at
 # d = 0.1 m, sets it; 24.2 when every block goes straight to its full SVD,
-# 28.3 when every sketch width fails first). From an offset table the top
-# half is never held whole, and 1200-1600-row matrices peak at 5.4-13.6
+# 26.5 when every sketch width fails first). From an offset table the top
+# half is never held whole, and 1200-1600-row matrices peak at 5.0-11.0.
+# tracemalloc does not see the working copy numpy.linalg's gufuncs make of
+# each matrix they factor: in a fresh process the resident peak of those
+# direct layouts rises by up to 31.6 with the sketch, 35.4 with the full SVD
 BYTES_PER_ENTRY = 30
 
 # bytes per entry of one green_offset row block of min(rows * cols,
@@ -435,16 +438,23 @@ def _sketch_spectrum(B, width: int) -> tuple[np.ndarray, float] | None:
     """B's squared singular values and ||B||_F^2 from a sketch of ``width`` columns, or None.
 
     B is read a piece at a time. One pass over its rows, BLOCK_CHUNK at a
-    time, forms Y = B Omega and ||B||_F^2; with Q an orthonormal basis of
-    Y, one pass over its columns, BLOCK_CHUNK // 2 at a time, forms C =
-    Q^H B and the residual R = B - Q C, written into one buffer allocated
-    after the QR, so that it adds nothing to the QR's peak. The column
-    pass holds two m x BLOCK_CHUNK // 2 pieces (the columns and their
-    residual) where the row pass holds one BLOCK_CHUNK x n piece, so on a
-    square block both passes peak alike. When ||R||_F^2 <= tau^2
+    time, forms Y = B Omega and ||B||_F^2. ``_conjugate_basis`` writes
+    conj(Q) over Y, Q an orthonormal basis of Y's range, and the basis is
+    held once: Q^H is its transpose. One pass over B's columns,
+    BLOCK_CHUNK // 2 at a time, forms C = Q^H B and the residual R = B -
+    Q C, with Q C = conj(conj(Q) conj(C)) written into one buffer and
+    conjugated in place. When ||R||_F^2 <= tau^2
     ||B||_F^2 (tau = SKETCH_TOL) C's squared singular values are
-    returned, padded with zeros to min(B.shape); otherwise None, and the
-    sketch's factors are freed before B is sketched wider or formed whole.
+    returned, padded with zeros to min(B.shape); otherwise, or when the
+    residual is nan, None, and the sketch's factors are freed before B
+    is sketched wider or formed whole.
+
+    Arrays of Y's size (m x width) held: Y in the row pass; Y, numpy's
+    copy of it and the working copy numpy.linalg's QR makes of that
+    during the QR, then Y and numpy's copy; conj(Q) alone in the column
+    pass, which also holds C (width x n) and two m x BLOCK_CHUNK // 2
+    pieces (the columns and their residual) where the row pass holds one
+    BLOCK_CHUNK x n piece; none during C's SVD.
 
     The residual certifies the result: sigma_i(C) <= sigma_i(B) and
     sum_i (sigma_i(B)^2 - sigma_i(C)^2) = ||R||_F^2, so each returned
@@ -459,24 +469,63 @@ def _sketch_spectrum(B, width: int) -> tuple[np.ndarray, float] | None:
         rows = B[i:i + BLOCK_CHUNK]
         np.matmul(rows, omega, out=Y[i:i + BLOCK_CHUNK])
         norm += _squared_norm(rows)
-    Q = np.linalg.qr(Y)[0]
+    Q_bar = _conjugate_basis(Y)
     del Y
-    Q_h = Q.conj().T
     C = np.empty((width, n), dtype=np.complex128)
     piece = BLOCK_CHUNK // 2
     buffer = np.empty(m * min(n, piece), dtype=np.complex128)
     residual = 0.0
     for j in range(0, n, piece):
         cols = B[:, j:j + piece]
-        np.matmul(Q_h, cols, out=C[:, j:j + piece])
-        R = np.matmul(Q, C[:, j:j + piece], out=buffer[:cols.size].reshape(cols.shape))
+        C_j = C[:, j:j + piece]
+        np.matmul(Q_bar.T, cols, out=C_j)
+        R = np.matmul(Q_bar, C_j.conj(), out=buffer[:cols.size].reshape(cols.shape))
+        np.conjugate(R, out=R)
         np.subtract(cols, R, out=R)
         residual += float(np.vdot(R, R).real)
-    if residual > SKETCH_TOL**2 * norm:
+    del Q_bar, buffer, cols, R
+    if not residual <= SKETCH_TOL**2 * norm:
         return None
     values = np.zeros(min(m, n))
     values[:width] = _singular_values(C) ** 2
     return values, norm
+
+
+def _conjugate_basis(Y: np.ndarray) -> np.ndarray:
+    """conj(Q) for the thin QR factorization Y = Q R, written over Y and returned.
+
+    ``np.linalg.qr`` in raw mode leaves, in its own copy of Y, R above
+    the diagonal and the Householder vectors v_i below it, with scalars
+    tau_i: Q = H_1 ... H_k E for H_i = I - tau_i v_i v_i^H and E the
+    first k columns of I. V, the v_i with their unit leading entries, is
+    written over that copy. In compact-WY form H_1 ... H_k = I - V T V^H
+    (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10, 1989), with T
+    upper triangular from LAPACK's zlarft recurrence T[:i, i] = -tau_i
+    T[:i, :i] (V^H V)[:i, i], T[i, i] = tau_i, which divides by nothing:
+    a zero tau (a zero column of Y) leaves a zero column of T. So Q = E -
+    V (T V[:k]^H), one product written over Y.
+    """
+    reflectors, tau = np.linalg.qr(Y, mode="raw")
+    V = reflectors.T
+    k = tau.size
+    head = V[:k]
+    head *= np.tri(k, k, -1)
+    head[np.diag_indices(k)] = 1.0
+    # V^H V from the real Gram matrix of V's interleaved real and imaginary parts
+    parts = V.view(np.float64)
+    gram = parts.T @ parts
+    G = np.empty((k, k), dtype=np.complex128)
+    np.add(gram[::2, ::2], gram[1::2, 1::2], out=G.real)
+    np.subtract(gram[::2, 1::2], gram[1::2, ::2], out=G.imag)
+    del gram
+    T = np.zeros((k, k), dtype=np.complex128)
+    for i in range(k):
+        T[:i, i] = -tau[i] * (T[:i, :i] @ G[:i, i])
+        T[i, i] = tau[i]
+    np.matmul(V, T @ head.conj().T, out=Y)
+    np.negative(Y.real, out=Y.real)  # conj(Q) = E + Y once Y = -conj(V T V[:k]^H)
+    Y[np.diag_indices(k)] += 1.0
+    return Y
 
 
 def _singular_values(M: np.ndarray) -> np.ndarray:

@@ -401,6 +401,110 @@ def test_sketched_spectrum_is_bitwise_repeatable():
     assert np.array_equal(first[0], second[0]) and first[1] == second[1]
 
 
+@pytest.fixture
+def sketch_bases(monkeypatch):
+    """(Y, conj(Q)) for every sketch basis formed while the test runs, copied."""
+    bases = []
+    conjugate_basis = spectra._conjugate_basis
+
+    def recording(Y):
+        sketch = Y.copy()
+        Q_bar = conjugate_basis(Y)
+        bases.append((sketch, Q_bar.copy()))
+        return Q_bar
+
+    monkeypatch.setattr(spectra, "_conjugate_basis", recording)
+    return bases
+
+
+def _check_basis(Y, Q_bar):
+    # conj(Q) from the Householder reflectors: Q^H Q = I and Q Q^H Y = Y
+    Q_h = Q_bar.T
+    assert np.all(np.isfinite(Q_bar))
+    assert np.max(np.abs(Q_h @ Q_bar.conj() - np.eye(Y.shape[1]))) <= 1e-14
+    assert np.linalg.norm(Y - Q_bar.conj() @ (Q_h @ Y)) <= 1e-13 * np.linalg.norm(Y)
+
+
+@pytest.mark.parametrize("layout, d", [("nystrom1600x800", 10.0), ("nystrom1600x800", 1.0),
+                                       ("nystrom1600x800", 0.1), ("trx1200x1200", 10.0)])
+def test_sketch_basis_is_orthonormal_and_spans_the_sketch(layout, d, sketch_bases):
+    cfg, rx, tx, weigh_rx, weigh_tx = _large_case(layout, d)
+    centrosymmetric_spectrum(rx, tx, cfg, weigh_rx, weigh_tx)
+    assert len(sketch_bases) == 2
+    for Y, Q_bar in sketch_bases:
+        _check_basis(Y, Q_bar)
+
+
+def test_zero_sketch_column_gives_a_finite_orthonormal_basis():
+    # a zero column of Y has a zero Householder scalar tau: the compact-WY
+    # factor T must not divide by it
+    rng = np.random.default_rng(5)
+    Y = rng.normal(size=(200, 12)) + 1j * rng.normal(size=(200, 12))
+    Y[:, 4] = 0.0
+    assert np.linalg.qr(Y, mode="raw")[1][4] == 0.0
+    _check_basis(Y, spectra._conjugate_basis(Y.copy()))
+
+
+def test_nan_entry_certifies_no_sketch():
+    # a nan entry makes the residual nan, and a nan residual must fail the
+    # certificate (nan > tol is False) rather than reach the SVD of the sketch
+    rng = np.random.default_rng(6)
+    B = ((rng.normal(size=(300, 5)) + 1j * rng.normal(size=(300, 5)))
+         @ (rng.normal(size=(5, 200)) + 1j * rng.normal(size=(5, 200))))
+    assert spectra._sketch_spectrum(B, 16) is not None
+    B[7, 11] = np.nan
+    assert spectra._sketch_spectrum(B, 16) is None
+
+
+_BASIS_STEP_RISE = """
+import sys
+import numpy as np
+from capmimo.spectra import _conjugate_basis
+
+def high_water():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
+
+np.linalg.qr(np.ones((4, 2), dtype=np.complex128), mode="raw")
+Y = np.empty((2000, 400), dtype=np.complex128)
+rng = np.random.default_rng(0)
+for j in range(0, Y.shape[1], 16):
+    Y[:, j:j + 16] = rng.normal(size=(Y.shape[0], 16)) + 1j * rng.normal(size=(Y.shape[0], 16))
+before = high_water()
+if sys.argv[1] == "reflectors":
+    _conjugate_basis(Y)
+else:
+    Q = np.linalg.qr(Y)[0]
+    Q_h = Q.conj().T
+print((high_water() - before) / Y.nbytes)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_basis_step_resident_memory():
+    # tracemalloc does not see the working copies numpy.linalg makes inside
+    # its gufuncs, so the basis step of a 2000 x 400 sketch is measured by
+    # the rise of its resident high-water mark in a fresh process, after Y
+    # is resident (filled a few columns at a time, so that forming it sets
+    # no high-water mark) and LAPACK is loaded. VmHWM, not ru_maxrss: a
+    # child's ru_maxrss starts at its parent's across fork and exec. The
+    # reflector basis holds Y, numpy's copy and one working copy at most:
+    # 3 Y-sized arrays. The reduced QR and its conjugate transpose, the
+    # basis before it, rise by about 4, which shows the measurement sees
+    # what tracemalloc does not
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    rise = {}
+    for step in ("reflectors", "reduced"):
+        proc = subprocess.run([sys.executable, "-c", _BASIS_STEP_RISE, step], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        rise[step] = float(proc.stdout)
+    assert rise["reflectors"] <= 3.0 < rise["reduced"], rise
+
+
 def test_model_call_does_not_import_numpy_random():
     # the sketch draws its matrix from a hash, so a model call pulls in no
     # random-number module (importing numpy.random costs time and memory)
@@ -478,7 +582,11 @@ def test_full_svd_fallback_peak_memory_within_guard(layout, d, mode_count, monke
 
 def _spectrum_peak(cfg, rx, tx, weigh_rx, weigh_tx) -> int:
     """tracemalloc peak of one centrosymmetric_spectrum call, in bytes, measured as a
-    first call: the cached sketch phase matrices are cleared, so the call allocates its own."""
+    first call: the cached sketch phase matrices are cleared, so the call allocates its own.
+
+    tracemalloc does not see the working copies numpy.linalg's gufuncs make of
+    the matrix they factor (test_basis_step_resident_memory bounds the sketch
+    basis's in resident memory instead)."""
     spectra._phases.cache_clear()
     tracemalloc.start()
     try:
