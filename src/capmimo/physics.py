@@ -181,9 +181,9 @@ def gauss_legendre(length: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     an odd number of times the panel count grows by one. Exponentially
     convergent for the analytic integrands of this package once the
     panels resolve the wavelength and the distance. Returned arrays are
-    read-only. ``numpy.polynomial`` is imported on the first call, not
-    with the package. n must be an integer (``as_count``); the rules are
-    cached on (length, int n).
+    read-only. Each panel's rule is ``_legendre_rule``'s, computed once
+    per order and only for the orders used. n must be an integer
+    (``as_count``); the rules are cached on (length, int n).
     """
     return _gauss_legendre_rule(length, as_count("Gauss-Legendre node count", n))
 
@@ -200,16 +200,49 @@ def _gauss_legendre_rule(length: float, n: int) -> tuple[np.ndarray, np.ndarray]
         outer, inner = [small + 1] * (extra // 2), [small] * (panels - extra)
     else:
         outer, inner = [small] * ((panels - extra) // 2), [small + 1] * extra
-    rules = {order: np.polynomial.legendre.leggauss(order) for order in (small, small + 1)}
     nodes, weights = [], []
     left = 0
     for order in outer + inner + outer:
-        t, w = rules[order]
+        t, w = _legendre_rule(order)
         half = 0.5 * order * length / n
         nodes.append((left + 0.5 * order) * (length / n) + half * t)
         weights.append(half * w)
         left += order
     x, w = np.concatenate(nodes), np.concatenate(weights)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+@lru_cache(maxsize=32)
+def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the order-point Gauss-Legendre rule on (-1, 1).
+
+    Newton's method on P_order, evaluated by the three-term recurrence
+    (j + 1) P_{j+1} = (2j + 1) x P_j - j P_{j-1}, from the estimates
+    -cos(pi (i + 3/4) / (order + 1/2)); once a step is below 1e-10 the
+    next error is below roundoff, so the nodes are those of one step more.
+    The weights are 2 / ((1 - x^2) P_order'(x)^2), with 1 - x^2 taken as
+    (1 - x)(1 + x), which does not cancel near the ends; nodes and weights
+    are symmetrized and the weights scaled to sum to 2, as
+    ``numpy.polynomial.legendre.leggauss`` does. Read-only arrays.
+    """
+    x = -np.cos(math.pi * (np.arange(order) + 0.75) / (order + 0.5))
+    converged = False
+    while True:
+        below, p = np.ones_like(x), x
+        for j in range(1, order):
+            below, p = p, ((2 * j + 1) * x * p - j * below) / (j + 1)
+        slope = order * (x * p - below) / ((x - 1.0) * (x + 1.0))
+        if converged:
+            break
+        step = p / slope
+        x = x - step
+        converged = np.max(np.abs(step)) < 1e-10
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * slope * slope)
+    x = (x - x[::-1]) / 2.0
+    w = (w + w[::-1]) / 2.0
+    w *= 2.0 / w.sum()
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w

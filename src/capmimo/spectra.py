@@ -62,7 +62,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -77,19 +76,19 @@ from .physics import (
     resolve_inner_points,
 )
 
-# bytes per entry of the evaluated top half while its spectrum is taken.
-# Evaluated directly, the top half is held whole while the split blocks are
-# formed from it a piece at a time, with the sketch's factors, or one block
-# whole for its full SVD (tracemalloc peak at most 25.4 on 1201 x 1200
-# antennas and a 1600 x 1000 Nystrom matrix, d = 0.03-10 m, when the call
-# draws its sketch matrix, 23.6 when that is cached; the widest sketch, at
-# d = 0.1 m, sets it; 24.2 when every block goes straight to its full SVD,
-# 26.5 when every sketch width fails first). From an offset table the top
-# half is never held whole, and 1200-1600-row matrices peak at 5.0-11.0.
-# tracemalloc does not see the working copy numpy.linalg's gufuncs make of
-# each matrix they factor: in a fresh process the resident peak of those
-# direct layouts rises by up to 31.6 with the sketch, 35.4 with the full SVD
-BYTES_PER_ENTRY = 30
+# bytes per entry of the evaluated top half while its spectrum is taken: the
+# resident peak below plus 1.5 of margin, rounded up. Evaluated directly, the
+# top half is held whole while the split blocks are formed from it a piece at a
+# time, with the sketch's factors, or one block whole for its full SVD, which
+# numpy.linalg's gufunc factors in a working copy of its own. In a fresh
+# process (VmHWM, numpy 2.4 with OpenBLAS 0.3.31) the resident peak of 1201 x
+# 1200 antennas and a 1600 x 1000 Nystrom matrix rises by at most 35.1 per
+# entry with the full SVD (every block sent to it at d = 10 m, or d = 0.03 m)
+# and 26.3 with the sketch (d = 0.1 m, where it is widest). tracemalloc, blind
+# to that working copy, reads 24.2 and 22.0 there. From an offset table the top
+# half is never held whole, and 1200-1600-row matrices peak at 2.6-9.2
+# (tracemalloc)
+BYTES_PER_ENTRY = 37
 
 # bytes per entry of one green_offset row block of min(rows * cols,
 # GREEN_BLOCK_ENTRIES) entries: its offsets, temporaries and result
@@ -392,21 +391,27 @@ def _mode_count(cfg: SystemConfig) -> float:
     return l / math.pi * math.hypot(cfg.wavenumber * l / math.hypot(l, d), evanescent)
 
 
-@lru_cache(maxsize=8)
 def _phases(rows: int, cols: int) -> np.ndarray:
-    """Deterministic rows x cols sketch matrix exp(2 pi i u), u uniform on [0, 1), read-only.
+    """Deterministic rows x cols sketch matrix exp(2 pi i u / 1024), u uniform on 0..1023.
 
-    u is the splitmix64 hash of the entry's index, so every call draws the
-    same matrix without ``numpy.random``; both blocks of a matrix and
-    every matrix of one shape and width share it.
+    u is the top ten bits of the splitmix64 hash of the entry's index, so
+    every call draws the same matrix bitwise without ``numpy.random``:
+    both blocks of a matrix and every matrix of one shape and width sketch
+    with the same matrix, each drawing its own and freeing it once its
+    rows are sketched. Entries are read from a table of the 1024 phases,
+    a fifth to a third of the time of an exponential per entry (about
+    50 ns each), which drawn for each sketch cost a 1600 x 800 solve at
+    d = 1 m about 3 ms.
     """
-    z = np.arange(1, rows * cols + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    u = (z ^ (z >> np.uint64(31))) >> np.uint64(11)
-    omega = np.exp((2.0 * math.pi * 2.0**-53) * 1j * u).reshape(rows, cols)
-    omega.setflags(write=False)
-    return omega
+    z = np.arange(1, rows * cols + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    table = np.exp((2.0 * math.pi / 1024) * 1j * np.arange(1024))
+    return table[(z >> np.uint64(54)).astype(np.intp)].reshape(rows, cols)
 
 
 def _block_spectrum(B, width: int) -> tuple[np.ndarray, float]:
@@ -438,7 +443,8 @@ def _sketch_spectrum(B, width: int) -> tuple[np.ndarray, float] | None:
     """B's squared singular values and ||B||_F^2 from a sketch of ``width`` columns, or None.
 
     B is read a piece at a time. One pass over its rows, BLOCK_CHUNK at a
-    time, forms Y = B Omega and ||B||_F^2. ``_conjugate_basis`` writes
+    time, forms Y = B Omega and ||B||_F^2, Omega the n x width matrix
+    ``_phases`` draws for this sketch. ``_conjugate_basis`` writes
     conj(Q) over Y, Q an orthonormal basis of Y's range, and the basis is
     held once: Q^H is its transpose. One pass over B's columns,
     BLOCK_CHUNK // 2 at a time, forms C = Q^H B and the residual R = B -
@@ -449,12 +455,16 @@ def _sketch_spectrum(B, width: int) -> tuple[np.ndarray, float] | None:
     residual is nan, None, and the sketch's factors are freed before B
     is sketched wider or formed whole.
 
-    Arrays of Y's size (m x width) held: Y in the row pass; Y, numpy's
-    copy of it and the working copy numpy.linalg's QR makes of that
-    during the QR, then Y and numpy's copy; conj(Q) alone in the column
-    pass, which also holds C (width x n) and two m x BLOCK_CHUNK // 2
-    pieces (the columns and their residual) where the row pass holds one
-    BLOCK_CHUNK x n piece; none during C's SVD.
+    Arrays held, by phase. The row pass: Y, Omega and one BLOCK_CHUNK x n
+    chunk of rows, each freed before the next is formed; Omega is freed
+    before the basis step. The basis step: Y, and per panel of at most
+    BLOCK_CHUNK // 2 of its columns numpy's copy of the panel with the
+    working copy numpy.linalg's QR makes of that, then numpy's copy and
+    one BLOCK_CHUNK-row piece of the update; a sketch of one panel holds
+    Y and the two copies, as when Y was factored whole. The column pass:
+    conj(Q), C (width x n), one m x BLOCK_CHUNK // 2 piece of columns and
+    the buffer its residual is written into, each piece freed before the
+    next is formed. None of these during C's SVD.
 
     The residual certifies the result: sigma_i(C) <= sigma_i(B) and
     sum_i (sigma_i(B)^2 - sigma_i(C)^2) = ||R||_F^2, so each returned
@@ -469,6 +479,8 @@ def _sketch_spectrum(B, width: int) -> tuple[np.ndarray, float] | None:
         rows = B[i:i + BLOCK_CHUNK]
         np.matmul(rows, omega, out=Y[i:i + BLOCK_CHUNK])
         norm += _squared_norm(rows)
+        del rows
+    del omega
     Q_bar = _conjugate_basis(Y)
     del Y
     C = np.empty((width, n), dtype=np.complex128)
@@ -483,7 +495,8 @@ def _sketch_spectrum(B, width: int) -> tuple[np.ndarray, float] | None:
         np.conjugate(R, out=R)
         np.subtract(cols, R, out=R)
         residual += float(np.vdot(R, R).real)
-    del Q_bar, buffer, cols, R
+        del cols, R
+    del Q_bar, buffer
     if not residual <= SKETCH_TOL**2 * norm:
         return None
     values = np.zeros(min(m, n))
@@ -494,38 +507,82 @@ def _sketch_spectrum(B, width: int) -> tuple[np.ndarray, float] | None:
 def _conjugate_basis(Y: np.ndarray) -> np.ndarray:
     """conj(Q) for the thin QR factorization Y = Q R, written over Y and returned.
 
-    ``np.linalg.qr`` in raw mode leaves, in its own copy of Y, R above
-    the diagonal and the Householder vectors v_i below it, with scalars
-    tau_i: Q = H_1 ... H_k E for H_i = I - tau_i v_i v_i^H and E the
-    first k columns of I. V, the v_i with their unit leading entries, is
-    written over that copy. In compact-WY form H_1 ... H_k = I - V T V^H
-    (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10, 1989), with T
-    upper triangular from LAPACK's zlarft recurrence T[:i, i] = -tau_i
-    T[:i, :i] (V^H V)[:i, i], T[i, i] = tau_i, which divides by nothing:
-    a zero tau (a zero column of Y) leaves a zero column of T. So Q = E -
-    V (T V[:k]^H), one product written over Y.
+    Y is factored in its own storage, a panel of BLOCK_CHUNK // 2 columns
+    at a time, as LAPACK's zgeqrf and zungqr do. ``np.linalg.qr`` in raw
+    mode leaves, in its own copy of the panel, R above the diagonal and
+    the Householder vectors v_i below it, with scalars tau_i. In
+    compact-WY form the panel's reflectors are H_1 ... H_b = I - V T V^H
+    (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10, 1989), V the v_i
+    with their unit leading entries and T upper triangular from LAPACK's
+    zlarft recurrence T[:i, i] = -tau_i T[:i, :i] (V^H V)[:i, i], T[i, i]
+    = tau_i, which divides by nothing: a zero tau (a zero column) leaves a
+    zero column of T. I - V T^H V^H then updates the columns right of the
+    panel, a row block at a time; conj(V) is written over the panel and
+    zeros over the panel's rows of R right of it: R is never needed.
+
+    Q = P_1 ... P_p E, for the panels' P_j = I - V_j T_j V_j^H and E the
+    first k columns of I, is formed backward and conjugated. The last
+    panel's columns are E - conj(V T V[:b]^H), one product from numpy's
+    copy; for a Y of one panel that product is the whole basis. Each
+    panel before it applies conj(P_j) to the columns right of it, then
+    writes E - conj(V_j T_j V_j[:b]^H) over its conj(V_j), a row block at
+    a time.
     """
-    reflectors, tau = np.linalg.qr(Y, mode="raw")
-    V = reflectors.T
-    k = tau.size
-    head = V[:k]
-    head *= np.tri(k, k, -1)
-    head[np.diag_indices(k)] = 1.0
-    # V^H V from the real Gram matrix of V's interleaved real and imaginary parts
-    parts = V.view(np.float64)
-    gram = parts.T @ parts
-    G = np.empty((k, k), dtype=np.complex128)
-    np.add(gram[::2, ::2], gram[1::2, 1::2], out=G.real)
-    np.subtract(gram[::2, 1::2], gram[1::2, ::2], out=G.imag)
-    del gram
-    T = np.zeros((k, k), dtype=np.complex128)
-    for i in range(k):
-        T[:i, i] = -tau[i] * (T[:i, :i] @ G[:i, i])
-        T[i, i] = tau[i]
-    np.matmul(V, T @ head.conj().T, out=Y)
-    np.negative(Y.real, out=Y.real)  # conj(Q) = E + Y once Y = -conj(V T V[:k]^H)
-    Y[np.diag_indices(k)] += 1.0
+    m, k = Y.shape
+    panel = BLOCK_CHUNK // 2
+    factors = []  # conj(T) of every panel but the last
+    for c0 in range(0, k, panel):
+        c1 = min(c0 + panel, k)
+        reflectors, tau = np.linalg.qr(Y[c0:, c0:c1], mode="raw")
+        V = reflectors.T
+        b = tau.size
+        head = V[:b]
+        head *= np.tri(b, b, -1)
+        head[np.diag_indices(b)] = 1.0
+        G = _hermitian_product(V, V)
+        T = np.zeros((b, b), dtype=np.complex128)
+        for i in range(b):
+            T[:i, i] = -tau[i] * (T[:i, :i] @ G[:i, i])
+            T[i, i] = tau[i]
+        if c1 == k:
+            break
+        trailing = Y[c0:, c1:]
+        X = T.conj().T @ _hermitian_product(V, trailing)
+        for i in range(0, m - c0, BLOCK_CHUNK):
+            trailing[i:i + BLOCK_CHUNK] -= V[i:i + BLOCK_CHUNK] @ X
+        np.conjugate(V, out=Y[c0:, c0:c1])
+        Y[c0:c1, c1:] = 0.0
+        factors.append(T.conj())
+        del reflectors, V, head
+    Q_bar = Y[c0:, c0:]
+    np.matmul(V, T @ head.conj().T, out=Q_bar)
+    del reflectors, V, head
+    np.negative(Q_bar.real, out=Q_bar.real)  # conj(Q) = E + Q_bar once Q_bar = -conj(V T V[:b]^H)
+    Q_bar[np.diag_indices(k - c0)] += 1.0
+    for T_bar in reversed(factors):
+        c0 -= panel
+        V_bar, trailing = Y[c0:, c0:c0 + panel], Y[c0:, c0 + panel:]
+        X = T_bar @ _hermitian_product(V_bar, trailing)
+        M_bar = T_bar @ V_bar[:panel].conj().T
+        for i in range(0, m - c0, BLOCK_CHUNK):
+            rows = slice(i, i + BLOCK_CHUNK)
+            trailing[rows] -= V_bar[rows] @ X
+            np.negative(V_bar[rows] @ M_bar, out=V_bar[rows])
+        V_bar[np.diag_indices(panel)] += 1.0
     return Y
+
+
+def _hermitian_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A^H B from the real product of A's and B's interleaved real and imaginary parts.
+
+    Forms no conjugate copy of A; each operand needs only unit-stride rows.
+    """
+    a, b = A.view(np.float64), B.view(np.float64)
+    product = a.T @ b
+    out = np.empty((A.shape[1], B.shape[1]), dtype=np.complex128)
+    np.add(product[::2, ::2], product[1::2, 1::2], out=out.real)
+    np.subtract(product[::2, 1::2], product[1::2, ::2], out=out.imag)
+    return out
 
 
 def _singular_values(M: np.ndarray) -> np.ndarray:

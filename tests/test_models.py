@@ -303,8 +303,8 @@ def test_noise_trx_oracle_4x4(default_cfg):
 def test_noise_trx_peak_within_the_memory_guard():
     # ||H||_F^2 is read from H's float view with no temporary beside H: 16 B
     # per entry, where the sum of the squared real and imaginary parts held
-    # two float arrays of H's size (32 B per entry, above the guard's 31.3
-    # for 2000 x 2000)
+    # two float arrays of H's size (32 B per entry, above the 31.3 the
+    # guard charged for 2000 x 2000 at 30 B per entry)
     cfg = SystemConfig()
     grid = midpoint_grid(cfg.aperture_m, 2000)
     noise_trx(grid, grid, cfg)  # warms the trace and the curvature profile
@@ -314,7 +314,7 @@ def test_noise_trx_peak_within_the_memory_guard():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= spectra.matrix_bytes(2000, 2000)
+    assert peak <= 30 * 2000 * 2000 + spectra.BLOCK_BYTES_PER_ENTRY * physics.GREEN_BLOCK_ENTRIES
 
 
 def test_noise_trx_constant_channel_limit(constant_channel):

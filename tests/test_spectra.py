@@ -22,8 +22,9 @@ from capmimo import (
     validate_hermitian,
 )
 from capmimo import physics, spectra
-from capmimo.physics import green_offset
+from capmimo.physics import GREEN_BLOCK_ENTRIES, green_offset
 from capmimo.spectra import (
+    BLOCK_BYTES_PER_ENTRY,
     BYTES_PER_ENTRY,
     _block_spectrum,
     centrosymmetric_spectrum,
@@ -31,7 +32,6 @@ from capmimo.spectra import (
     gauss_legendre_grid,
     gram_from_channel,
     logdet_from_eigenvalues,
-    matrix_bytes,
 )
 
 from oracles import full_matrix_spectrum, logdet_by_row_reduction
@@ -437,12 +437,27 @@ def test_sketch_basis_is_orthonormal_and_spans_the_sketch(layout, d, sketch_base
 
 def test_zero_sketch_column_gives_a_finite_orthonormal_basis():
     # a zero column of Y has a zero Householder scalar tau: the compact-WY
-    # factor T must not divide by it
+    # factor T must not divide by it, in the first 64-column panel or in a
+    # later one, whose columns the panels before it have updated
     rng = np.random.default_rng(5)
-    Y = rng.normal(size=(200, 12)) + 1j * rng.normal(size=(200, 12))
-    Y[:, 4] = 0.0
-    assert np.linalg.qr(Y, mode="raw")[1][4] == 0.0
-    _check_basis(Y, spectra._conjugate_basis(Y.copy()))
+    for rows, cols, zero in ((200, 12, 4), (300, 100, 70)):
+        Y = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+        Y[:, zero] = 0.0
+        assert np.linalg.qr(Y, mode="raw")[1][zero] == 0.0
+        _check_basis(Y, spectra._conjugate_basis(Y.copy()))
+
+
+@pytest.mark.parametrize("cols", [63, 64, 65, 129])
+def test_sketch_basis_across_the_panel_edge(cols):
+    # Y is factored in panels of BLOCK_CHUNK // 2 = 64 columns: 63 and 64
+    # columns are one panel, 65 add a panel of one column and 129 are three
+    # panels; the basis matches the reduced QR's Q column for column, up to
+    # roundoff
+    rng = np.random.default_rng(cols)
+    Y = rng.normal(size=(400, cols)) + 1j * rng.normal(size=(400, cols))
+    Q_bar = spectra._conjugate_basis(Y.copy())
+    _check_basis(Y, Q_bar)
+    assert np.max(np.abs(Q_bar.conj() - np.linalg.qr(Y)[0])) <= 1e-14
 
 
 def test_nan_entry_certifies_no_sketch():
@@ -456,20 +471,35 @@ def test_nan_entry_certifies_no_sketch():
     assert spectra._sketch_spectrum(B, 16) is None
 
 
-_BASIS_STEP_RISE = """
+def _fresh_python(code: str, *args: str) -> str:
+    """stdout of ``code`` run with ``args`` in a fresh interpreter on this package."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+_HIGH_WATER = """
+def high_water():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
+"""
+
+_BASIS_STEP_RISE = _HIGH_WATER + """
 import sys
 import numpy as np
 from capmimo.spectra import _conjugate_basis
 
-def high_water():
-    with open("/proc/self/status") as fh:
-        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
-
 np.linalg.qr(np.ones((4, 2), dtype=np.complex128), mode="raw")
-Y = np.empty((2000, 400), dtype=np.complex128)
+Y = np.empty((int(sys.argv[2]), int(sys.argv[3])), dtype=np.complex128)
 rng = np.random.default_rng(0)
 for j in range(0, Y.shape[1], 16):
-    Y[:, j:j + 16] = rng.normal(size=(Y.shape[0], 16)) + 1j * rng.normal(size=(Y.shape[0], 16))
+    part = Y[:, j:j + 16]
+    part[...] = rng.normal(size=part.shape) + 1j * rng.normal(size=part.shape)
 before = high_water()
 if sys.argv[1] == "reflectors":
     _conjugate_basis(Y)
@@ -483,42 +513,44 @@ print((high_water() - before) / Y.nbytes)
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_basis_step_resident_memory():
     # tracemalloc does not see the working copies numpy.linalg makes inside
-    # its gufuncs, so the basis step of a 2000 x 400 sketch is measured by
-    # the rise of its resident high-water mark in a fresh process, after Y
-    # is resident (filled a few columns at a time, so that forming it sets
-    # no high-water mark) and LAPACK is loaded. VmHWM, not ru_maxrss: a
-    # child's ru_maxrss starts at its parent's across fork and exec. The
-    # reflector basis holds Y, numpy's copy and one working copy at most:
-    # 3 Y-sized arrays. The reduced QR and its conjugate transpose, the
-    # basis before it, rise by about 4, which shows the measurement sees
-    # what tracemalloc does not
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    rise = {}
-    for step in ("reflectors", "reduced"):
-        proc = subprocess.run([sys.executable, "-c", _BASIS_STEP_RISE, step], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        rise[step] = float(proc.stdout)
-    assert rise["reflectors"] <= 3.0 < rise["reduced"], rise
+    # its gufuncs, so the basis step of a sketch is measured by the rise of
+    # its resident high-water mark in a fresh process, after Y is resident
+    # (filled a few columns at a time, so that forming it sets no
+    # high-water mark) and LAPACK is loaded. VmHWM, not ru_maxrss: a
+    # child's ru_maxrss starts at its parent's across fork and exec. Y is
+    # factored a 64-column panel at a time in its own storage, so a 2000 x
+    # 400 sketch rises by well under the 2.4 Y-sized arrays it took when Y
+    # was factored whole; the reduced QR and its conjugate transpose rise by
+    # about 4, which shows the measurement sees what tracemalloc does not.
+    # An 800 x 26 sketch is one panel, factored as Y was whole before (Y,
+    # numpy's copy and the gufunc's working copy), and may rise by no more
+    # than the 5.07 it read then
+    def rise(step, rows, cols):
+        return float(_fresh_python(_BASIS_STEP_RISE, step, str(rows), str(cols)))
+
+    blocked, reduced, one_panel = (rise("reflectors", 2000, 400), rise("reduced", 2000, 400),
+                                   rise("reflectors", 800, 26))
+    assert blocked <= 1.5 and reduced > 3.0, (blocked, reduced)
+    assert one_panel <= 5.07, one_panel
+
+
+_MODEL_CALL_MODULES = (
+    "import sys; from capmimo import SystemConfig, mi_continuous, mi_discrete_trx; "
+    "mi_discrete_trx(400, 400, SystemConfig()); mi_continuous(SystemConfig()); "
+    "print(sys.argv[1] in sys.modules)")
 
 
 def test_model_call_does_not_import_numpy_random():
     # the sketch draws its matrix from a hash, so a model call pulls in no
     # random-number module (importing numpy.random costs time and memory)
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    code = ("import sys; from capmimo import SystemConfig, mi_continuous, mi_discrete_trx; "
-            "mi_discrete_trx(400, 400, SystemConfig()); mi_continuous(SystemConfig()); "
-            "print('numpy.random' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert _fresh_python(_MODEL_CALL_MODULES, "numpy.random").strip() == "False"
+
+
+def test_model_call_does_not_import_numpy_polynomial():
+    # the Gauss-Legendre panel rules come from a Newton iteration on the
+    # Legendre recurrence, not numpy.polynomial's eigensolver, whose import
+    # cost the first rule of a process time and resident memory
+    assert _fresh_python(_MODEL_CALL_MODULES, "numpy.polynomial").strip() == "False"
 
 
 # the large layouts evaluated directly: an lcm far above both panel counts,
@@ -533,23 +565,27 @@ SMALL_LAYOUTS = {"rx100": 0.03, "rx400": 0.03, "rx64": 1.0}
 @pytest.mark.parametrize("layout", ["trx1200x1200", "nystrom1600x800",
                                     *DIRECT_LAYOUTS, *SMALL_LAYOUTS])
 def test_spectrum_peak_memory_within_guard(layout):
-    # the memory guard sizes the evaluated top half at BYTES_PER_ENTRY per
-    # entry: the gather (the first two layouts) and the row-blocked direct
+    # the gather (the first two layouts) and the row-blocked direct
     # evaluation (an lcm far above both panel counts, a 1000-node rule of
     # unequal panels), then the split blocks, the sketch and the solve must
-    # fit under it (plus one complex value per grid node for the grids and
-    # small objects), at d = 10 m and at d = 0.1 m, where the sketch is widest.
+    # fit under 30 B per evaluated top-half entry as tracemalloc sees them
+    # (plus one complex value per grid node for the grids and small
+    # objects), at d = 10 m and at d = 0.1 m, where the sketch is widest.
     # The direct layouts hold the top half whole and must keep 1.5 B of
-    # margin under the guard. The small layouts, whose green_offset row block
-    # is not small beside the matrix, must fit under the guard's whole
-    # estimate, matrix_bytes
+    # margin under that. The small layouts, whose green_offset row block is
+    # not small beside the matrix, may add one row block at
+    # BLOCK_BYTES_PER_ENTRY. The guard, BYTES_PER_ENTRY, charges more: it
+    # also covers the working copies numpy.linalg makes, which tracemalloc
+    # does not see (test_full_svd_fallback_resident_peak_within_guard)
     small = layout in SMALL_LAYOUTS
     for d in (SMALL_LAYOUTS[layout],) if small else (10.0, 0.1):
         cfg, rx, tx, weigh_rx, weigh_tx = _large_case(layout, d)
         peak = _spectrum_peak(cfg, rx, tx, weigh_rx, weigh_tx)
         top = -(-rx.m // 2)
-        guard = matrix_bytes(top, tx.m) if small else BYTES_PER_ENTRY * top * tx.m
-        assert peak <= guard + 16 * (rx.m + tx.m), d
+        bound = 30 * top * tx.m
+        if small:
+            bound += BLOCK_BYTES_PER_ENTRY * min(top * tx.m, GREEN_BLOCK_ENTRIES)
+        assert peak <= bound + 16 * (rx.m + tx.m), d
         if layout in DIRECT_LAYOUTS:
             assert peak <= 28.5 * top * tx.m, d
 
@@ -557,12 +593,15 @@ def test_spectrum_peak_memory_within_guard(layout):
 @pytest.mark.parametrize("layout", ["trx1200x1200", "nystrom1600x800"])
 def test_blocks_from_the_offset_table_never_hold_the_top_half(layout):
     # where the rows have an offset table the split blocks are formed from
-    # it a piece at a time, so at d = 10 m the spectrum peaks at 8 B per
-    # evaluated top-half entry or less: half the 16 B that holding the
-    # complex top half alone would take
-    cfg, rx, tx, weigh_rx, weigh_tx = _large_case(layout, 10.0)
-    peak = _spectrum_peak(cfg, rx, tx, weigh_rx, weigh_tx)
-    assert peak <= 8 * -(-rx.m // 2) * tx.m
+    # it a piece at a time, so at d = 10 m the spectrum peaks at 6 B per
+    # evaluated top-half entry or less, well under the 16 B that holding
+    # the complex top half alone would take; at d = 0.1 m, where the
+    # sketch is widest, at 9 B. Each sketch frees its sketch matrix before
+    # its basis step, and each row chunk and residual piece before the next
+    for d, bound in ((10.0, 6), (0.1, 9)):
+        cfg, rx, tx, weigh_rx, weigh_tx = _large_case(layout, d)
+        peak = _spectrum_peak(cfg, rx, tx, weigh_rx, weigh_tx)
+        assert peak <= bound * -(-rx.m // 2) * tx.m, d
 
 
 @pytest.mark.parametrize("layout, d, mode_count", [
@@ -573,21 +612,55 @@ def test_full_svd_fallback_peak_memory_within_guard(layout, d, mode_count, monke
     # its full SVD, formed whole; with none at d = 0.1 m, every sketch width
     # (16 to 128 columns) fails its residual test first, and its factors
     # must be freed before the block is formed. Either way the fallback
-    # must fit under the guard too
+    # must fit under 30 B per evaluated top-half entry as tracemalloc sees it
     monkeypatch.setattr(spectra, "_mode_count", lambda cfg: mode_count)
     cfg, rx, tx, weigh_rx, weigh_tx = _large_case(layout, d)
     peak = _spectrum_peak(cfg, rx, tx, weigh_rx, weigh_tx)
-    assert peak <= BYTES_PER_ENTRY * -(-rx.m // 2) * tx.m
+    assert peak <= 30 * -(-rx.m // 2) * tx.m
+
+
+_FALLBACK_RISE = _HIGH_WATER + """
+import sys
+import numpy as np
+from capmimo import SystemConfig, midpoint_grid, spectra
+from capmimo.spectra import gauss_legendre_grid
+
+cfg = SystemConfig(distance_m=10.0)
+l = cfg.aperture_m
+if sys.argv[1] == "trx1201x1200":
+    rx, tx, weigh = midpoint_grid(l, 1201), midpoint_grid(l, 1200), False
+else:
+    rx, tx, weigh = gauss_legendre_grid(l, 1600), gauss_legendre_grid(l, 1000), True
+spectra._mode_count = lambda cfg: 1e9
+small = np.ones((4, 2), dtype=np.complex128)
+np.linalg.svd(small, compute_uv=False)
+before = high_water()
+spectra.centrosymmetric_spectrum(rx, tx, cfg, weigh, weigh)
+print((high_water() - before) / (-(-rx.m // 2) * tx.m))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+@pytest.mark.parametrize("layout", DIRECT_LAYOUTS)
+def test_full_svd_fallback_resident_peak_within_guard(layout):
+    # the directly evaluated layouts hold the top half whole while one
+    # block is formed whole for its full SVD, and numpy.linalg's SVD works
+    # on its own copy of that block, which tracemalloc does not see: the
+    # fallback's resident peak, measured as the rise of VmHWM in a fresh
+    # process after the grids are built and LAPACK is loaded, must fit
+    # under the guard's BYTES_PER_ENTRY per evaluated top-half entry
+    rise = float(_fresh_python(_FALLBACK_RISE, layout))
+    assert rise <= BYTES_PER_ENTRY, rise
 
 
 def _spectrum_peak(cfg, rx, tx, weigh_rx, weigh_tx) -> int:
-    """tracemalloc peak of one centrosymmetric_spectrum call, in bytes, measured as a
-    first call: the cached sketch phase matrices are cleared, so the call allocates its own.
+    """tracemalloc peak of one centrosymmetric_spectrum call, in bytes.
 
-    tracemalloc does not see the working copies numpy.linalg's gufuncs make of
-    the matrix they factor (test_basis_step_resident_memory bounds the sketch
-    basis's in resident memory instead)."""
-    spectra._phases.cache_clear()
+    Every sketch draws its own sketch matrix, so each call is measured as a
+    first call. tracemalloc does not see the working copies numpy.linalg's
+    gufuncs make of the matrix they factor (test_basis_step_resident_memory
+    and test_full_svd_fallback_resident_peak_within_guard measure those in
+    resident memory instead)."""
     tracemalloc.start()
     try:
         centrosymmetric_spectrum(rx, tx, cfg, weigh_rx, weigh_tx)
