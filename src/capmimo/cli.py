@@ -53,13 +53,13 @@ from .models import (
     MODEL_DISCRETE_TRX,
     cache_counts,
     dof_estimate,
-    evaluated_shape,
     mi_continuous,
+    model_sides,
     noise_rx,
     resolve_ref_m,
 )
 from .physics import SystemConfig, resolve_inner_points
-from .spectra import check_matrix_size, midpoint_grid
+from .spectra import check_memory, midpoint_grid
 
 CSV_COLUMNS = ("scenario", "d_m", "m1", "m2", "ref_m", "mi_nats", "mi_bits",
                "mi_ref_nats", "abs_gap", "n_used", "model_tag", "wall_time_s")
@@ -72,6 +72,12 @@ DEFAULT_M_LIST = (5, 10, 20, 40, 80, 100, 160)
 
 # the commands whose discrete receiver takes inner_points source nodes
 INNER_POINTS_COMMANDS = ("sweep-receiver", "bounds")
+
+# resident bytes per antenna and per source node of one bounds step (noise_rx):
+# the VmHWM rise of a fresh process, 24.5 and 97.6 at 1e6-8e6 antennas and
+# 1e5-4e6 source nodes, plus 1.5 of margin, rounded up
+BOUNDS_BYTES_PER_ANTENNA = 26
+BOUNDS_BYTES_PER_NODE = 100
 
 
 class ConfigError(ValueError):
@@ -163,9 +169,10 @@ class RunConfig:
 
         Builds the scenario at every distance ``command`` runs at, so it
         raises ValueError on any invalid physics value or node count, and
-        on a reference matrix or largest discrete matrix that would not
-        fit in physical memory. The node counts are each given at their
-        largest over those distances (every CSV row carries its own ref_m).
+        on a reference matrix, largest discrete matrix or largest ``bounds``
+        step that would not fit in physical memory. The node counts are
+        each given at their largest over those distances (every CSV row
+        carries its own ref_m).
         """
         d = dataclasses.asdict(self)
         base = self.system_config()
@@ -179,11 +186,14 @@ class RunConfig:
         m1, m2 = (max(self.m1_list), max(self.m2_list)) if grid else (max(self.m_list),) * 2
         for cfg in cfgs:
             if command != "bounds":  # every other command solves the reference at each distance
-                check_matrix_size(*evaluated_shape(cfg, MODEL_CONTINUOUS, ref_m=self.ref_m))
+                model_sides(cfg, MODEL_CONTINUOUS, ref_m=self.ref_m)
             if model is not None:  # a sweep's largest matrix is that of its largest counts
-                check_matrix_size(*evaluated_shape(cfg, model, m1, m2,
-                                                   inner_points=self.inner_points))
+                model_sides(cfg, model, m1, m2, inner_points=self.inner_points)
         d["inner_points"] = max(resolve_inner_points(cfg, self.inner_points) for cfg in cfgs)
+        if command == "bounds":  # its largest m with the source rule, in one noise_rx call
+            m, n = max(self.m_list), d["inner_points"]
+            check_memory(BOUNDS_BYTES_PER_ANTENNA * m + BOUNDS_BYTES_PER_NODE * n,
+                         f"a bounds step on {m} antennas and {n} source nodes")
         return d
 
 

@@ -4,7 +4,8 @@ Each sweep tabulates a discrete model against the continuous reference
 at the same distance, one row per (distance, (m1, m2)) cell, through the
 one loop ``_sweep``: before the first reference solve it checks every
 antenna count and distance and sizes every reference and cell against
-physical memory, so an infeasible sweep raises instead of solving. Cells
+physical memory by ``models.model_sides``, the rule each model call
+solves by, so an infeasible sweep raises instead of solving. Cells
 run one after another in the calling thread, so every cell at one
 geometry reuses the cached reference trace and spectrum, and a grid's
 (m2, m1) cell the spectrum of its (m1, m2) cell; matrix products and
@@ -26,13 +27,12 @@ from .models import (
     MODEL_DISCRETE_RX,
     MODEL_DISCRETE_TRX,
     MiResult,
-    evaluated_shape,
     mi_continuous,
     mi_discrete_rx,
     mi_discrete_trx,
+    model_sides,
 )
 from .physics import SystemConfig, as_count
-from .spectra import check_matrix_size
 
 # rows whose gap is below this fraction of the reference have converged
 # to the floating-point floor and carry no slope information
@@ -114,7 +114,7 @@ def _sweep(scenario: str, cfg: SystemConfig, distances: Sequence[float],
     A cell is ``mi_discrete_rx(m2)`` when m1 is None, else
     ``mi_discrete_trx(m1, m2)``. Every antenna count and distance is
     checked (an integer of at least 1), and every reference and cell sized
-    against physical memory by ``evaluated_shape``, before the first
+    against physical memory by ``model_sides``, before the first
     reference solve. The continuous reference at each distance is then
     solved once, before that distance's cells run.
     """
@@ -127,10 +127,10 @@ def _sweep(scenario: str, cfg: SystemConfig, distances: Sequence[float],
         raise ValueError(f"antenna counts must be >= 1, got {low}")
     cfgs = [dataclasses.replace(cfg, distance_m=d) for d in distances]
     for cfg_d in cfgs:
-        check_matrix_size(*evaluated_shape(cfg_d, MODEL_CONTINUOUS, ref_m=ref_m))
+        model_sides(cfg_d, MODEL_CONTINUOUS, ref_m=ref_m)
         for m1, m2 in cells:
             tag = MODEL_DISCRETE_RX if m1 is None else MODEL_DISCRETE_TRX
-            check_matrix_size(*evaluated_shape(cfg_d, tag, m1, m2, inner_points=inner_points))
+            model_sides(cfg_d, tag, m1, m2, inner_points=inner_points)
     rows: list[SweepRow] = []
     for d, cfg_d in zip(distances, cfgs):
         ref = mi_continuous(cfg_d, ref_m)

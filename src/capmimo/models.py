@@ -1,38 +1,39 @@
 """Mutual-information models for continuous and discretized transceivers.
 
 All three models are the one spectral computation of ``spectra``: the
-squared singular values of the two centrosymmetric halves of a weighted
-matrix of sampled propagation coefficients A, then log det(I + (2 / n)
-A A^H) as a sum of log1p. They differ in the two sampling grids, their
-weights and the noise density n:
+squared singular values of the two centrosymmetric halves of the
+weighted matrix A = sqrt(w_r) G sqrt(w_s) of sampled propagation
+coefficients, then log det(I + (2 / n) A A^H) as a sum of log1p. They
+differ only in their two grids, each of which carries its own weights
+(none on an antenna grid), and in the noise density n:
 
 * ``mi_continuous``   -- Gauss-Legendre reference grid against the
-  Gauss-Legendre source grid, A = sqrt(w_r) G sqrt(w_s): a Nystrom
-  discretization of the field operator, whose determinant converges
-  exponentially in the node counts (Bornemann, Math. Comp. 79, 2010).
+  Gauss-Legendre source grid: a Nystrom discretization of the field
+  operator, whose determinant converges exponentially in the node
+  counts (Bornemann, Math. Comp. 79, 2010).
 * ``mi_discrete_rx``  -- m point antennas (midpoint layout, no weight)
   against the source grid, G sqrt(w_s).
-* ``mi_discrete_trx`` -- point antennas on both sides, weight 1.
+* ``mi_discrete_trx`` -- point antennas on both sides, G.
 
-One body, ``_spectrum``, builds the grids of every model call and takes
-their spectrum; ``_reference_spectrum`` and ``_discrete_spectrum`` are its
-cached calls. G is even and the lattice offsets negate exactly, so the
-channel from m1 transmit to m2 receive antennas is, bitwise, the
-transpose of the one from m2 to m1: ``mi_discrete_trx`` solves each
-unordered pair once, the smaller count on the receive side, and returns
-one value for both orders. The discrete models match the continuous
-receive SNR with the noise density n0 * ||own unit-power A||_F^2 /
-``physics.operator_trace``, defined at every power including zero;
-``noise_rx`` and ``noise_trx`` give the same densities plus
+One rule, ``model_sides``, decides the two sides of every model call as
+they are solved, each a (node count, grid rule) pair, and checks the
+evaluated matrix against physical memory before any grid exists; the
+sweeps and the command line size their calls with it too. ``_spectrum``
+builds the two grids and takes their spectrum; ``_reference_spectrum``
+and ``_discrete_spectrum`` are its cached calls, keyed on the sides. G
+is even and the lattice offsets negate exactly, so the channel from m1
+transmit to m2 receive antennas is, bitwise, the transpose of the one
+from m2 to m1: ``model_sides`` puts the smaller count on the receive
+side, so both orders are one solve. The discrete models match the
+continuous receive SNR with the noise density n0 * ||own unit-power
+A||_F^2 / ``physics.operator_trace``, defined at every power including
+zero; ``noise_rx`` and ``noise_trx`` give the same densities plus
 midpoint-error bounds through one body, from one sampled |G|^2 profile.
 
 Every continuous integral (the reference's source side, the trace, the
 default source rule of ``mi_discrete_rx``) takes its node count from the
 one rule ``SystemConfig.default_inner_points``; ``default_ref_m`` keeps
-the reference's receive side at 1600 nodes or more. ``evaluated_shape``
-is the one size rule of every model's matrix as evaluated, by which
-``_spectrum``, the sweeps and the command line check it against physical
-memory before any grid exists.
+the reference's receive side at 1600 nodes or more.
 
 Power and noise density only rescale these quantities: every cache is
 keyed on the geometry alone and holds unit-power values, and P and n0
@@ -131,16 +132,15 @@ def _unit_trace(geometry: SystemConfig) -> float:
 
 
 @lru_cache(maxsize=32)
-def _reference_spectrum(geometry: SystemConfig, ref_m: int) -> np.ndarray:
+def _reference_spectrum(geometry: SystemConfig, rx: tuple, tx: tuple) -> np.ndarray:
     """Unit-power field-operator spectrum: ``_spectrum`` of the continuous model, cached."""
-    return _spectrum(geometry, MODEL_CONTINUOUS, None, ref_m)[0]
+    return _spectrum(geometry, rx, tx)[0]
 
 
 @lru_cache(maxsize=64)
-def _discrete_spectrum(geometry: SystemConfig, model_tag: str, m1: int | None, m2: int,
-                       inner_points: int | None) -> tuple[np.ndarray, float]:
+def _discrete_spectrum(geometry: SystemConfig, rx: tuple, tx: tuple) -> tuple[np.ndarray, float]:
     """Unit-power spectrum and ||A||_F^2 of a discrete model: ``_spectrum``, cached."""
-    return _spectrum(geometry, model_tag, m1, m2, inner_points)
+    return _spectrum(geometry, rx, tx)
 
 
 def cache_counts() -> dict[str, dict[str, int]]:
@@ -190,43 +190,34 @@ def resolve_ref_m(cfg: SystemConfig, ref_m: int | None) -> int:
     return ref_m
 
 
-def evaluated_shape(cfg: SystemConfig, model_tag: str, m1: int | None = None,
-                    m2: int | None = None, ref_m: int | None = None,
-                    inner_points: int | None = None) -> tuple[int, int]:
-    """(rows, columns) of the matrix a model call evaluates: the top ceil(p / 2) rows of p x q.
+def model_sides(cfg: SystemConfig, model_tag: str, m1: int | None = None,
+                m2: int | None = None, ref_m: int | None = None,
+                inner_points: int | None = None) -> tuple[tuple, tuple]:
+    """The receive and transmit sides of a model call as solved, sized before any grid exists.
 
-    The continuous model is ``resolve_ref_m`` reference nodes against the
-    rule's source nodes; ``mi_discrete_rx`` m2 antennas against
-    ``resolve_inner_points`` source nodes; ``mi_discrete_trx`` the
-    orientation it solves, min(m1, m2) receive against max(m1, m2)
-    transmit antennas.
+    Each side is (node count, grid rule): ``gauss_legendre_grid``, which
+    carries its weights, or ``midpoint_grid``, antennas. The continuous
+    model is ``resolve_ref_m`` reference nodes against the rule's source
+    nodes; ``mi_discrete_rx`` m2 antennas against ``resolve_inner_points``
+    source nodes; ``mi_discrete_trx`` min(m1, m2) receive against max(m1,
+    m2) transmit antennas, so both orders are one pair of sides. The
+    evaluated top ceil(p / 2) rows of the p x q matrix are checked
+    against physical memory (``check_matrix_size``).
     """
+    gauss = gauss_legendre_grid
     if model_tag == MODEL_CONTINUOUS:
-        p, q = resolve_ref_m(cfg, ref_m), cfg.default_inner_points()
+        rx, tx = (resolve_ref_m(cfg, ref_m), gauss), (cfg.default_inner_points(), gauss)
     elif model_tag == MODEL_DISCRETE_RX:
-        p, q = m2, resolve_inner_points(cfg, inner_points)
+        rx, tx = (m2, midpoint_grid), (resolve_inner_points(cfg, inner_points), gauss)
     else:
-        p, q = min(m1, m2), max(m1, m2)
-    return -(-p // 2), q
+        rx, tx = (min(m1, m2), midpoint_grid), (max(m1, m2), midpoint_grid)
+    check_matrix_size(-(-rx[0] // 2), tx[0])
+    return rx, tx
 
 
-def _spectrum(cfg: SystemConfig, model_tag: str, m1: int | None, m2: int,
-              inner_points: int | None = None) -> tuple[np.ndarray, float]:
-    """Squared singular values and ||A||_F^2 of a model's A, sized before any grid exists.
-
-    Gauss-Legendre and weighted: the continuous model's receive side (m2 =
-    ref_m nodes) and the transmit side when m1 is None (the source rule).
-    Midpoint antennas of weight 1: every other side. Antennas on both sides
-    are solved as given, m2 rows against m1 columns: the check before the
-    grids sizes ``evaluated_shape``'s orientation, within half a row of
-    the same entry count, and ``centrosymmetric_spectrum`` checks this one.
-    """
-    rows, cols = evaluated_shape(cfg, model_tag, m1, m2, ref_m=m2, inner_points=inner_points)
-    check_matrix_size(rows, cols)
-    l, weigh_rx, weigh_tx = cfg.aperture_m, model_tag == MODEL_CONTINUOUS, m1 is None
-    rx_grid = gauss_legendre_grid(l, m2) if weigh_rx else midpoint_grid(l, m2)
-    tx_grid = gauss_legendre_grid(l, cols) if weigh_tx else midpoint_grid(l, m1)
-    return centrosymmetric_spectrum(rx_grid, tx_grid, cfg, weigh_rx, weigh_tx)
+def _spectrum(cfg: SystemConfig, rx: tuple, tx: tuple) -> tuple[np.ndarray, float]:
+    """Squared singular values and ||A||_F^2 of A = sqrt(w_r) G sqrt(w_s) on the sides' grids."""
+    return centrosymmetric_spectrum(*(rule(cfg.aperture_m, n) for n, rule in (rx, tx)), cfg)
 
 
 def mi_continuous(cfg: SystemConfig, ref_m: int | None = None) -> MiResult:
@@ -239,13 +230,13 @@ def mi_continuous(cfg: SystemConfig, ref_m: int | None = None) -> MiResult:
     spectrum of T. That operator-scaled spectrum (min(ref_m, source
     nodes) entries) is exposed on the result for SNR and DoF diagnostics.
     """
-    ref_m = resolve_ref_m(cfg, ref_m)
-    scaled = cfg.power_density * _reference_spectrum(_geometry(cfg), ref_m)
+    rx, tx = model_sides(cfg, MODEL_CONTINUOUS, ref_m=ref_m)
+    scaled = cfg.power_density * _reference_spectrum(_geometry(cfg), rx, tx)
     scaled.setflags(write=False)
     value = logdet_from_eigenvalues(scaled, 2.0 / cfg.noise_density)
     return MiResult(value_nats=value, model_tag=MODEL_CONTINUOUS,
-                    noise_used=cfg.noise_density, ref_m=ref_m,
-                    inner_points=cfg.default_inner_points(), eigenvalues=scaled)
+                    noise_used=cfg.noise_density, ref_m=rx[0],
+                    inner_points=tx[0], eigenvalues=scaled)
 
 
 def _noise_control(cfg: SystemConfig, unit_power_sum: float, counts: tuple[int, ...],
@@ -301,13 +292,13 @@ def noise_trx(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
 
 def _discrete_mi(model_tag: str, m1: int | None, m2: int, cfg: SystemConfig,
                  inner_points: int | None = None) -> MiResult:
-    """log det(I + P A A^H / (n / 2)) for m2 receive antennas from ``_discrete_spectrum``.
+    """log det(I + P A A^H / (n / 2)), m1 transmit and m2 receive antennas, cached spectrum.
 
     n is the ``_matched_noise`` density from ||A||_F^2; ``inner_points``,
     the resolved source rule of ``mi_discrete_rx`` (m1 None), is reported.
     """
-    spectrum, unit_power_sum = _discrete_spectrum(_geometry(cfg), model_tag, m1, m2,
-                                                  inner_points)
+    sides = model_sides(cfg, model_tag, m1, m2, inner_points=inner_points)
+    spectrum, unit_power_sum = _discrete_spectrum(_geometry(cfg), *sides)
     noise = _matched_noise(cfg, unit_power_sum)
     value = logdet_from_eigenvalues(spectrum, 2.0 * cfg.power_density / noise)
     return MiResult(value_nats=value, model_tag=model_tag, noise_used=noise,
@@ -337,13 +328,13 @@ def mi_discrete_trx(m1: int, m2: int, cfg: SystemConfig) -> MiResult:
     singular values of the unit-weight channel H with P applied in the
     scale; n_trx is the ``noise_trx`` density, from ||H||_F^2. The (m2,
     m1) channel is the transpose of this one, so both orders are solved
-    as the one with the smaller count on the receive side and return the
-    same value.
+    as the one with the smaller count on the receive side (``model_sides``)
+    and return the same value.
     """
     m1, m2 = as_count("m1", m1), as_count("m2", m2)
     if m1 < 1 or m2 < 1:
         raise ValueError(f"antenna counts must be >= 1, got ({m1}, {m2})")
-    return _discrete_mi(MODEL_DISCRETE_TRX, max(m1, m2), min(m1, m2), cfg)
+    return _discrete_mi(MODEL_DISCRETE_TRX, m1, m2, cfg)
 
 
 def dof_estimate(cfg: SystemConfig, ref_m: int | None = None,

@@ -43,6 +43,8 @@ class SystemConfig:
         distance_m: separation d of the two parallel segments, > 0.
         power_density: source power density P (equal allocation, no CSI), >= 0.
         noise_density: receiver noise density n0 (two-sided n0/2), > 0.
+
+    The SNR scales 2 / n0 and 2 P / n0 must be finite.
     """
 
     wavelength_m: float = 0.04
@@ -62,6 +64,11 @@ class SystemConfig:
             raise ValueError(f"power_density must be nonnegative, got {self.power_density}")
         if not (self.noise_density > 0 and math.isfinite(self.noise_density)):
             raise ValueError(f"noise_density must be positive, got {self.noise_density}")
+        if not (math.isfinite(2.0 / self.noise_density)
+                and math.isfinite(2.0 * self.power_density / self.noise_density)):
+            raise ValueError(f"power_density {self.power_density} and noise_density "
+                             f"{self.noise_density} make the SNR scale 2 / n0 or 2 P / n0 "
+                             "overflow")
 
     @property
     def wavenumber(self) -> float:

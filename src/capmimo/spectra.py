@@ -4,13 +4,13 @@ Every mutual-information value in the package is the same computation:
 the squared singular values of the two centrosymmetric halves of a
 weighted propagation matrix (``centrosymmetric_spectrum``), followed by
 ``logdet_from_eigenvalues``, the only ``sum log(1 + s*lambda)`` in the
-package. The models differ only in the two grids and in which side
-carries its quadrature weights. The continuous operator samples a
-composite Gauss-Legendre reference grid against the Gauss-Legendre
-source grid, A = sqrt(w_r) G sqrt(w_s). The discrete receiver samples
-its antennas (the midpoint layout, which is the physical array and
-carries no weight) against the source grid, G sqrt(w_s); the discrete
-transceiver samples antennas on both sides with weight 1.
+package. The models differ only in their two grids, and each grid
+carries its own weights: a Gauss-Legendre rule its quadrature weights,
+a midpoint grid (the antennas of the physical array) none, so every
+matrix is A = sqrt(w_r) G sqrt(w_s) with w = 1 on antennas. The
+continuous operator samples a Gauss-Legendre reference grid against
+the Gauss-Legendre source grid, the discrete receiver its antennas
+against the source grid, and the discrete transceiver antennas on both.
 
 G(x) is even and every grid is mirror-symmetric about l/2, so each of
 these matrices is centrosymmetric, J A J = A with J the exchange
@@ -116,20 +116,20 @@ class PSDViolationError(ValueError):
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Nodes r_i and weights w_i of an m-point quadrature rule on (0, length).
+    """Nodes r_i and weights w_i of an m-point grid on (0, length).
 
     The nodes are a lattice of ``panels`` equal panels, each holding the
     same ``pattern`` of k node offsets in panel widths: r_i = (i // k +
     pattern[i % k]) * length / panels, up to rounding, and the same k
     weights, w_i = weights[i % k] bitwise. A rule whose panels
-    differ is one panel whose pattern is every node. ``weight`` is the
-    mean weight length / m; the midpoint rule has every weight equal to it.
+    differ is one panel whose pattern is every node. An antenna grid
+    carries no weight (``weights`` None); ``weight`` is the mean length / m.
     """
 
     points: np.ndarray = field(compare=False)
     length: float
     m: int
-    weights: np.ndarray = field(compare=False)
+    weights: np.ndarray | None = field(compare=False)
     panels: int
     pattern: np.ndarray = field(compare=False)
 
@@ -142,8 +142,8 @@ def midpoint_grid(length: float, m: int) -> QuadratureGrid:
     """Build the m-point midpoint grid r_i = (i - 0.5) * l / m on (0, length).
 
     This is the evenly spaced antenna layout of the discrete models
-    (spacing length/m, first element at half a spacing from the edge),
-    and the equal-weight midpoint rule on that layout: m one-node panels.
+    (spacing length/m, first element at half a spacing from the edge):
+    m one-node panels of point antennas, which carry no weight.
     """
     m = as_count("grid size m", m)
     if m < 1:
@@ -152,8 +152,7 @@ def midpoint_grid(length: float, m: int) -> QuadratureGrid:
         raise ValueError(f"grid length must be positive, got {length}")
     pts = midpoints(length, m)
     pts.setflags(write=False)
-    return QuadratureGrid(points=pts, length=length, m=m,
-                          weights=np.broadcast_to(length / m, (m,)), panels=m,
+    return QuadratureGrid(points=pts, length=length, m=m, weights=None, panels=m,
                           pattern=np.broadcast_to(0.5, (1,)))
 
 
@@ -183,18 +182,24 @@ def matrix_bytes(rows: int, cols: int) -> int:
 def check_matrix_size(rows: int, cols: int) -> None:
     """Fail fast when a rows x cols complex matrix cannot be evaluated in physical memory.
 
-    The estimate is ``matrix_bytes``; raises a one-line ValueError before
-    anything is allocated. Skipped where the platform does not report its
-    physical memory.
+    The estimate is ``matrix_bytes``; see ``check_memory``.
     """
-    need = matrix_bytes(rows, cols)
+    check_memory(matrix_bytes(rows, cols), f"a {rows} x {cols} complex matrix")
+
+
+def check_memory(need: int, what: str) -> None:
+    """Raise a one-line ValueError when ``need`` bytes for ``what`` exceed physical memory.
+
+    Called before anything is allocated; skipped where the platform does
+    not report its physical memory.
+    """
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return
     if need > have:
         raise ValueError(
-            f"a {rows} x {cols} complex matrix needs about {need / 2**30:.3g} GiB, "
+            f"{what} needs about {need / 2**30:.3g} GiB, "
             f"more than the {have / 2**30:.3g} GiB of physical memory; "
             f"lower ref_m, inner_points, the antenna counts or l / min(wavelength, d)")
 
@@ -211,46 +216,44 @@ def assemble_kernel_matrix(grid: QuadratureGrid, cfg: SystemConfig,
                            inner_points: int | None = None) -> np.ndarray:
     """Sampled field-autocorrelation matrix K[i, j] = kernel_value(r_i, r_j).
 
-    The channel from the n-node Gauss-Legendre source grid to ``grid``,
-    weighted by the source weights, A[i, k] = G(r_i - s_k) sqrt(w_k),
-    gives K = P * A A^H with exact Hermitian symmetry. Cost O(m^2 n).
+    The channel A = G sqrt(w_s) from the n-node Gauss-Legendre source
+    grid to an antenna ``grid`` gives K = P * A A^H with exact Hermitian
+    symmetry. Cost O(m^2 n).
     """
     source = gauss_legendre_grid(cfg.aperture_m, resolve_inner_points(cfg, inner_points))
-    A = assemble_channel_matrix(grid, source, cfg)
-    A *= np.sqrt(source.weights)
-    return gram_from_channel(A, cfg.power_density)
+    return gram_from_channel(assemble_channel_matrix(grid, source, cfg), cfg.power_density)
 
 
 def assemble_channel_matrix(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
                             cfg: SystemConfig) -> np.ndarray:
-    """Point-to-point gain matrix H[i, k] = G(r_i - s_k), shape (m_rx, m_tx), a fresh array.
+    """A = sqrt(w_r) G(r_i - s_k) sqrt(w_s), shape (m_rx, m_tx), a fresh array; H = G on antennas.
 
-    H is copied out of the view ``_lattice``. On two grids of one length
+    A is copied out of the view ``_lattice``. On two grids of one length
     l, r_i - s_k is D l / lcm(P_rx, P_tx) for an integer lattice
     difference D, plus the offset of a pair of pattern nodes, and G is
     evaluated once per (D, pattern pair) into a table. Where that table
-    would hold at least as many entries as H (unequal panels, an lcm far
+    would hold at least as many entries as A (unequal panels, an lcm far
     above both panel counts, or grids of different lengths), every entry
     is evaluated directly instead.
     """
     check_matrix_size(rx_grid.m, tx_grid.m)
-    H = _lattice(rx_grid, tx_grid, cfg, rx_grid.m).reshape(rx_grid.m, tx_grid.m)
+    A = _lattice(rx_grid, tx_grid, cfg, rx_grid.m).reshape(rx_grid.m, tx_grid.m)
     # a table view stays a read-only view of aliased entries where the
     # reshape need not copy (one-node patterns on both sides)
-    return H if H.flags.writeable else H.copy()
+    return A if A.flags.writeable else A.copy()
 
 
-def _lattice(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid, cfg: SystemConfig, rows: int,
-             weigh_rx: bool = False, weigh_tx: bool = False) -> np.ndarray:
-    """H[i, k] as a (panel, node, panel, node) view V[I, a, K, b].
+def _lattice(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid, cfg: SystemConfig,
+             rows: int) -> np.ndarray:
+    """A = sqrt(w_r) G sqrt(w_s) as a (panel, node, panel, node) view V[I, a, K, b].
 
     Node i = I k_rx + a is pattern node a of receive panel I, node k = K
     k_tx + b node b of transmit panel K, over the panels that hold the
     first ``rows`` receive nodes. The view reads an offset table and is
     read-only. Where the table would hold at least as many entries as the
     rows x m_tx matrix, the view is those rows evaluated directly, read
-    as one-node panels: V[i, 0, k, 0] = H[i, k]. Each side's weights, when
-    asked, are folded in once: every panel repeats its pattern's weights.
+    as one-node panels: V[i, 0, k, 0] = A[i, k]. Each side's weights, where
+    its grid has any, are folded in once: every panel repeats its pattern's.
     """
     k_rx, k_tx = rx_grid.pattern.size, tx_grid.pattern.size
     lcm = math.lcm(rx_grid.panels, tx_grid.panels)
@@ -266,9 +269,9 @@ def _lattice(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid, cfg: SystemConfig
             - (rx_grid.pattern * (l / rx_grid.panels))[:, None]
         table = _green_matrix(np.arange(low, high + 1) * (l / lcm), pattern_offsets.ravel(), cfg)
     table = table.reshape(-1, k_rx, k_tx)
-    if weigh_tx:
+    if tx_grid.weights is not None:
         table *= np.sqrt(tx_grid.weights[:k_tx])
-    if weigh_rx:
+    if rx_grid.weights is not None:
         table *= np.sqrt(rx_grid.weights[:k_rx])[:, None]
     if direct:
         return table.reshape(rows, 1, k_tx, 1)
@@ -320,16 +323,14 @@ class _SplitBlock:
 
 
 def centrosymmetric_spectrum(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
-                             cfg: SystemConfig, weigh_rx: bool = False,
-                             weigh_tx: bool = False) -> tuple[np.ndarray, float]:
+                             cfg: SystemConfig) -> tuple[np.ndarray, float]:
     """Squared singular values and ||A||_F^2 of A = sqrt(w_r) G(r_i - s_k) sqrt(w_s).
 
-    Each side carries its grid weights when ``weigh_rx`` / ``weigh_tx``
-    is set and unit weights otherwise; both grids must be mirror-symmetric
-    about the same l/2, so grids of unequal length raise ValueError. Only
-    the top ceil(p/2) rows [L c R] of the p x q matrix are evaluated (c
-    is the middle column when q is odd). A's singular
-    values are those of B- = L - R J and B+ = [L + R J, sqrt(2) c], whose
+    w = 1 on an antenna grid, as in ``assemble_channel_matrix``. Both
+    grids must be mirror-symmetric about the same l/2, so grids of
+    unequal length raise ValueError. Only the top ceil(p/2) rows [L c R]
+    of the p x q matrix are evaluated (c is the middle column when q is
+    odd). A's singular values are those of B- = L - R J and B+ = [L + R J, sqrt(2) c], whose
     middle row (when p is odd) is divided by sqrt(2). Returns the
     min(p, q) squared singular values, nonincreasing and read-only, and
     ||A||_F^2 = ||B+||_F^2 + ||B-||_F^2.
@@ -350,7 +351,7 @@ def centrosymmetric_spectrum(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
     p, q = rx_grid.m, tx_grid.m
     top, half = -(-p // 2), q // 2
     check_matrix_size(top, q)
-    lattice = _lattice(rx_grid, tx_grid, cfg, top, weigh_rx, weigh_tx)
+    lattice = _lattice(rx_grid, tx_grid, cfg, top)
     plus = _SplitBlock(lattice, np.add, (top, q - half), p, q)
     minus = _SplitBlock(lattice, np.subtract, (p // 2, half), p, q)
     width = math.ceil(_mode_count(cfg) / 2) + SKETCH_OVERSAMPLING
@@ -647,8 +648,8 @@ def hermitian_eigenvalues(K: np.ndarray) -> SpectralResult:
 def logdet_from_eigenvalues(eigenvalues: np.ndarray, scale: float) -> float:
     """sum_k log(1 + scale * lambda_k): log det(I + scale * K) from K's spectrum.
 
-    Nondecreasing in scale; zero at scale = 0.
+    Nondecreasing in scale; zero at scale = 0. A nan or infinite scale is refused.
     """
-    if scale < 0:
-        raise ValueError(f"scale must be >= 0, got {scale}")
+    if not 0 <= scale < math.inf:
+        raise ValueError(f"scale must be finite and >= 0, got {scale}")
     return float(np.sum(np.log1p(scale * eigenvalues)))

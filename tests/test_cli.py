@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from capmimo import SweepRow, cli
+from capmimo import SweepRow, SystemConfig, cli, sweep_transceiver
 from capmimo.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -105,6 +105,26 @@ def test_misspelled_boolean_rejected(tmp_path):
         assert parse_config(["dof", "--config", str(cfg_file)])[1].keep_going is value
 
 
+def test_config_file_comments_and_malformed_lines(tmp_path, capsys):
+    # blank and comment-only lines are skipped; a line without '=' and a
+    # file that cannot be read are refused in one line: exit 2, nothing on
+    # stdout and no output file
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("# a comment line\n\n   \ndistance = 50\n")
+    assert parse_config(["dof", "--config", str(cfg_file)])[1].distance == 50.0
+    cfg_file.write_text("# header\ndistance 50\n")
+    missing = tmp_path / "missing.cfg"
+    out = tmp_path / "x.csv"
+    for path, message in ((cfg_file, f"{cfg_file}:2: expected 'key = value', got 'distance 50'"),
+                          (missing, f"cannot read config file {missing}: ")):
+        assert main(["sweep-receiver", "--config", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["sweep-transceiver", "sweep-grid", "dof"])
 def test_inner_points_rejected_where_inert(command, tmp_path, capsys):
     # only the discrete receiver has a source rule to set; elsewhere the
@@ -187,6 +207,16 @@ def test_malformed_list_rejected():
     assert main(["sweep-receiver", "--m-list", "4,five", "--out", "x.csv"]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--m-list", "--distances"])
+def test_empty_list_rejected_in_one_line(flag, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["sweep-receiver", flag, ",", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag[2:].replace('-', '_')}: list must be nonempty\n"
+    assert not out.exists()
+
+
 def test_missing_out_is_config_error(capsys):
     assert main(["sweep-receiver", "--m-list", "2,4", "--ref-m", "64",
                  "--distances", "10"]) == 2
@@ -259,6 +289,15 @@ def test_sweep_grid_meta_has_symmetry(tmp_path):
     assert meta["symmetry_gap"] == 0.0
     rows = read_rows_csv(out)
     assert {(r.m1, r.m2) for r in rows} == {(2, 2), (2, 4), (4, 2), (4, 4)}
+
+
+def test_sweep_transceiver_command_matches_library(tmp_path):
+    # the command's CSV rows are the library sweep's, value for value
+    out = tmp_path / "trx.csv"
+    assert main(["sweep-transceiver", "--distances", "10", "--m-list", "2,4", "--ref-m", "64",
+                 "--out", str(out)]) == 0
+    rows = sweep_transceiver(SystemConfig(), [10.0], [2, 4], 64, scenario="sweep-transceiver")
+    assert read_rows_csv(out) == [dataclasses.replace(r, wall_time_s=0.0) for r in rows]
 
 
 def test_sweep_meta_records_cache_counts(tmp_path):
@@ -405,6 +444,46 @@ def test_infeasible_discrete_cell_refused_before_any_output(argv, shape, tmp_pat
     assert captured.out == ""
     assert captured.err.startswith(f"error: a {shape} complex matrix needs")
     assert captured.err.count("\n") == 1 and "physical memory" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, sizes", [
+    (["--m-list", "100000000000"], "100000000000 antennas and 800 source nodes"),
+    (["--m-list", "10", "--inner-points", "100000000000"],
+     "10 antennas and 100000000000 source nodes"),
+])
+def test_infeasible_bounds_step_refused_before_any_output(argv, sizes, tmp_path, capsys):
+    # the antenna and source arrays of bounds' largest step are sized while
+    # the settings are parsed: one error line, exit 2, nothing on stdout,
+    # no table, and nothing allocated for them
+    out = tmp_path / "b.csv"
+    tracemalloc.start()
+    try:
+        code = main(["bounds", *argv, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: a bounds step on {sizes} needs about")
+    assert captured.err.count("\n") == 1 and "physical memory" in captured.err
+    assert not out.exists()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-receiver", "--noise", "1e-320", "--distances", "10", "--m-list", "5,10,20"],
+    ["dof", "--power", "1e308", "--noise", "1"],
+])
+def test_overflowing_snr_scale_refused_before_any_output(argv, tmp_path, capsys):
+    # 2 / n0 or 2 P / n0 beyond the largest float would reach the spectrum
+    # as inf, and a model value as nan or inf: refused in one line, exit 2
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: power_density ") and captured.err.count("\n") == 1
+    assert "make the SNR scale 2 / n0 or 2 P / n0 overflow" in captured.err
     assert not out.exists()
 
 

@@ -99,6 +99,14 @@ def test_numpy_integer_counts_accepted():
     assert mi_discrete_trx(np.int64(3), np.uint8(5), cfg) == mi_discrete_trx(3, 5, cfg)
 
 
+def test_counts_below_one_rejected():
+    cfg = SystemConfig()
+    with pytest.raises(ValueError, match=r"^m must be >= 1, got 0$"):
+        mi_discrete_rx(0, cfg)
+    with pytest.raises(ValueError, match=r"^antenna counts must be >= 1, got \(0, 3\)$"):
+        mi_discrete_trx(0, 3, cfg)
+
+
 def test_mi_continuous_zero_power():
     res = mi_continuous(SystemConfig(power_density=0.0), ref_m=64)
     assert res.value_nats == 0.0
@@ -181,19 +189,21 @@ def test_reference_memory_guard_sizes_the_evaluated_half(monkeypatch):
 
 
 def test_every_model_sizes_its_matrix_before_allocating():
-    # one shape rule sizes every model's evaluated top half; a discrete
-    # cell too large for memory is refused before its grids are built
-    # (4e6 antennas would take 32 MB per grid array)
+    # one rule decides and sizes the two sides of every model call; a
+    # discrete cell too large for memory is refused before its grids are
+    # built (4e6 antennas would take 32 MB per grid array)
     cfg = SystemConfig(distance_m=0.1)
-    n_source = cfg.default_inner_points()
-    assert models.evaluated_shape(cfg, models.MODEL_CONTINUOUS) == (800, n_source)
-    assert models.evaluated_shape(cfg, models.MODEL_CONTINUOUS, ref_m=101) == (51, n_source)
-    assert models.evaluated_shape(cfg, models.MODEL_DISCRETE_RX, m2=7) == (4, n_source)
-    assert models.evaluated_shape(cfg, models.MODEL_DISCRETE_RX, m2=7, inner_points=96) == (4, 96)
-    # the transceiver is sized in the orientation it is solved in: the
-    # smaller count on the receive side
-    assert models.evaluated_shape(cfg, models.MODEL_DISCRETE_TRX, 5, 8) == (3, 8)
-    assert models.evaluated_shape(cfg, models.MODEL_DISCRETE_TRX, 8, 5) == (3, 8)
+    source = cfg.default_inner_points(), gauss_legendre_grid
+    sides = models.model_sides
+    assert sides(cfg, models.MODEL_CONTINUOUS) == ((1600, gauss_legendre_grid), source)
+    assert sides(cfg, models.MODEL_CONTINUOUS, ref_m=101) == ((101, gauss_legendre_grid), source)
+    assert sides(cfg, models.MODEL_DISCRETE_RX, m2=7) == ((7, midpoint_grid), source)
+    assert sides(cfg, models.MODEL_DISCRETE_RX, m2=7, inner_points=96) == (
+        (7, midpoint_grid), (96, gauss_legendre_grid))
+    # the transceiver in the orientation it is solved in: the smaller
+    # count on the receive side
+    assert sides(cfg, models.MODEL_DISCRETE_TRX, 5, 8) == ((5, midpoint_grid), (8, midpoint_grid))
+    assert sides(cfg, models.MODEL_DISCRETE_TRX, 8, 5) == ((5, midpoint_grid), (8, midpoint_grid))
     for call in (lambda: mi_discrete_rx(4 * 10**6, cfg),
                  lambda: mi_discrete_trx(4 * 10**6, 4 * 10**6, cfg)):
         tracemalloc.start()
@@ -598,7 +608,7 @@ def test_model_nondecreasing_in_snr(name, seed):
 
 def _oriented_trx_mi(cfg: SystemConfig, m1: int, m2: int) -> float:
     """mi_discrete_trx's value solved uncached as m2 receive against m1 transmit antennas."""
-    values, unit_power_sum = models._spectrum(cfg, models.MODEL_DISCRETE_TRX, m1, m2)
+    values, unit_power_sum = models._spectrum(cfg, (m2, midpoint_grid), (m1, midpoint_grid))
     noise = models._matched_noise(cfg, unit_power_sum)
     return logdet_from_eigenvalues(values, 2.0 * cfg.power_density / noise)
 

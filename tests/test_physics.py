@@ -69,6 +69,16 @@ def test_config_invariants():
             SystemConfig(**bad)
 
 
+def test_config_refuses_an_overflowing_snr_scale():
+    # 2 / n0 overflows at a subnormal n0, 2 P / n0 at P near the largest
+    # float; either would reach a spectrum as inf and a model value as nan
+    for power, noise in ((1.0, 1e-320), (0.0, 1e-320), (1e308, 1.0), (1e300, 1e-10)):
+        with pytest.raises(ValueError, match="SNR scale 2 / n0 or 2 P / n0 overflow"):
+            SystemConfig(power_density=power, noise_density=noise)
+    for power, noise in ((1e300, 1e-5), (1e-300, 1e-300), (0.0, 1e-300)):
+        SystemConfig(power_density=power, noise_density=noise)
+
+
 def test_kernel_value_zero_power():
     cfg = SystemConfig(power_density=0.0)
     assert kernel_value(0.3, 1.1, cfg, 64) == 0.0 + 0.0j
