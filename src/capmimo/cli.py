@@ -58,7 +58,7 @@ from .models import (
     noise_rx,
     resolve_ref_m,
 )
-from .physics import SystemConfig, resolve_inner_points
+from .physics import SystemConfig, as_count, resolve_inner_points
 from .spectra import check_memory, midpoint_grid
 
 CSV_COLUMNS = ("scenario", "d_m", "m1", "m2", "ref_m", "mi_nats", "mi_bits",
@@ -98,10 +98,7 @@ def _parse_list(raw: str, kind: type) -> tuple:
 
 def _parse_counts(raw: str) -> tuple[int, ...]:
     """A nonempty comma-separated list of antenna counts, each >= 1."""
-    counts = _parse_list(raw, int)
-    if min(counts) < 1:
-        raise ValueError(f"antenna counts must be >= 1, got {min(counts)}")
-    return counts
+    return tuple(as_count("antenna counts", m, 1) for m in _parse_list(raw, int))
 
 
 def _parse_bool(raw: str) -> bool:
@@ -116,6 +113,8 @@ def _parse_bool(raw: str) -> bool:
 def _parse_out(raw: str) -> str:
     if Path(raw).suffix == ".meta":
         raise ValueError(f"{raw!r} ends in .meta: the CSV's .meta sidecar would overwrite it")
+    if Path(raw).is_dir():
+        raise ValueError(f"{raw!r} is a directory, not a CSV path")
     return raw
 
 

@@ -120,11 +120,8 @@ def _sweep(scenario: str, cfg: SystemConfig, distances: Sequence[float],
     """
     if not distances or not cells:
         raise ValueError("distances and antenna counts must be nonempty")
-    cells = [tuple(None if m is None else as_count("antenna count", m) for m in cell)
+    cells = [tuple(None if m is None else as_count("antenna count", m, 1) for m in cell)
              for cell in cells]
-    low = min(m for cell in cells for m in cell if m is not None)
-    if low < 1:
-        raise ValueError(f"antenna counts must be >= 1, got {low}")
     cfgs = [dataclasses.replace(cfg, distance_m=d) for d in distances]
     for cfg_d in cfgs:
         model_sides(cfg_d, MODEL_CONTINUOUS, ref_m=ref_m)

@@ -184,10 +184,7 @@ def resolve_ref_m(cfg: SystemConfig, ref_m: int | None) -> int:
     """Reference receive-node count: ``ref_m``, or ``default_ref_m`` when None; at least 64."""
     if ref_m is None:
         return default_ref_m(cfg)
-    ref_m = as_count("ref_m", ref_m)
-    if ref_m < 64:
-        raise ValueError(f"ref_m must be >= 64 for a usable reference, got {ref_m}")
-    return ref_m
+    return as_count("ref_m", ref_m, 64)
 
 
 def model_sides(cfg: SystemConfig, model_tag: str, m1: int | None = None,
@@ -314,10 +311,8 @@ def mi_discrete_rx(m: int, cfg: SystemConfig,
     absorbed by the rescaled noise, so no explicit quadrature weight
     appears. n_rx is the ``noise_rx`` density, from ||A||_F^2 = trace(K).
     """
-    m = as_count("m", m)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    return _discrete_mi(MODEL_DISCRETE_RX, None, m, cfg, resolve_inner_points(cfg, inner_points))
+    return _discrete_mi(MODEL_DISCRETE_RX, None, as_count("m", m, 1), cfg,
+                        resolve_inner_points(cfg, inner_points))
 
 
 def mi_discrete_trx(m1: int, m2: int, cfg: SystemConfig) -> MiResult:
@@ -331,10 +326,7 @@ def mi_discrete_trx(m1: int, m2: int, cfg: SystemConfig) -> MiResult:
     as the one with the smaller count on the receive side (``model_sides``)
     and return the same value.
     """
-    m1, m2 = as_count("m1", m1), as_count("m2", m2)
-    if m1 < 1 or m2 < 1:
-        raise ValueError(f"antenna counts must be >= 1, got ({m1}, {m2})")
-    return _discrete_mi(MODEL_DISCRETE_TRX, m1, m2, cfg)
+    return _discrete_mi(MODEL_DISCRETE_TRX, as_count("m1", m1, 1), as_count("m2", m2, 1), cfg)
 
 
 def dof_estimate(cfg: SystemConfig, ref_m: int | None = None,

@@ -44,7 +44,11 @@ class SystemConfig:
         power_density: source power density P (equal allocation, no CSI), >= 0.
         noise_density: receiver noise density n0 (two-sided n0/2), > 0.
 
-    The SNR scales 2 / n0 and 2 P / n0 must be finite.
+    The SNR scales 2 / n0 and 2 P / n0 must be finite, and so must P B and
+    2 P B / n0 with B = l^2 Gmax^2, Gmax = Z0 / (2 lam d) (1 + 2 / (kd) +
+    2 / (kd)^2) >= |G| (``green_offset``: t <= 1, |n| <= 2, r >= d). B
+    bounds the unit-power trace and a Gauss-Legendre ||A||_F^2, so P B and
+    2 P B / n0 bound every scaled eigenvalue of the three models.
     """
 
     wavelength_m: float = 0.04
@@ -54,21 +58,21 @@ class SystemConfig:
     noise_density: float = 2.0
 
     def __post_init__(self) -> None:
-        if not (self.wavelength_m > 0 and math.isfinite(self.wavelength_m)):
-            raise ValueError(f"wavelength_m must be positive, got {self.wavelength_m}")
-        if not (self.aperture_m > 0 and math.isfinite(self.aperture_m)):
-            raise ValueError(f"aperture_m must be positive, got {self.aperture_m}")
-        if not (self.distance_m > 0 and math.isfinite(self.distance_m)):
-            raise ValueError(f"distance_m must be positive, got {self.distance_m}")
+        for name in ("wavelength_m", "aperture_m", "distance_m", "noise_density"):
+            as_positive(name, getattr(self, name))
         if not (self.power_density >= 0 and math.isfinite(self.power_density)):
             raise ValueError(f"power_density must be nonnegative, got {self.power_density}")
-        if not (self.noise_density > 0 and math.isfinite(self.noise_density)):
-            raise ValueError(f"noise_density must be positive, got {self.noise_density}")
-        if not (math.isfinite(2.0 / self.noise_density)
-                and math.isfinite(2.0 * self.power_density / self.noise_density)):
+        u = self.wavelength_m / (2.0 * math.pi * self.distance_m)  # 1 / (kd)
+        l_peak = self.aperture_m * Z0_OHMS / (2.0 * self.wavelength_m) / self.distance_m \
+            * (1.0 + 2.0 * u * (1.0 + u))
+        # zero power is accepted at every geometry, though 0 * inf is nan
+        signal = self.power_density * l_peak * l_peak if self.power_density else 0.0
+        snr = 2.0 / self.noise_density
+        if not all(map(math.isfinite, (snr, 2.0 * self.power_density / self.noise_density,
+                                       signal, snr * signal))):
             raise ValueError(f"power_density {self.power_density} and noise_density "
                              f"{self.noise_density} make the SNR scale 2 / n0 or 2 P / n0 "
-                             "overflow")
+                             f"overflow on spectra up to l^2 Gmax^2 = {l_peak * l_peak:.3g}")
 
     @property
     def wavenumber(self) -> float:
@@ -144,31 +148,40 @@ def green_scalar(r, s, cfg: SystemConfig):
     return out
 
 
-def _check_points(name: str, n: int) -> None:
-    if n < 2:
-        raise ValueError(f"{name} must be >= 2 for a meaningful quadrature, got {n}")
+def as_count(name: str, value, minimum: int) -> int:
+    """The package's one count rule: ``value`` as a Python int of at least ``minimum``.
 
-
-def as_count(name: str, value) -> int:
-    """``value`` as a Python int; any integer type is accepted, numpy's included.
-
-    Raises a one-line ValueError naming ``name`` for anything else (a float
-    such as 64.0 too), so a count never reaches a cache key or a grid
-    without being an exact integer.
+    Any integer type is accepted, numpy's included. Anything else (a float
+    such as 64.0 too) or a smaller count raises a one-line ValueError
+    naming ``name``, so a count never reaches a cache key or a grid
+    without being an exact integer in range.
     """
     try:
-        return operator.index(value)
+        count = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value}") from None
+    if count < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {count}")
+    return count
+
+
+def as_positive(name: str, value: float) -> float:
+    """The package's one positivity rule: ``value`` unchanged if it is positive and finite.
+
+    It checks the wavelength, aperture, distance, noise density and every
+    grid length; anything else (zero, a negative, inf or nan) raises a
+    one-line ValueError naming ``name``.
+    """
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive, got {value}")
+    return value
 
 
 def resolve_inner_points(cfg: SystemConfig, inner_points: int | None) -> int:
     """Source-quadrature size: ``inner_points``, or the config default when None."""
     if inner_points is None:
         inner_points = cfg.default_inner_points()
-    inner_points = as_count("inner_points", inner_points)
-    _check_points("inner_points", inner_points)
-    return inner_points
+    return as_count("inner_points", inner_points, 2)
 
 
 def midpoints(length: float, n: int) -> np.ndarray:
@@ -189,15 +202,15 @@ def gauss_legendre(length: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     convergent for the analytic integrands of this package once the
     panels resolve the wavelength and the distance. Returned arrays are
     read-only. Each panel's rule is ``_legendre_rule``'s, computed once
-    per order and only for the orders used. n must be an integer
-    (``as_count``); the rules are cached on (length, int n).
+    per order and only for the orders used. ``as_count`` and ``as_positive``
+    check n and length before the rules' cache on (length, int n) is read.
     """
-    return _gauss_legendre_rule(length, as_count("Gauss-Legendre node count", n))
+    n = as_count("Gauss-Legendre node count", n, 2)
+    return _gauss_legendre_rule(as_positive("grid length", length), n)
 
 
 @lru_cache(maxsize=64)
 def _gauss_legendre_rule(length: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    _check_points("Gauss-Legendre node count", n)
     panels = -(-n // PANEL_NODES)
     small, extra = divmod(n, panels)
     if extra % 2 and (panels - extra) % 2:

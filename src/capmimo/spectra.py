@@ -70,6 +70,7 @@ from .physics import (
     PANEL_NODES,
     SystemConfig,
     as_count,
+    as_positive,
     gauss_legendre,
     green_offset,
     midpoints,
@@ -145,12 +146,8 @@ def midpoint_grid(length: float, m: int) -> QuadratureGrid:
     (spacing length/m, first element at half a spacing from the edge):
     m one-node panels of point antennas, which carry no weight.
     """
-    m = as_count("grid size m", m)
-    if m < 1:
-        raise ValueError(f"grid size m must be >= 1, got {m}")
-    if not length > 0:
-        raise ValueError(f"grid length must be positive, got {length}")
-    pts = midpoints(length, m)
+    m = as_count("grid size m", m, 1)
+    pts = midpoints(as_positive("grid length", length), m)
     pts.setflags(write=False)
     return QuadratureGrid(points=pts, length=length, m=m, weights=None, panels=m,
                           pattern=np.broadcast_to(0.5, (1,)))
@@ -160,12 +157,11 @@ def gauss_legendre_grid(length: float, n: int) -> QuadratureGrid:
     """The n-node composite Gauss-Legendre rule on (0, length): source and reference grids.
 
     n a multiple of PANEL_NODES gives n / PANEL_NODES equal panels;
-    otherwise the panels differ in size and the grid is one panel.
+    otherwise the panels differ in size and the grid is one panel. The
+    arguments are checked by ``gauss_legendre``.
     """
-    n = as_count("Gauss-Legendre node count", n)
-    if not length > 0:
-        raise ValueError(f"grid length must be positive, got {length}")
     pts, weights = gauss_legendre(length, n)
+    n = pts.size
     panels = 1 if n % PANEL_NODES else n // PANEL_NODES
     pattern = pts[:n // panels] * (panels / length)
     pattern.setflags(write=False)

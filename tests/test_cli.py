@@ -474,6 +474,8 @@ def test_infeasible_bounds_step_refused_before_any_output(argv, sizes, tmp_path,
 @pytest.mark.parametrize("argv", [
     ["sweep-receiver", "--noise", "1e-320", "--distances", "10", "--m-list", "5,10,20"],
     ["dof", "--power", "1e308", "--noise", "1"],
+    # 2 P / n0 is finite, but P times the top eigenvalue is not
+    ["dof", "--power", "1e306", "--noise", "1", "--ref-m", "64"],
 ])
 def test_overflowing_snr_scale_refused_before_any_output(argv, tmp_path, capsys):
     # 2 / n0 or 2 P / n0 beyond the largest float would reach the spectrum
@@ -524,6 +526,9 @@ def test_argument_mistakes_fail_in_one_line(argv, message, tmp_path, monkeypatch
     (["bounds", "--m-list", "10,0"], "m_list: antenna counts"),
     (["sweep-receiver", "--distances", "10,-1", "--m-list", "4"],
      "distance_m must be positive, got -1.0"),
+    # an --out in argv comes after the test's own and wins
+    (["sweep-receiver", "--distances", "10", "--m-list", "5", "--ref-m", "64", "--out", "."],
+     "out: '.' is a directory"),
 ])
 def test_invalid_counts_fail_before_any_solve(argv, message, tmp_path, capsys, monkeypatch):
     # a count no model accepts is refused while the settings are parsed:
@@ -534,8 +539,9 @@ def test_invalid_counts_fail_before_any_solve(argv, message, tmp_path, capsys, m
         raise AssertionError("a spectrum was solved before the counts were checked")
 
     monkeypatch.setattr(models, "centrosymmetric_spectrum", no_solve)
+    monkeypatch.chdir(tmp_path)
     out = tmp_path / "x.csv"
-    assert main([*argv, "--out", str(out)]) == 2
+    assert main([argv[0], "--out", str(out), *argv[1:]]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert message in captured.err
@@ -565,3 +571,6 @@ def test_sweep_meta_records_reference_health_and_environment(tmp_path, monkeypat
     assert env["numpy"] == np.__version__ and env["cpu_count"] == os.cpu_count()
     assert (env["OMP_NUM_THREADS"], env["OPENBLAS_NUM_THREADS"]) == ("1", None)
     assert set(env["blas"] or {}) <= {"name", "version"}
+    # a numpy whose show_config takes no mode has no BLAS dict to record
+    monkeypatch.setattr(np, "show_config", lambda: None)
+    assert cli._environment()["blas"] is None

@@ -2,7 +2,9 @@
 
 import dataclasses
 import math
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -103,8 +105,14 @@ def test_counts_below_one_rejected():
     cfg = SystemConfig()
     with pytest.raises(ValueError, match=r"^m must be >= 1, got 0$"):
         mi_discrete_rx(0, cfg)
-    with pytest.raises(ValueError, match=r"^antenna counts must be >= 1, got \(0, 3\)$"):
+    with pytest.raises(ValueError, match=r"^m1 must be >= 1, got 0$"):
         mi_discrete_trx(0, 3, cfg)
+    # a grid built by hand with no nodes reaches neither noise rescaling
+    empty = dataclasses.replace(midpoint_grid(2.0, 1), m=0, points=np.empty(0))
+    with pytest.raises(ValueError, match="^grid must be nonempty$"):
+        noise_rx(empty, cfg)
+    with pytest.raises(ValueError, match="^grids must be nonempty$"):
+        noise_trx(midpoint_grid(2.0, 3), empty, cfg)
 
 
 def test_mi_continuous_zero_power():
@@ -571,6 +579,37 @@ def test_power_ladder_solves_each_discrete_spectrum_once():
     info = models._discrete_spectrum.cache_info()
     assert (info.misses, info.hits) == (3, 6)
     assert warm == cold
+
+
+def _spectrum_bound(cfg):
+    """l^2 Gmax^2 with Gmax = Z0 / (2 lam d) (1 + 2 / (kd) + 2 / (kd)^2) >= |G|."""
+    kd = cfg.wavenumber * cfg.distance_m
+    peak = physics.Z0_OHMS / (2.0 * cfg.wavelength_m * cfg.distance_m) \
+        * (1.0 + 2.0 / kd + 2.0 / kd**2)
+    return (cfg.aperture_m * peak) ** 2
+
+
+def test_snr_bound_holds_and_every_model_is_warning_free_inside_it():
+    # |G| stays below Gmax over every offset in [-l, l], in the near and the
+    # far field; P and n0 just inside P l^2 Gmax^2 and 2 P l^2 Gmax^2 / n0
+    # run every model without an overflow warning, just outside are refused
+    for geometry in (SystemConfig(), SystemConfig(wavelength_m=1.0, distance_m=1e-3),
+                     SystemConfig(wavelength_m=1e-3, distance_m=300.0, aperture_m=50.0)):
+        x = np.linspace(-geometry.aperture_m, geometry.aperture_m, 200001)
+        peak = np.abs(green_offset(x, geometry)).max()
+        assert peak**2 * geometry.aperture_m**2 <= _spectrum_bound(geometry)
+    top = sys.float_info.max / _spectrum_bound(SystemConfig())
+    for noise in (2.0, 1e-5):
+        power = top / max(1.0, 2.0 / noise)
+        with pytest.raises(ValueError, match="overflow"):
+            SystemConfig(power_density=1.01 * power, noise_density=noise)
+        cfg = SystemConfig(power_density=0.99 * power, noise_density=noise)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [mi_continuous(cfg, ref_m=64).value_nats, mi_discrete_rx(8, cfg).value_nats,
+                      mi_discrete_trx(4, 6, cfg).value_nats]
+            assert dof_estimate(cfg, ref_m=64).eigen_count > 0
+        assert all(math.isfinite(v) and v > 0.0 for v in values)
 
 
 # ------------------------------------------------------------- properties

@@ -71,11 +71,14 @@ def test_config_invariants():
 
 def test_config_refuses_an_overflowing_snr_scale():
     # 2 / n0 overflows at a subnormal n0, 2 P / n0 at P near the largest
-    # float; either would reach a spectrum as inf and a model value as nan
-    for power, noise in ((1.0, 1e-320), (0.0, 1e-320), (1e308, 1.0), (1e300, 1e-10)):
+    # float, and 2 P B / n0 at (1e300, 1e-5) with the default geometry's
+    # spectrum bound B = 8.9e5; each would reach a spectrum as inf and a
+    # model value as nan
+    for power, noise in ((1.0, 1e-320), (0.0, 1e-320), (1e308, 1.0), (1e300, 1e-10),
+                         (1e300, 1e-5)):
         with pytest.raises(ValueError, match="SNR scale 2 / n0 or 2 P / n0 overflow"):
             SystemConfig(power_density=power, noise_density=noise)
-    for power, noise in ((1e300, 1e-5), (1e-300, 1e-300), (0.0, 1e-300)):
+    for power, noise in ((1e-300, 1e-300), (0.0, 1e-300)):
         SystemConfig(power_density=power, noise_density=noise)
 
 

@@ -108,7 +108,7 @@ def test_gauss_legendre_grid_any_node_count():
         gauss_legendre_grid(2.0, 1)
 
 
-def test_matrix_size_guard():
+def test_matrix_size_guard(monkeypatch):
     check_matrix_size(1600, 1000)
     with pytest.raises(ValueError, match="physical memory"):
         check_matrix_size(10**7, 10**7)
@@ -116,12 +116,24 @@ def test_matrix_size_guard():
         assemble_channel_matrix(midpoint_grid(2.0, 10**7), midpoint_grid(2.0, 10**7),
                                 SystemConfig())
 
+    # a platform that reports no physical memory skips the guard
+    def unreported(name):
+        raise ValueError(f"unrecognized configuration name {name}")
+
+    monkeypatch.setattr(spectra.os, "sysconf", unreported)
+    check_matrix_size(10**7, 10**7)
+
 
 def test_grid_rejects_bad_arguments():
     with pytest.raises(ValueError):
         midpoint_grid(2.0, 0)
     with pytest.raises(ValueError):
         midpoint_grid(0.0, 4)
+    # an infinite or zero length is refused in one line, before any node is computed
+    for build, length, n in ((midpoint_grid, math.inf, 4), (gauss_legendre_grid, math.inf, 16),
+                             (gauss_legendre_grid, 0.0, 16)):
+        with pytest.raises(ValueError, match=f"^grid length must be positive, got {length}$"):
+            build(length, n)
 
 
 @pytest.mark.parametrize("build, name, count", [
