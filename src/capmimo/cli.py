@@ -2,10 +2,11 @@
 
 Subcommands: sweep-receiver, sweep-transceiver, sweep-grid, dof, bounds.
 Each setting is one ``RunConfig`` field, named as its config key and, with
-``-`` for ``_``, as its ``--`` flag; one parser reads both. Settings come
-from an optional ``key = value`` config file plus flags (flags win), are
-all checked before anything is printed, and the fully resolved
-configuration is printed before any computation runs.
+``-`` for ``_``, as its ``--`` flag; one parser reads both, and only the
+subcommands the field names as its readers accept it. Settings come from
+an optional ``key = value`` config file plus flags (flags win), are all
+checked before anything is printed, and the settings read, every default
+filled in, are printed before any computation runs.
 
 Sweep output is an RFC-4180-style CSV with the fixed column set
 
@@ -70,8 +71,14 @@ DOF_COLUMNS = ("scenario", "d_m", "ref_m", "threshold_rel", "eigen_count", "anal
 
 DEFAULT_M_LIST = (5, 10, 20, 40, 80, 100, 160)
 
-# the commands whose discrete receiver takes inner_points source nodes
-INNER_POINTS_COMMANDS = ("sweep-receiver", "bounds")
+# each subcommand with its help; a setting is read by all five unless its field names fewer
+COMMANDS = {
+    "sweep-receiver": "discretize the receiver, sweep (distance, m)",
+    "sweep-transceiver": "discretize both sides with m1 = m2 = m",
+    "sweep-grid": "Cartesian (m1, m2) sweep at one distance",
+    "dof": "significant-eigenvalue count vs the analytic rule",
+    "bounds": "noise-rescaling gap vs its quadrature bound over an m ladder",
+}
 
 # resident bytes per antenna and per source node of one bounds step (noise_rx):
 # the VmHWM rise of a fresh process, 24.5 and 97.6 at 1e6-8e6 antennas and
@@ -118,9 +125,12 @@ def _parse_out(raw: str) -> str:
     return raw
 
 
-def _setting(parse: Callable[[str], object], help: str, default=dataclasses.MISSING):
-    """One RunConfig field: its default, the parser of its flag and config value, its help."""
-    return dataclasses.field(default=default, metadata={"parse": parse, "help": help})
+def _setting(parse: Callable[[str], object], help: str, default=dataclasses.MISSING,
+             read_by: tuple[str, ...] = tuple(COMMANDS)):
+    """One RunConfig field: its default, the parser of its flag and config value, its help
+    and the subcommands that read it; every other subcommand refuses it."""
+    return dataclasses.field(default=default, metadata=dict(parse=parse, help=help,
+                                                            read_by=read_by))
 
 
 @dataclass
@@ -129,34 +139,37 @@ class RunConfig:
 
     One field per setting: its name is the config key and, with ``-`` for
     ``_``, the ``--`` flag; its metadata holds the one parser of both
-    (``_parse_bool`` makes the flag a switch) and the help text.
+    (``_parse_bool`` makes the flag a switch), the help text and its readers.
     """
 
     scenario: str = _setting(str, "scenario label for output rows")
     wavelength: float = _setting(float, "carrier wavelength [m]", 0.04)
     length: float = _setting(float, "aperture length [m]", 2.0)
-    distance: float = _setting(float, "single transceiver distance [m]", 10.0)
-    distances: tuple[float, ...] = _setting(partial(_parse_list, kind=float),
-                                            "comma list of distances [m] for sweeps",
-                                            (10.0, 1.0, 0.1))
+    distance: float = _setting(float, "single transceiver distance [m]", 10.0,
+                               ("sweep-grid", "dof", "bounds"))
+    distances: tuple[float, ...] = _setting(
+        partial(_parse_list, kind=float), "comma list of distances [m] for sweeps",
+        (10.0, 1.0, 0.1), ("sweep-receiver", "sweep-transceiver"))
     power: float = _setting(float, "transmit power density", 1.0)
     noise: float = _setting(float, "receiver noise density", 2.0)
     ref_m: int | None = _setting(
         int, "Gauss-Legendre nodes on the receive aperture of the continuous reference "
-             "(default: the node rule, at least 1600)", None)
+             "(default: the node rule, at least 1600)", None,
+        ("sweep-receiver", "sweep-transceiver", "sweep-grid", "dof"))
     inner_points: int | None = _setting(
-        int, "Gauss-Legendre source nodes of the discrete receiver, sweep-receiver and "
-             "bounds only (default: 16 per min(wavelength, distance) along the aperture)",
-        None)
-    m_list: tuple[int, ...] = _setting(_parse_counts, "comma list of antenna counts",
-                                       DEFAULT_M_LIST)
+        int, "Gauss-Legendre source nodes of the discrete receiver (default: 16 per "
+             "min(wavelength, distance) along the aperture)", None, ("sweep-receiver", "bounds"))
+    m_list: tuple[int, ...] = _setting(
+        _parse_counts, "comma list of antenna counts", DEFAULT_M_LIST,
+        ("sweep-receiver", "sweep-transceiver", "bounds"))
     m1_list: tuple[int, ...] = _setting(_parse_counts, "comma list of transmit counts",
-                                        DEFAULT_M_LIST)
+                                        DEFAULT_M_LIST, ("sweep-grid",))
     m2_list: tuple[int, ...] = _setting(_parse_counts, "comma list of receive counts",
-                                        DEFAULT_M_LIST)
+                                        DEFAULT_M_LIST, ("sweep-grid",))
     out: str | None = _setting(_parse_out, "output CSV path (sidecar written next to it)",
                                None)
-    keep_going: bool = _setting(_parse_bool, "exit 0 even if some cells fail", False)
+    keep_going: bool = _setting(_parse_bool, "exit 0 even if some cells fail", False,
+                                ("sweep-receiver", "sweep-transceiver", "sweep-grid"))
 
     def system_config(self) -> SystemConfig:
         return SystemConfig(wavelength_m=self.wavelength, aperture_m=self.length,
@@ -164,7 +177,7 @@ class RunConfig:
                             noise_density=self.noise)
 
     def resolved_dict(self, command: str) -> dict:
-        """The settings with every default filled in.
+        """The settings ``command`` reads, with every default filled in.
 
         Builds the scenario at every distance ``command`` runs at, so it
         raises ValueError on any invalid physics value or node count, and
@@ -173,22 +186,22 @@ class RunConfig:
         each given at their largest over those distances (every CSV row
         carries its own ref_m).
         """
-        d = dataclasses.asdict(self)
+        d = {name: getattr(self, name) for name, f in _SETTINGS.items()
+             if command in f.metadata["read_by"]}
         base = self.system_config()
-        multi = command in ("sweep-receiver", "sweep-transceiver")
         cfgs = [dataclasses.replace(base, distance_m=x)
-                for x in (self.distances if multi else (self.distance,))]
-        d["ref_m"] = max(resolve_ref_m(cfg, self.ref_m) for cfg in cfgs)
+                for x in d.get("distances", (self.distance,))]
+        if "ref_m" in d:  # a command that reads ref_m solves the reference at each distance
+            d["ref_m"] = max(model_sides(cfg, MODEL_CONTINUOUS, ref_m=self.ref_m)[0][0]
+                             for cfg in cfgs)
         model = {"sweep-receiver": MODEL_DISCRETE_RX, "sweep-transceiver": MODEL_DISCRETE_TRX,
                  "sweep-grid": MODEL_DISCRETE_TRX}.get(command)
-        grid = command == "sweep-grid"
-        m1, m2 = (max(self.m1_list), max(self.m2_list)) if grid else (max(self.m_list),) * 2
-        for cfg in cfgs:
-            if command != "bounds":  # every other command solves the reference at each distance
-                model_sides(cfg, MODEL_CONTINUOUS, ref_m=self.ref_m)
-            if model is not None:  # a sweep's largest matrix is that of its largest counts
-                model_sides(cfg, model, m1, m2, inner_points=self.inner_points)
-        d["inner_points"] = max(resolve_inner_points(cfg, self.inner_points) for cfg in cfgs)
+        lists = (self.m1_list, self.m2_list) if "m1_list" in d else (self.m_list,) * 2
+        if model is not None:  # a sweep's largest matrix is that of its largest counts
+            for cfg in cfgs:
+                model_sides(cfg, model, *map(max, lists), inner_points=self.inner_points)
+        if "inner_points" in d:
+            d["inner_points"] = max(resolve_inner_points(cfg, self.inner_points) for cfg in cfgs)
         if command == "bounds":  # its largest m with the source rule, in one noise_rx call
             m, n = max(self.m_list), d["inner_points"]
             check_memory(BOUNDS_BYTES_PER_ANTENNA * m + BOUNDS_BYTES_PER_NODE * n,
@@ -248,12 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="capmimo",
         description="Mutual information of continuous vs discretized line apertures.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-            ("sweep-receiver", "discretize the receiver, sweep (distance, m)"),
-            ("sweep-transceiver", "discretize both sides with m1 = m2 = m"),
-            ("sweep-grid", "Cartesian (m1, m2) sweep at one distance"),
-            ("dof", "significant-eigenvalue count vs the analytic rule"),
-            ("bounds", "noise-rescaling gap vs its quadrature bound over an m ladder")):
+    for name, helptext in COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="key = value config file")
         for f in _SETTINGS.values():
@@ -273,21 +281,19 @@ def parse_config(argv: list[str] | None) -> tuple[str, RunConfig]:
         raw = getattr(args, name)
         if raw is not None:
             settings[name] = _parse(name, raw)
+    for name in settings:
+        if args.command not in (read_by := _SETTINGS[name].metadata["read_by"]):
+            readers = " and ".join(", ".join(read_by).rsplit(", ", 1))
+            raise ConfigError(f"{name} is read only by {readers}, not by {args.command}")
     settings.setdefault("scenario", args.command)
-    if "inner_points" in settings and args.command not in INNER_POINTS_COMMANDS:
-        raise ConfigError(f"inner_points is used only by {' and '.join(INNER_POINTS_COMMANDS)}, "
-                          f"not by {args.command}")
     rc = RunConfig(**settings)
     rc.resolved_dict(args.command)
     return args.command, rc
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    """A CSV field: empty for None, a float's repr (it round-trips), str of anything else."""
+    return "" if value is None else repr(value) if isinstance(value, float) else str(value)
 
 
 def _row_record(row: SweepRow) -> list:
@@ -346,14 +352,8 @@ def _write_outputs(command: str, rc: RunConfig, columns: tuple[str, ...],
     return True
 
 
-def _print_resolved(command: str, rc: RunConfig) -> None:
-    print(f"# capmimo {__version__} :: {command}")
-    for key, value in sorted(rc.resolved_dict(command).items()):
-        print(f"{key} = {value}")
-
-
 def _finish_sweep(rows: list[SweepRow], command: str, rc: RunConfig,
-                  started: float, extra: dict | None = None) -> int:
+                  started: float, **extra) -> int:
     """Print each distance's reference; write the CSV and a sidecar holding, per distance,
     the slope fit and the reference's node counts and effective rank (``dof_estimate``'s
     counts at 1e-3 and 1e-12 of the largest eigenvalue, on the spectrum the sweep cached),
@@ -379,9 +379,7 @@ def _finish_sweep(rows: list[SweepRow], command: str, rc: RunConfig,
                        for r in errors],
             "timings": {"total_s": time.perf_counter() - started,
                         "cells_s": [r.wall_time_s for r in rows]},
-            "caches": cache_counts()}
-    if extra:
-        meta.update(extra)
+            "caches": cache_counts(), **extra}
     if not _write_outputs(command, rc, CSV_COLUMNS, [_row_record(r) for r in rows], meta):
         return 1
     if errors:
@@ -428,7 +426,9 @@ def run(command: str, rc: RunConfig) -> int:
     """Execute one subcommand against a resolved RunConfig."""
     if command.startswith("sweep-") and rc.out is None:
         raise ConfigError(f"{command} requires --out (or out = ... in the config file)")
-    _print_resolved(command, rc)
+    print(f"# capmimo {__version__} :: {command}")
+    for key, value in sorted(rc.resolved_dict(command).items()):
+        print(f"{key} = {value}")
     started = time.perf_counter()
     cfg = rc.system_config()
     if command == "sweep-receiver":
@@ -444,7 +444,7 @@ def run(command: str, rc: RunConfig) -> int:
                           scenario=rc.scenario)
         print(f"symmetry_gap = {grid.symmetry_gap!r}")
         return _finish_sweep(list(grid.rows), command, rc, started,
-                             extra={"symmetry_gap": grid.symmetry_gap})
+                             symmetry_gap=grid.symmetry_gap)
     if command == "dof":
         return _run_dof(command, rc)
     if command == "bounds":

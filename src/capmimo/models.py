@@ -37,9 +37,9 @@ the reference's receive side at 1600 nodes or more.
 
 Power and noise density only rescale these quantities: every cache is
 keyed on the geometry alone and holds unit-power values, and P and n0
-are applied on each call (P in the scale 2P/n for the discrete models),
-so a change of either solves nothing again. ``cache_counts`` reports the
-caches' hits and misses for the sweep sidecar.
+are applied on each call (P as P T on the discrete models' spectra over
+||A||_F^2), so a change of either solves nothing again. ``cache_counts``
+reports the caches' hits and misses for the sweep sidecar.
 """
 
 from __future__ import annotations
@@ -291,14 +291,16 @@ def _discrete_mi(model_tag: str, m1: int | None, m2: int, cfg: SystemConfig,
                  inner_points: int | None = None) -> MiResult:
     """log det(I + P A A^H / (n / 2)), m1 transmit and m2 receive antennas, cached spectrum.
 
-    n is the ``_matched_noise`` density from ||A||_F^2; ``inner_points``,
-    the resolved source rule of ``mi_discrete_rx`` (m1 None), is reported.
+    n is the ``_matched_noise`` density n0 ||A||_F^2 / T, so the spectrum is
+    scaled as (lambda / ||A||_F^2 <= 1) (P T <= P B) and the log det taken at
+    2 / n0, as in ``mi_continuous``; ``inner_points``, the resolved source
+    rule of ``mi_discrete_rx`` (m1 None), is reported.
     """
     sides = model_sides(cfg, model_tag, m1, m2, inner_points=inner_points)
     spectrum, unit_power_sum = _discrete_spectrum(_geometry(cfg), *sides)
-    noise = _matched_noise(cfg, unit_power_sum)
-    value = logdet_from_eigenvalues(spectrum, 2.0 * cfg.power_density / noise)
-    return MiResult(value_nats=value, model_tag=model_tag, noise_used=noise,
+    scaled = spectrum / unit_power_sum * (cfg.power_density * _unit_trace(_geometry(cfg)))
+    return MiResult(value_nats=logdet_from_eigenvalues(scaled, 2.0 / cfg.noise_density),
+                    model_tag=model_tag, noise_used=_matched_noise(cfg, unit_power_sum),
                     inner_points=inner_points)
 
 

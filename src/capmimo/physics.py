@@ -44,11 +44,13 @@ class SystemConfig:
         power_density: source power density P (equal allocation, no CSI), >= 0.
         noise_density: receiver noise density n0 (two-sided n0/2), > 0.
 
-    The SNR scales 2 / n0 and 2 P / n0 must be finite, and so must P B and
-    2 P B / n0 with B = l^2 Gmax^2, Gmax = Z0 / (2 lam d) (1 + 2 / (kd) +
-    2 / (kd)^2) >= |G| (``green_offset``: t <= 1, |n| <= 2, r >= d). B
-    bounds the unit-power trace and a Gauss-Legendre ||A||_F^2, so P B and
-    2 P B / n0 bound every scaled eigenvalue of the three models.
+    The geometry's arithmetic must be finite: ``green_offset``'s 2 r^2,
+    (k r)^2 and 2 lam r at r^2 = d^2 + l^2, Gmax^2 and B = l^2 Gmax^2,
+    with Gmax = Z0 / (2 lam d) (1 + 2 / (kd) + 2 / (kd)^2) >= |G| (t <= 1,
+    |n| <= 2, r >= d there). So must the SNR scales 2 / n0 and 2 P / n0,
+    and P B and 2 P B / n0: B bounds the unit-power trace and a
+    Gauss-Legendre ||A||_F^2, so P B and 2 P B / n0 bound every scaled
+    eigenvalue of the three models. Both checks run in Python floats.
     """
 
     wavelength_m: float = 0.04
@@ -62,17 +64,21 @@ class SystemConfig:
             as_positive(name, getattr(self, name))
         if not (self.power_density >= 0 and math.isfinite(self.power_density)):
             raise ValueError(f"power_density must be nonnegative, got {self.power_density}")
-        u = self.wavelength_m / (2.0 * math.pi * self.distance_m)  # 1 / (kd)
-        l_peak = self.aperture_m * Z0_OHMS / (2.0 * self.wavelength_m) / self.distance_m \
-            * (1.0 + 2.0 * u * (1.0 + u))
-        # zero power is accepted at every geometry, though 0 * inf is nan
-        signal = self.power_density * l_peak * l_peak if self.power_density else 0.0
-        snr = 2.0 / self.noise_density
-        if not all(map(math.isfinite, (snr, 2.0 * self.power_density / self.noise_density,
-                                       signal, snr * signal))):
-            raise ValueError(f"power_density {self.power_density} and noise_density "
-                             f"{self.noise_density} make the SNR scale 2 / n0 or 2 P / n0 "
-                             f"overflow on spectra up to l^2 Gmax^2 = {l_peak * l_peak:.3g}")
+        lam, l, d, p, n0 = map(float, (self.wavelength_m, self.aperture_m, self.distance_m,
+                                       self.power_density, self.noise_density))
+        u = lam / (2.0 * math.pi * d)  # 1 / (kd)
+        g_peak = Z0_OHMS / (2.0 * lam) / d * (1.0 + 2.0 * u * (1.0 + u))
+        r, l_peak = math.sqrt(d * d + l * l), l * g_peak
+        kr = 2.0 * math.pi / lam * r
+        if not all(map(math.isfinite, (2.0 * r * r, kr * kr, 2.0 * lam * r, g_peak * g_peak,
+                                       l_peak * l_peak))):
+            raise ValueError(f"wavelength_m {lam}, aperture_m {l} and distance_m {d} overflow "
+                             f"2 r^2, (k r)^2, 2 lam r, Gmax^2 or l^2 Gmax^2, r^2 = d^2 + l^2")
+        signal, snr = p * l_peak * l_peak, 2.0 / n0
+        if not all(map(math.isfinite, (snr, 2.0 * p / n0, signal, snr * signal))):
+            raise ValueError(f"power_density {p} and noise_density {n0} make the SNR scale "
+                             f"2 / n0 or 2 P / n0 overflow on spectra up to l^2 Gmax^2 = "
+                             f"{l_peak * l_peak:.3g}")
 
     @property
     def wavenumber(self) -> float:

@@ -98,11 +98,11 @@ def test_misspelled_boolean_rejected(tmp_path):
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text("keep_going = ture\n")
     with pytest.raises(ConfigError):
-        parse_config(["dof", "--config", str(cfg_file)])
-    assert main(["dof", "--config", str(cfg_file)]) == 2
+        parse_config(["sweep-receiver", "--config", str(cfg_file)])
+    assert main(["sweep-receiver", "--config", str(cfg_file)]) == 2
     for raw, value in (("No", False), ("YES", True)):
         cfg_file.write_text(f"keep_going = {raw}\n")
-        assert parse_config(["dof", "--config", str(cfg_file)])[1].keep_going is value
+        assert parse_config(["sweep-receiver", "--config", str(cfg_file)])[1].keep_going is value
 
 
 def test_config_file_comments_and_malformed_lines(tmp_path, capsys):
@@ -123,22 +123,6 @@ def test_config_file_comments_and_malformed_lines(tmp_path, capsys):
         assert captured.err.startswith(f"error: {message}")
         assert captured.err.count("\n") == 1
     assert not out.exists()
-
-
-@pytest.mark.parametrize("command", ["sweep-transceiver", "sweep-grid", "dof"])
-def test_inner_points_rejected_where_inert(command, tmp_path, capsys):
-    # only the discrete receiver has a source rule to set; elsewhere the
-    # flag or config key would do nothing, so it is refused
-    out = str(tmp_path / "x.csv")
-    cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("inner_points = 512\n")
-    for argv in ([command, "--inner-points", "512", "--out", out],
-                 [command, "--config", str(cfg_file), "--out", out]):
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert "sweep-receiver" in err and "bounds" in err and command in err
-    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("argv, key", [
@@ -174,25 +158,74 @@ SETTING_SAMPLES = {
     "m_list": "2,4", "m1_list": "3,6", "m2_list": "5", "out": "o.csv", "keep_going": "true",
 }
 
+COMMANDS = ("sweep-receiver", "sweep-transceiver", "sweep-grid", "dof", "bounds")
+
+# the subcommands that read each setting not read by all five
+READERS = {
+    "distance": ("sweep-grid", "dof", "bounds"),
+    "distances": ("sweep-receiver", "sweep-transceiver"),
+    "ref_m": ("sweep-receiver", "sweep-transceiver", "sweep-grid", "dof"),
+    "inner_points": ("sweep-receiver", "bounds"),
+    "m_list": ("sweep-receiver", "sweep-transceiver", "bounds"),
+    "m1_list": ("sweep-grid",),
+    "m2_list": ("sweep-grid",),
+    "keep_going": ("sweep-receiver", "sweep-transceiver", "sweep-grid"),
+}
+UNREAD = [(command, key) for key, readers in READERS.items()
+          for command in COMMANDS if command not in readers]
+
+
+@pytest.mark.parametrize("command, key", UNREAD)
+def test_unread_setting_refused_in_one_line(command, key, tmp_path, capsys):
+    # a setting the subcommand does not read would change nothing, so its
+    # flag and its config key are refused once the value has parsed: exit
+    # 2, nothing on stdout, one stderr line naming the subcommands that
+    # read it, and no output file
+    out = tmp_path / "x.csv"
+    raw = SETTING_SAMPLES[key]
+    flag = "--" + key.replace("_", "-")
+    switch = key == "keep_going"
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{key} = {raw}\n")
+    *rest, last = READERS[key]
+    readers = f"{', '.join(rest)} and {last}" if rest else last
+    for argv in ([command, flag, *([] if switch else [raw]), "--out", str(out)],
+                 [command, "--config", str(cfg_file), "--out", str(out)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {key} is read only by {readers}, not by {command}\n"
+    assert not out.exists() and not out.with_suffix(".meta").exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_resolved_config_holds_only_the_settings_read(command):
+    read = {f.name for f in dataclasses.fields(RunConfig)
+            if command in READERS.get(f.name, COMMANDS)}
+    assert set(parse_config([command])[1].resolved_dict(command)) == read
+
 
 def test_each_setting_is_declared_once(tmp_path, capsys):
     # every RunConfig field is both a config key and a flag read by the same
-    # parser (a switch sets true), and every subcommand's --help lists one
-    # flag per field plus --config
+    # parser (a switch sets true), each subcommand that reads it accepts both,
+    # and every subcommand's --help lists one flag per field plus --config
     fields = dataclasses.fields(RunConfig)
     assert {f.name for f in fields} == set(SETTING_SAMPLES)
+    assert len(UNREAD) == 21
     cfg_file = tmp_path / "run.cfg"
     for f in fields:
         raw = SETTING_SAMPLES[f.name]
         flag = "--" + f.name.replace("_", "-")
         switch = f.metadata["parse"] is cli._parse_bool
-        _, from_flag = parse_config(["sweep-receiver", flag] + ([] if switch else [raw]))
-        cfg_file.write_text(f"{f.name} = {raw}\n")
-        _, from_file = parse_config(["sweep-receiver", "--config", str(cfg_file)])
-        value = getattr(from_flag, f.name)
-        assert value == getattr(from_file, f.name) != f.default, f.name
+        assert f.metadata["read_by"] == READERS.get(f.name, COMMANDS), f.name
+        for command in f.metadata["read_by"]:
+            _, from_flag = parse_config([command, flag] + ([] if switch else [raw]))
+            cfg_file.write_text(f"{f.name} = {raw}\n")
+            _, from_file = parse_config([command, "--config", str(cfg_file)])
+            value = getattr(from_flag, f.name)
+            assert value == getattr(from_file, f.name) != f.default, (f.name, command)
     expected = sorted(["--help", "--config"] + ["--" + f.name.replace("_", "-") for f in fields])
-    for command in ("sweep-receiver", "sweep-transceiver", "sweep-grid", "dof", "bounds"):
+    for command in COMMANDS:
         with pytest.raises(SystemExit):
             main([command, "--help"])
         listed = re.findall(r"^  (?:-h, )?(--[a-z0-9-]+)", capsys.readouterr().out, re.M)
@@ -486,6 +519,25 @@ def test_overflowing_snr_scale_refused_before_any_output(argv, tmp_path, capsys)
     assert captured.out == ""
     assert captured.err.startswith("error: power_density ") and captured.err.count("\n") == 1
     assert "make the SNR scale 2 / n0 or 2 P / n0 overflow" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, geometry", [
+    (["dof", "--distance", "1e200", "--ref-m", "64"], "0.04, aperture_m 2.0 and distance_m 1e+200"),
+    (["dof", "--wavelength", "1e-300", "--ref-m", "64"],
+     "1e-300, aperture_m 2.0 and distance_m 10.0"),
+    (["sweep-receiver", "--distances", "10,1e160", "--m-list", "5"],
+     "0.04, aperture_m 2.0 and distance_m 1e+160"),
+])
+def test_overflowing_geometry_refused_before_any_output(argv, geometry, tmp_path, capsys):
+    # a geometry whose own arithmetic overflows is blamed on the geometry,
+    # not on the power and noise: exit 2, one stderr line, nothing written
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: wavelength_m {geometry} overflow ")
+    assert captured.err.count("\n") == 1
     assert not out.exists()
 
 

@@ -612,6 +612,21 @@ def test_snr_bound_holds_and_every_model_is_warning_free_inside_it():
         assert all(math.isfinite(v) and v > 0.0 for v in values)
 
 
+def test_discrete_scale_holds_where_the_frobenius_norm_is_far_below_the_trace():
+    # at d = 100 l one antenna pair samples ||A||_F^2 ~ T / 1e6, so 2 P / n
+    # = 2 P T / (n0 ||A||_F^2) overflows, though the one scaled eigenvalue,
+    # 2 P T / n0 itself, is finite: the spectrum is scaled by lambda /
+    # ||A||_F^2 <= 1 first
+    cfg = SystemConfig(wavelength_m=1.0, distance_m=1e5, aperture_m=1000.0,
+                       power_density=1e302, noise_density=1.0)
+    result = mi_discrete_trx(1, 1, cfg)
+    trace = models._unit_trace(models._geometry(cfg))
+    assert result.value_nats == pytest.approx(math.log1p(2.0 * 1e302 * trace), rel=1e-14)
+    sides = models.model_sides(cfg, models.MODEL_DISCRETE_TRX, 1, 1)
+    unit_power_sum = models._discrete_spectrum(models._geometry(cfg), *sides)[1]
+    assert result.noise_used == cfg.noise_density * unit_power_sum / trace
+
+
 # ------------------------------------------------------------- properties
 
 def _random_config(rng: np.random.Generator) -> SystemConfig:
@@ -648,8 +663,8 @@ def test_model_nondecreasing_in_snr(name, seed):
 def _oriented_trx_mi(cfg: SystemConfig, m1: int, m2: int) -> float:
     """mi_discrete_trx's value solved uncached as m2 receive against m1 transmit antennas."""
     values, unit_power_sum = models._spectrum(cfg, (m2, midpoint_grid), (m1, midpoint_grid))
-    noise = models._matched_noise(cfg, unit_power_sum)
-    return logdet_from_eigenvalues(values, 2.0 * cfg.power_density / noise)
+    signal = cfg.power_density * models._unit_trace(models._geometry(cfg))
+    return logdet_from_eigenvalues(values / unit_power_sum * signal, 2.0 / cfg.noise_density)
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -2,12 +2,13 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from capmimo import SystemConfig, kernel_diagonal, kernel_value, operator_trace
-from capmimo.physics import _legendre_rule, gauss_legendre, green_scalar
+from capmimo.physics import _legendre_rule, gauss_legendre, green_offset, green_scalar
 
 from oracles import gauss_legendre_nodes, kernel_value_quad, total_power_quad
 
@@ -80,6 +81,53 @@ def test_config_refuses_an_overflowing_snr_scale():
             SystemConfig(power_density=power, noise_density=noise)
     for power, noise in ((1e-300, 1e-300), (0.0, 1e-300)):
         SystemConfig(power_density=power, noise_density=noise)
+
+
+def test_config_checks_numpy_floats_without_warnings():
+    # numpy scalars overflow with a RuntimeWarning where Python floats give
+    # inf, so both checks run in Python floats: the same one-line ValueError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="SNR scale 2 / n0 or 2 P / n0 overflow"):
+            SystemConfig(power_density=np.float64(1e306), noise_density=1.0)
+        with pytest.raises(ValueError, match="distance_m 1e[+]200 overflow"):
+            SystemConfig(distance_m=np.float64(1e200))
+        SystemConfig(power_density=np.float64(1e300), distance_m=np.float64(1e100))
+
+
+@pytest.mark.parametrize("geometry", [
+    dict(distance_m=1e160),       # d^2 overflows
+    dict(distance_m=1e153),       # d^2 is finite, (k d)^2 is not
+    dict(wavelength_m=1e-300),    # l^2 Gmax^2 overflows
+    dict(wavelength_m=1e200, distance_m=1e150),  # Gmax underflows, 2 lam r overflows
+])
+def test_config_refuses_a_geometry_whose_arithmetic_overflows(geometry):
+    # refused before the SNR check, in one line naming the three lengths
+    defaults = {"wavelength_m": 0.04, "aperture_m": 2.0, "distance_m": 10.0}
+    lam, length, d = {**defaults, **geometry}.values()
+    with pytest.raises(ValueError) as refused:
+        SystemConfig(**geometry)
+    assert str(refused.value).startswith(
+        f"wavelength_m {lam}, aperture_m {length} and distance_m {d} overflow ")
+
+
+def test_every_accepted_geometry_evaluates_without_warnings():
+    # wavelength, aperture and distance drawn log-uniformly over the floats:
+    # wherever SystemConfig accepts them, G and |G|^2 are finite at offsets
+    # across [-l, l] without an overflow or a division by zero
+    rng = np.random.default_rng(11)
+    accepted = 0
+    for lam, length, d in 10.0 ** rng.uniform(-320.0, 308.0, size=(20000, 3)):
+        try:
+            cfg = SystemConfig(wavelength_m=lam, aperture_m=length, distance_m=d)
+        except ValueError:
+            continue
+        accepted += 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = green_offset(np.array([-1.0, -0.5, 0.0, 0.3, 1.0]) * length, cfg)
+            assert np.all(np.isfinite(g.real**2 + g.imag**2)), (lam, length, d)
+    assert accepted > 1000
 
 
 def test_kernel_value_zero_power():
