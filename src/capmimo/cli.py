@@ -60,7 +60,7 @@ from .models import (
     resolve_ref_m,
 )
 from .physics import SystemConfig, as_count, resolve_inner_points
-from .spectra import check_memory, midpoint_grid
+from .spectra import SERIAL_WORK, blas_threads, check_memory, midpoint_grid
 
 CSV_COLUMNS = ("scenario", "d_m", "m1", "m2", "ref_m", "mi_nats", "mi_bits",
                "mi_ref_nats", "abs_gap", "n_used", "model_tag", "wall_time_s")
@@ -268,7 +268,10 @@ def _build_parser() -> argparse.ArgumentParser:
             # a switch passes "true" through the same parser as its config value
             switch = {"action": "store_const", "const": "true"} \
                 if f.metadata["parse"] is _parse_bool else {}
-            p.add_argument("--" + f.name.replace("_", "-"), help=f.metadata["help"], **switch)
+            # a setting this subcommand does not read still parses, to be refused
+            # in one line, but --help does not list it
+            helptext = f.metadata["help"] if name in f.metadata["read_by"] else argparse.SUPPRESS
+            p.add_argument("--" + f.name.replace("_", "-"), help=helptext, **switch)
     return parser
 
 
@@ -319,13 +322,19 @@ def write_rows_csv(rows: list[SweepRow], path: Path) -> None:
 
 
 def _environment() -> dict:
-    """numpy and BLAS versions, CPU count and BLAS thread settings of this process."""
+    """numpy and BLAS versions, CPU count and BLAS thread settings of this process.
+
+    ``blas_threads`` is the BLAS's thread count outside solves (None where
+    it cannot be set) and ``serial_work`` the work below which a solve
+    runs on one of them (``SERIAL_WORK``).
+    """
     try:  # numpy's configuration as a dict, where this numpy has it
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = {"name": blas.get("name"), "version": blas.get("version")}
     except (TypeError, KeyError):
         blas = None
     return {"numpy": np.__version__, "blas": blas, "cpu_count": os.cpu_count(),
+            "blas_threads": blas_threads(), "serial_work": SERIAL_WORK,
             **{var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}}
 
 

@@ -8,9 +8,11 @@ physical memory by ``models.model_sides``, the rule each model call
 solves by, so an infeasible sweep raises instead of solving. Cells
 run one after another in the calling thread, so every cell at one
 geometry reuses the cached reference trace and spectrum, and a grid's
-(m2, m1) cell the spectrum of its (m1, m2) cell; matrix products and
-eigensolves use the BLAS's own threads. Results are sorted by (d,
-m1, m2) before being returned.
+(m2, m1) cell the spectrum of its (m1, m2) cell. A spectrum whose
+a-priori sketch work is below ``spectra.SERIAL_WORK`` is solved with the
+BLAS on one thread, every other one on the BLAS's own threads, so the
+default sweeps write the same bytes at every thread count. Results are
+sorted by (d, m1, m2) before being returned.
 """
 
 from __future__ import annotations

@@ -44,7 +44,10 @@ leaves is below 1e-12 of the block's Frobenius norm, which bounds every
 value it drops; otherwise the width doubles, and from 0.4 of the
 block's smaller side on the block gets a full SVD. Every SVD runs on
 the tall side of its matrix. The cost is O(p q k) for k retained modes
-instead of O(p q min(p, q)).
+instead of O(p q min(p, q)). A solve whose a-priori sketch work is below
+SERIAL_WORK runs with the BLAS on one thread, where a second one buys
+little and spins between small calls, so its values do not depend on
+the host's thread count; a larger one keeps the BLAS's own threads.
 
 ``assemble_kernel_matrix``, ``gram_from_channel`` and
 ``hermitian_eigenvalues`` are the kernel-matrix API: the sampled field
@@ -59,9 +62,13 @@ is allocated.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -106,6 +113,17 @@ BLOCK_BYTES_PER_ENTRY = 82
 SKETCH_TOL = 1e-12
 SKETCH_OVERSAMPLING = 16
 BLOCK_CHUNK = 128
+
+# a-priori sketch work top * q * width below which a spectrum runs on one BLAS
+# thread (the default sweeps' solves reach 8.8e7); see ``centrosymmetric_spectrum``
+SERIAL_WORK = 2**27
+
+# setter and getter of the BLAS thread count, by the names the BLAS numpy links may export
+_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
 
 # ``hermitian_eigenvalues`` clamps eigenvalues in [-CLAMP_REL * lambda_max, 0) to zero
 CLAMP_REL = 1e-12
@@ -341,6 +359,18 @@ def centrosymmetric_spectrum(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
     from it a piece at a time; a block that takes the full SVD is formed
     whole. From an offset table the top rows are never held whole; where
     they are evaluated directly the view holds them.
+
+    When the a-priori sketch work top * q * width is below SERIAL_WORK,
+    both blocks are solved with the BLAS on one thread, and the count
+    it had is restored afterwards (``_one_blas_thread``). On 2 cores
+    (OpenBLAS 0.3.31) a second thread bought 0.9-1.25x wall on solves of
+    0.02e9-0.18e9 work, at the cost of a second core spinning between
+    small calls, and 1.3-1.4x from 0.33e9 on; so the values of a small
+    solve no longer depend on the host's thread count, and larger
+    solves keep the BLAS's own threads. The setting is process-wide:
+    solves run at the same time from several Python threads may see
+    either count, and their values then differ only at roundoff, as
+    they do across hosts.
     """
     if rx_grid.length != tx_grid.length:
         raise ValueError(f"grid lengths differ: {rx_grid.length} and {tx_grid.length}")
@@ -351,11 +381,78 @@ def centrosymmetric_spectrum(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
     plus = _SplitBlock(lattice, np.add, (top, q - half), p, q)
     minus = _SplitBlock(lattice, np.subtract, (p // 2, half), p, q)
     width = math.ceil(_mode_count(cfg) / 2) + SKETCH_OVERSAMPLING
-    (plus_values, plus_norm), (minus_values, minus_norm) = (
-        _block_spectrum(B, width) for B in (plus, minus))
+    with _one_blas_thread(top * q * width < SERIAL_WORK):
+        (plus_values, plus_norm), (minus_values, minus_norm) = (
+            _block_spectrum(B, width) for B in (plus, minus))
     values = np.sort(np.concatenate([plus_values, minus_values]))[::-1]
     values.setflags(write=False)
     return values, plus_norm + minus_norm
+
+
+@cache
+def _thread_control():
+    """The setter and getter of the thread count of the BLAS numpy links, or None.
+
+    dlsym on numpy's linalg extension resolves the BLAS that extension
+    links; the first pair of ``_THREAD_SYMBOLS`` found is taken. MKL and
+    Accelerate export none of them.
+    """
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for set_name, get_name in _THREAD_SYMBOLS:
+        try:
+            setter, getter = getattr(lib, set_name), getattr(lib, get_name)
+        except AttributeError:
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        return setter, getter
+    return None
+
+
+def blas_threads() -> int | None:
+    """The BLAS's thread count, or None where it cannot be set; 1 during a serial solve."""
+    control = _thread_control()
+    return None if control is None else control[1]()
+
+
+class _SerialSolves:
+    """The serial solves running now and the BLAS thread count they replaced."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.depth = 0
+        self.previous = 0
+
+
+_serial = _SerialSolves()
+
+
+@contextmanager
+def _one_blas_thread(serial: bool):
+    """Run the body with the BLAS on one thread when ``serial`` and its count can be set.
+
+    The first of overlapping serial bodies saves the count and sets one
+    thread; the last to leave, however it leaves, restores the count, so
+    overlapping solves from several Python threads leave it as they
+    found it.
+    """
+    control = _thread_control() if serial else None
+    if control is None:
+        yield
+        return
+    setter, getter = control
+    with _serial.lock:
+        if not _serial.depth:
+            _serial.previous = getter()
+            setter(1)
+        _serial.depth += 1
+    try:
+        yield
+    finally:
+        with _serial.lock:
+            _serial.depth -= 1
+            if not _serial.depth:
+                setter(_serial.previous)
 
 
 def _squared_norm(B: np.ndarray) -> float:

@@ -5,13 +5,15 @@ import dataclasses
 import json
 import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from capmimo import SweepRow, SystemConfig, cli, sweep_transceiver
+from capmimo import SweepRow, SystemConfig, cli, spectra, sweep_transceiver
 from capmimo.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -208,7 +210,8 @@ def test_resolved_config_holds_only_the_settings_read(command):
 def test_each_setting_is_declared_once(tmp_path, capsys):
     # every RunConfig field is both a config key and a flag read by the same
     # parser (a switch sets true), each subcommand that reads it accepts both,
-    # and every subcommand's --help lists one flag per field plus --config
+    # and every subcommand's --help lists --config and one flag per field it
+    # reads, none for a field it refuses
     fields = dataclasses.fields(RunConfig)
     assert {f.name for f in fields} == set(SETTING_SAMPLES)
     assert len(UNREAD) == 21
@@ -224,8 +227,10 @@ def test_each_setting_is_declared_once(tmp_path, capsys):
             _, from_file = parse_config([command, "--config", str(cfg_file)])
             value = getattr(from_flag, f.name)
             assert value == getattr(from_file, f.name) != f.default, (f.name, command)
-    expected = sorted(["--help", "--config"] + ["--" + f.name.replace("_", "-") for f in fields])
     for command in COMMANDS:
+        expected = sorted(["--help", "--config"] + ["--" + f.name.replace("_", "-")
+                                                    for f in fields
+                                                    if command in f.metadata["read_by"]])
         with pytest.raises(SystemExit):
             main([command, "--help"])
         listed = re.findall(r"^  (?:-h, )?(--[a-z0-9-]+)", capsys.readouterr().out, re.M)
@@ -311,6 +316,23 @@ def test_rerun_byte_identical(tmp_path):
     _, first = _run_small_sweep(tmp_path, "a.csv")
     _, second = _run_small_sweep(tmp_path, "b.csv")
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_csv_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the d = 0.1 m reference's last digits followed the BLAS's thread count
+    # while its solve ran on the BLAS's own threads; a solve this small runs
+    # on one, so a fresh process on one thread and one on two write the same
+    # bytes
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        proc = subprocess.run([sys.executable, "-m", "capmimo.cli", "sweep-receiver",
+                               "--distances", "0.1", "--m-list", "5", "--out", str(out)],
+                              env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_sweep_grid_meta_has_symmetry(tmp_path):
@@ -623,6 +645,11 @@ def test_sweep_meta_records_reference_health_and_environment(tmp_path, monkeypat
     assert env["numpy"] == np.__version__ and env["cpu_count"] == os.cpu_count()
     assert (env["OMP_NUM_THREADS"], env["OPENBLAS_NUM_THREADS"]) == ("1", None)
     assert set(env["blas"] or {}) <= {"name", "version"}
+    # the thread rule: the BLAS's count outside solves, where it can be set,
+    # and the work below which a solve runs on one thread
+    assert env["blas_threads"] == spectra.blas_threads()
+    assert env["blas_threads"] is None or env["blas_threads"] >= 1
+    assert env["serial_work"] == spectra.SERIAL_WORK
     # a numpy whose show_config takes no mode has no BLAS dict to record
     monkeypatch.setattr(np, "show_config", lambda: None)
     assert cli._environment()["blas"] is None

@@ -414,6 +414,65 @@ def test_sketched_spectrum_is_bitwise_repeatable():
 
 
 @pytest.fixture
+def two_blas_threads():
+    """The BLAS on two threads while the test runs; skips where its count cannot be set."""
+    control = spectra._thread_control()
+    if control is None:
+        pytest.skip("the BLAS numpy links exports no thread-count setter")
+    setter, getter = control
+    before = getter()
+    setter(2)
+    yield
+    setter(before)
+
+
+def test_small_solves_run_on_one_blas_thread(two_blas_threads, monkeypatch):
+    # the default reference at d = 0.1 m, the largest solve of the default
+    # sweeps (800 x 800 x 137 = 8.8e7 of sketch work), solves both blocks on
+    # one thread; with SERIAL_WORK at 0 they run on the process's two; the
+    # count is two again after each solve
+    seen = []
+    block_spectrum = spectra._block_spectrum
+
+    def recording(B, width):
+        seen.append(spectra.blas_threads())
+        return block_spectrum(B, width)
+
+    monkeypatch.setattr(spectra, "_block_spectrum", recording)
+    cfg, rx, tx = _large_case("nystrom1600x800", 0.1)
+    centrosymmetric_spectrum(rx, tx, cfg)
+    assert seen == [1, 1] and spectra.blas_threads() == 2
+    monkeypatch.setattr(spectra, "SERIAL_WORK", 0)
+    centrosymmetric_spectrum(rx, tx, cfg)
+    assert seen == [1, 1, 2, 2] and spectra.blas_threads() == 2
+
+
+def test_blas_thread_count_restored_when_a_block_raises(two_blas_threads, monkeypatch):
+    def failing(B, width):
+        assert spectra.blas_threads() == 1
+        raise RuntimeError("block failed")
+
+    monkeypatch.setattr(spectra, "_block_spectrum", failing)
+    grid = midpoint_grid(2.0, 40)
+    with pytest.raises(RuntimeError, match="block failed"):
+        centrosymmetric_spectrum(grid, grid, SystemConfig())
+    assert spectra.blas_threads() == 2
+
+
+def test_overlapping_serial_solves_restore_the_blas_thread_count(two_blas_threads):
+    # solves from two Python threads may overlap and end first in, first
+    # out: the count stays one until the last ends, which restores the two
+    # the first found (restoring the count each one found would leave one)
+    first, second = spectra._one_blas_thread(True), spectra._one_blas_thread(True)
+    first.__enter__()
+    second.__enter__()
+    first.__exit__(None, None, None)
+    assert spectra.blas_threads() == 1
+    second.__exit__(None, None, None)
+    assert spectra.blas_threads() == 2
+
+
+@pytest.fixture
 def sketch_bases(monkeypatch):
     """(Y, conj(Q)) for every sketch basis formed while the test runs, copied."""
     bases = []
