@@ -5,8 +5,9 @@ Each setting is one ``RunConfig`` field, named as its config key and, with
 ``-`` for ``_``, as its ``--`` flag; one parser reads both, and only the
 subcommands the field names as its readers accept it. Settings come from
 an optional ``key = value`` config file plus flags (flags win), are all
-checked before anything is printed, and the settings read, every default
-filled in, are printed before any computation runs.
+checked, every model call resolved and sized by ``models.model_sides``,
+before anything is printed, and the settings read, every default filled
+in, are printed before any computation runs.
 
 Sweep output is an RFC-4180-style CSV with the fixed column set
 
@@ -14,12 +15,11 @@ Sweep output is an RFC-4180-style CSV with the fixed column set
 
 plus a JSON sidecar (same basename, .meta suffix) holding the resolved
 config, tool version, environment (numpy, BLAS, CPU count, thread
-settings), measured timings, the geometry caches' hits and misses over
-the process, slope fits and, per distance, the reference's node counts
-and effective rank. The CSV itself
-is byte-identical across reruns of the same resolved config on one
-platform, so its per-cell wall times are 0.0 placeholders; the real
-ones go to the sidecar.
+settings), measured timings, the two geometry caches' hits and misses
+over the process, slope fits and, per distance, the reference's node
+counts and effective rank. The CSV itself is byte-identical across reruns
+of the same resolved config on one platform, so its per-cell wall times
+are 0.0 placeholders; the real ones go to the sidecar.
 """
 
 from __future__ import annotations
@@ -57,10 +57,16 @@ from .models import (
     mi_continuous,
     model_sides,
     noise_rx,
-    resolve_ref_m,
 )
-from .physics import SystemConfig, as_count, resolve_inner_points
-from .spectra import SERIAL_WORK, blas_threads, check_memory, midpoint_grid
+from .physics import (
+    RULE_BYTES_PER_NODE,
+    SystemConfig,
+    as_count,
+    check_memory,
+    check_rule_size,
+    resolve_inner_points,
+)
+from .spectra import SERIAL_WORK, blas_threads, midpoint_grid
 
 CSV_COLUMNS = ("scenario", "d_m", "m1", "m2", "ref_m", "mi_nats", "mi_bits",
                "mi_ref_nats", "abs_gap", "n_used", "model_tag", "wall_time_s")
@@ -80,11 +86,9 @@ COMMANDS = {
     "bounds": "noise-rescaling gap vs its quadrature bound over an m ladder",
 }
 
-# resident bytes per antenna and per source node of one bounds step (noise_rx):
-# the VmHWM rise of a fresh process, 24.5 and 97.6 at 1e6-8e6 antennas and
-# 1e5-4e6 source nodes, plus 1.5 of margin, rounded up
+# resident bytes per antenna of one bounds step (noise_rx), beside its source
+# rule: the VmHWM rise of a fresh process, 24.5 at 1e6-8e6, plus 1.5 of margin
 BOUNDS_BYTES_PER_ANTENNA = 26
-BOUNDS_BYTES_PER_NODE = 100
 
 
 class ConfigError(ValueError):
@@ -181,10 +185,10 @@ class RunConfig:
 
         Builds the scenario at every distance ``command`` runs at, so it
         raises ValueError on any invalid physics value or node count, and
-        on a reference matrix, largest discrete matrix or largest ``bounds``
-        step that would not fit in physical memory. The node counts are
-        each given at their largest over those distances (every CSV row
-        carries its own ref_m).
+        on a reference matrix, largest discrete matrix, or largest ``bounds``
+        step or its trace rule, that would not fit in physical memory. The
+        node counts are each given at their largest over those distances
+        (every CSV row carries its own ref_m).
         """
         d = {name: getattr(self, name) for name, f in _SETTINGS.items()
              if command in f.metadata["read_by"]}
@@ -202,10 +206,11 @@ class RunConfig:
                 model_sides(cfg, model, *map(max, lists), inner_points=self.inner_points)
         if "inner_points" in d:
             d["inner_points"] = max(resolve_inner_points(cfg, self.inner_points) for cfg in cfgs)
-        if command == "bounds":  # its largest m with the source rule, in one noise_rx call
+        if command == "bounds":  # its largest m with the source rule, then the trace rule
             m, n = max(self.m_list), d["inner_points"]
-            check_memory(BOUNDS_BYTES_PER_ANTENNA * m + BOUNDS_BYTES_PER_NODE * n,
+            check_memory(BOUNDS_BYTES_PER_ANTENNA * m + RULE_BYTES_PER_NODE * n,
                          f"a bounds step on {m} antennas and {n} source nodes")
+            check_rule_size(base.default_inner_points())
         return d
 
 
@@ -404,7 +409,7 @@ def _run_dof(command: str, rc: RunConfig) -> int:
     print(f"analytic_dof = {est.analytic}")
     if rc.out is None:
         return 0
-    ref_m = resolve_ref_m(cfg, rc.ref_m)
+    ref_m = model_sides(cfg, MODEL_CONTINUOUS, ref_m=rc.ref_m)[0][0]
     records = [[rc.scenario, rc.distance, ref_m, est.threshold_rel, est.eigen_count,
                 est.analytic]]
     meta = {"eigen_count": est.eigen_count, "analytic_dof": est.analytic}

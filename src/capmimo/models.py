@@ -16,11 +16,11 @@ differ only in their two grids, each of which carries its own weights
 * ``mi_discrete_trx`` -- point antennas on both sides, G.
 
 One rule, ``model_sides``, decides the two sides of every model call as
-they are solved, each a (node count, grid rule) pair, and checks the
-evaluated matrix against physical memory before any grid exists; the
-sweeps and the command line size their calls with it too. ``_spectrum``
-builds the two grids and takes their spectrum; ``_reference_spectrum``
-and ``_discrete_spectrum`` are its cached calls, keyed on the sides. G
+they are solved, each a (node count, grid rule) pair, and sizes the
+evaluated rows (``check_spectrum_size``) before any grid exists; the
+sweeps and the command line resolve and size their calls with it too.
+One cache, ``_spectrum``, keyed on the geometry and the sides, builds
+the two grids and takes their spectrum and ||A||_F^2 for every model. G
 is even and the lattice offsets negate exactly, so the channel from m1
 transmit to m2 receive antennas is, bitwise, the transpose of the one
 from m2 to m1: ``model_sides`` puts the smaller count on the receive
@@ -63,7 +63,7 @@ from .spectra import (
     _squared_norm,
     assemble_channel_matrix,
     centrosymmetric_spectrum,
-    check_matrix_size,
+    check_spectrum_size,
     gauss_legendre_grid,
     logdet_from_eigenvalues,
     midpoint_grid,
@@ -131,22 +131,17 @@ def _unit_trace(geometry: SystemConfig) -> float:
     return operator_trace(geometry)
 
 
-@lru_cache(maxsize=32)
-def _reference_spectrum(geometry: SystemConfig, rx: tuple, tx: tuple) -> np.ndarray:
-    """Unit-power field-operator spectrum: ``_spectrum`` of the continuous model, cached."""
-    return _spectrum(geometry, rx, tx)[0]
-
-
-@lru_cache(maxsize=64)
-def _discrete_spectrum(geometry: SystemConfig, rx: tuple, tx: tuple) -> tuple[np.ndarray, float]:
-    """Unit-power spectrum and ||A||_F^2 of a discrete model: ``_spectrum``, cached."""
-    return _spectrum(geometry, rx, tx)
+@lru_cache(maxsize=96)
+def _spectrum(geometry: SystemConfig, rx: tuple, tx: tuple) -> tuple[np.ndarray, float]:
+    """Unit-power spectrum and ||A||_F^2 on the ``model_sides`` grids: every model's solve."""
+    return centrosymmetric_spectrum(*(rule(geometry.aperture_m, n) for n, rule in (rx, tx)),
+                                    geometry)
 
 
 def cache_counts() -> dict[str, dict[str, int]]:
     """Hits and misses of the geometry caches of the model values, summed over this process."""
     counts = {}
-    for cache in (_reference_spectrum, _unit_trace, _discrete_spectrum):
+    for cache in (_spectrum, _unit_trace):
         info = cache.cache_info()
         counts[cache.__name__.lstrip("_")] = {"hits": info.hits, "misses": info.misses}
     return counts
@@ -180,13 +175,6 @@ def default_ref_m(cfg: SystemConfig) -> int:
     return max(1600, cfg.default_inner_points())
 
 
-def resolve_ref_m(cfg: SystemConfig, ref_m: int | None) -> int:
-    """Reference receive-node count: ``ref_m``, or ``default_ref_m`` when None; at least 64."""
-    if ref_m is None:
-        return default_ref_m(cfg)
-    return as_count("ref_m", ref_m, 64)
-
-
 def model_sides(cfg: SystemConfig, model_tag: str, m1: int | None = None,
                 m2: int | None = None, ref_m: int | None = None,
                 inner_points: int | None = None) -> tuple[tuple, tuple]:
@@ -194,27 +182,22 @@ def model_sides(cfg: SystemConfig, model_tag: str, m1: int | None = None,
 
     Each side is (node count, grid rule): ``gauss_legendre_grid``, which
     carries its weights, or ``midpoint_grid``, antennas. The continuous
-    model is ``resolve_ref_m`` reference nodes against the rule's source
-    nodes; ``mi_discrete_rx`` m2 antennas against ``resolve_inner_points``
-    source nodes; ``mi_discrete_trx`` min(m1, m2) receive against max(m1,
-    m2) transmit antennas, so both orders are one pair of sides. The
-    evaluated top ceil(p / 2) rows of the p x q matrix are checked
-    against physical memory (``check_matrix_size``).
+    model is ``ref_m`` (``default_ref_m`` when None) reference nodes
+    against the rule's source nodes; ``mi_discrete_rx`` m2 antennas against
+    ``resolve_inner_points`` source nodes; ``mi_discrete_trx`` min(m1, m2)
+    receive against max(m1, m2) transmit antennas, so both orders are one
+    pair of sides. ``check_spectrum_size`` sizes the rows that are solved.
     """
     gauss = gauss_legendre_grid
     if model_tag == MODEL_CONTINUOUS:
-        rx, tx = (resolve_ref_m(cfg, ref_m), gauss), (cfg.default_inner_points(), gauss)
+        ref_m = default_ref_m(cfg) if ref_m is None else as_count("ref_m", ref_m, 64)
+        rx, tx = (ref_m, gauss), (cfg.default_inner_points(), gauss)
     elif model_tag == MODEL_DISCRETE_RX:
         rx, tx = (m2, midpoint_grid), (resolve_inner_points(cfg, inner_points), gauss)
     else:
         rx, tx = (min(m1, m2), midpoint_grid), (max(m1, m2), midpoint_grid)
-    check_matrix_size(-(-rx[0] // 2), tx[0])
+    check_spectrum_size(rx[0], tx[0])
     return rx, tx
-
-
-def _spectrum(cfg: SystemConfig, rx: tuple, tx: tuple) -> tuple[np.ndarray, float]:
-    """Squared singular values and ||A||_F^2 of A = sqrt(w_r) G sqrt(w_s) on the sides' grids."""
-    return centrosymmetric_spectrum(*(rule(cfg.aperture_m, n) for n, rule in (rx, tx)), cfg)
 
 
 def mi_continuous(cfg: SystemConfig, ref_m: int | None = None) -> MiResult:
@@ -228,7 +211,7 @@ def mi_continuous(cfg: SystemConfig, ref_m: int | None = None) -> MiResult:
     nodes) entries) is exposed on the result for SNR and DoF diagnostics.
     """
     rx, tx = model_sides(cfg, MODEL_CONTINUOUS, ref_m=ref_m)
-    scaled = cfg.power_density * _reference_spectrum(_geometry(cfg), rx, tx)
+    scaled = cfg.power_density * _spectrum(_geometry(cfg), rx, tx)[0]
     scaled.setflags(write=False)
     value = logdet_from_eigenvalues(scaled, 2.0 / cfg.noise_density)
     return MiResult(value_nats=value, model_tag=MODEL_CONTINUOUS,
@@ -253,6 +236,13 @@ def _noise_control(cfg: SystemConfig, unit_power_sum: float, counts: tuple[int, 
                         gap=abs(volume * n_value / samples - n0), gap_bound=bound)
 
 
+def _check_on_aperture(cfg: SystemConfig, *grids: QuadratureGrid) -> None:
+    """Refuse a grid off the aperture [0, l] over which the trace and the gap bound integrate."""
+    for grid in grids:
+        if grid.length != cfg.aperture_m:
+            raise ValueError(f"grid length {grid.length} is not aperture_m {cfg.aperture_m}")
+
+
 def noise_rx(grid: QuadratureGrid, cfg: SystemConfig,
              inner_points: int | None = None) -> NoiseControl:
     """SNR-matched noise density for the discrete-receiver model.
@@ -265,6 +255,7 @@ def noise_rx(grid: QuadratureGrid, cfg: SystemConfig,
     """
     if grid.m < 1:
         raise ValueError("grid must be nonempty")
+    _check_on_aperture(cfg, grid)
     geometry = _geometry(cfg)
     diag_sum = kernel_diagonal(grid.points, geometry, resolve_inner_points(cfg, inner_points))
     return _noise_control(cfg, float(diag_sum.sum()), (grid.m,),
@@ -282,6 +273,7 @@ def noise_trx(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
     """
     if rx_grid.m < 1 or tx_grid.m < 1:
         raise ValueError("grids must be nonempty")
+    _check_on_aperture(cfg, rx_grid, tx_grid)
     H = assemble_channel_matrix(rx_grid, tx_grid, cfg)
     sup2 = _profile_curvatures(_geometry(cfg))[1]
     return _noise_control(cfg, _squared_norm(H), (tx_grid.m, rx_grid.m), sup2 + sup2)
@@ -297,7 +289,7 @@ def _discrete_mi(model_tag: str, m1: int | None, m2: int, cfg: SystemConfig,
     rule of ``mi_discrete_rx`` (m1 None), is reported.
     """
     sides = model_sides(cfg, model_tag, m1, m2, inner_points=inner_points)
-    spectrum, unit_power_sum = _discrete_spectrum(_geometry(cfg), *sides)
+    spectrum, unit_power_sum = _spectrum(_geometry(cfg), *sides)
     scaled = spectrum / unit_power_sum * (cfg.power_density * _unit_trace(_geometry(cfg)))
     return MiResult(value_nats=logdet_from_eigenvalues(scaled, 2.0 / cfg.noise_density),
                     model_tag=model_tag, noise_used=_matched_noise(cfg, unit_power_sum),

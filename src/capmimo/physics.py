@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,6 +32,11 @@ PANEL_NODES = 16
 # largest number of propagation coefficients evaluated in one green_offset
 # call by kernel_diagonal and the channel assembly: bounds their temporaries
 GREEN_BLOCK_ENTRIES = 1 << 16
+
+# resident bytes per node of a Gauss-Legendre rule and one |G|^2 pass over it: the
+# VmHWM rise of a fresh process (numpy 2.4.6), 94-96 for operator_trace and
+# 116-126 for a bounds step's source rule at 5e5-2e6 nodes, plus 1.5 of margin, rounded up
+RULE_BYTES_PER_NODE = 128
 
 
 @dataclass(frozen=True)
@@ -190,6 +196,28 @@ def resolve_inner_points(cfg: SystemConfig, inner_points: int | None) -> int:
     return as_count("inner_points", inner_points, 2)
 
 
+def check_memory(need: int, what: str) -> None:
+    """Raise a one-line ValueError when ``need`` bytes for ``what`` exceed physical memory.
+
+    Called before anything is allocated; skipped where the platform does
+    not report its physical memory.
+    """
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    if need > have:
+        raise ValueError(
+            f"{what} needs about {need / 2**30:.3g} GiB, "
+            f"more than the {have / 2**30:.3g} GiB of physical memory; "
+            f"lower ref_m, inner_points, the antenna counts or l / min(wavelength, d)")
+
+
+def check_rule_size(n: int) -> None:
+    """``check_memory`` of an n-node Gauss-Legendre rule at RULE_BYTES_PER_NODE per node."""
+    check_memory(RULE_BYTES_PER_NODE * n, f"a {n}-node Gauss-Legendre rule")
+
+
 def midpoints(length: float, n: int) -> np.ndarray:
     """Composite midpoint nodes (i + 1/2) * length / n, i = 0..n-1, on (0, length)."""
     return (np.arange(n, dtype=np.float64) + 0.5) * (length / n)
@@ -209,7 +237,8 @@ def gauss_legendre(length: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     panels resolve the wavelength and the distance. Returned arrays are
     read-only. Each panel's rule is ``_legendre_rule``'s, computed once
     per order and only for the orders used. ``as_count`` and ``as_positive``
-    check n and length before the rules' cache on (length, int n) is read.
+    check n and length before the rules' cache on (length, int n) is read;
+    ``check_rule_size`` sizes a rule before it is built.
     """
     n = as_count("Gauss-Legendre node count", n, 2)
     return _gauss_legendre_rule(as_positive("grid length", length), n)
@@ -217,6 +246,7 @@ def gauss_legendre(length: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=64)
 def _gauss_legendre_rule(length: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    check_rule_size(n)
     panels = -(-n // PANEL_NODES)
     small, extra = divmod(n, panels)
     if extra % 2 and (panels - extra) % 2:

@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import ctypes
 import math
-import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -78,6 +77,7 @@ from .physics import (
     SystemConfig,
     as_count,
     as_positive,
+    check_memory,
     gauss_legendre,
     green_offset,
     midpoints,
@@ -201,21 +201,9 @@ def check_matrix_size(rows: int, cols: int) -> None:
     check_memory(matrix_bytes(rows, cols), f"a {rows} x {cols} complex matrix")
 
 
-def check_memory(need: int, what: str) -> None:
-    """Raise a one-line ValueError when ``need`` bytes for ``what`` exceed physical memory.
-
-    Called before anything is allocated; skipped where the platform does
-    not report its physical memory.
-    """
-    try:
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return
-    if need > have:
-        raise ValueError(
-            f"{what} needs about {need / 2**30:.3g} GiB, "
-            f"more than the {have / 2**30:.3g} GiB of physical memory; "
-            f"lower ref_m, inner_points, the antenna counts or l / min(wavelength, d)")
+def check_spectrum_size(p: int, q: int) -> None:
+    """``check_matrix_size`` of the top ceil(p / 2) rows of a p x q matrix, those evaluated."""
+    check_matrix_size(-(-p // 2), q)
 
 
 def _hermitize_in_place(K: np.ndarray) -> np.ndarray:
@@ -375,8 +363,8 @@ def centrosymmetric_spectrum(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
     if rx_grid.length != tx_grid.length:
         raise ValueError(f"grid lengths differ: {rx_grid.length} and {tx_grid.length}")
     p, q = rx_grid.m, tx_grid.m
+    check_spectrum_size(p, q)
     top, half = -(-p // 2), q // 2
-    check_matrix_size(top, q)
     lattice = _lattice(rx_grid, tx_grid, cfg, top)
     plus = _SplitBlock(lattice, np.add, (top, q - half), p, q)
     minus = _SplitBlock(lattice, np.subtract, (p // 2, half), p, q)

@@ -364,15 +364,57 @@ def test_sweep_meta_records_cache_counts(tmp_path):
             "--ref-m", "64"]
     warm = tmp_path / "warm.csv"
     assert main([*argv, "--out", str(warm)]) == 0
-    for cache in (models._reference_spectrum, models._unit_trace, models._discrete_spectrum):
+    for cache in (models._spectrum, models._unit_trace):
         cache.cache_clear()
     out = tmp_path / "cold.csv"
     assert main([*argv, "--out", str(out)]) == 0
     caches = json.loads(out.with_suffix(".meta").read_text())["caches"]
-    assert caches["discrete_spectrum"] == {"hits": 1, "misses": 3}
-    assert caches["reference_spectrum"] == {"hits": 3, "misses": 1}
+    # three cells and one reference solved; one mirrored cell and three
+    # reference reads hit
+    assert caches["spectrum"] == {"hits": 4, "misses": 4}
     assert caches["unit_trace"]["misses"] == 1
     assert out.read_bytes() == warm.read_bytes()
+
+
+@pytest.mark.parametrize("argv, solves", [
+    (["sweep-receiver"], 24),
+    (["sweep-grid", "--distance", "10", "--m1-list", "100,200,400,800,1200",
+      "--m2-list", "100,200,400,800,1200"], 16),
+])
+def test_default_sweeps_solve_each_spectrum_once(argv, solves, tmp_path):
+    # one cache holds every model spectrum: the default receiver sweep
+    # solves 3 references and 3 x 7 cells, the 5 x 5 grid one reference
+    # and 15 cells, its mirrored cells sharing one solve
+    from capmimo import models
+    models._spectrum.cache_clear()
+    out = tmp_path / "default.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    caches = json.loads(out.with_suffix(".meta").read_text())["caches"]
+    assert set(caches) == {"spectrum", "unit_trace"}
+    assert caches["spectrum"]["misses"] == solves
+
+
+@pytest.mark.parametrize("extra, ref_m", [([], 1600), (["--ref-m", "65"], 65)])
+def test_dof_table_writes_the_solved_reference_count(extra, ref_m, tmp_path):
+    out = tmp_path / "dof.csv"
+    assert main(["dof", *extra, "--out", str(out)]) == 0
+    with out.open(newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert int(row["ref_m"]) == ref_m
+
+
+def test_bounds_sizes_its_trace_rule_before_any_output(monkeypatch, capsys):
+    # at wavelength 2.5e-5 m the trace's rule has 16 * 2 / 2.5e-5 = 1.28e6
+    # nodes, over 120 MB with its |G|^2 pass, though the bounds step itself is
+    # small: with 64 MB of physical memory the command is refused before any
+    # rule is built
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (64 << 20) // 4096}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    code = main(["bounds", "--wavelength", "2.5e-5", "--inner-points", "64", "--m-list", "10"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: a 1280000-node Gauss-Legendre rule needs about")
+    assert captured.err.count("\n") == 1 and "physical memory" in captured.err
 
 
 def test_dof_prints_counts(capsys):
@@ -625,17 +667,18 @@ def test_invalid_counts_fail_before_any_solve(argv, message, tmp_path, capsys, m
 
 def test_sweep_meta_records_reference_health_and_environment(tmp_path, monkeypatch):
     # each distance's reference node counts and effective rank come from the
-    # spectrum the sweep cached (three solves for three distances, no more),
-    # next to the numpy / BLAS versions and thread settings of the run
+    # spectrum the sweep cached (six solves, three references and three
+    # cells, no more), next to the numpy / BLAS versions and thread settings
+    # of the run
     import numpy as np
 
     from capmimo import models
     monkeypatch.setenv("OMP_NUM_THREADS", "1")
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    models._reference_spectrum.cache_clear()
+    models._spectrum.cache_clear()
     out = tmp_path / "health.csv"
     assert main(["sweep-receiver", "--m-list", "5", "--out", str(out)]) == 0
-    assert models._reference_spectrum.cache_info().misses == 3
+    assert models._spectrum.cache_info().misses == 6
     meta = json.loads(out.with_suffix(".meta").read_text())
     counts = {d: (ref["ref_m"], ref["source_nodes"], ref["eigen_count_1e-3"],
                   ref["eigen_count_1e-12"]) for d, ref in meta["references"].items()}

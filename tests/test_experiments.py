@@ -95,7 +95,7 @@ def test_sweep_rejects_empty_lists(default_cfg):
 
 def test_sweeps_check_counts_before_any_solve():
     cfg = SystemConfig()
-    models._reference_spectrum.cache_clear()
+    models._spectrum.cache_clear()
     with pytest.raises(ValueError):
         sweep_grid(cfg, 10.0, [100], [-3])
     with pytest.raises(ValueError):
@@ -115,7 +115,7 @@ def test_sweeps_check_counts_before_any_solve():
         sweep_grid(cfg, 10.0, [3.0], [3], ref_m=64)
     with pytest.raises(ValueError, match="^ref_m must be an integer, got 64.0$"):
         sweep_receiver(cfg, [10.0], [4], ref_m=64.0)
-    assert models._reference_spectrum.cache_info().misses == 0
+    assert models._spectrum.cache_info().misses == 0
 
 
 def test_sweep_accepts_arrays_larger_than_reference():

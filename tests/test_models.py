@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 import sys
 import tracemalloc
 import warnings
@@ -83,8 +84,7 @@ def test_non_integer_counts_rejected_cold_and_warm(name, valid, invalid):
     # refused before any cache lookup: the same one-line error whether or
     # not the integer call has filled the cache
     cfg = SystemConfig()
-    models._reference_spectrum.cache_clear()
-    models._discrete_spectrum.cache_clear()
+    models._spectrum.cache_clear()
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
         invalid(cfg)
     valid(cfg)
@@ -113,6 +113,68 @@ def test_counts_below_one_rejected():
         noise_rx(empty, cfg)
     with pytest.raises(ValueError, match="^grids must be nonempty$"):
         noise_trx(midpoint_grid(2.0, 3), empty, cfg)
+
+
+def test_noise_rescalings_refuse_a_grid_off_the_aperture():
+    # the trace and the gap bound integrate over the aperture [0, l]: antennas
+    # on [0, 1] under a 2 m aperture would be matched against the wrong length
+    cfg = SystemConfig()
+    off, on = midpoint_grid(1.0, 10), midpoint_grid(2.0, 4)
+    message = "^grid length 1.0 is not aperture_m 2.0$"
+    with pytest.raises(ValueError, match=message):
+        noise_rx(off, cfg)
+    for rx, tx in ((off, on), (on, off)):
+        with pytest.raises(ValueError, match=message):
+            noise_trx(rx, tx, cfg)
+
+
+@pytest.mark.parametrize("call", [physics.operator_trace, lambda cfg: mi_discrete_trx(4, 4, cfg)])
+def test_trace_rule_sized_before_it_is_built(call, monkeypatch):
+    # at wavelength 2.5e-5 m the trace takes a 1.28e6-node rule and its |G|^2
+    # pass, over 120 MB, while model_sides sizes only a 2 x 4 channel: with
+    # 64 MB of physical memory the rule is refused before it is built
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (64 << 20) // 4096}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^a 1280000-node Gauss-Legendre rule needs about "
+                                             r".* GiB, more than the 0\.0625 GiB"):
+            call(SystemConfig(wavelength_m=2.5e-5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("model_tag", [models.MODEL_DISCRETE_RX, models.MODEL_CONTINUOUS])
+def test_model_sides_refuses_exactly_where_the_solve_does(model_tag, monkeypatch):
+    # the evaluated rows are sized by one rule, check_spectrum_size: with
+    # physical memory at the estimate of 33 x 64 rows, model_sides and
+    # centrosymmetric_spectrum refuse the same (p, q), odd p included
+    cfg = SystemConfig()
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": spectra.matrix_bytes(33, 64)}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+
+    def refused(call, *args, **kwargs) -> bool:
+        try:
+            call(*args, **kwargs)
+        except ValueError as exc:
+            assert "physical memory" in str(exc)
+            return True
+        return False
+
+    rule = midpoint_grid if model_tag == models.MODEL_DISCRETE_RX else gauss_legendre_grid
+    verdicts = set()
+    for p in range(64, 70):
+        for q in (63, 64, 65):
+            if model_tag == models.MODEL_CONTINUOUS:
+                monkeypatch.setattr(SystemConfig, "default_inner_points", lambda self: q)
+            verdict = refused(models.model_sides, cfg, model_tag, m2=p, ref_m=p, inner_points=q)
+            grids = rule(cfg.aperture_m, p), gauss_legendre_grid(cfg.aperture_m, q)
+            assert refused(spectra.centrosymmetric_spectrum, *grids, cfg) == verdict
+            assert refused(spectra.check_spectrum_size, p, q) == verdict
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_mi_continuous_zero_power():
@@ -168,11 +230,11 @@ def test_mi_continuous_odd_sizes_keep_every_singular_value(ref_m, inner_points, 
     # the odd source counts are put in its place.
     cfg = SystemConfig(distance_m=1.0)
     monkeypatch.setattr(SystemConfig, "default_inner_points", lambda self: inner_points)
-    models._reference_spectrum.cache_clear()
+    models._spectrum.cache_clear()
     try:
         res = mi_continuous(cfg, ref_m=ref_m)
     finally:
-        models._reference_spectrum.cache_clear()
+        models._spectrum.cache_clear()
     assert res.eigenvalues.size == min(ref_m, inner_points)
     assert res.inner_points == inner_points
     ref = gauss_legendre_grid(cfg.aperture_m, ref_m)
@@ -189,8 +251,8 @@ def test_reference_memory_guard_sizes_the_evaluated_half(monkeypatch):
     n_source = cfg.default_inner_points()
     half = spectra.matrix_bytes(32, n_source)
     pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 3 * half // 2}
-    monkeypatch.setattr(spectra.os, "sysconf", pages.__getitem__)
-    models._reference_spectrum.cache_clear()
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    models._spectrum.cache_clear()
     assert mi_continuous(cfg, ref_m=64).eigenvalues.size == 64
     with pytest.raises(ValueError, match="physical memory"):
         mi_continuous(cfg, ref_m=128)
@@ -423,7 +485,7 @@ def test_discrete_models_evaluate_each_coefficient_once(monkeypatch):
     # every module that evaluates propagation coefficients holds its own name
     for module in (physics, spectra, models):
         monkeypatch.setattr(module, "green_offset", counting)
-    models._discrete_spectrum.cache_clear()
+    models._spectrum.cache_clear()
     assert mi_discrete_rx(m, cfg, inner) == rx
     assert counted[0] == (m + 1) // 2 * inner
     counted[0] = 0
@@ -457,7 +519,7 @@ def test_default_sized_models_evaluate_each_table_entry_once(monkeypatch):
         monkeypatch.setattr(module, "green_offset", counting)
     # 800 receive antennas (top 400) against 1200 transmit ones: steps 3 and 2
     # of l / lcm(800, 1200), differences -1199 * 2 .. 399 * 3, one pattern pair
-    models._discrete_spectrum.cache_clear()
+    models._spectrum.cache_clear()
     mi_discrete_trx(1200, 800, cfg)
     assert counted[0] == 1199 * 2 + 399 * 3 + 1 == 3596
     assert 100 * counted[0] < 400 * 1200
@@ -470,7 +532,7 @@ def test_default_sized_models_evaluate_each_table_entry_once(monkeypatch):
     # 1600 reference nodes (top 800: 50 panels of 16) against 800 source nodes
     # (50 panels): steps 1 and 2 of l / 100, differences -49 * 2 .. 49, 16 x 16 pairs
     counted[0] = 0
-    models._reference_spectrum.cache_clear()
+    models._spectrum.cache_clear()
     mi_continuous(cfg, ref_m=1600)
     assert counted[0] == (49 * 2 + 49 + 1) * 16 * 16 == 37888
     assert 10 * counted[0] < 800 * 800
@@ -572,11 +634,11 @@ def test_power_ladder_solves_each_discrete_spectrum_once():
     cold = []
     for cfg in cfgs:
         for call in calls:
-            models._discrete_spectrum.cache_clear()
+            models._spectrum.cache_clear()
             cold.append(call(cfg))
-    models._discrete_spectrum.cache_clear()
+    models._spectrum.cache_clear()
     warm = [call(cfg) for cfg in cfgs for call in calls]
-    info = models._discrete_spectrum.cache_info()
+    info = models._spectrum.cache_info()
     assert (info.misses, info.hits) == (3, 6)
     assert warm == cold
 
@@ -623,7 +685,7 @@ def test_discrete_scale_holds_where_the_frobenius_norm_is_far_below_the_trace():
     trace = models._unit_trace(models._geometry(cfg))
     assert result.value_nats == pytest.approx(math.log1p(2.0 * 1e302 * trace), rel=1e-14)
     sides = models.model_sides(cfg, models.MODEL_DISCRETE_TRX, 1, 1)
-    unit_power_sum = models._discrete_spectrum(models._geometry(cfg), *sides)[1]
+    unit_power_sum = models._spectrum(models._geometry(cfg), *sides)[1]
     assert result.noise_used == cfg.noise_density * unit_power_sum / trace
 
 

@@ -120,7 +120,7 @@ def test_matrix_size_guard(monkeypatch):
     def unreported(name):
         raise ValueError(f"unrecognized configuration name {name}")
 
-    monkeypatch.setattr(spectra.os, "sysconf", unreported)
+    monkeypatch.setattr(os, "sysconf", unreported)
     check_matrix_size(10**7, 10**7)
 
 
