@@ -4,10 +4,10 @@ Geometry convention: the transmit aperture occupies positions s in [0, l]
 on the line (0, 0, z), the receive aperture occupies r in [0, l] on the
 parallel line (d, 0, z). Everything downstream (field autocorrelation,
 operator trace, mutual-information models) is built from the scalar
-propagation coefficient ``green_scalar`` and composite Gauss-Legendre
-quadrature over the source coordinate (``gauss_legendre``). The midpoint
-nodes (``midpoints``) are the antenna layout of the discrete models, not
-a quadrature rule for the continuous apertures.
+propagation coefficient ``green_offset``, up to the unit phase common to
+every pair (``green_scalar`` is G itself), and composite Gauss-Legendre
+quadrature over the source coordinate (``gauss_legendre``), whose panel
+layout ``_gauss_legendre_rule`` alone decides.
 
 All functions here are pure and accept numpy arrays for the position
 arguments (broadcasting applies); they are safe to call concurrently.
@@ -29,14 +29,16 @@ Z0_OHMS = 120.0 * math.pi
 # nodes per Gauss-Legendre panel of the source and reference rules
 PANEL_NODES = 16
 
-# largest number of propagation coefficients evaluated in one green_offset
-# call by kernel_diagonal and the channel assembly: bounds their temporaries
+# propagation coefficients evaluated in one green_offset call by kernel_diagonal
+# and the channel assembly, or one whole row where a row holds more: bounds
+# their temporaries
 GREEN_BLOCK_ENTRIES = 1 << 16
 
 # resident bytes per node of a Gauss-Legendre rule and one |G|^2 pass over it: the
-# VmHWM rise of a fresh process (numpy 2.4.6), 94-96 for operator_trace and
-# 116-126 for a bounds step's source rule at 5e5-2e6 nodes, plus 1.5 of margin, rounded up
-RULE_BYTES_PER_NODE = 128
+# VmHWM rise of a fresh process (numpy 2.4.6), 72-73 for operator_trace and
+# 105-107 for a bounds step's source rule at 5e5-2e6 nodes, plus 1.5 of margin,
+# rounded up to a multiple of 16
+RULE_BYTES_PER_NODE = 112
 
 
 @dataclass(frozen=True)
@@ -109,11 +111,13 @@ def green_offset(x, cfg: SystemConfig):
     near-field corrections, all even in x. Returns complex values with
     the same shape as ``x``.
 
-    The value is (1j Z0 / (2 lam r)) exp(1j k r) (t + 1j n / (k r) - n /
-    (k r)^2) with r^2 = x^2 + d^2, t = d^2 / r^2 the radiating direction
-    factor and n = (d^2 - 2 x^2) / r^2 that of the 1/kr terms. Each step
-    runs in place, in that order, so at most three complex and one real
-    array of x's shape are alive at once.
+    The value is (1j Z0 / (2 lam r)) exp(1j k (r - d)) (t + 1j n / (k r) -
+    n / (k r)^2) with r^2 = x^2 + d^2, t = d^2 / r^2 the radiating
+    direction factor and n = (d^2 - 2 x^2) / r^2 that of the 1/kr terms:
+    G without the unit factor exp(1j k d) common to every pair
+    (``distance_phase``), with r - d formed as x^2 / (r + d), which does
+    not cancel. Each step runs in place, in that order, so at most three
+    complex and one real array of x's shape are alive at once.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 0:  # numpy returns scalars from 0-d arrays, which have no buffer to reuse
@@ -134,9 +138,13 @@ def green_offset(x, cfg: SystemConfig):
     bracket += transverse
     near /= np.multiply(kr, kr, out=transverse)
     bracket -= near
-    del near, transverse
-    phase = 1j * kr
+    del near
+    np.add(r_abs, cfg.distance_m, out=kr)
+    np.multiply(x, x, out=transverse)
+    transverse /= kr
     del kr
+    phase = 1j * cfg.wavenumber * transverse
+    del transverse
     np.exp(phase, out=phase)
     r_abs *= 2.0 * cfg.wavelength_m
     out = np.divide(1j * Z0_OHMS, r_abs)
@@ -154,10 +162,16 @@ def green_scalar(r, s, cfg: SystemConfig):
     """
     r = np.asarray(r, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
-    out = green_offset(r - s, cfg)
+    out = green_offset(r - s, cfg) * distance_phase(cfg)
     if out.ndim == 0:
         return complex(out)
     return out
+
+
+def distance_phase(cfg: SystemConfig) -> complex:
+    """exp(1j k d), the unit factor common to every coefficient that ``green_offset`` leaves out."""
+    kd = cfg.wavenumber * cfg.distance_m
+    return complex(math.cos(kd), math.sin(kd))
 
 
 def as_count(name: str, value, minimum: int) -> int:
@@ -218,11 +232,6 @@ def check_rule_size(n: int) -> None:
     check_memory(RULE_BYTES_PER_NODE * n, f"a {n}-node Gauss-Legendre rule")
 
 
-def midpoints(length: float, n: int) -> np.ndarray:
-    """Composite midpoint nodes (i + 1/2) * length / n, i = 0..n-1, on (0, length)."""
-    return (np.arange(n, dtype=np.float64) + 0.5) * (length / n)
-
-
 def gauss_legendre(length: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes and weights of an n-node rule on (0, length).
 
@@ -241,11 +250,12 @@ def gauss_legendre(length: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     ``check_rule_size`` sizes a rule before it is built.
     """
     n = as_count("Gauss-Legendre node count", n, 2)
-    return _gauss_legendre_rule(as_positive("grid length", length), n)
+    return _gauss_legendre_rule(as_positive("grid length", length), n)[:2]
 
 
 @lru_cache(maxsize=64)
-def _gauss_legendre_rule(length: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _gauss_legendre_rule(length: float, n: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """``gauss_legendre`` and its panel count (1 when they differ): where the layout is decided."""
     check_rule_size(n)
     panels = -(-n // PANEL_NODES)
     small, extra = divmod(n, panels)
@@ -253,21 +263,24 @@ def _gauss_legendre_rule(length: float, n: int) -> tuple[np.ndarray, np.ndarray]
         panels += 1
         small, extra = divmod(n, panels)
     if extra % 2 == 0:
-        outer, inner = [small + 1] * (extra // 2), [small] * (panels - extra)
+        outer, inner = (small + 1, extra // 2), (small, panels - extra)
     else:
-        outer, inner = [small] * ((panels - extra) // 2), [small + 1] * extra
-    nodes, weights = [], []
+        outer, inner = (small, (panels - extra) // 2), (small + 1, extra)
+    x, w = np.empty(n), np.empty(n)
     left = 0
-    for order in outer + inner + outer:
-        t, w = _legendre_rule(order)
+    for order, count in (outer, inner, outer):
+        if count == 0:
+            continue
+        t, weights = _legendre_rule(order)
         half = 0.5 * order * length / n
-        nodes.append((left + 0.5 * order) * (length / n) + half * t)
-        weights.append(half * w)
-        left += order
-    x, w = np.concatenate(nodes), np.concatenate(weights)
+        end = left + order * count
+        offsets = (left + order * np.arange(count) + 0.5 * order) * (length / n)
+        np.add(offsets[:, None], half * t, out=x[left:end].reshape(count, order))
+        w[left:end].reshape(count, order)[...] = half * weights
+        left = end
     x.setflags(write=False)
     w.setflags(write=False)
-    return x, w
+    return x, w, 1 if extra else panels
 
 
 @lru_cache(maxsize=32)
@@ -330,9 +343,10 @@ def kernel_diagonal(positions: np.ndarray, cfg: SystemConfig,
 
     The diagonal is the per-position received signal power; it feeds the
     SNR-matching rules, so it uses the source quadrature of every kernel.
-    Positions are evaluated in blocks of at most GREEN_BLOCK_ENTRIES
-    propagation coefficients, so memory stays bounded for any count. The
-    result has the positions' shape (0-d for a scalar).
+    Positions are evaluated in blocks of whole rows, as many as fit in
+    GREEN_BLOCK_ENTRIES propagation coefficients and at least one, so a
+    block holds inner_points coefficients once there are more than that.
+    The result has the positions' shape (0-d for a scalar).
     """
     inner_points = resolve_inner_points(cfg, inner_points)
     positions = np.asarray(positions, dtype=np.float64)

@@ -20,18 +20,20 @@ diag(B+, B-), two blocks of half the size built from its top rows
 evaluated.
 
 Every grid is a lattice of equal panels that repeat one node pattern:
-the midpoint layout is m one-node panels, a Gauss-Legendre rule of 16k
-nodes is k sixteen-node panels. So r_i - s_k is an integer multiple of
-l / lcm(P_rx, P_tx), for panel counts P, plus the offset of a pair of
-pattern nodes, and a matrix holds few distinct offsets.
+the midpoint layout is m one-node panels, a Gauss-Legendre rule its own
+(one of every node where they differ). So r_i - s_k is an integer
+multiple of l / lcm(P_rx, P_tx), for panel counts P, plus the offset of
+a pair of pattern nodes, and a matrix holds few distinct offsets.
 G is evaluated once per distinct (multiple, pattern pair) into a table,
 with the grid weights folded in, and the matrix is a (panel, node,
 panel, node) view of that table (``_lattice``). Where that table would
 be as large as the matrix (panels of unequal size, panel counts whose
 lcm is far above both) every entry is evaluated directly, in row
 blocks, and the view reads those rows as one-node panels. Either way
-``assemble_channel_matrix`` copies the matrix out of the view, and
-``centrosymmetric_spectrum`` forms its two blocks from the view and its
+``assemble_channel_matrix`` copies the matrix out of the view, times
+the phase exp(i k d) common to every entry that ``green_offset`` leaves
+out, and ``centrosymmetric_spectrum``, whose values do not depend on that
+phase, forms its two blocks from the view and its
 column mirror a piece at a time: BLOCK_CHUNK rows for the sketch, half
 as many columns for the check of its residual.
 
@@ -73,14 +75,13 @@ import numpy as np
 
 from .physics import (
     GREEN_BLOCK_ENTRIES,
-    PANEL_NODES,
     SystemConfig,
+    _gauss_legendre_rule,
     as_count,
     as_positive,
     check_memory,
-    gauss_legendre,
+    distance_phase,
     green_offset,
-    midpoints,
     resolve_inner_points,
 )
 
@@ -165,7 +166,7 @@ def midpoint_grid(length: float, m: int) -> QuadratureGrid:
     m one-node panels of point antennas, which carry no weight.
     """
     m = as_count("grid size m", m, 1)
-    pts = midpoints(as_positive("grid length", length), m)
+    pts = (np.arange(m, dtype=np.float64) + 0.5) * (as_positive("grid length", length) / m)
     pts.setflags(write=False)
     return QuadratureGrid(points=pts, length=length, m=m, weights=None, panels=m,
                           pattern=np.broadcast_to(0.5, (1,)))
@@ -174,13 +175,10 @@ def midpoint_grid(length: float, m: int) -> QuadratureGrid:
 def gauss_legendre_grid(length: float, n: int) -> QuadratureGrid:
     """The n-node composite Gauss-Legendre rule on (0, length): source and reference grids.
 
-    n a multiple of PANEL_NODES gives n / PANEL_NODES equal panels;
-    otherwise the panels differ in size and the grid is one panel. The
-    arguments are checked by ``gauss_legendre``.
+    Its panels are ``_gauss_legendre_rule``'s, a lattice when they are equal, else one panel.
     """
-    pts, weights = gauss_legendre(length, n)
-    n = pts.size
-    panels = 1 if n % PANEL_NODES else n // PANEL_NODES
+    n = as_count("Gauss-Legendre node count", n, 2)
+    pts, weights, panels = _gauss_legendre_rule(as_positive("grid length", length), n)
     pattern = pts[:n // panels] * (panels / length)
     pattern.setflags(write=False)
     return QuadratureGrid(points=pts, length=length, m=n, weights=weights, panels=panels,
@@ -230,19 +228,19 @@ def assemble_channel_matrix(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
                             cfg: SystemConfig) -> np.ndarray:
     """A = sqrt(w_r) G(r_i - s_k) sqrt(w_s), shape (m_rx, m_tx), a fresh array; H = G on antennas.
 
-    A is copied out of the view ``_lattice``. On two grids of one length
-    l, r_i - s_k is D l / lcm(P_rx, P_tx) for an integer lattice
-    difference D, plus the offset of a pair of pattern nodes, and G is
-    evaluated once per (D, pattern pair) into a table. Where that table
-    would hold at least as many entries as A (unequal panels, an lcm far
-    above both panel counts, or grids of different lengths), every entry
-    is evaluated directly instead.
+    A is the view ``_lattice`` times ``distance_phase``, the factor the
+    view leaves out. On two grids of one length l, r_i - s_k is D l /
+    lcm(P_rx, P_tx) for an integer lattice difference D, plus the offset
+    of a pair of pattern nodes, and G is evaluated once per (D, pattern
+    pair) into a table. Where that table would hold at least as many
+    entries as A (unequal panels, an lcm far above both panel counts, or
+    grids of different lengths), every entry is evaluated directly instead.
     """
     check_matrix_size(rx_grid.m, tx_grid.m)
     A = _lattice(rx_grid, tx_grid, cfg, rx_grid.m).reshape(rx_grid.m, tx_grid.m)
     # a table view stays a read-only view of aliased entries where the
     # reshape need not copy (one-node patterns on both sides)
-    return A if A.flags.writeable else A.copy()
+    return np.multiply(A, distance_phase(cfg), out=A if A.flags.writeable else None)
 
 
 def _lattice(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid, cfg: SystemConfig,
@@ -256,6 +254,7 @@ def _lattice(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid, cfg: SystemConfig
     rows x m_tx matrix, the view is those rows evaluated directly, read
     as one-node panels: V[i, 0, k, 0] = A[i, k]. Each side's weights, where
     its grid has any, are folded in once: every panel repeats its pattern's.
+    G is ``green_offset``'s, without the common phase ``distance_phase``.
     """
     k_rx, k_tx = rx_grid.pattern.size, tx_grid.pattern.size
     lcm = math.lcm(rx_grid.panels, tx_grid.panels)
@@ -283,7 +282,7 @@ def _lattice(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid, cfg: SystemConfig
 
 
 def _green_matrix(r: np.ndarray, s: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    """G(r_i - s_k) for every pair, in row blocks of at most GREEN_BLOCK_ENTRIES entries."""
+    """G(r_i - s_k) for every pair, in row blocks of GREEN_BLOCK_ENTRIES entries or one row."""
     out = np.empty((r.size, s.size), dtype=np.complex128)
     step = max(1, GREEN_BLOCK_ENTRIES // s.size)
     for start in range(0, r.size, step):

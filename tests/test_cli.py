@@ -405,7 +405,7 @@ def test_dof_table_writes_the_solved_reference_count(extra, ref_m, tmp_path):
 
 def test_bounds_sizes_its_trace_rule_before_any_output(monkeypatch, capsys):
     # at wavelength 2.5e-5 m the trace's rule has 16 * 2 / 2.5e-5 = 1.28e6
-    # nodes, over 120 MB with its |G|^2 pass, though the bounds step itself is
+    # nodes, over 90 MB with its |G|^2 pass, though the bounds step itself is
     # small: with 64 MB of physical memory the command is refused before any
     # rule is built
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (64 << 20) // 4096}

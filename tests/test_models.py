@@ -131,7 +131,7 @@ def test_noise_rescalings_refuse_a_grid_off_the_aperture():
 @pytest.mark.parametrize("call", [physics.operator_trace, lambda cfg: mi_discrete_trx(4, 4, cfg)])
 def test_trace_rule_sized_before_it_is_built(call, monkeypatch):
     # at wavelength 2.5e-5 m the trace takes a 1.28e6-node rule and its |G|^2
-    # pass, over 120 MB, while model_sides sizes only a 2 x 4 channel: with
+    # pass, over 90 MB, while model_sides sizes only a 2 x 4 channel: with
     # 64 MB of physical memory the rule is refused before it is built
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (64 << 20) // 4096}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
@@ -539,6 +539,25 @@ def test_default_sized_models_evaluate_each_table_entry_once(monkeypatch):
 
 
 # ------------------------------------------------------------------ DoF
+
+def test_half_wavelength_arrays_approach_the_continuous_aperture_with_scale():
+    # the paper's headline at d = 10 m, l = 2 m: half-wavelength arrays
+    # (m = 2 l / lambda) keep at least 0.999 of the continuous aperture's MI
+    # from l / lambda = 100 on, receiver (0.99921, 0.99956, 0.99976 at
+    # l / lambda = 50, 100, 200) and transceiver (0.99841, 0.99912, 0.99952)
+    # alike, and neither ratio falls as the aperture grows in wavelengths
+    ratios = []
+    for per_wavelength in (50, 100, 200):
+        cfg = SystemConfig(wavelength_m=2.0 / per_wavelength)
+        m = 2 * per_wavelength
+        ref = mi_continuous(cfg).value_nats
+        ratios.append((mi_discrete_rx(m, cfg).value_nats / ref,
+                       mi_discrete_trx(m, m, cfg).value_nats / ref))
+    for rx, trx in ratios[1:]:
+        assert rx >= 0.999 and trx >= 0.999, ratios
+    for before, after in zip(ratios, ratios[1:]):
+        assert after[0] >= before[0] and after[1] >= before[1], ratios
+
 
 def test_dof_analytic_values():
     assert dof_estimate(SystemConfig(distance_m=100.0), ref_m=64).analytic == 1.0

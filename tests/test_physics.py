@@ -1,5 +1,6 @@
 """Propagation coefficient, autocorrelation kernel, and trace quadrature."""
 
+import cmath
 import itertools
 import math
 import warnings
@@ -7,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from capmimo import SystemConfig, kernel_diagonal, kernel_value, operator_trace
+from capmimo import SystemConfig, kernel_diagonal, kernel_value, operator_trace, physics
 from capmimo.physics import _legendre_rule, gauss_legendre, green_offset, green_scalar
 
 from oracles import gauss_legendre_nodes, kernel_value_quad, total_power_quad
@@ -59,6 +60,42 @@ def test_green_finite_over_wide_offsets(default_cfg):
     x = np.linspace(-50.0, 50.0, 2001)
     vals = green_scalar(x, np.zeros_like(x), default_cfg)
     assert np.all(np.isfinite(vals.real)) and np.all(np.isfinite(vals.imag))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18, reason="needs an extended long double")
+def test_green_offset_against_long_double_modulo_the_common_phase():
+    # G evaluated in long double from the same float64 offsets and wave
+    # number, phase k (r - d) as k x^2 / (r + d): after one common phase is
+    # divided out, every value agrees to 2.5e-13 relative, about 3x the
+    # worst measured (8.1e-14 at d = 0.1 m, where k (r - d) is 300 rad).
+    # A phase formed from k r would carry eps k r of noise: 2.5e-12 at
+    # d = 100 m and 6.7e-12 at lambda = 5 mm, l = 0.5 m, d = 30 m
+    ld = np.longdouble
+    for lam, length, d in ((0.04, 2.0, 10.0), (0.04, 2.0, 100.0), (0.04, 2.0, 300.0),
+                           (0.04, 2.0, 0.1), (0.005, 2.0, 10.0), (0.005, 0.5, 30.0)):
+        cfg = SystemConfig(wavelength_m=lam, aperture_m=length, distance_m=d)
+        x = np.linspace(-length, length, 4001)
+        xl, dl, k = x.astype(ld), ld(d), ld(cfg.wavenumber)
+        r = np.sqrt(xl * xl + dl * dl)
+        t, n = dl * dl / (r * r), (dl * dl - 2 * xl * xl) / (r * r)
+        phase = np.exp(1j * (k * xl * xl / (r + dl)).astype(np.clongdouble))
+        exact = 1j * ld(physics.Z0_OHMS) / (2 * ld(lam) * r) * phase * (
+            t + 1j * n / (k * r) - n / (k * r) ** 2)
+        ratio = green_offset(x, cfg) / exact
+        common = ratio.mean() / abs(ratio.mean())
+        assert np.max(np.abs(ratio / common - 1)) <= 2.5e-13, (lam, length, d)
+
+
+def test_green_scalar_carries_the_common_phase():
+    # green_offset leaves out the unit factor exp(i k d), which no singular
+    # value or |G| depends on; green_scalar is G itself. At d = 1.01 m,
+    # lambda = 0.04 m that factor is a quarter turn, exp(i 2 pi 25.25) = i
+    cfg = SystemConfig(distance_m=1.01)
+    kd = cfg.wavenumber * cfg.distance_m
+    closed = 1j * physics.Z0_OHMS / (2.0 * 0.04 * 1.01) * cmath.exp(1j * kd) * (
+        1.0 + 1j / kd - 1.0 / kd**2)
+    assert green_scalar(0.5, 0.5, cfg) == pytest.approx(closed, rel=1e-12)
+    assert abs(green_offset(0.0, cfg) / closed - (-1j)) < 1e-12
 
 
 def test_config_invariants():

@@ -21,7 +21,7 @@ from capmimo import (
     midpoint_grid,
     validate_hermitian,
 )
-from capmimo import physics, spectra
+from capmimo import models, physics, spectra
 from capmimo.physics import GREEN_BLOCK_ENTRIES, green_offset
 from capmimo.spectra import (
     BLOCK_BYTES_PER_ENTRY,
@@ -91,13 +91,17 @@ def _lattice_points(g) -> np.ndarray:
 def test_gauss_legendre_grid_any_node_count():
     # panels of at most 16 nodes, any n >= 2: exact for polynomials of
     # degree 2 * (n // ceil(n / 16)) - 1, positive weights summing to l
-    for n in (2, 3, 15, 16, 17, 31, 100, 1000, 1600):
+    equal = {28: 2, 30: 2, 45: 3, 60: 4}  # 2 x 14, 2 x 15, 3 x 15, 4 x 15 nodes
+    for n in (2, 3, 15, 16, 17, 28, 30, 31, 45, 60, 100, 1000, 1600):
         g = gauss_legendre_grid(2.0, n)
         assert g.m == n and g.points.shape == g.weights.shape == (n,)
         assert np.all(np.diff(g.points) > 0) and np.all((g.points > 0) & (g.points < 2.0))
         assert np.all(g.weights > 0)
-        # equal 16-node panels when 16 divides n, else one panel of every node
-        assert g.panels == (n // 16 if n % 16 == 0 else 1)
+        # the rule's own panels: ceil(n / 16) equal ones when they divide n,
+        # else panels that differ, read as one panel of every node
+        panels = -(-n // 16)
+        assert g.panels == (panels if n % panels == 0 else 1) == equal.get(n, g.panels)
+        assert g.panels == physics._gauss_legendre_rule(2.0, n)[2]
         assert g.pattern.size == n // g.panels
         assert np.allclose(_lattice_points(g), g.points, rtol=0.0, atol=4e-16 * 2.0)
         degree = min(2 * (n // -(-n // 16)) - 1, 7)
@@ -206,9 +210,11 @@ def test_gathered_channel_matches_direct_evaluation(d, monkeypatch):
     # the table gather against sqrt(w_i) G(r_i - s_k) sqrt(w_k) evaluated
     # entry by entry (no weight on an antenna grid), for all rows
     # (assemble_channel_matrix) and for the top ceil(p / 2) the
-    # spectrum reads from _lattice: equal within the phase roundoff of k r,
-    # never with more evaluations than entries and, beyond small matrices,
-    # with fewer; the direct branch evaluates every entry once
+    # spectrum reads from _lattice: equal within 3e-13 relative, about 3x
+    # the phase roundoff of k x in the offsets (1.1e-13; a phase formed
+    # from k r would add eps k r, 4.6e-13 at d = 10 m), never with more
+    # evaluations than entries and, beyond small matrices, with fewer; the
+    # direct branch evaluates every entry once
     cfg = SystemConfig(distance_m=d)
     counted = [0]
 
@@ -223,12 +229,14 @@ def test_gathered_channel_matches_direct_evaluation(d, monkeypatch):
             H = (assemble_channel_matrix(rx, tx, cfg) if rows == rx.m
                  else spectra._lattice(rx, tx, cfg, rows).reshape(-1, tx.m)[:rows])
             direct = green_offset(rx.points[:rows, None] - tx.points[None, :], cfg)
+            if rows == rx.m:  # the channel is G itself, the view G without exp(i k d)
+                direct *= physics.distance_phase(cfg)
             if rx.weights is not None:
                 direct *= np.sqrt(rx.weights[:rows, None])
             if tx.weights is not None:
                 direct *= np.sqrt(tx.weights)
             assert H.shape == direct.shape, label
-            assert np.max(np.abs(H - direct) / np.abs(direct)) <= 1e-12, label
+            assert np.max(np.abs(H - direct) / np.abs(direct)) <= 3e-13, label
             assert counted[0] <= H.size, label
             if label.startswith("direct"):
                 assert counted[0] == H.size, label
@@ -278,6 +286,23 @@ def test_centrosymmetric_spectrum_rejects_grids_of_unequal_length():
     # grid would read its top value 0.9 % low, so it is refused
     with pytest.raises(ValueError, match="grid lengths differ"):
         centrosymmetric_spectrum(midpoint_grid(1.0, 10), midpoint_grid(2.0, 12), SystemConfig())
+
+
+def test_rule_of_equal_short_panels_is_read_from_an_offset_table():
+    # a 30-node rule is two 15-node panels, so against a source of 16-node
+    # panels its channel is read from an offset table, not evaluated entry
+    # by entry as the one-node panels of a rule whose panels differ; its
+    # spectrum matches a full SVD of every entry
+    cfg = SystemConfig(distance_m=1.0)
+    rx, tx = gauss_legendre_grid(cfg.aperture_m, 30), gauss_legendre_grid(cfg.aperture_m, 800)
+    assert spectra._lattice(rx, tx, cfg, rx.m).shape == (2, 15, 50, 16)
+    direct = np.sqrt(rx.weights[:, None] * tx.weights) * green_offset(
+        rx.points[:, None] - tx.points[None, :], cfg)
+    H = assemble_channel_matrix(rx, tx, cfg)
+    assert np.max(np.abs(H - direct) / np.abs(direct)) <= 1e-12
+    values, _ = centrosymmetric_spectrum(rx, tx, cfg)
+    oracle, _ = full_matrix_spectrum(cfg, rx.points, tx.points, rx.weights, tx.weights)
+    assert np.max(np.abs(values - oracle) / oracle) <= 1e-12
 
 
 def _large_case(layout: str, d: float):
@@ -371,6 +396,23 @@ def test_first_width_certifies(sketch_widths):
         assert sketch_widths == expected, label
         sketched += len(sketch_widths)
     assert sketched >= 70
+
+
+@pytest.mark.parametrize("wavelength, d", [(0.04, 30.0), (0.04, 100.0), (0.04, 300.0),
+                                           (0.005, 10.0)])
+def test_default_reference_certifies_at_its_first_width(wavelength, d, sketch_widths):
+    # the default-sized continuous reference (1600 x 800 nodes, 6400 x 6400
+    # at lambda = 5 mm) keeps one sketch of the first width per block in the
+    # far field too. A phase formed from k r carries eps k r of noise, above
+    # SKETCH_TOL of each block's norm here: at d = 100 m B- would double to
+    # 144 columns and take a full SVD, at d = 300 m both blocks would, and at
+    # lambda = 5 mm both would keep twice the first width
+    cfg = SystemConfig(wavelength_m=wavelength, distance_m=d)
+    rx = gauss_legendre_grid(cfg.aperture_m, models.default_ref_m(cfg))
+    tx = gauss_legendre_grid(cfg.aperture_m, cfg.default_inner_points())
+    centrosymmetric_spectrum(rx, tx, cfg)
+    width = math.ceil(spectra._mode_count(cfg) / 2) + spectra.SKETCH_OVERSAMPLING
+    assert sketch_widths == [width] * 2
 
 
 @pytest.mark.parametrize("shape", [(50, 60), (60, 50)])
@@ -608,6 +650,27 @@ def test_basis_step_resident_memory():
                                    rise("reflectors", 3200, 64))
     assert blocked <= 1.5 and reduced > 3.0, (blocked, reduced)
     assert one_panel <= 1.57, one_panel
+
+
+_RULE_RISE = _HIGH_WATER + """
+import sys
+from capmimo.physics import gauss_legendre
+
+gauss_legendre(2.0, 32)
+before = high_water()
+gauss_legendre(2.0, int(sys.argv[1]))
+print((high_water() - before) / int(sys.argv[1]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_rule_build_resident_memory():
+    # each run of equal panels is written into the rule's two arrays at
+    # once, so building a 1e6-node rule raises the resident high-water
+    # mark of a fresh process by little more than the 16 B per node it
+    # returns (17 here); two arrays per panel, concatenated, rise by about 52
+    rise = float(_fresh_python(_RULE_RISE, str(10**6)))
+    assert rise <= 24, rise
 
 
 _MODEL_CALL_MODULES = (
