@@ -48,8 +48,10 @@ block's smaller side on the block gets a full SVD. Every SVD runs on
 the tall side of its matrix. The cost is O(p q k) for k retained modes
 instead of O(p q min(p, q)). A solve whose a-priori sketch work is below
 SERIAL_WORK runs with the BLAS on one thread, where a second one buys
-little and spins between small calls, so its values do not depend on
-the host's thread count; a larger one keeps the BLAS's own threads.
+little, so its values do not depend on the host's thread count; a
+larger one keeps the BLAS's own threads. Idle BLAS worker threads
+sleep almost at once (``capmimo.BLAS_THREAD_TIMEOUT``), so they no
+longer spin between small calls.
 
 ``assemble_kernel_matrix``, ``gram_from_channel`` and
 ``hermitian_eigenvalues`` are the kernel-matrix API: the sampled field
@@ -99,12 +101,12 @@ from .physics import (
 # (tracemalloc)
 BYTES_PER_ENTRY = 37
 
-# bytes per entry of one green_offset row block of min(rows * cols,
-# GREEN_BLOCK_ENTRIES) entries: its offsets, temporaries and result
-# (tracemalloc peak 66 per entry on blocks of 65536 entries, at most 82 on
-# blocks of 1000-65536, where numpy's cast buffer of 8192 entries is not
-# small beside the block). The block does not shrink with the matrix, so on
-# small matrices it outweighs BYTES_PER_ENTRY
+# bytes per entry of one green_offset row block of min(rows, max(1,
+# GREEN_BLOCK_ENTRIES // cols)) whole rows (``matrix_bytes``): its offsets,
+# temporaries and result (tracemalloc peak 66 per entry on blocks of 65536
+# entries, at most 82 on blocks of 1000-65536, where numpy's cast buffer of
+# 8192 entries is not small beside the block). The block does not shrink with
+# the matrix, so on small matrices it outweighs BYTES_PER_ENTRY
 BLOCK_BYTES_PER_ENTRY = 82
 
 # relative Frobenius residual below which a block's sketch stands in for
@@ -186,9 +188,14 @@ def gauss_legendre_grid(length: float, n: int) -> QuadratureGrid:
 
 
 def matrix_bytes(rows: int, cols: int) -> int:
-    """The memory guard's estimate for a rows x cols matrix: its entries plus one row block."""
-    return (BYTES_PER_ENTRY * rows * cols
-            + BLOCK_BYTES_PER_ENTRY * min(rows * cols, GREEN_BLOCK_ENTRIES))
+    """The memory guard's estimate for a rows x cols matrix: its entries plus one row block.
+
+    The row block is ``_green_matrix``'s: max(1, GREEN_BLOCK_ENTRIES // cols)
+    whole rows, so a matrix wider than GREEN_BLOCK_ENTRIES is charged one
+    whole row.
+    """
+    block_rows = min(rows, max(1, GREEN_BLOCK_ENTRIES // cols))
+    return BYTES_PER_ENTRY * rows * cols + BLOCK_BYTES_PER_ENTRY * block_rows * cols
 
 
 def check_matrix_size(rows: int, cols: int) -> None:
@@ -351,10 +358,11 @@ def centrosymmetric_spectrum(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
     both blocks are solved with the BLAS on one thread, and the count
     it had is restored afterwards (``_one_blas_thread``). On 2 cores
     (OpenBLAS 0.3.31) a second thread bought 0.9-1.25x wall on solves of
-    0.02e9-0.18e9 work, at the cost of a second core spinning between
-    small calls, and 1.3-1.4x from 0.33e9 on; so the values of a small
-    solve no longer depend on the host's thread count, and larger
-    solves keep the BLAS's own threads. The setting is process-wide:
+    0.02e9-0.18e9 work and 1.3-1.4x from 0.33e9 on; so the values of a
+    small solve no longer depend on the host's thread count, and larger
+    solves keep the BLAS's own threads. An idle worker thread sleeps
+    almost at once (``capmimo.BLAS_THREAD_TIMEOUT``) instead of spinning
+    on a second core between small calls. The setting is process-wide:
     solves run at the same time from several Python threads may see
     either count, and their values then differ only at roundoff, as
     they do across hosts.
@@ -377,14 +385,19 @@ def centrosymmetric_spectrum(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
 
 
 @cache
+def _blas_library() -> ctypes.CDLL:
+    """numpy's linalg extension, through which dlsym resolves the BLAS it links."""
+    return ctypes.CDLL(np.linalg._umath_linalg.__file__)
+
+
+@cache
 def _thread_control():
     """The setter and getter of the thread count of the BLAS numpy links, or None.
 
-    dlsym on numpy's linalg extension resolves the BLAS that extension
-    links; the first pair of ``_THREAD_SYMBOLS`` found is taken. MKL and
-    Accelerate export none of them.
+    The first pair of ``_THREAD_SYMBOLS`` the BLAS exports is taken. MKL
+    and Accelerate export none of them.
     """
-    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    lib = _blas_library()
     for set_name, get_name in _THREAD_SYMBOLS:
         try:
             setter, getter = getattr(lib, set_name), getattr(lib, get_name)
@@ -400,6 +413,20 @@ def blas_threads() -> int | None:
     """The BLAS's thread count, or None where it cannot be set; 1 during a serial solve."""
     control = _thread_control()
     return None if control is None else control[1]()
+
+
+def blas_thread_timeout() -> int | None:
+    """The ``OPENBLAS_THREAD_TIMEOUT`` OpenBLAS read when it loaded (0 if unset), or None.
+
+    None where the BLAS exports no ``openblas_thread_timeout``, as MKL
+    and Accelerate do not.
+    """
+    try:
+        getter = _blas_library().openblas_thread_timeout
+    except AttributeError:
+        return None
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    return getter()
 
 
 class _SerialSolves:

@@ -693,6 +693,10 @@ def test_sweep_meta_records_reference_health_and_environment(tmp_path, monkeypat
     assert env["blas_threads"] == spectra.blas_threads()
     assert env["blas_threads"] is None or env["blas_threads"] >= 1
     assert env["serial_work"] == spectra.SERIAL_WORK
+    # the idle-spin exponent OpenBLAS read when numpy loaded it (0 for its
+    # default), where the BLAS reports it
+    assert env["blas_thread_timeout"] == spectra.blas_thread_timeout()
+    assert env["blas_thread_timeout"] is None or env["blas_thread_timeout"] >= 0
     # a numpy whose show_config takes no mode has no BLAS dict to record
     monkeypatch.setattr(np, "show_config", lambda: None)
     assert cli._environment()["blas"] is None

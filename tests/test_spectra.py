@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import capmimo
 from capmimo import (
     PSDViolationError,
     SystemConfig,
@@ -514,6 +515,63 @@ def test_overlapping_serial_solves_restore_the_blas_thread_count(two_blas_thread
     assert spectra.blas_threads() == 2
 
 
+_TIMEOUT_READ_BACK = """
+import os
+import sys
+os.environ.pop("OPENBLAS_THREAD_TIMEOUT", None)
+if sys.argv[1] != "unset":
+    os.environ["OPENBLAS_THREAD_TIMEOUT"] = sys.argv[1]
+if sys.argv[2] == "numpy-first":
+    import numpy
+import capmimo
+from capmimo import spectra
+print(spectra.blas_thread_timeout(), os.environ.get("OPENBLAS_THREAD_TIMEOUT", "unset"))
+"""
+
+needs_timeout_getter = pytest.mark.skipif(
+    spectra.blas_thread_timeout() is None,
+    reason="the BLAS numpy links exports no openblas_thread_timeout")
+
+
+@needs_timeout_getter
+@pytest.mark.parametrize("value, order, expected", [
+    ("unset", "capmimo-first", f"{capmimo.BLAS_THREAD_TIMEOUT} unset"),
+    ("28", "capmimo-first", "28 28"),
+    ("unset", "numpy-first", "0 unset")])
+def test_blas_thread_timeout_is_set_only_while_numpy_loads(value, order, expected):
+    # in a fresh process, import capmimo sets OPENBLAS_THREAD_TIMEOUT while
+    # numpy loads OpenBLAS and removes it again, so OpenBLAS read
+    # BLAS_THREAD_TIMEOUT and the environment holds no trace of it; a value
+    # the user set is kept as it is, and a process that loaded numpy
+    # before capmimo keeps OpenBLAS's default (read back as 0)
+    assert _fresh_python(_TIMEOUT_READ_BACK, value, order).split() == expected.split()
+
+
+_WORKER_CPU = """
+import os
+os.environ.pop("OPENBLAS_THREAD_TIMEOUT", None)
+import capmimo
+ticks = 0
+for task in os.listdir("/proc/self/task"):
+    if int(task) != os.getpid():
+        with open(f"/proc/self/task/{task}/stat") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+        ticks += int(fields[11]) + int(fields[12])
+print(ticks / os.sysconf("SC_CLK_TCK"))
+"""
+
+
+@needs_timeout_getter
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
+def test_idle_blas_workers_do_not_spin_through_the_import():
+    # OpenBLAS starts its worker threads when numpy loads it, and with its
+    # default timeout each spins for 2**28 cycles (0.05-0.11 s of CPU on 2
+    # cores, OpenBLAS 0.3.31) before it sleeps; with BLAS_THREAD_TIMEOUT
+    # they sleep almost at once, so when import capmimo returns every thread
+    # but the main one has used at most two clock ticks of CPU
+    assert float(_fresh_python(_WORKER_CPU)) <= 0.02
+
+
 @pytest.fixture
 def sketch_bases(monkeypatch):
     """(Y, conj(Q)) for every sketch basis formed while the test runs, copied."""
@@ -790,6 +848,20 @@ def test_full_svd_fallback_resident_peak_within_guard(layout):
     # under the guard's BYTES_PER_ENTRY per evaluated top-half entry
     rise = float(_fresh_python(_FALLBACK_RISE, layout))
     assert rise <= BYTES_PER_ENTRY, rise
+
+
+def test_matrix_wider_than_a_row_block_is_charged_its_whole_row():
+    # _green_matrix evaluates at least one whole row at a time, so a
+    # 1 x 10**6 channel's row block is its 10**6 entries (tracemalloc peak
+    # 80.1 MB), not GREEN_BLOCK_ENTRIES (which the estimate charged, 42.4 MB)
+    rx, tx = midpoint_grid(2.0, 1), gauss_legendre_grid(2.0, 10**6)
+    tracemalloc.start()
+    try:
+        assemble_channel_matrix(rx, tx, SystemConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= spectra.matrix_bytes(1, 10**6), peak
 
 
 def _spectrum_peak(cfg, rx, tx) -> int:
