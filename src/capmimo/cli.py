@@ -66,7 +66,7 @@ from .physics import (
     check_rule_size,
     resolve_inner_points,
 )
-from .spectra import SERIAL_WORK, blas_thread_timeout, blas_threads, midpoint_grid
+from .spectra import SERIAL_WORK, blas_thread_timeout, blas_threads, midpoint_grid, sketch_qr
 
 CSV_COLUMNS = ("scenario", "d_m", "m1", "m2", "ref_m", "mi_nats", "mi_bits",
                "mi_ref_nats", "abs_gap", "n_used", "model_tag", "wall_time_s")
@@ -333,7 +333,8 @@ def _environment() -> dict:
     it cannot be set), ``serial_work`` the work below which a solve runs
     on one of them (``SERIAL_WORK``), and ``blas_thread_timeout`` the
     idle-spin exponent OpenBLAS read when it loaded (0 for its default,
-    None where the BLAS does not report it).
+    None where the BLAS does not report it). ``sketch_qr`` names the
+    LAPACK zgeqrf that forms each sketch's basis, None where numpy's QR does.
     """
     try:  # numpy's configuration as a dict, where this numpy has it
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -342,7 +343,7 @@ def _environment() -> dict:
         blas = None
     return {"numpy": np.__version__, "blas": blas, "cpu_count": os.cpu_count(),
             "blas_threads": blas_threads(), "serial_work": SERIAL_WORK,
-            "blas_thread_timeout": blas_thread_timeout(),
+            "blas_thread_timeout": blas_thread_timeout(), "sketch_qr": sketch_qr(),
             **{var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}}
 
 

@@ -30,9 +30,14 @@ Z0_OHMS = 120.0 * math.pi
 PANEL_NODES = 16
 
 # propagation coefficients evaluated in one green_offset call by kernel_diagonal
-# and the channel assembly, or one whole row where a row holds more: bounds
-# their temporaries
+# and the channel assembly (``green_block_rows``): bounds their temporaries
 GREEN_BLOCK_ENTRIES = 1 << 16
+
+
+def green_block_rows(cols: int) -> int:
+    """Whole rows of ``cols`` coefficients in one green_offset block: at least one."""
+    return max(1, GREEN_BLOCK_ENTRIES // cols)
+
 
 # resident bytes per node of a Gauss-Legendre rule and one |G|^2 pass over it: the
 # VmHWM rise of a fresh process (numpy 2.4.6), 72-73 for operator_trace and
@@ -343,17 +348,16 @@ def kernel_diagonal(positions: np.ndarray, cfg: SystemConfig,
 
     The diagonal is the per-position received signal power; it feeds the
     SNR-matching rules, so it uses the source quadrature of every kernel.
-    Positions are evaluated in blocks of whole rows, as many as fit in
-    GREEN_BLOCK_ENTRIES propagation coefficients and at least one, so a
-    block holds inner_points coefficients once there are more than that.
-    The result has the positions' shape (0-d for a scalar).
+    Positions are evaluated ``green_block_rows`` rows of inner_points
+    coefficients at a time. The result has the positions' shape (0-d for
+    a scalar).
     """
     inner_points = resolve_inner_points(cfg, inner_points)
     positions = np.asarray(positions, dtype=np.float64)
     flat = positions.ravel()
     s, w = gauss_legendre(cfg.aperture_m, inner_points)
     out = np.empty(flat.size, dtype=np.float64)
-    step = max(1, GREEN_BLOCK_ENTRIES // inner_points)
+    step = green_block_rows(inner_points)
     for start in range(0, flat.size, step):
         g = green_offset(flat[start:start + step, None] - s[None, :], cfg)
         out[start:start + step] = np.sum(w * (g.real**2 + g.imag**2), axis=1)

@@ -39,8 +39,9 @@ as many columns for the check of its residual.
 
 The spectrum of a propagation matrix collapses past the spatial degrees
 of freedom, so each block is first sketched by a randomized range finder
-(Halko, Martinsson & Tropp, SIAM Review 53, 2011) whose width comes from
-the geometry's mode count, about (l / pi) hypot(k l / sqrt(l^2 + d^2),
+(Halko, Martinsson & Tropp, SIAM Review 53, 2011), whose basis LAPACK's
+QR forms in the sketch's own storage and whose width comes from the
+geometry's mode count, about (l / pi) hypot(k l / sqrt(l^2 + d^2),
 (5/4) ln(1e12) / d). The sketch is kept only when the residual it
 leaves is below 1e-12 of the block's Frobenius norm, which bounds every
 value it drops; otherwise the width doubles, and from 0.4 of the
@@ -76,13 +77,13 @@ from functools import cache
 import numpy as np
 
 from .physics import (
-    GREEN_BLOCK_ENTRIES,
     SystemConfig,
     _gauss_legendre_rule,
     as_count,
     as_positive,
     check_memory,
     distance_phase,
+    green_block_rows,
     green_offset,
     resolve_inner_points,
 )
@@ -95,18 +96,18 @@ from .physics import (
 # process (VmHWM, numpy 2.4 with OpenBLAS 0.3.31) the resident peak of 1201 x
 # 1200 antennas and a 1600 x 1000 Nystrom matrix rises by at most 35.1 per
 # entry with the full SVD (every block sent to it at d = 10 m, or d = 0.03 m)
-# and 26.3 with the sketch (d = 0.1 m, where it is widest). tracemalloc, blind
+# and 23.6 with the sketch (d = 0.1 m, where it is widest). tracemalloc, blind
 # to that working copy, reads 24.2 and 22.0 there. From an offset table the top
-# half is never held whole, and 1200-1600-row matrices peak at 2.6-9.2
+# half is never held whole, and 1200-1600-row matrices peak at 2.7-8.2
 # (tracemalloc)
 BYTES_PER_ENTRY = 37
 
-# bytes per entry of one green_offset row block of min(rows, max(1,
-# GREEN_BLOCK_ENTRIES // cols)) whole rows (``matrix_bytes``): its offsets,
-# temporaries and result (tracemalloc peak 66 per entry on blocks of 65536
-# entries, at most 82 on blocks of 1000-65536, where numpy's cast buffer of
-# 8192 entries is not small beside the block). The block does not shrink with
-# the matrix, so on small matrices it outweighs BYTES_PER_ENTRY
+# bytes per entry of one green_offset row block of min(rows, green_block_rows(cols))
+# whole rows (``matrix_bytes``): its offsets, temporaries and result (tracemalloc
+# peak 66 per entry on blocks of 65536 entries, at most 82 on blocks of
+# 1000-65536, where numpy's cast buffer of 8192 entries is not small beside the
+# block). The block does not shrink with the matrix, so on small matrices it
+# outweighs BYTES_PER_ENTRY
 BLOCK_BYTES_PER_ENTRY = 82
 
 # relative Frobenius residual below which a block's sketch stands in for
@@ -127,6 +128,9 @@ _THREAD_SYMBOLS = (
     ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
     ("openblas_set_num_threads", "openblas_get_num_threads"),
 )
+
+# LAPACK's zgeqrf and zungqr of 64-bit integers, as numpy 2 and numpy 1 wheels name them
+_QR_SYMBOLS = (("scipy_zgeqrf_64_", "scipy_zungqr_64_"), ("zgeqrf_64_", "zungqr_64_"))
 
 # ``hermitian_eigenvalues`` clamps eigenvalues in [-CLAMP_REL * lambda_max, 0) to zero
 CLAMP_REL = 1e-12
@@ -190,11 +194,10 @@ def gauss_legendre_grid(length: float, n: int) -> QuadratureGrid:
 def matrix_bytes(rows: int, cols: int) -> int:
     """The memory guard's estimate for a rows x cols matrix: its entries plus one row block.
 
-    The row block is ``_green_matrix``'s: max(1, GREEN_BLOCK_ENTRIES // cols)
-    whole rows, so a matrix wider than GREEN_BLOCK_ENTRIES is charged one
-    whole row.
+    The row block is ``_green_matrix``'s, ``green_block_rows(cols)`` whole
+    rows: one whole row for a matrix wider than GREEN_BLOCK_ENTRIES.
     """
-    block_rows = min(rows, max(1, GREEN_BLOCK_ENTRIES // cols))
+    block_rows = min(rows, green_block_rows(cols))
     return BYTES_PER_ENTRY * rows * cols + BLOCK_BYTES_PER_ENTRY * block_rows * cols
 
 
@@ -291,7 +294,7 @@ def _lattice(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid, cfg: SystemConfig
 def _green_matrix(r: np.ndarray, s: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     """G(r_i - s_k) for every pair, in row blocks of GREEN_BLOCK_ENTRIES entries or one row."""
     out = np.empty((r.size, s.size), dtype=np.complex128)
-    step = max(1, GREEN_BLOCK_ENTRIES // s.size)
+    step = green_block_rows(s.size)
     for start in range(0, r.size, step):
         out[start:start + step] = green_offset(r[start:start + step, None] - s[None, :], cfg)
     return out
@@ -407,6 +410,28 @@ def _thread_control():
         getter.argtypes, getter.restype = [], ctypes.c_int
         return setter, getter
     return None
+
+
+@cache
+def _lapack_qr():
+    """The first pair of ``_QR_SYMBOLS`` the BLAS numpy links exports, as functions, or None."""
+    lib = _blas_library()
+    for names in _QR_SYMBOLS:
+        try:
+            geqrf, ungqr = (getattr(lib, name) for name in names)
+        except AttributeError:
+            continue
+        n, a = ctypes.POINTER(ctypes.c_int64), np.ctypeslib.ndpointer(np.complex128, flags="F,W")
+        geqrf.argtypes, geqrf.restype = [n, n, a, n, a, a, n, n], None
+        ungqr.argtypes, ungqr.restype = [n, n, n, a, n, a, a, n, n], None
+        return geqrf, ungqr
+    return None
+
+
+def sketch_qr() -> str | None:
+    """The name of the zgeqrf that forms each sketch's basis, or None where numpy's QR does."""
+    lapack = _lapack_qr()
+    return None if lapack is None else lapack[0].__name__
 
 
 def blas_threads() -> int | None:
@@ -551,25 +576,22 @@ def _sketch_spectrum(B, width: int) -> tuple[np.ndarray, float] | None:
     """B's squared singular values and ||B||_F^2 from a sketch of ``width`` columns, or None.
 
     B is read a piece at a time. One pass over its rows, BLOCK_CHUNK at a
-    time, forms Y = B Omega and ||B||_F^2, Omega the n x width matrix
-    ``_phases`` draws for this sketch. ``_conjugate_basis`` writes
-    conj(Q) over Y, Q an orthonormal basis of Y's range, and the basis is
-    held once: Q^H is its transpose. One pass over B's columns,
-    BLOCK_CHUNK // 2 at a time, forms C = Q^H B and the residual R = B -
-    Q C, with Q C = conj(conj(Q) conj(C)) written into one buffer and
-    conjugated in place. When ||R||_F^2 <= tau^2
-    ||B||_F^2 (tau = SKETCH_TOL) C's squared singular values are
-    returned, padded with zeros to min(B.shape); otherwise, or when the
-    residual is nan, None, and the sketch's factors are freed before B
-    is sketched wider or formed whole.
+    time, forms a Fortran-ordered Y = B Omega and ||B||_F^2, Omega the n x
+    width matrix ``_phases`` draws for this sketch. ``_conjugate_basis``
+    writes conj(Q) over Y, Q an orthonormal basis of Y's range: Q^H is its
+    transpose. One pass over B's columns, BLOCK_CHUNK // 2 at a time,
+    forms C = Q^H B and the residual R = B - Q C, with Q C = conj(conj(Q)
+    conj(C)) written into one buffer and conjugated in place. When
+    ||R||_F^2 <= tau^2 ||B||_F^2 (tau = SKETCH_TOL) C's squared singular
+    values are returned, padded with zeros to min(B.shape); otherwise, or
+    when the residual is nan, None, and the sketch's factors are freed
+    before B is sketched wider or formed whole.
 
     Arrays held, by phase. The row pass: Y, Omega and one BLOCK_CHUNK x n
     chunk of rows, each freed before the next is formed; Omega is freed
-    before the basis step. The basis step: Y, and per panel of at most
-    BLOCK_CHUNK // 2 of its columns numpy's copy of the panel with the
-    working copy numpy.linalg's QR makes of that, then numpy's copy and
-    one BLOCK_CHUNK-row piece of the update; a sketch of one panel holds
-    Y and the two copies, as when Y was factored whole. The column pass:
+    before the basis step. The basis step: Y, LAPACK's tau (width entries)
+    and its workspace (64 width entries); where numpy's QR forms the basis
+    instead, its copy of Y and the Q it returns. The column pass:
     conj(Q), C (width x n), one m x BLOCK_CHUNK // 2 piece of columns and
     the buffer its residual is written into, each piece freed before the
     next is formed. None of these during C's SVD.
@@ -581,7 +603,7 @@ def _sketch_spectrum(B, width: int) -> tuple[np.ndarray, float] | None:
     """
     m, n = B.shape
     omega = _phases(n, width)
-    Y = np.empty((m, width), dtype=np.complex128)
+    Y = np.empty((m, width), dtype=np.complex128, order="F")
     norm = 0.0
     for i in range(0, m, BLOCK_CHUNK):
         rows = B[i:i + BLOCK_CHUNK]
@@ -613,84 +635,27 @@ def _sketch_spectrum(B, width: int) -> tuple[np.ndarray, float] | None:
 
 
 def _conjugate_basis(Y: np.ndarray) -> np.ndarray:
-    """conj(Q) for the thin QR factorization Y = Q R, written over Y and returned.
+    """conj(Q) for the thin QR factorization Y = Q R of a Fortran-ordered Y, written over Y.
 
-    Y is factored in its own storage, a panel of BLOCK_CHUNK // 2 columns
-    at a time, as LAPACK's zgeqrf and zungqr do. ``np.linalg.qr`` in raw
-    mode leaves, in its own copy of the panel, R above the diagonal and
-    the Householder vectors v_i below it, with scalars tau_i. In
-    compact-WY form the panel's reflectors are H_1 ... H_b = I - V T V^H
-    (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10, 1989), V the v_i
-    with their unit leading entries and T upper triangular from LAPACK's
-    zlarft recurrence T[:i, i] = -tau_i T[:i, :i] (V^H V)[:i, i], T[i, i]
-    = tau_i, which divides by nothing: a zero tau (a zero column) leaves a
-    zero column of T. I - V T^H V^H then updates the columns right of the
-    panel, a row block at a time; conj(V) is written over the panel and
-    zeros over the panel's rows of R right of it: R is never needed.
-
-    Q = P_1 ... P_p E, for the panels' P_j = I - V_j T_j V_j^H and E the
-    first k columns of I, is formed backward and conjugated. The last
-    panel's columns are E - conj(V T V[:b]^H), one product from numpy's
-    copy; for a Y of one panel that product is the whole basis. Each
-    panel before it applies conj(P_j) to the columns right of it, then
-    writes E - conj(V_j T_j V_j[:b]^H) over its conj(V_j), a row block at
-    a time.
+    LAPACK's zgeqrf and zungqr (``_lapack_qr``) run in Y's own storage, in
+    LAPACK's own column blocks, with tau and a workspace of 64 entries per
+    column, above LAPACK's block size. Where the BLAS numpy links exports
+    neither, numpy's reduced QR forms Q in a copy of its own.
     """
-    m, k = Y.shape
-    panel = BLOCK_CHUNK // 2
-    factors = []  # conj(T) of every panel but the last
-    for c0 in range(0, k, panel):
-        c1 = min(c0 + panel, k)
-        reflectors, tau = np.linalg.qr(Y[c0:, c0:c1], mode="raw")
-        V = reflectors.T
-        b = tau.size
-        head = V[:b]
-        head *= np.tri(b, b, -1)
-        head[np.diag_indices(b)] = 1.0
-        G = _hermitian_product(V, V)
-        T = np.zeros((b, b), dtype=np.complex128)
-        for i in range(b):
-            T[:i, i] = -tau[i] * (T[:i, :i] @ G[:i, i])
-            T[i, i] = tau[i]
-        if c1 == k:
-            break
-        trailing = Y[c0:, c1:]
-        X = T.conj().T @ _hermitian_product(V, trailing)
-        for i in range(0, m - c0, BLOCK_CHUNK):
-            trailing[i:i + BLOCK_CHUNK] -= V[i:i + BLOCK_CHUNK] @ X
-        np.conjugate(V, out=Y[c0:, c0:c1])
-        Y[c0:c1, c1:] = 0.0
-        factors.append(T.conj())
-        del reflectors, V, head
-    Q_bar = Y[c0:, c0:]
-    np.matmul(V, T @ head.conj().T, out=Q_bar)
-    del reflectors, V, head
-    np.negative(Q_bar.real, out=Q_bar.real)  # conj(Q) = E + Q_bar once Q_bar = -conj(V T V[:b]^H)
-    Q_bar[np.diag_indices(k - c0)] += 1.0
-    for T_bar in reversed(factors):
-        c0 -= panel
-        V_bar, trailing = Y[c0:, c0:c0 + panel], Y[c0:, c0 + panel:]
-        X = T_bar @ _hermitian_product(V_bar, trailing)
-        M_bar = T_bar @ V_bar[:panel].conj().T
-        for i in range(0, m - c0, BLOCK_CHUNK):
-            rows = slice(i, i + BLOCK_CHUNK)
-            trailing[rows] -= V_bar[rows] @ X
-            np.negative(V_bar[rows] @ M_bar, out=V_bar[rows])
-        V_bar[np.diag_indices(panel)] += 1.0
-    return Y
-
-
-def _hermitian_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A^H B from the real product of A's and B's interleaved real and imaginary parts.
-
-    Forms no conjugate copy of A; each operand needs only unit-stride rows.
-    """
-    a, b = A.view(np.float64), B.view(np.float64)
-    product = a.T @ b
-    out = np.empty((A.shape[1], B.shape[1]), dtype=np.complex128)
-    np.add(product[::2, ::2], product[1::2, 1::2], out=out.real)
-    np.subtract(product[::2, 1::2], product[1::2, ::2], out=out.imag)
-    return out
+    if not Y.flags.f_contiguous:
+        raise ValueError("a sketch's basis is formed only from a Fortran-ordered Y")
+    lapack = _lapack_qr()
+    if lapack is None:
+        return np.conjugate(np.linalg.qr(Y)[0], out=Y)
+    m, k = (ctypes.c_int64(size) for size in Y.shape)
+    tau, work = np.empty(k.value, dtype=np.complex128), np.empty(64 * k.value, dtype=np.complex128)
+    lwork, info = ctypes.c_int64(work.size), ctypes.c_int64()
+    lapack[0](m, k, Y, m, tau, work, lwork, info)
+    if not info.value:
+        lapack[1](m, k, k, Y, m, tau, work, lwork, info)
+    if info.value:
+        raise np.linalg.LinAlgError(f"LAPACK's QR of a sketch failed: info {info.value}")
+    return np.conjugate(Y, out=Y)
 
 
 def _singular_values(M: np.ndarray) -> np.ndarray:

@@ -697,6 +697,9 @@ def test_sweep_meta_records_reference_health_and_environment(tmp_path, monkeypat
     # default), where the BLAS reports it
     assert env["blas_thread_timeout"] == spectra.blas_thread_timeout()
     assert env["blas_thread_timeout"] is None or env["blas_thread_timeout"] >= 0
+    # the LAPACK QR that formed each sketch's basis, or null for numpy's
+    lapack = spectra._lapack_qr()
+    assert env["sketch_qr"] == (None if lapack is None else lapack[0].__name__)
     # a numpy whose show_config takes no mode has no BLAS dict to record
     monkeypatch.setattr(np, "show_config", lambda: None)
     assert cli._environment()["blas"] is None

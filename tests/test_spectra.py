@@ -574,11 +574,15 @@ def test_idle_blas_workers_do_not_spin_through_the_import():
 
 @pytest.fixture
 def sketch_bases(monkeypatch):
-    """(Y, conj(Q)) for every sketch basis formed while the test runs, copied."""
+    """(Y, conj(Q)) for every sketch basis formed while the test runs, copied.
+
+    Every Y is Fortran-ordered, as LAPACK reads it, so the path tested is LAPACK's.
+    """
     bases = []
     conjugate_basis = spectra._conjugate_basis
 
     def recording(Y):
+        assert Y.flags.f_contiguous
         sketch = Y.copy()
         Q_bar = conjugate_basis(Y)
         bases.append((sketch, Q_bar.copy()))
@@ -606,29 +610,52 @@ def test_sketch_basis_is_orthonormal_and_spans_the_sketch(layout, d, sketch_base
         _check_basis(Y, Q_bar)
 
 
+@pytest.mark.parametrize("layout, d", [("nystrom1600x800", 0.1), ("trx1200x1200", 10.0)])
+def test_numpy_qr_basis_where_lapack_is_missing(layout, d, sketch_bases, monkeypatch):
+    # where the BLAS numpy links exports no 64-bit zgeqrf and zungqr, numpy's
+    # reduced QR forms each basis: the spectrum matches LAPACK's to roundoff
+    cfg, rx, tx = _large_case(layout, d)
+    values, norm = centrosymmetric_spectrum(rx, tx, cfg)
+    monkeypatch.setattr(spectra, "_lapack_qr", lambda: None)
+    fallback, fallback_norm = centrosymmetric_spectrum(rx, tx, cfg)
+    assert np.max(np.abs(fallback - values)) <= 1e-13 * values[0]
+    assert fallback_norm == norm
+    assert len(sketch_bases) == 4
+    for Y, Q_bar in sketch_bases:
+        _check_basis(Y, Q_bar)
+
+
 def test_zero_sketch_column_gives_a_finite_orthonormal_basis():
-    # a zero column of Y has a zero Householder scalar tau: the compact-WY
-    # factor T must not divide by it, in the first 64-column panel or in a
-    # later one, whose columns the panels before it have updated
+    # a zero column of Y has a zero Householder scalar tau (LAPACK's H = I):
+    # the basis must stay finite and orthonormal, for a zero column early in
+    # a narrow sketch and for one after 70 others in a wider one
     rng = np.random.default_rng(5)
     for rows, cols, zero in ((200, 12, 4), (300, 100, 70)):
         Y = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
         Y[:, zero] = 0.0
         assert np.linalg.qr(Y, mode="raw")[1][zero] == 0.0
-        _check_basis(Y, spectra._conjugate_basis(Y.copy()))
+        _check_basis(Y, spectra._conjugate_basis(np.asfortranarray(Y)))
 
 
 @pytest.mark.parametrize("cols", [63, 64, 65, 129])
 def test_sketch_basis_across_the_panel_edge(cols):
-    # Y is factored in panels of BLOCK_CHUNK // 2 = 64 columns: 63 and 64
-    # columns are one panel, 65 add a panel of one column and 129 are three
-    # panels; the basis matches the reduced QR's Q column for column, up to
+    # LAPACK's own column blocks: reference LAPACK's ilaenv factors a Y of
+    # at most 128 columns unblocked and a wider one a block of 32 columns at
+    # a time, then the rest unblocked: 63-65 columns, either side of two
+    # blocks, are factored unblocked and 129 is the first width taken in
+    # blocks; the basis matches the reduced QR's Q column for column, up to
     # roundoff
     rng = np.random.default_rng(cols)
     Y = rng.normal(size=(400, cols)) + 1j * rng.normal(size=(400, cols))
-    Q_bar = spectra._conjugate_basis(Y.copy())
+    Q_bar = spectra._conjugate_basis(np.asfortranarray(Y))
     _check_basis(Y, Q_bar)
     assert np.max(np.abs(Q_bar.conj() - np.linalg.qr(Y)[0])) <= 1e-14
+
+
+def test_sketch_basis_refuses_a_c_ordered_sketch():
+    # LAPACK would read a C-ordered buffer as another matrix, its transpose
+    with pytest.raises(ValueError, match="Fortran-ordered"):
+        spectra._conjugate_basis(np.ones((4, 2), dtype=np.complex128))
 
 
 def test_nan_entry_certifies_no_sketch():
@@ -667,14 +694,15 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read before numpy loads its BLAS
 import numpy as np
 from capmimo.spectra import _conjugate_basis
 
-np.linalg.qr(np.ones((4, 2), dtype=np.complex128), mode="raw")
-Y = np.empty((int(sys.argv[2]), int(sys.argv[3])), dtype=np.complex128)
+_conjugate_basis(np.ones((4, 2), dtype=np.complex128, order="F"))
+np.linalg.qr(np.ones((4, 2), dtype=np.complex128))
+Y = np.empty((int(sys.argv[2]), int(sys.argv[3])), dtype=np.complex128, order="F")
 rng = np.random.default_rng(0)
 for j in range(0, Y.shape[1], 16):
     part = Y[:, j:j + 16]
     part[...] = rng.normal(size=part.shape) + 1j * rng.normal(size=part.shape)
 before = high_water()
-if sys.argv[1] == "reflectors":
+if sys.argv[1] == "lapack":
     _conjugate_basis(Y)
 else:
     Q = np.linalg.qr(Y)[0]
@@ -684,6 +712,8 @@ print((high_water() - before) / Y.nbytes)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+@pytest.mark.skipif(spectra._lapack_qr() is None,
+                    reason="the BLAS numpy links exports no 64-bit zgeqrf and zungqr")
 def test_basis_step_resident_memory():
     # tracemalloc does not see the working copies numpy.linalg makes inside
     # its gufuncs, so the basis step of a sketch is measured by the rise of
@@ -691,23 +721,22 @@ def test_basis_step_resident_memory():
     # (filled a few columns at a time, so that forming it sets no
     # high-water mark) and LAPACK is loaded. VmHWM, not ru_maxrss: a
     # child's ru_maxrss starts at its parent's across fork and exec. Y is
-    # factored a 64-column panel at a time in its own storage, so a 2000 x
-    # 400 sketch rises by well under the 2.4 Y-sized arrays it took when Y
-    # was factored whole; the reduced QR and its conjugate transpose rise by
-    # about 4, which shows the measurement sees what tracemalloc does not.
-    # A 3200 x 64 sketch is one panel, factored as Y was whole before (Y,
-    # numpy's copy and the gufunc's working copy), and may rise by no more
-    # than the 1.561 it read then; one more Y-sized copy adds about 1. The
-    # BLAS runs on one thread: a second thread's buffer, first touched
-    # inside the measurement, added 0.4-0.8 Y here and up to 1.5 Y on an
-    # 800 x 26 sketch, depending on how the process was started
+    # Fortran-ordered, as _sketch_spectrum forms it, and LAPACK's zgeqrf and
+    # zungqr run in its own storage with tau and a workspace of 64 entries
+    # per column, so a 2000 x 400 sketch rose by 0.026-0.033 Y and a 3200 x
+    # 64 one by 0.0 (numpy 2.4.6, OpenBLAS 0.3.31); the reduced QR and its
+    # conjugate transpose rise by about 4, which shows the measurement sees
+    # what tracemalloc does not. The BLAS runs on one
+    # thread: a second thread's buffer, first touched inside the
+    # measurement, added 0.4-0.8 Y here and up to 1.5 Y on an 800 x 26
+    # sketch, depending on how the process was started
     def rise(step, rows, cols):
         return float(_fresh_python(_BASIS_STEP_RISE, step, str(rows), str(cols)))
 
-    blocked, reduced, one_panel = (rise("reflectors", 2000, 400), rise("reduced", 2000, 400),
-                                   rise("reflectors", 3200, 64))
-    assert blocked <= 1.5 and reduced > 3.0, (blocked, reduced)
-    assert one_panel <= 1.57, one_panel
+    lapack, reduced, narrow = (rise("lapack", 2000, 400), rise("reduced", 2000, 400),
+                               rise("lapack", 3200, 64))
+    assert lapack <= 0.25 and reduced > 3.0, (lapack, reduced)
+    assert narrow <= 0.25, narrow
 
 
 _RULE_RISE = _HIGH_WATER + """
