@@ -54,22 +54,22 @@ from .models import (
     noise_trx,
 )
 from .physics import (
+    QuadratureGrid,
     SystemConfig,
     Z0_OHMS,
     green_scalar,
     kernel_diagonal,
     kernel_value,
+    midpoint_grid,
     operator_trace,
 )
 from .spectra import (
     PSDViolationError,
-    QuadratureGrid,
     SpectralResult,
     assemble_channel_matrix,
     assemble_kernel_matrix,
     centrosymmetric_spectrum,
     hermitian_eigenvalues,
-    midpoint_grid,
     validate_hermitian,
 )
 

@@ -31,6 +31,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -64,9 +65,10 @@ from .physics import (
     as_count,
     check_memory,
     check_rule_size,
+    midpoint_grid,
     resolve_inner_points,
 )
-from .spectra import SERIAL_WORK, blas_thread_timeout, blas_threads, midpoint_grid, sketch_qr
+from .spectra import blas_settings
 
 CSV_COLUMNS = ("scenario", "d_m", "m1", "m2", "ref_m", "mi_nats", "mi_bits",
                "mi_ref_nats", "abs_gap", "n_used", "model_tag", "wall_time_s")
@@ -96,14 +98,17 @@ class ConfigError(ValueError):
 
 
 def _parse_list(raw: str, kind: type) -> tuple:
-    """A nonempty comma-separated list of ``kind`` values (int or float)."""
+    """A comma-separated list of distinct ``kind`` values (int or float), no entry empty."""
+    tokens = [tok.strip() for tok in raw.split(",")]
+    if not all(tokens):
+        raise ValueError(f"empty entry in {raw!r}" if any(tokens) else "list must be nonempty")
     try:
-        vals = tuple(kind(tok) for tok in raw.split(",") if tok.strip())
+        vals = tuple(kind(tok) for tok in tokens)
     except ValueError:
         raise ValueError(f"expected comma-separated {kind.__name__} values, "
                          f"got {raw!r}") from None
-    if not vals:
-        raise ValueError("list must be nonempty")
+    if len(set(vals)) < len(vals):
+        raise ValueError(f"repeated entry in {raw!r}")
     return vals
 
 
@@ -226,14 +231,15 @@ def _parse(name: str, raw: str):
 
 
 def _load_config_file(path: str) -> dict:
-    """Parse ``key = value`` lines; '#' starts a comment; unknown keys are fatal."""
+    """Parse ``key = value`` lines; unknown keys are fatal. '#' starts a comment at the
+    start of a line or after whitespace, so a value such as ``run#2`` keeps its '#'."""
     out: dict = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
+        stripped = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
@@ -327,23 +333,14 @@ def write_rows_csv(rows: list[SweepRow], path: Path) -> None:
 
 
 def _environment() -> dict:
-    """numpy and BLAS versions, CPU count and BLAS thread settings of this process.
-
-    ``blas_threads`` is the BLAS's thread count outside solves (None where
-    it cannot be set), ``serial_work`` the work below which a solve runs
-    on one of them (``SERIAL_WORK``), and ``blas_thread_timeout`` the
-    idle-spin exponent OpenBLAS read when it loaded (0 for its default,
-    None where the BLAS does not report it). ``sketch_qr`` names the
-    LAPACK zgeqrf that forms each sketch's basis, None where numpy's QR does.
-    """
+    """numpy and BLAS versions, CPU count and ``blas_settings`` of this process."""
     try:  # numpy's configuration as a dict, where this numpy has it
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = {"name": blas.get("name"), "version": blas.get("version")}
     except (TypeError, KeyError):
         blas = None
     return {"numpy": np.__version__, "blas": blas, "cpu_count": os.cpu_count(),
-            "blas_threads": blas_threads(), "serial_work": SERIAL_WORK,
-            "blas_thread_timeout": blas_thread_timeout(), "sketch_qr": sketch_qr(),
+            **blas_settings(),
             **{var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}}
 
 

@@ -51,22 +51,22 @@ from functools import lru_cache
 import numpy as np
 
 from .physics import (
+    QuadratureGrid,
     SystemConfig,
     as_count,
+    gauss_legendre_grid,
     green_offset,
     kernel_diagonal,
+    midpoint_grid,
     operator_trace,
     resolve_inner_points,
 )
 from .spectra import (
-    QuadratureGrid,
     _squared_norm,
     assemble_channel_matrix,
     centrosymmetric_spectrum,
     check_spectrum_size,
-    gauss_legendre_grid,
     logdet_from_eigenvalues,
-    midpoint_grid,
 )
 
 # |G|^2 profile behind both gap bounds: central differences on this many

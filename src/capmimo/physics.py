@@ -5,9 +5,9 @@ on the line (0, 0, z), the receive aperture occupies r in [0, l] on the
 parallel line (d, 0, z). Everything downstream (field autocorrelation,
 operator trace, mutual-information models) is built from the scalar
 propagation coefficient ``green_offset``, up to the unit phase common to
-every pair (``green_scalar`` is G itself), and composite Gauss-Legendre
-quadrature over the source coordinate (``gauss_legendre``), whose panel
-layout ``_gauss_legendre_rule`` alone decides.
+every pair (``green_scalar`` is G itself), and the ``QuadratureGrid``s of
+an aperture: the composite Gauss-Legendre rule of every integral, laid
+out by ``_gauss_legendre_rule`` alone, and the antennas (``midpoint_grid``).
 
 All functions here are pure and accept numpy arrays for the position
 arguments (broadcasting applies); they are safe to call concurrently.
@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import operator
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -42,7 +42,8 @@ def green_block_rows(cols: int) -> int:
 # resident bytes per node of a Gauss-Legendre rule and one |G|^2 pass over it: the
 # VmHWM rise of a fresh process (numpy 2.4.6), 72-73 for operator_trace and
 # 105-107 for a bounds step's source rule at 5e5-2e6 nodes, plus 1.5 of margin,
-# rounded up to a multiple of 16
+# rounded up to a multiple of 16. A rule of unequal panels also holds its grid's
+# pattern, one copy of its nodes: 8 more, 80 and 107-109.5 at 5e5+1-2e6+1 nodes
 RULE_BYTES_PER_NODE = 112
 
 
@@ -237,8 +238,46 @@ def check_rule_size(n: int) -> None:
     check_memory(RULE_BYTES_PER_NODE * n, f"a {n}-node Gauss-Legendre rule")
 
 
-def gauss_legendre(length: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes and weights of an n-node rule on (0, length).
+@dataclass(frozen=True)
+class QuadratureGrid:
+    """Nodes r_i and weights w_i of an m-point grid on (0, length).
+
+    The nodes are a lattice of ``panels`` equal panels, each holding the
+    same ``pattern`` of k node offsets in panel widths: r_i = (i // k +
+    pattern[i % k]) * length / panels, up to rounding, and the same k
+    weights, w_i = weights[i % k] bitwise. A rule whose panels
+    differ is one panel whose pattern is every node. An antenna grid
+    carries no weight (``weights`` None); ``weight`` is the mean length / m.
+    """
+
+    points: np.ndarray = field(compare=False)
+    length: float
+    m: int
+    weights: np.ndarray | None = field(compare=False)
+    panels: int
+    pattern: np.ndarray = field(compare=False)
+
+    @property
+    def weight(self) -> float:
+        return self.length / self.m
+
+
+def midpoint_grid(length: float, m: int) -> QuadratureGrid:
+    """Build the m-point midpoint grid r_i = (i - 0.5) * l / m on (0, length).
+
+    This is the evenly spaced antenna layout of the discrete models
+    (spacing length/m, first element at half a spacing from the edge):
+    m one-node panels of point antennas, which carry no weight.
+    """
+    m = as_count("grid size m", m, 1)
+    pts = (np.arange(m, dtype=np.float64) + 0.5) * (as_positive("grid length", length) / m)
+    pts.setflags(write=False)
+    return QuadratureGrid(points=pts, length=length, m=m, weights=None, panels=m,
+                          pattern=np.broadcast_to(0.5, (1,)))
+
+
+def gauss_legendre_grid(length: float, n: int) -> QuadratureGrid:
+    """The n-node composite Gauss-Legendre rule on (0, length): every continuous integral's grid.
 
     ceil(n / PANEL_NODES) panels whose node counts differ by at most one,
     each as wide as its share of the n nodes; n a multiple of 16 gives
@@ -248,19 +287,19 @@ def gauss_legendre(length: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     the two ends, the other fills the middle, and when both sizes occur
     an odd number of times the panel count grows by one. Exponentially
     convergent for the analytic integrands of this package once the
-    panels resolve the wavelength and the distance. Returned arrays are
+    panels resolve the wavelength and the distance. Its arrays are
     read-only. Each panel's rule is ``_legendre_rule``'s, computed once
     per order and only for the orders used. ``as_count`` and ``as_positive``
-    check n and length before the rules' cache on (length, int n) is read;
+    check n and length before the grids' cache on (length, int n) is read;
     ``check_rule_size`` sizes a rule before it is built.
     """
     n = as_count("Gauss-Legendre node count", n, 2)
-    return _gauss_legendre_rule(as_positive("grid length", length), n)[:2]
+    return _gauss_legendre_rule(as_positive("grid length", length), n)
 
 
 @lru_cache(maxsize=64)
-def _gauss_legendre_rule(length: float, n: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """``gauss_legendre`` and its panel count (1 when they differ): where the layout is decided."""
+def _gauss_legendre_rule(length: float, n: int) -> QuadratureGrid:
+    """``gauss_legendre_grid`` unchecked: the one place a Gauss-Legendre layout is decided."""
     check_rule_size(n)
     panels = -(-n // PANEL_NODES)
     small, extra = divmod(n, panels)
@@ -283,9 +322,12 @@ def _gauss_legendre_rule(length: float, n: int) -> tuple[np.ndarray, np.ndarray,
         np.add(offsets[:, None], half * t, out=x[left:end].reshape(count, order))
         w[left:end].reshape(count, order)[...] = half * weights
         left = end
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w, 1 if extra else panels
+    panels = 1 if extra else panels
+    pattern = x[:n // panels] * (panels / length)
+    for array in (x, w, pattern):
+        array.setflags(write=False)
+    return QuadratureGrid(points=x, length=length, m=n, weights=w, panels=panels,
+                          pattern=pattern)
 
 
 @lru_cache(maxsize=32)
@@ -337,9 +379,9 @@ def kernel_value(r: float, r_prime: float, cfg: SystemConfig,
         return complex(kernel_diagonal(r, cfg, inner_points))
     if r > r_prime:
         return complex(kernel_value(r_prime, r, cfg, inner_points)).conjugate()
-    s, w = gauss_legendre(cfg.aperture_m, inner_points)
-    prod = green_offset(r - s, cfg) * np.conj(green_offset(r_prime - s, cfg))
-    return complex(cfg.power_density * np.sum(w * prod))
+    s = gauss_legendre_grid(cfg.aperture_m, inner_points)
+    prod = green_offset(r - s.points, cfg) * np.conj(green_offset(r_prime - s.points, cfg))
+    return complex(cfg.power_density * np.sum(s.weights * prod))
 
 
 def kernel_diagonal(positions: np.ndarray, cfg: SystemConfig,
@@ -355,12 +397,12 @@ def kernel_diagonal(positions: np.ndarray, cfg: SystemConfig,
     inner_points = resolve_inner_points(cfg, inner_points)
     positions = np.asarray(positions, dtype=np.float64)
     flat = positions.ravel()
-    s, w = gauss_legendre(cfg.aperture_m, inner_points)
+    s = gauss_legendre_grid(cfg.aperture_m, inner_points)
     out = np.empty(flat.size, dtype=np.float64)
     step = green_block_rows(inner_points)
     for start in range(0, flat.size, step):
-        g = green_offset(flat[start:start + step, None] - s[None, :], cfg)
-        out[start:start + step] = np.sum(w * (g.real**2 + g.imag**2), axis=1)
+        g = green_offset(flat[start:start + step, None] - s.points[None, :], cfg)
+        out[start:start + step] = np.sum(s.weights * (g.real**2 + g.imag**2), axis=1)
     return (cfg.power_density * out).reshape(positions.shape)
 
 
@@ -373,7 +415,8 @@ def operator_trace(cfg: SystemConfig, nodes: int | None = None) -> float:
     ``SystemConfig.default_inner_points``). Equals the sum of the field
     operator's eigenvalues. Nonnegative.
     """
-    x, w = gauss_legendre(cfg.aperture_m, cfg.default_inner_points() if nodes is None else nodes)
-    g = green_offset(x, cfg)
-    return float(cfg.power_density * (2.0 * np.sum(w * (g.real**2 + g.imag**2)
-                                                   * (cfg.aperture_m - x))))
+    n = cfg.default_inner_points() if nodes is None else nodes
+    rule = gauss_legendre_grid(cfg.aperture_m, n)
+    g = green_offset(rule.points, cfg)
+    return float(cfg.power_density * (2.0 * np.sum(rule.weights * (g.real**2 + g.imag**2)
+                                                   * (cfg.aperture_m - rule.points))))

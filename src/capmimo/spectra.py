@@ -1,13 +1,14 @@
-"""Quadrature grids and the one spectral path shared by every model.
+"""The one spectral path shared by every model, over two quadrature grids.
 
 Every mutual-information value in the package is the same computation:
 the squared singular values of the two centrosymmetric halves of a
 weighted propagation matrix (``centrosymmetric_spectrum``), followed by
 ``logdet_from_eigenvalues``, the only ``sum log(1 + s*lambda)`` in the
-package. The models differ only in their two grids, and each grid
-carries its own weights: a Gauss-Legendre rule its quadrature weights,
-a midpoint grid (the antennas of the physical array) none, so every
-matrix is A = sqrt(w_r) G sqrt(w_s) with w = 1 on antennas. The
+package. The models differ only in their two grids, ``physics``'s
+``QuadratureGrid``s, and each grid carries its own weights: a
+Gauss-Legendre rule its quadrature weights, a midpoint grid (the
+antennas of the physical array) none, so every matrix is
+A = sqrt(w_r) G sqrt(w_s) with w = 1 on antennas. The
 continuous operator samples a Gauss-Legendre reference grid against
 the Gauss-Legendre source grid, the discrete receiver its antennas
 against the source grid, and the discrete transceiver antennas on both.
@@ -77,12 +78,11 @@ from functools import cache
 import numpy as np
 
 from .physics import (
+    QuadratureGrid,
     SystemConfig,
-    _gauss_legendre_rule,
-    as_count,
-    as_positive,
     check_memory,
     distance_phase,
+    gauss_legendre_grid,
     green_block_rows,
     green_offset,
     resolve_inner_points,
@@ -138,57 +138,6 @@ CLAMP_REL = 1e-12
 
 class PSDViolationError(ValueError):
     """An eigenvalue fell below the negative tolerance band: matrix not PSD."""
-
-
-@dataclass(frozen=True)
-class QuadratureGrid:
-    """Nodes r_i and weights w_i of an m-point grid on (0, length).
-
-    The nodes are a lattice of ``panels`` equal panels, each holding the
-    same ``pattern`` of k node offsets in panel widths: r_i = (i // k +
-    pattern[i % k]) * length / panels, up to rounding, and the same k
-    weights, w_i = weights[i % k] bitwise. A rule whose panels
-    differ is one panel whose pattern is every node. An antenna grid
-    carries no weight (``weights`` None); ``weight`` is the mean length / m.
-    """
-
-    points: np.ndarray = field(compare=False)
-    length: float
-    m: int
-    weights: np.ndarray | None = field(compare=False)
-    panels: int
-    pattern: np.ndarray = field(compare=False)
-
-    @property
-    def weight(self) -> float:
-        return self.length / self.m
-
-
-def midpoint_grid(length: float, m: int) -> QuadratureGrid:
-    """Build the m-point midpoint grid r_i = (i - 0.5) * l / m on (0, length).
-
-    This is the evenly spaced antenna layout of the discrete models
-    (spacing length/m, first element at half a spacing from the edge):
-    m one-node panels of point antennas, which carry no weight.
-    """
-    m = as_count("grid size m", m, 1)
-    pts = (np.arange(m, dtype=np.float64) + 0.5) * (as_positive("grid length", length) / m)
-    pts.setflags(write=False)
-    return QuadratureGrid(points=pts, length=length, m=m, weights=None, panels=m,
-                          pattern=np.broadcast_to(0.5, (1,)))
-
-
-def gauss_legendre_grid(length: float, n: int) -> QuadratureGrid:
-    """The n-node composite Gauss-Legendre rule on (0, length): source and reference grids.
-
-    Its panels are ``_gauss_legendre_rule``'s, a lattice when they are equal, else one panel.
-    """
-    n = as_count("Gauss-Legendre node count", n, 2)
-    pts, weights, panels = _gauss_legendre_rule(as_positive("grid length", length), n)
-    pattern = pts[:n // panels] * (panels / length)
-    pattern.setflags(write=False)
-    return QuadratureGrid(points=pts, length=length, m=n, weights=weights, panels=panels,
-                          pattern=pattern)
 
 
 def matrix_bytes(rows: int, cols: int) -> int:
@@ -393,6 +342,17 @@ def _blas_library() -> ctypes.CDLL:
     return ctypes.CDLL(np.linalg._umath_linalg.__file__)
 
 
+def _blas_functions(*candidates: tuple[str, ...]) -> tuple | None:
+    """The functions of the first name tuple in ``candidates`` the linked BLAS exports, or None."""
+    lib = _blas_library()
+    for names in candidates:
+        try:
+            return tuple(getattr(lib, name) for name in names)
+        except AttributeError:
+            continue
+    return None
+
+
 @cache
 def _thread_control():
     """The setter and getter of the thread count of the BLAS numpy links, or None.
@@ -400,38 +360,24 @@ def _thread_control():
     The first pair of ``_THREAD_SYMBOLS`` the BLAS exports is taken. MKL
     and Accelerate export none of them.
     """
-    lib = _blas_library()
-    for set_name, get_name in _THREAD_SYMBOLS:
-        try:
-            setter, getter = getattr(lib, set_name), getattr(lib, get_name)
-        except AttributeError:
-            continue
+    control = _blas_functions(*_THREAD_SYMBOLS)
+    if control is not None:
+        setter, getter = control
         setter.argtypes, setter.restype = [ctypes.c_int], None
         getter.argtypes, getter.restype = [], ctypes.c_int
-        return setter, getter
-    return None
+    return control
 
 
 @cache
 def _lapack_qr():
     """The first pair of ``_QR_SYMBOLS`` the BLAS numpy links exports, as functions, or None."""
-    lib = _blas_library()
-    for names in _QR_SYMBOLS:
-        try:
-            geqrf, ungqr = (getattr(lib, name) for name in names)
-        except AttributeError:
-            continue
+    lapack = _blas_functions(*_QR_SYMBOLS)
+    if lapack is not None:
+        geqrf, ungqr = lapack
         n, a = ctypes.POINTER(ctypes.c_int64), np.ctypeslib.ndpointer(np.complex128, flags="F,W")
         geqrf.argtypes, geqrf.restype = [n, n, a, n, a, a, n, n], None
         ungqr.argtypes, ungqr.restype = [n, n, n, a, n, a, a, n, n], None
-        return geqrf, ungqr
-    return None
-
-
-def sketch_qr() -> str | None:
-    """The name of the zgeqrf that forms each sketch's basis, or None where numpy's QR does."""
-    lapack = _lapack_qr()
-    return None if lapack is None else lapack[0].__name__
+    return lapack
 
 
 def blas_threads() -> int | None:
@@ -446,12 +392,20 @@ def blas_thread_timeout() -> int | None:
     None where the BLAS exports no ``openblas_thread_timeout``, as MKL
     and Accelerate do not.
     """
-    try:
-        getter = _blas_library().openblas_thread_timeout
-    except AttributeError:
+    found = _blas_functions(("openblas_thread_timeout",))
+    if found is None:
         return None
-    getter.argtypes, getter.restype = [], ctypes.c_int
-    return getter()
+    found[0].argtypes, found[0].restype = [], ctypes.c_int
+    return found[0]()
+
+
+def blas_settings() -> dict:
+    """``blas_threads``, ``blas_thread_timeout``, SERIAL_WORK as ``serial_work`` and, as
+    ``sketch_qr``, the name of the zgeqrf that forms each sketch's basis (None: numpy's QR)."""
+    lapack = _lapack_qr()
+    return {"blas_threads": blas_threads(), "serial_work": SERIAL_WORK,
+            "blas_thread_timeout": blas_thread_timeout(),
+            "sketch_qr": None if lapack is None else lapack[0].__name__}
 
 
 class _SerialSolves:

@@ -127,6 +127,15 @@ def test_config_file_comments_and_malformed_lines(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_config_file_hash_inside_a_value_is_kept(tmp_path):
+    # '#' starts a comment only at the start of a line or after whitespace
+    cfg_file = tmp_path / "run.cfg"
+    out = tmp_path / "results#1.csv"
+    cfg_file.write_text(f"scenario = run#2\nout = {out}\ndistance = 50\t# a comment\n")
+    _, rc = parse_config(["dof", "--config", str(cfg_file)])
+    assert (rc.scenario, rc.out, rc.distance) == ("run#2", str(out), 50.0)
+
+
 @pytest.mark.parametrize("argv, key", [
     (["dof", "--wavelength", "abc"], "wavelength"),
     (["dof", "--ref-m", "1e3"], "ref_m"),
@@ -252,6 +261,26 @@ def test_empty_list_rejected_in_one_line(flag, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {flag[2:].replace('-', '_')}: list must be nonempty\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep-receiver", "--m-list", "5,,10"], "m_list: empty entry in '5,,10'"),
+    (["sweep-receiver", "--m-list", "5,10,"], "m_list: empty entry in '5,10,'"),
+    (["sweep-receiver", "--distances", "10, ,1"], "distances: empty entry in '10, ,1'"),
+    (["sweep-receiver", "--m-list", "5,5"], "m_list: repeated entry in '5,5'"),
+    (["sweep-receiver", "--distances", "10,10.0"], "distances: repeated entry in '10,10.0'"),
+    (["sweep-grid", "--m2-list", "100,0100"], "m2_list: repeated entry in '100,0100'"),
+])
+def test_list_entry_empty_or_repeated_rejected_in_one_line(argv, message, tmp_path, capsys):
+    # an empty entry is refused, not dropped, and so is a repeated distance or
+    # count, which would write identical CSV rows under one sidecar key: exit
+    # 2, one stderr line naming the setting, nothing on stdout, no output file
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
     assert not out.exists()
 
 

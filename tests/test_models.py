@@ -21,10 +21,9 @@ from capmimo import (
     noise_trx,
 )
 from capmimo import models, physics, spectra
-from capmimo.physics import green_offset, kernel_diagonal
+from capmimo.physics import gauss_legendre_grid, green_offset, kernel_diagonal
 from capmimo.spectra import (
     assemble_kernel_matrix,
-    gauss_legendre_grid,
     hermitian_eigenvalues,
     logdet_from_eigenvalues,
 )

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from capmimo import SystemConfig, kernel_diagonal, kernel_value, operator_trace, physics
-from capmimo.physics import _legendre_rule, gauss_legendre, green_offset, green_scalar
+from capmimo.physics import _legendre_rule, gauss_legendre_grid, green_offset, green_scalar
 
 from oracles import gauss_legendre_nodes, kernel_value_quad, total_power_quad
 
@@ -257,9 +257,9 @@ def test_trace_refinement_order():
 def test_trace_equals_weighted_diagonal_sum(default_cfg):
     # the one-dimensional trace equals the square's tensor Gauss-Legendre
     # rule: diagonal kernel values on 300 receive nodes, 700 source nodes
-    nodes, weights = gauss_legendre(default_cfg.aperture_m, 300)
+    grid = gauss_legendre_grid(default_cfg.aperture_m, 300)
     diag_sum = sum(w * kernel_value(float(r), float(r), default_cfg, 700).real
-                   for r, w in zip(nodes, weights))
+                   for r, w in zip(grid.points, grid.weights))
     assert operator_trace(default_cfg) == pytest.approx(diag_sum, rel=1e-13)
 
 
@@ -270,11 +270,12 @@ def test_gauss_legendre_mirror_symmetric(length):
     # panels of 6, 5 and 6 nodes instead
     eps = np.finfo(np.float64).eps
     for n in (*range(2, 201), 999, 1000, 1001, 1600):
-        x, w = gauss_legendre(length, n)
+        grid = gauss_legendre_grid(length, n)
+        x, w = grid.points, grid.weights
         assert np.max(np.abs(x[::-1] - (length - x))) <= 2 * eps * length, n
         assert np.array_equal(w[::-1], w), n
         assert abs(float(np.sum(w)) - length) <= 4 * eps * length, n
-    w = gauss_legendre(length, 17)[1]
+    w = gauss_legendre_grid(length, 17).weights
     panels = [w[:6].sum(), w[6:11].sum(), w[11:].sum()]
     assert panels == pytest.approx([6 * length / 17, 5 * length / 17, 6 * length / 17],
                                    rel=1e-14)

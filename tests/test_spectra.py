@@ -23,14 +23,13 @@ from capmimo import (
     validate_hermitian,
 )
 from capmimo import models, physics, spectra
-from capmimo.physics import GREEN_BLOCK_ENTRIES, green_offset
+from capmimo.physics import GREEN_BLOCK_ENTRIES, gauss_legendre_grid, green_offset
 from capmimo.spectra import (
     BLOCK_BYTES_PER_ENTRY,
     BYTES_PER_ENTRY,
     _block_spectrum,
     centrosymmetric_spectrum,
     check_matrix_size,
-    gauss_legendre_grid,
     gram_from_channel,
     logdet_from_eigenvalues,
 )
@@ -102,7 +101,7 @@ def test_gauss_legendre_grid_any_node_count():
         # else panels that differ, read as one panel of every node
         panels = -(-n // 16)
         assert g.panels == (panels if n % panels == 0 else 1) == equal.get(n, g.panels)
-        assert g.panels == physics._gauss_legendre_rule(2.0, n)[2]
+        assert g is gauss_legendre_grid(2.0, n)  # one cached grid per (length, n)
         assert g.pattern.size == n // g.panels
         assert np.allclose(_lattice_points(g), g.points, rtol=0.0, atol=4e-16 * 2.0)
         degree = min(2 * (n // -(-n // 16)) - 1, 7)
@@ -145,7 +144,6 @@ def test_grid_rejects_bad_arguments():
     (midpoint_grid, "grid size m", 4.5),
     (midpoint_grid, "grid size m", 4.0),
     (gauss_legendre_grid, "Gauss-Legendre node count", 64.0),
-    (physics.gauss_legendre, "Gauss-Legendre node count", 64.0),
 ])
 def test_grids_reject_non_integer_counts_cold_and_warm(build, name, count):
     # a float count, even one equal to an integer, is refused in one line
@@ -456,6 +454,20 @@ def test_sketched_spectrum_is_bitwise_repeatable():
     assert np.array_equal(first[0], second[0]) and first[1] == second[1]
 
 
+def test_blas_functions_takes_the_first_exported_names():
+    # one resolver for every BLAS symbol: a tuple is taken only when every
+    # name in it is exported, the first such tuple wins, and none gives None
+    timeout = ("openblas_thread_timeout",)
+    missing = ("capmimo_no_such_symbol",)
+    assert spectra._blas_functions(missing) is None
+    assert spectra._blas_functions(missing, (*timeout, *missing)) is None
+    found = spectra._blas_functions(missing, timeout)
+    if spectra.blas_thread_timeout() is None:
+        assert found is None
+    else:
+        assert [f.__name__ for f in found] == list(timeout)
+
+
 @pytest.fixture
 def two_blas_threads():
     """The BLAS on two threads while the test runs; skips where its count cannot be set."""
@@ -741,11 +753,11 @@ def test_basis_step_resident_memory():
 
 _RULE_RISE = _HIGH_WATER + """
 import sys
-from capmimo.physics import gauss_legendre
+from capmimo.physics import gauss_legendre_grid
 
-gauss_legendre(2.0, 32)
+gauss_legendre_grid(2.0, 32)
 before = high_water()
-gauss_legendre(2.0, int(sys.argv[1]))
+gauss_legendre_grid(2.0, int(sys.argv[1]))
 print((high_water() - before) / int(sys.argv[1]))
 """
 
@@ -849,7 +861,7 @@ _FALLBACK_RISE = _HIGH_WATER + """
 import sys
 import numpy as np
 from capmimo import SystemConfig, midpoint_grid, spectra
-from capmimo.spectra import gauss_legendre_grid
+from capmimo.physics import gauss_legendre_grid
 
 cfg = SystemConfig(distance_m=10.0)
 l = cfg.aperture_m
