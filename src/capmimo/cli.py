@@ -231,12 +231,12 @@ def _parse(name: str, raw: str):
 
 
 def _load_config_file(path: str) -> dict:
-    """Parse ``key = value`` lines; unknown keys are fatal. '#' starts a comment at the
-    start of a line or after whitespace, so a value such as ``run#2`` keeps its '#'."""
-    out: dict = {}
+    """Parse ``key = value`` lines of UTF-8; unknown and repeated keys are fatal. '#' starts
+    a comment at the start of a line or after whitespace, so ``run#2`` keeps its '#'."""
+    out, seen = {}, {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
@@ -248,6 +248,9 @@ def _load_config_file(path: str) -> dict:
         key, value = key.strip(), value.strip()
         if key not in _SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in seen:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} repeats line {seen[key]}")
+        seen[key] = lineno
         try:
             out[key] = _parse(key, value)
         except ConfigError as exc:

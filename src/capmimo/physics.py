@@ -40,10 +40,9 @@ def green_block_rows(cols: int) -> int:
 
 
 # resident bytes per node of a Gauss-Legendre rule and one |G|^2 pass over it: the
-# VmHWM rise of a fresh process (numpy 2.4.6), 72-73 for operator_trace and
-# 105-107 for a bounds step's source rule at 5e5-2e6 nodes, plus 1.5 of margin,
-# rounded up to a multiple of 16. A rule of unequal panels also holds its grid's
-# pattern, one copy of its nodes: 8 more, 80 and 107-109.5 at 5e5+1-2e6+1 nodes
+# VmHWM rise of a fresh process (numpy 2.4.6), 71.6-72.4 for operator_trace and
+# 104.6-106.6 for a bounds step's source rule at 5e5-2e6 nodes, of equal panels
+# or not, plus 1.5 of margin, rounded up to a multiple of 16
 RULE_BYTES_PER_NODE = 112
 
 
@@ -242,12 +241,12 @@ def check_rule_size(n: int) -> None:
 class QuadratureGrid:
     """Nodes r_i and weights w_i of an m-point grid on (0, length).
 
-    The nodes are a lattice of ``panels`` equal panels, each holding the
-    same ``pattern`` of k node offsets in panel widths: r_i = (i // k +
-    pattern[i % k]) * length / panels, up to rounding, and the same k
-    weights, w_i = weights[i % k] bitwise. A rule whose panels
-    differ is one panel whose pattern is every node. An antenna grid
-    carries no weight (``weights`` None); ``weight`` is the mean length / m.
+    The nodes are a lattice of ``panels`` equal panels of k = m // panels
+    nodes each, every panel repeating the first one's nodes shifted by a
+    panel width: r_(I k + a) = I * length / panels + r_a, up to rounding,
+    and its k weights, w_i = weights[i % k] bitwise. A rule whose panels
+    differ is one panel of every node. An antenna grid carries no weight
+    (``weights`` None); ``weight`` is the mean length / m.
     """
 
     points: np.ndarray = field(compare=False)
@@ -255,7 +254,6 @@ class QuadratureGrid:
     m: int
     weights: np.ndarray | None = field(compare=False)
     panels: int
-    pattern: np.ndarray = field(compare=False)
 
     @property
     def weight(self) -> float:
@@ -272,8 +270,7 @@ def midpoint_grid(length: float, m: int) -> QuadratureGrid:
     m = as_count("grid size m", m, 1)
     pts = (np.arange(m, dtype=np.float64) + 0.5) * (as_positive("grid length", length) / m)
     pts.setflags(write=False)
-    return QuadratureGrid(points=pts, length=length, m=m, weights=None, panels=m,
-                          pattern=np.broadcast_to(0.5, (1,)))
+    return QuadratureGrid(points=pts, length=length, m=m, weights=None, panels=m)
 
 
 def gauss_legendre_grid(length: float, n: int) -> QuadratureGrid:
@@ -322,12 +319,10 @@ def _gauss_legendre_rule(length: float, n: int) -> QuadratureGrid:
         np.add(offsets[:, None], half * t, out=x[left:end].reshape(count, order))
         w[left:end].reshape(count, order)[...] = half * weights
         left = end
-    panels = 1 if extra else panels
-    pattern = x[:n // panels] * (panels / length)
-    for array in (x, w, pattern):
-        array.setflags(write=False)
-    return QuadratureGrid(points=x, length=length, m=n, weights=w, panels=panels,
-                          pattern=pattern)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return QuadratureGrid(points=x, length=length, m=n, weights=w,
+                          panels=1 if extra else panels)
 
 
 @lru_cache(maxsize=32)

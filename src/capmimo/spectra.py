@@ -20,16 +20,16 @@ diag(B+, B-), two blocks of half the size built from its top rows
 (Cantoni & Butler, Linear Algebra Appl. 13, 1976); only those rows are
 evaluated.
 
-Every grid is a lattice of equal panels that repeat one node pattern:
-the midpoint layout is m one-node panels, a Gauss-Legendre rule its own
-(one of every node where they differ). So r_i - s_k is an integer
-multiple of l / lcm(P_rx, P_tx), for panel counts P, plus the offset of
-a pair of pattern nodes, and a matrix holds few distinct offsets.
-G is evaluated once per distinct (multiple, pattern pair) into a table,
-with the grid weights folded in, and the matrix is a (panel, node,
-panel, node) view of that table (``_lattice``). Where that table would
-be as large as the matrix (panels of unequal size, panel counts whose
-lcm is far above both) every entry is evaluated directly, in row
+Every grid is a lattice of equal panels that repeat the first panel's
+nodes: the midpoint layout is m one-node panels, a Gauss-Legendre rule
+its own (one of every node where they differ). So r_i - s_k is an
+integer multiple of l / lcm(P_rx, P_tx), for panel counts P, plus the
+offset of two first-panel nodes, and a matrix holds few distinct
+offsets. G is evaluated once per distinct (multiple, node pair) into a
+table, with the grid weights folded in, and the matrix is a (panel,
+node, panel, node) view of that table (``_lattice``). Where that table
+would be as large as the matrix (panels of unequal size, panel counts
+whose lcm is far above both) every entry is evaluated directly, in row
 blocks, and the view reads those rows as one-node panels. Either way
 ``assemble_channel_matrix`` copies the matrix out of the view, times
 the phase exp(i k d) common to every entry that ``green_offset`` leaves
@@ -190,15 +190,15 @@ def assemble_channel_matrix(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
     A is the view ``_lattice`` times ``distance_phase``, the factor the
     view leaves out. On two grids of one length l, r_i - s_k is D l /
     lcm(P_rx, P_tx) for an integer lattice difference D, plus the offset
-    of a pair of pattern nodes, and G is evaluated once per (D, pattern
-    pair) into a table. Where that table would hold at least as many
+    of two first-panel nodes, and G is evaluated once per (D, node pair)
+    into a table. Where that table would hold at least as many
     entries as A (unequal panels, an lcm far above both panel counts, or
     grids of different lengths), every entry is evaluated directly instead.
     """
     check_matrix_size(rx_grid.m, tx_grid.m)
     A = _lattice(rx_grid, tx_grid, cfg, rx_grid.m).reshape(rx_grid.m, tx_grid.m)
     # a table view stays a read-only view of aliased entries where the
-    # reshape need not copy (one-node patterns on both sides)
+    # reshape need not copy (one-node panels on both sides)
     return np.multiply(A, distance_phase(cfg), out=A if A.flags.writeable else None)
 
 
@@ -206,28 +206,28 @@ def _lattice(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid, cfg: SystemConfig
              rows: int) -> np.ndarray:
     """A = sqrt(w_r) G sqrt(w_s) as a (panel, node, panel, node) view V[I, a, K, b].
 
-    Node i = I k_rx + a is pattern node a of receive panel I, node k = K
-    k_tx + b node b of transmit panel K, over the panels that hold the
-    first ``rows`` receive nodes. The view reads an offset table and is
-    read-only. Where the table would hold at least as many entries as the
-    rows x m_tx matrix, the view is those rows evaluated directly, read
-    as one-node panels: V[i, 0, k, 0] = A[i, k]. Each side's weights, where
-    its grid has any, are folded in once: every panel repeats its pattern's.
+    Node i = I k_rx + a is node a of receive panel I, node k = K k_tx + b
+    node b of transmit panel K (k = m // panels on each side), over the
+    panels that hold the first ``rows`` receive nodes. The view reads an
+    offset table and is read-only. Where the table would hold at least as
+    many entries as the rows x m_tx matrix, the view is those rows
+    evaluated directly, read as one-node panels: V[i, 0, k, 0] = A[i, k].
+    Each side's weights, where its grid has any, are folded in once:
+    every panel repeats the first's nodes and weights.
     G is ``green_offset``'s, without the common phase ``distance_phase``.
     """
-    k_rx, k_tx = rx_grid.pattern.size, tx_grid.pattern.size
+    k_rx, k_tx = rx_grid.m // rx_grid.panels, tx_grid.m // tx_grid.panels
     lcm = math.lcm(rx_grid.panels, tx_grid.panels)
     step_rx, step_tx = lcm // rx_grid.panels, lcm // tx_grid.panels
     low, high = -(tx_grid.panels - 1) * step_tx, (rows - 1) // k_rx * step_rx
     l = rx_grid.length
     direct = l != tx_grid.length or (high - low + 1) * k_rx * k_tx >= rows * tx_grid.m
-    if direct:  # table[0, i, k] = G(r_i - s_k): one pattern of every node on each side
+    if direct:  # table[0, i, k] = G(r_i - s_k): one panel of every node on each side
         k_rx, k_tx = rows, tx_grid.m
         table = _green_matrix(rx_grid.points[:rows], tx_grid.points, cfg)
-    else:  # table[D - low, a, b] = G(D l / lcm + rx pattern node a - tx pattern node b)
-        pattern_offsets = (tx_grid.pattern * (l / tx_grid.panels))[None, :] \
-            - (rx_grid.pattern * (l / rx_grid.panels))[:, None]
-        table = _green_matrix(np.arange(low, high + 1) * (l / lcm), pattern_offsets.ravel(), cfg)
+    else:  # table[D - low, a, b] = G(D l / lcm + r_a - s_b), a and b nodes of the first panels
+        node_offsets = tx_grid.points[None, :k_tx] - rx_grid.points[:k_rx, None]
+        table = _green_matrix(np.arange(low, high + 1) * (l / lcm), node_offsets.ravel(), cfg)
     table = table.reshape(-1, k_rx, k_tx)
     if tx_grid.weights is not None:
         table *= np.sqrt(tx_grid.weights[:k_tx])

@@ -108,16 +108,23 @@ def test_misspelled_boolean_rejected(tmp_path):
 
 
 def test_config_file_comments_and_malformed_lines(tmp_path, capsys):
-    # blank and comment-only lines are skipped; a line without '=' and a
-    # file that cannot be read are refused in one line: exit 2, nothing on
-    # stdout and no output file
+    # blank and comment-only lines are skipped; a line without '=', a key
+    # set twice (not the last one kept) and a file that cannot be read or
+    # is not UTF-8 are refused in one line: exit 2, nothing on stdout and
+    # no output file
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("# a comment line\n\n   \ndistance = 50\n")
     assert parse_config(["dof", "--config", str(cfg_file)])[1].distance == 50.0
     cfg_file.write_text("# header\ndistance 50\n")
+    repeated = tmp_path / "repeated.cfg"
+    repeated.write_text("wavelength = 0.04\n# again\nwavelength = 0.02\n")
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes("scenario = caf\xe9\n".encode("latin-1"))
     missing = tmp_path / "missing.cfg"
     out = tmp_path / "x.csv"
     for path, message in ((cfg_file, f"{cfg_file}:2: expected 'key = value', got 'distance 50'"),
+                          (repeated, f"{repeated}:3: config key 'wavelength' repeats line 1\n"),
+                          (latin1, f"cannot read config file {latin1}: 'utf-8' codec can't"),
                           (missing, f"cannot read config file {missing}: ")):
         assert main(["sweep-receiver", "--config", str(path), "--out", str(out)]) == 2
         captured = capsys.readouterr()
