@@ -4,10 +4,11 @@ Subcommands: sweep-receiver, sweep-transceiver, sweep-grid, dof, bounds.
 Each setting is one ``RunConfig`` field, named as its config key and, with
 ``-`` for ``_``, as its ``--`` flag; one parser reads both, and only the
 subcommands the field names as its readers accept it. Settings come from
-an optional ``key = value`` config file plus flags (flags win), are all
-checked, every model call resolved and sized by ``models.model_sides``,
-before anything is printed, and the settings read, every default filled
-in, are printed before any computation runs.
+an optional ``key = value`` config file plus flags (flags win), each
+given at most once in either, are all checked, every model call resolved
+and sized by ``models.model_sides``, before anything is printed, and the
+settings read, every default filled in, are printed before any
+computation runs.
 
 Sweep output is an RFC-4180-style CSV with the fixed column set
 
@@ -270,6 +271,15 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+class _Once(argparse.Action):
+    """Store a flag's value (a switch's ``const``); a flag given twice is refused."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise argparse.ArgumentError(self, "given more than once")
+        setattr(namespace, self.dest, self.const if self.nargs == 0 else values)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="capmimo",
@@ -277,15 +287,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, helptext in COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("--config", help="key = value config file")
+        p.add_argument("--config", action=_Once, help="key = value config file")
         for f in _SETTINGS.values():
             # a switch passes "true" through the same parser as its config value
-            switch = {"action": "store_const", "const": "true"} \
-                if f.metadata["parse"] is _parse_bool else {}
+            switch = {"nargs": 0, "const": "true"} if f.metadata["parse"] is _parse_bool else {}
             # a setting this subcommand does not read still parses, to be refused
             # in one line, but --help does not list it
             helptext = f.metadata["help"] if name in f.metadata["read_by"] else argparse.SUPPRESS
-            p.add_argument("--" + f.name.replace("_", "-"), help=helptext, **switch)
+            p.add_argument("--" + f.name.replace("_", "-"), action=_Once, help=helptext,
+                           **switch)
     return parser
 
 

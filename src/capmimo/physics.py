@@ -30,8 +30,10 @@ Z0_OHMS = 120.0 * math.pi
 PANEL_NODES = 16
 
 # propagation coefficients evaluated in one green_offset call by kernel_diagonal
-# and the channel assembly (``green_block_rows``): bounds their temporaries
-GREEN_BLOCK_ENTRIES = 1 << 16
+# and the channel assembly (``green_block_rows``): bounds their temporaries, about
+# 80 B per entry, to 0.66 MB, below a spectral solve's own arrays (a 148 x 256
+# offset table, that of a 1600 x 800 Nystrom matrix, is evaluated 32 rows at a time)
+GREEN_BLOCK_ENTRIES = 1 << 13
 
 
 def green_block_rows(cols: int) -> int:

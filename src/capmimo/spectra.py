@@ -34,9 +34,10 @@ blocks, and the view reads those rows as one-node panels. Either way
 ``assemble_channel_matrix`` copies the matrix out of the view, times
 the phase exp(i k d) common to every entry that ``green_offset`` leaves
 out, and ``centrosymmetric_spectrum``, whose values do not depend on that
-phase, forms its two blocks from the view and its
-column mirror a piece at a time: BLOCK_CHUNK rows for the sketch, half
-as many columns for the check of its residual.
+phase, forms its two blocks from the view and its column mirror a piece
+at a time, each piece no larger than the block's sketch: at most
+BLOCK_CHUNK rows for the sketch, half as many columns for the check of
+its residual, which is subtracted in the piece itself.
 
 The spectrum of a propagation matrix collapses past the spatial degrees
 of freedom, so each block is first sketched by a randomized range finder
@@ -96,24 +97,23 @@ from .physics import (
 # process (VmHWM, numpy 2.4 with OpenBLAS 0.3.31) the resident peak of 1201 x
 # 1200 antennas and a 1600 x 1000 Nystrom matrix rises by at most 35.1 per
 # entry with the full SVD (every block sent to it at d = 10 m, or d = 0.03 m)
-# and 23.6 with the sketch (d = 0.1 m, where it is widest). tracemalloc, blind
-# to that working copy, reads 24.2 and 22.0 there. From an offset table the top
-# half is never held whole, and 1200-1600-row matrices peak at 2.7-8.2
+# and 23.9 with the sketch (d = 0.1 m, where it is widest). tracemalloc, blind
+# to that working copy, reads 24.2 and 21.5 there. From an offset table the top
+# half is never held whole, and 1200-1600-row matrices peak at 1.6-6.6
 # (tracemalloc)
 BYTES_PER_ENTRY = 37
 
 # bytes per entry of one green_offset row block of min(rows, green_block_rows(cols))
 # whole rows (``matrix_bytes``): its offsets, temporaries and result (tracemalloc
-# peak 66 per entry on blocks of 65536 entries, at most 82 on blocks of
-# 1000-65536, where numpy's cast buffer of 8192 entries is not small beside the
-# block). The block does not shrink with the matrix, so on small matrices it
-# outweighs BYTES_PER_ENTRY
+# peak 80.2 per entry on blocks of 8192 entries, at most 81.7 on blocks of
+# 1000-8192, numpy 2.4.6). The block does not shrink with the matrix, so on
+# small matrices it outweighs BYTES_PER_ENTRY
 BLOCK_BYTES_PER_ENTRY = 82
 
 # relative Frobenius residual below which a block's sketch stands in for
-# its full SVD; columns added to the a-priori mode count; rows of a block
-# formed at once by the sketch (the check of its residual forms half as
-# many columns at once)
+# its full SVD; columns added to the a-priori mode count; the most rows of a
+# block formed at once by the sketch (the check of its residual forms at most
+# half as many columns at once), fewer where that piece would outgrow the sketch
 SKETCH_TOL = 1e-12
 SKETCH_OVERSAMPLING = 16
 BLOCK_CHUNK = 128
@@ -129,8 +129,10 @@ _THREAD_SYMBOLS = (
     ("openblas_set_num_threads", "openblas_get_num_threads"),
 )
 
-# LAPACK's zgeqrf and zungqr of 64-bit integers, as numpy 2 and numpy 1 wheels name them
-_QR_SYMBOLS = (("scipy_zgeqrf_64_", "scipy_zungqr_64_"), ("zgeqrf_64_", "zungqr_64_"))
+# LAPACK's zgeqrf and zungqr and the BLAS's zgemm, of 64-bit integers, as numpy 2
+# and numpy 1 wheels name them
+_SKETCH_SYMBOLS = (("scipy_zgeqrf_64_", "scipy_zungqr_64_", "scipy_zgemm_64_"),
+                   ("zgeqrf_64_", "zungqr_64_", "zgemm_64_"))
 
 # ``hermitian_eigenvalues`` clamps eigenvalues in [-CLAMP_REL * lambda_max, 0) to zero
 CLAMP_REL = 1e-12
@@ -144,7 +146,8 @@ def matrix_bytes(rows: int, cols: int) -> int:
     """The memory guard's estimate for a rows x cols matrix: its entries plus one row block.
 
     The row block is ``_green_matrix``'s, ``green_block_rows(cols)`` whole
-    rows: one whole row for a matrix wider than GREEN_BLOCK_ENTRIES.
+    rows of at most GREEN_BLOCK_ENTRIES (8192) entries together, or one
+    whole row for a matrix wider than that, at BLOCK_BYTES_PER_ENTRY each.
     """
     block_rows = min(rows, green_block_rows(cols))
     return BYTES_PER_ENTRY * rows * cols + BLOCK_BYTES_PER_ENTRY * block_rows * cols
@@ -255,7 +258,8 @@ class _SplitBlock:
     B[i, k] = op(H[i, k], H[i, q - 1 - k]) from the lattice view of H and
     its column mirror; B+ keeps the middle column q // 2 as sqrt(2) c and
     divides the middle row p // 2 by sqrt(2). Indexing B with row and
-    column ranges copies only that part out of the view.
+    column ranges copies only that part out of the view, into a fresh
+    array the caller owns.
     """
 
     def __init__(self, lattice: np.ndarray, op, shape: tuple[int, int], p: int, q: int):
@@ -369,15 +373,20 @@ def _thread_control():
 
 
 @cache
-def _lapack_qr():
-    """The first pair of ``_QR_SYMBOLS`` the BLAS numpy links exports, as functions, or None."""
-    lapack = _blas_functions(*_QR_SYMBOLS)
-    if lapack is not None:
-        geqrf, ungqr = lapack
+def _sketch_routines():
+    """The first triple of ``_SKETCH_SYMBOLS`` the BLAS numpy links exports, as functions,
+    or None. zgemm takes its matrices and scalars as addresses and, after its
+    arguments, the lengths of its two character arguments."""
+    routines = _blas_functions(*_SKETCH_SYMBOLS)
+    if routines is not None:
+        geqrf, ungqr, gemm = routines
         n, a = ctypes.POINTER(ctypes.c_int64), np.ctypeslib.ndpointer(np.complex128, flags="F,W")
         geqrf.argtypes, geqrf.restype = [n, n, a, n, a, a, n, n], None
         ungqr.argtypes, ungqr.restype = [n, n, n, a, n, a, a, n, n], None
-    return lapack
+        op, ptr, length = ctypes.c_char_p, ctypes.c_void_p, ctypes.c_size_t
+        gemm.argtypes = [op, op, n, n, n, ptr, ptr, n, ptr, n, ptr, ptr, n, length, length]
+        gemm.restype = None
+    return routines
 
 
 def blas_threads() -> int | None:
@@ -402,10 +411,10 @@ def blas_thread_timeout() -> int | None:
 def blas_settings() -> dict:
     """``blas_threads``, ``blas_thread_timeout``, SERIAL_WORK as ``serial_work`` and, as
     ``sketch_qr``, the name of the zgeqrf that forms each sketch's basis (None: numpy's QR)."""
-    lapack = _lapack_qr()
+    routines = _sketch_routines()
     return {"blas_threads": blas_threads(), "serial_work": SERIAL_WORK,
             "blas_thread_timeout": blas_thread_timeout(),
-            "sketch_qr": None if lapack is None else lapack[0].__name__}
+            "sketch_qr": None if routines is None else routines[0].__name__}
 
 
 class _SerialSolves:
@@ -529,26 +538,29 @@ def _block_spectrum(B, width: int) -> tuple[np.ndarray, float]:
 def _sketch_spectrum(B, width: int) -> tuple[np.ndarray, float] | None:
     """B's squared singular values and ||B||_F^2 from a sketch of ``width`` columns, or None.
 
-    B is read a piece at a time. One pass over its rows, BLOCK_CHUNK at a
-    time, forms a Fortran-ordered Y = B Omega and ||B||_F^2, Omega the n x
-    width matrix ``_phases`` draws for this sketch. ``_conjugate_basis``
-    writes conj(Q) over Y, Q an orthonormal basis of Y's range: Q^H is its
-    transpose. One pass over B's columns, BLOCK_CHUNK // 2 at a time,
-    forms C = Q^H B and the residual R = B - Q C, with Q C = conj(conj(Q)
-    conj(C)) written into one buffer and conjugated in place. When
+    B is read a piece at a time, each piece no larger than the sketch's
+    own (m + n) width entries, and at most BLOCK_CHUNK rows or BLOCK_CHUNK
+    // 2 columns. One pass over its rows forms a Fortran-ordered Y = B
+    Omega and ||B||_F^2, Omega the n x width matrix ``_phases`` draws for
+    this sketch. ``_conjugate_basis`` writes conj(Q) over Y, Q an
+    orthonormal basis of Y's range: Q^H is its transpose. One pass over
+    B's columns forms C = Q^H B and subtracts Q C from each piece in
+    place (``_subtract_projection``), leaving the residual R = B - Q C; a
+    piece of an ndarray B is copied first, so B is never written. When
     ||R||_F^2 <= tau^2 ||B||_F^2 (tau = SKETCH_TOL) C's squared singular
     values are returned, padded with zeros to min(B.shape); otherwise, or
     when the residual is nan, None, and the sketch's factors are freed
     before B is sketched wider or formed whole.
 
-    Arrays held, by phase. The row pass: Y, Omega and one BLOCK_CHUNK x n
-    chunk of rows, each freed before the next is formed; Omega is freed
-    before the basis step. The basis step: Y, LAPACK's tau (width entries)
-    and its workspace (64 width entries); where numpy's QR forms the basis
-    instead, its copy of Y and the Q it returns. The column pass:
-    conj(Q), C (width x n), one m x BLOCK_CHUNK // 2 piece of columns and
-    the buffer its residual is written into, each piece freed before the
-    next is formed. None of these during C's SVD.
+    Arrays held, by phase. The row pass: Y, Omega and one piece of rows,
+    each piece freed before the next is formed; Omega is freed before the
+    basis step. The basis step: Y, LAPACK's tau (width entries) and its
+    workspace (64 width entries). The column pass: conj(Q), C (width x n)
+    and one piece of columns the solve owns, each freed before the next
+    is formed, and no residual buffer. Where the BLAS numpy links exports
+    none of ``_SKETCH_SYMBOLS``, numpy's QR forms the basis in a copy of Y
+    of its own, and each residual is formed from Q C in one buffer the
+    size of a piece of columns. None of these during C's SVD.
 
     The residual certifies the result: sigma_i(C) <= sigma_i(B) and
     sum_i (sigma_i(B)^2 - sigma_i(C)^2) = ||R||_F^2, so each returned
@@ -556,29 +568,35 @@ def _sketch_spectrum(B, width: int) -> tuple[np.ndarray, float] | None:
     log(1 + s lambda) at most s tau^2 ||B||_F^2 below the exact sum.
     """
     m, n = B.shape
+    entries = (m + n) * width
+    chunk, piece = min(BLOCK_CHUNK, entries // n), min(BLOCK_CHUNK // 2, entries // m)
     omega = _phases(n, width)
     Y = np.empty((m, width), dtype=np.complex128, order="F")
     norm = 0.0
-    for i in range(0, m, BLOCK_CHUNK):
-        rows = B[i:i + BLOCK_CHUNK]
-        np.matmul(rows, omega, out=Y[i:i + BLOCK_CHUNK])
+    for i in range(0, m, chunk):
+        rows = B[i:i + chunk]
+        np.matmul(rows, omega, out=Y[i:i + chunk])
         norm += _squared_norm(rows)
         del rows
     del omega
     Q_bar = _conjugate_basis(Y)
     del Y
     C = np.empty((width, n), dtype=np.complex128)
-    piece = BLOCK_CHUNK // 2
-    buffer = np.empty(m * min(n, piece), dtype=np.complex128)
+    routines = _sketch_routines()
+    buffer = None if routines else np.empty(m * min(n, piece), dtype=np.complex128)
     residual = 0.0
     for j in range(0, n, piece):
         cols = B[:, j:j + piece]
         C_j = C[:, j:j + piece]
         np.matmul(Q_bar.T, cols, out=C_j)
-        R = np.matmul(Q_bar, C_j.conj(), out=buffer[:cols.size].reshape(cols.shape))
-        np.conjugate(R, out=R)
-        np.subtract(cols, R, out=R)
-        residual += float(np.vdot(R, R).real)
+        if routines:
+            R = cols if isinstance(B, _SplitBlock) else np.array(cols, np.complex128, order="C")
+            _subtract_projection(routines[2], R, Q_bar, C_j)
+        else:  # Q C = conj(conj(Q) conj(C)), formed in the buffer
+            R = np.matmul(Q_bar, C_j.conj(), out=buffer[:cols.size].reshape(cols.shape))
+            np.conjugate(R, out=R)
+            np.subtract(cols, R, out=R)
+        residual += _squared_norm(R)
         del cols, R
     del Q_bar, buffer
     if not residual <= SKETCH_TOL**2 * norm:
@@ -588,25 +606,45 @@ def _sketch_spectrum(B, width: int) -> tuple[np.ndarray, float] | None:
     return values, norm
 
 
+def _subtract_projection(gemm, R: np.ndarray, Q_bar: np.ndarray, C_j: np.ndarray) -> None:
+    """R -= Q C_j in R's own storage by one zgemm, Q = conj(Q_bar).
+
+    R (m x w, rows of unit stride) and C_j (width x w, a column range of
+    the C-ordered C) are read column-major as their transposes, so zgemm
+    forms R^T = R^T - C_j^T Q_bar^H, with Q_bar Fortran-ordered.
+    """
+    (m, w), k = R.shape, C_j.shape[0]
+    if (Q_bar.shape != (m, k) or C_j.shape[1] != w or not Q_bar.flags.f_contiguous
+            or R.strides[1] != R.itemsize or C_j.strides[1] != C_j.itemsize
+            or not R.dtype == C_j.dtype == Q_bar.dtype == np.complex128):
+        raise ValueError("zgemm reads complex128 factors, Q_bar Fortran-ordered and R and C_j "
+                         "with rows of unit stride, of matching shapes")
+    size, alpha, beta = ctypes.c_int64, np.array(-1.0 + 0j), np.array(1.0 + 0j)
+    gemm(b"N", b"C", size(w), size(m), size(k), alpha.ctypes.data, C_j.ctypes.data,
+         size(C_j.strides[0] // C_j.itemsize), Q_bar.ctypes.data, size(m),
+         beta.ctypes.data, R.ctypes.data, size(R.strides[0] // R.itemsize), 1, 1)
+
+
 def _conjugate_basis(Y: np.ndarray) -> np.ndarray:
     """conj(Q) for the thin QR factorization Y = Q R of a Fortran-ordered Y, written over Y.
 
-    LAPACK's zgeqrf and zungqr (``_lapack_qr``) run in Y's own storage, in
-    LAPACK's own column blocks, with tau and a workspace of 64 entries per
-    column, above LAPACK's block size. Where the BLAS numpy links exports
-    neither, numpy's reduced QR forms Q in a copy of its own.
+    LAPACK's zgeqrf and zungqr (``_sketch_routines``) run in Y's own storage,
+    in LAPACK's own column blocks, with tau and a workspace of 64 entries
+    per column, above LAPACK's block size. Where the BLAS numpy links
+    exports none of ``_SKETCH_SYMBOLS``, numpy's reduced QR forms Q in a
+    copy of its own.
     """
     if not Y.flags.f_contiguous:
         raise ValueError("a sketch's basis is formed only from a Fortran-ordered Y")
-    lapack = _lapack_qr()
-    if lapack is None:
+    routines = _sketch_routines()
+    if routines is None:
         return np.conjugate(np.linalg.qr(Y)[0], out=Y)
     m, k = (ctypes.c_int64(size) for size in Y.shape)
     tau, work = np.empty(k.value, dtype=np.complex128), np.empty(64 * k.value, dtype=np.complex128)
     lwork, info = ctypes.c_int64(work.size), ctypes.c_int64()
-    lapack[0](m, k, Y, m, tau, work, lwork, info)
+    routines[0](m, k, Y, m, tau, work, lwork, info)
     if not info.value:
-        lapack[1](m, k, k, Y, m, tau, work, lwork, info)
+        routines[1](m, k, k, Y, m, tau, work, lwork, info)
     if info.value:
         raise np.linalg.LinAlgError(f"LAPACK's QR of a sketch failed: info {info.value}")
     return np.conjugate(Y, out=Y)

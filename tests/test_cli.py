@@ -669,6 +669,30 @@ def test_argument_mistakes_fail_in_one_line(argv, message, tmp_path, monkeypatch
     assert exc.value.code == 0
 
 
+def test_setting_given_twice_on_the_command_line_is_refused(tmp_path, monkeypatch, capsys):
+    # a flag given twice is refused, as a config key set twice is, not kept
+    # at its last value; so is a second --config, which would have replaced
+    # the first file, and a switch given twice: exit 2, one stderr line,
+    # nothing on stdout and no output file
+    monkeypatch.chdir(tmp_path)
+    for name in ("a.cfg", "b.cfg"):
+        (tmp_path / name).write_text("distance = 100\nref_m = 64\n")
+    for argv, flag in (
+            (["dof", "--wavelength", "0.04", "--wavelength", "0.02", "--ref-m", "64",
+              "--distance", "100"], "--wavelength"),
+            (["dof", "--config", "a.cfg", "--config", "b.cfg"], "--config"),
+            (["sweep-receiver", "--keep-going", "--distances", "10", "--m-list", "5",
+              "--ref-m", "64", "--keep-going", "--out", "x.csv"], "--keep-going")):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: argument {flag}: given more than once\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.cfg", "b.cfg"]
+    # each once still runs
+    assert main(["dof", "--config", "a.cfg", "--wavelength", "0.02"]) == 0
+    assert "wavelength = 0.02\n" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv, message", [
     (["dof", "--ref-m", "2"], "ref_m must be >= 64"),
     (["sweep-receiver", "--distances", "10", "--m-list", "0,5"], "m_list: antenna counts"),
@@ -678,7 +702,7 @@ def test_argument_mistakes_fail_in_one_line(argv, message, tmp_path, monkeypatch
     (["bounds", "--m-list", "10,0"], "m_list: antenna counts"),
     (["sweep-receiver", "--distances", "10,-1", "--m-list", "4"],
      "distance_m must be positive, got -1.0"),
-    # an --out in argv comes after the test's own and wins
+    # an --out in argv takes the place of the test's own (a flag is given once)
     (["sweep-receiver", "--distances", "10", "--m-list", "5", "--ref-m", "64", "--out", "."],
      "out: '.' is a directory"),
 ])
@@ -693,7 +717,8 @@ def test_invalid_counts_fail_before_any_solve(argv, message, tmp_path, capsys, m
     monkeypatch.setattr(models, "centrosymmetric_spectrum", no_solve)
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "x.csv"
-    assert main([argv[0], "--out", str(out), *argv[1:]]) == 2
+    own = [] if "--out" in argv else ["--out", str(out)]
+    assert main([argv[0], *own, *argv[1:]]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert message in captured.err
@@ -734,7 +759,7 @@ def test_sweep_meta_records_reference_health_and_environment(tmp_path, monkeypat
     assert env["blas_thread_timeout"] == spectra.blas_thread_timeout()
     assert env["blas_thread_timeout"] is None or env["blas_thread_timeout"] >= 0
     # the LAPACK QR that formed each sketch's basis, or null for numpy's
-    lapack = spectra._lapack_qr()
+    lapack = spectra._sketch_routines()
     assert env["sketch_qr"] == (None if lapack is None else lapack[0].__name__)
     # a numpy whose show_config takes no mode has no BLAS dict to record
     monkeypatch.setattr(np, "show_config", lambda: None)

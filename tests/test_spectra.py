@@ -314,7 +314,8 @@ def _large_case(layout: str, d: float):
         return cfg, midpoint_grid(l, 1200), midpoint_grid(l, 800)
     if layout == "trx1201x1200":
         return cfg, midpoint_grid(l, 1201), midpoint_grid(l, 1200)
-    if layout in ("trx1125x1000", "trx1000x1125"):  # receive x transmit: a middle row or column
+    # receive x transmit: a middle row or column, or a narrow sketch beside long blocks
+    if layout in ("trx1125x1000", "trx1000x1125", "trx400x1200", "trx1200x400"):
         m_rx, m_tx = map(int, layout[3:].split("x"))
         return cfg, midpoint_grid(l, m_rx), midpoint_grid(l, m_tx)
     if layout == "nystrom1600x1000":
@@ -624,11 +625,12 @@ def test_sketch_basis_is_orthonormal_and_spans_the_sketch(layout, d, sketch_base
 
 @pytest.mark.parametrize("layout, d", [("nystrom1600x800", 0.1), ("trx1200x1200", 10.0)])
 def test_numpy_qr_basis_where_lapack_is_missing(layout, d, sketch_bases, monkeypatch):
-    # where the BLAS numpy links exports no 64-bit zgeqrf and zungqr, numpy's
-    # reduced QR forms each basis: the spectrum matches LAPACK's to roundoff
+    # where the BLAS numpy links exports no 64-bit zgeqrf, zungqr and zgemm,
+    # numpy's reduced QR forms each basis and each residual is formed in a
+    # buffer: the spectrum matches LAPACK's to roundoff
     cfg, rx, tx = _large_case(layout, d)
     values, norm = centrosymmetric_spectrum(rx, tx, cfg)
-    monkeypatch.setattr(spectra, "_lapack_qr", lambda: None)
+    monkeypatch.setattr(spectra, "_sketch_routines", lambda: None)
     fallback, fallback_norm = centrosymmetric_spectrum(rx, tx, cfg)
     assert np.max(np.abs(fallback - values)) <= 1e-13 * values[0]
     assert fallback_norm == norm
@@ -670,15 +672,53 @@ def test_sketch_basis_refuses_a_c_ordered_sketch():
         spectra._conjugate_basis(np.ones((4, 2), dtype=np.complex128))
 
 
-def test_nan_entry_certifies_no_sketch():
+def _low_rank_block(seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return ((rng.normal(size=(300, 5)) + 1j * rng.normal(size=(300, 5)))
+            @ (rng.normal(size=(5, 200)) + 1j * rng.normal(size=(5, 200))))
+
+
+def test_nan_entry_certifies_no_sketch(monkeypatch):
     # a nan entry makes the residual nan, and a nan residual must fail the
-    # certificate (nan > tol is False) rather than reach the SVD of the sketch
-    rng = np.random.default_rng(6)
-    B = ((rng.normal(size=(300, 5)) + 1j * rng.normal(size=(300, 5)))
-         @ (rng.normal(size=(5, 200)) + 1j * rng.normal(size=(5, 200))))
+    # certificate (nan > tol is False) rather than reach the SVD of the
+    # sketch: with the residual subtracted in place by zgemm and, where the
+    # BLAS exports none, formed in a buffer
+    for routines in (spectra._sketch_routines(), None):
+        monkeypatch.setattr(spectra, "_sketch_routines", lambda: routines)
+        B = _low_rank_block(6)
+        assert spectra._sketch_spectrum(B, 16) is not None
+        B[7, 11] = np.nan
+        assert spectra._sketch_spectrum(B, 16) is None
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_sketch_never_writes_an_ndarray_block(order):
+    # the residual is subtracted in place in each column piece, so a piece of
+    # a caller's ndarray is copied first: B stays bitwise what it was, in
+    # C order and in Fortran order (whose pieces are not row-contiguous)
+    B = np.asarray(_low_rank_block(7), order=order)
+    before = B.copy()
     assert spectra._sketch_spectrum(B, 16) is not None
-    B[7, 11] = np.nan
-    assert spectra._sketch_spectrum(B, 16) is None
+    assert B.tobytes() == before.tobytes()
+
+
+@pytest.mark.skipif(spectra._sketch_routines() is None,
+                    reason="the BLAS numpy links exports no 64-bit zgeqrf, zungqr and zgemm")
+@pytest.mark.parametrize("layout, d", [("nystrom1600x800", 0.1), ("trx400x1200", 10.0)])
+def test_buffered_residual_where_blas_is_missing(layout, d, monkeypatch):
+    # a sketch of each split block, its residual subtracted in place by zgemm,
+    # against the same sketch with numpy's QR and the residual formed in a
+    # buffer: the same ||B||_F^2, both certified, values within 1e-13 of the
+    # largest
+    cfg, rx, tx = _large_case(layout, d)
+    lattice = spectra._lattice(rx, tx, cfg, -(-rx.m // 2))
+    plus = spectra._SplitBlock(lattice, np.add, (-(-rx.m // 2), tx.m - tx.m // 2), rx.m, tx.m)
+    width = math.ceil(spectra._mode_count(cfg) / 2) + spectra.SKETCH_OVERSAMPLING
+    values, norm = spectra._sketch_spectrum(plus, width)
+    monkeypatch.setattr(spectra, "_sketch_routines", lambda: None)
+    fallback, fallback_norm = spectra._sketch_spectrum(plus, width)
+    assert fallback_norm == norm
+    assert np.max(np.abs(fallback - values)) <= 1e-13 * values.max()
 
 
 def _fresh_python(code: str, *args: str) -> str:
@@ -724,8 +764,8 @@ print((high_water() - before) / Y.nbytes)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-@pytest.mark.skipif(spectra._lapack_qr() is None,
-                    reason="the BLAS numpy links exports no 64-bit zgeqrf and zungqr")
+@pytest.mark.skipif(spectra._sketch_routines() is None,
+                    reason="the BLAS numpy links exports no 64-bit zgeqrf, zungqr and zgemm")
 def test_basis_step_resident_memory():
     # tracemalloc does not see the working copies numpy.linalg makes inside
     # its gufuncs, so the basis step of a sketch is measured by the rise of
@@ -831,15 +871,27 @@ def test_spectrum_peak_memory_within_guard(layout):
             assert peak <= 28.5 * top * tx.m, d
 
 
-@pytest.mark.parametrize("layout", ["trx1200x1200", "nystrom1600x800"])
+# bytes per evaluated top-half entry a spectrum from an offset table may peak at, by distance
+OFFSET_TABLE_PEAKS = {"trx1200x1200": ((10.0, 4), (0.1, 7)),
+                      "nystrom1600x800": ((10.0, 4), (0.1, 7)),
+                      "trx400x1200": ((10.0, 5),), "trx1200x400": ((10.0, 4),)}
+
+
+@pytest.mark.parametrize("layout", OFFSET_TABLE_PEAKS)
 def test_blocks_from_the_offset_table_never_hold_the_top_half(layout):
     # where the rows have an offset table the split blocks are formed from
-    # it a piece at a time, so at d = 10 m the spectrum peaks at 6 B per
+    # it a piece at a time, so at d = 10 m the spectrum peaks at 4 B per
     # evaluated top-half entry or less, well under the 16 B that holding
     # the complex top half alone would take; at d = 0.1 m, where the
-    # sketch is widest, at 9 B. Each sketch frees its sketch matrix before
-    # its basis step, and each row chunk and residual piece before the next
-    for d, bound in ((10.0, 6), (0.1, 9)):
+    # sketch is widest, at 7 B. Each sketch frees its sketch matrix before
+    # its basis step and each row chunk and column piece before the next,
+    # no piece holds more entries than the sketch, the residual is
+    # subtracted in the piece itself, and the table is evaluated in blocks
+    # of GREEN_BLOCK_ENTRIES (1600 x 800 Nystrom: 3.2 and 6.6 B). A 26-column
+    # sketch is narrow beside the 600 columns of a 400 x 1200 antenna block
+    # (3.4 B; rows 128 at a time read 7.2) and the 600 rows of a 1200 x 400
+    # one (3.5 B; columns 64 at a time read 4.7)
+    for d, bound in OFFSET_TABLE_PEAKS[layout]:
         cfg, rx, tx = _large_case(layout, d)
         peak = _spectrum_peak(cfg, rx, tx)
         assert peak <= bound * -(-rx.m // 2) * tx.m, d
