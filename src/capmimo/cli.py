@@ -17,10 +17,11 @@ Sweep output is an RFC-4180-style CSV with the fixed column set
 plus a JSON sidecar (same basename, .meta suffix) holding the resolved
 config, tool version, environment (numpy, BLAS, CPU count, thread
 settings), measured timings, the two geometry caches' hits and misses
-over the process, slope fits and, per distance, the reference's node
-counts and effective rank. The CSV itself is byte-identical across reruns
-of the same resolved config on one platform, so its per-cell wall times
-are 0.0 placeholders; the real ones go to the sidecar.
+over the process, slope fits and, per distance, the node counts and
+effective rank of the reference that ``experiments``' one sweep loop
+solved there. The CSV itself is byte-identical across reruns of the same
+resolved config on one platform, so its per-cell wall times are 0.0
+placeholders; the real ones go to the sidecar.
 """
 
 from __future__ import annotations
@@ -43,20 +44,14 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .experiments import (
-    SweepRow,
-    fit_convergence_slope,
-    sweep_grid,
-    sweep_receiver,
-    sweep_transceiver,
-)
+from .experiments import SweepRow, _sweep, fit_convergence_slope
 from .models import (
     MODEL_CONTINUOUS,
     MODEL_DISCRETE_RX,
     MODEL_DISCRETE_TRX,
+    MiResult,
     cache_counts,
     dof_estimate,
-    mi_continuous,
     model_sides,
     noise_rx,
 )
@@ -186,6 +181,16 @@ class RunConfig:
                             distance_m=self.distance, power_density=self.power,
                             noise_density=self.noise)
 
+    def sweep_plan(self, command: str) -> tuple[tuple[float, ...], list[tuple[int | None, int]]]:
+        """The distances and (m1, m2) cells ``command`` runs, m1 None where the transmitter
+        stays continuous: dof and bounds run no cell, at ``distance``."""
+        if command == "sweep-grid":
+            return (self.distance,), [(m1, m2) for m1 in self.m1_list for m2 in self.m2_list]
+        if command not in ("sweep-receiver", "sweep-transceiver"):
+            return (self.distance,), []
+        return self.distances, [(None if command == "sweep-receiver" else m, m)
+                                for m in self.m_list]
+
     def resolved_dict(self, command: str) -> dict:
         """The settings ``command`` reads, with every default filled in.
 
@@ -199,17 +204,16 @@ class RunConfig:
         d = {name: getattr(self, name) for name, f in _SETTINGS.items()
              if command in f.metadata["read_by"]}
         base = self.system_config()
-        cfgs = [dataclasses.replace(base, distance_m=x)
-                for x in d.get("distances", (self.distance,))]
+        distances, cells = self.sweep_plan(command)
+        cfgs = [dataclasses.replace(base, distance_m=x) for x in distances]
         if "ref_m" in d:  # a command that reads ref_m solves the reference at each distance
             d["ref_m"] = max(model_sides(cfg, MODEL_CONTINUOUS, ref_m=self.ref_m)[0][0]
                              for cfg in cfgs)
-        model = {"sweep-receiver": MODEL_DISCRETE_RX, "sweep-transceiver": MODEL_DISCRETE_TRX,
-                 "sweep-grid": MODEL_DISCRETE_TRX}.get(command)
-        lists = (self.m1_list, self.m2_list) if "m1_list" in d else (self.m_list,) * 2
-        if model is not None:  # a sweep's largest matrix is that of its largest counts
+        if cells:  # a sweep's largest matrix is its largest cell's, largest in both counts
+            m1, m2 = max(cells)
             for cfg in cfgs:
-                model_sides(cfg, model, *map(max, lists), inner_points=self.inner_points)
+                model_sides(cfg, MODEL_DISCRETE_RX if m1 is None else MODEL_DISCRETE_TRX,
+                            m1, m2, inner_points=self.inner_points)
         if "inner_points" in d:
             d["inner_points"] = max(resolve_inner_points(cfg, self.inner_points) for cfg in cfgs)
         if command == "bounds":  # its largest m with the source rule, then the trace rule
@@ -380,15 +384,15 @@ def _write_outputs(command: str, rc: RunConfig, columns: tuple[str, ...],
     return True
 
 
-def _finish_sweep(rows: list[SweepRow], command: str, rc: RunConfig,
-                  started: float, **extra) -> int:
+def _finish_sweep(rows: list[SweepRow], references: dict[float, MiResult], command: str,
+                  rc: RunConfig, started: float, **extra) -> int:
     """Print each distance's reference; write the CSV and a sidecar holding, per distance,
-    the slope fit and the reference's node counts and effective rank (``dof_estimate``'s
-    counts at 1e-3 and 1e-12 of the largest eigenvalue, on the spectrum the sweep cached),
-    and the geometry caches' ``cache_counts`` once those counts are taken."""
+    the slope fit and the node counts and effective rank (``MiResult.eigen_count`` at 1e-3
+    and 1e-12 of the largest eigenvalue) of the reference the sweep solved there, and the
+    geometry caches' ``cache_counts``."""
     errors = [r for r in rows if r.error is not None]
-    fits, references = {}, {}
-    for d in sorted({r.d_m for r in rows}):
+    fits, refs = {}, {}
+    for d, ref in sorted(references.items()):
         try:
             fit = fit_convergence_slope([r for r in rows if r.d_m == d])
         except ValueError:  # under three usable rows at this distance: no fit
@@ -396,13 +400,11 @@ def _finish_sweep(rows: list[SweepRow], command: str, rc: RunConfig,
         else:
             fits[repr(d)] = {"slope": fit.slope, "intercept": fit.intercept,
                              "r_squared": fit.r_squared, "m_range": list(fit.m_range)}
-        cfg = dataclasses.replace(rc.system_config(), distance_m=d)
-        ref = mi_continuous(cfg, rc.ref_m)
-        counts = {key: dof_estimate(cfg, rc.ref_m, rel).eigen_count
-                  for key, rel in (("eigen_count_1e-3", 1e-3), ("eigen_count_1e-12", 1e-12))}
-        references[repr(d)] = {"ref_m": ref.ref_m, "source_nodes": ref.inner_points, **counts}
+        refs[repr(d)] = {"ref_m": ref.ref_m, "source_nodes": ref.inner_points,
+                         "eigen_count_1e-3": ref.eigen_count(1e-3),
+                         "eigen_count_1e-12": ref.eigen_count(1e-12)}
         print(f"d={d:g}: reference {ref.value_nats:.6f} nats")
-    meta = {"rows": len(rows), "slope_fits": fits, "references": references,
+    meta = {"rows": len(rows), "slope_fits": fits, "references": refs,
             "errors": [{"d_m": r.d_m, "m1": r.m1, "m2": r.m2, "error": r.error}
                        for r in errors],
             "timings": {"total_s": time.perf_counter() - started,
@@ -423,9 +425,8 @@ def _run_dof(command: str, rc: RunConfig) -> int:
     print(f"analytic_dof = {est.analytic}")
     if rc.out is None:
         return 0
-    ref_m = model_sides(cfg, MODEL_CONTINUOUS, ref_m=rc.ref_m)[0][0]
-    records = [[rc.scenario, rc.distance, ref_m, est.threshold_rel, est.eigen_count,
-                est.analytic]]
+    records = [[rc.scenario, rc.distance, rc.resolved_dict(command)["ref_m"],
+                est.threshold_rel, est.eigen_count, est.analytic]]
     meta = {"eigen_count": est.eigen_count, "analytic_dof": est.analytic}
     return 0 if _write_outputs(command, rc, DOF_COLUMNS, records, meta) else 1
 
@@ -457,27 +458,19 @@ def run(command: str, rc: RunConfig) -> int:
     print(f"# capmimo {__version__} :: {command}")
     for key, value in sorted(rc.resolved_dict(command).items()):
         print(f"{key} = {value}")
-    started = time.perf_counter()
-    cfg = rc.system_config()
-    if command == "sweep-receiver":
-        rows = sweep_receiver(cfg, rc.distances, rc.m_list, rc.ref_m,
-                              rc.inner_points, scenario=rc.scenario)
-        return _finish_sweep(rows, command, rc, started)
-    if command == "sweep-transceiver":
-        rows = sweep_transceiver(cfg, rc.distances, rc.m_list, rc.ref_m,
-                                 scenario=rc.scenario)
-        return _finish_sweep(rows, command, rc, started)
-    if command == "sweep-grid":
-        grid = sweep_grid(cfg, rc.distance, rc.m1_list, rc.m2_list, rc.ref_m,
-                          scenario=rc.scenario)
-        print(f"symmetry_gap = {grid.symmetry_gap!r}")
-        return _finish_sweep(list(grid.rows), command, rc, started,
-                             symmetry_gap=grid.symmetry_gap)
     if command == "dof":
         return _run_dof(command, rc)
     if command == "bounds":
         return _run_bounds(command, rc)
-    raise ConfigError(f"unknown command {command!r}")
+    if command not in COMMANDS:
+        raise ConfigError(f"unknown command {command!r}")
+    started = time.perf_counter()
+    rows, references, symmetry_gap = _sweep(rc.scenario, rc.system_config(),
+                                            *rc.sweep_plan(command), rc.ref_m, rc.inner_points)
+    if command != "sweep-grid":
+        return _finish_sweep(rows, references, command, rc, started)
+    print(f"symmetry_gap = {symmetry_gap!r}")
+    return _finish_sweep(rows, references, command, rc, started, symmetry_gap=symmetry_gap)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -2,17 +2,18 @@
 
 Each sweep tabulates a discrete model against the continuous reference
 at the same distance, one row per (distance, (m1, m2)) cell, through the
-one loop ``_sweep``: before the first reference solve it checks every
-antenna count and distance and sizes every reference and cell against
-physical memory by ``models.model_sides``, the rule each model call
-solves by, so an infeasible sweep raises instead of solving. Cells
-run one after another in the calling thread, so every cell at one
-geometry reuses the cached reference trace and spectrum, and a grid's
-(m2, m1) cell the spectrum of its (m1, m2) cell. A spectrum whose
-a-priori sketch work is below ``spectra.SERIAL_WORK`` is solved with the
-BLAS on one thread, every other one on the BLAS's own threads, so the
-default sweeps write the same bytes at every thread count. Results are
-sorted by (d, m1, m2) before being returned.
+one loop ``_sweep``, which the command line's sweeps run too: before the
+first reference solve it checks every antenna count and distance and
+sizes every reference and cell against physical memory by
+``models.model_sides``, the rule each model call solves by, so an
+infeasible sweep raises instead of solving. Cells run one after another
+in the calling thread, so every cell at one geometry reuses the cached
+trace, and a grid's (m2, m1) cell the spectrum of its (m1, m2) cell. A
+spectrum whose a-priori sketch work is below ``spectra.SERIAL_WORK`` is
+solved with the BLAS on one thread, every other one on the BLAS's own
+threads, so the default sweeps write the same bytes at every thread
+count. The loop returns its rows sorted by (d, m1, m2), with the
+reference it solved at each distance and the rows' symmetry gap.
 """
 
 from __future__ import annotations
@@ -110,15 +111,15 @@ def _cell_row(scenario: str, d: float, m1: int | None, m2: int, ref: MiResult,
 
 def _sweep(scenario: str, cfg: SystemConfig, distances: Sequence[float],
            cells: Sequence[tuple[int | None, int]], ref_m: int | None,
-           inner_points: int | None = None) -> list[SweepRow]:
-    """One row per (distance, (m1, m2)) cell, sorted by (d, m1, m2).
+           inner_points: int | None = None) -> tuple[list[SweepRow], dict, float]:
+    """Rows sorted by (d, m1, m2), each distance's reference and the rows' symmetry gap.
 
     A cell is ``mi_discrete_rx(m2)`` when m1 is None, else
     ``mi_discrete_trx(m1, m2)``. Every antenna count and distance is
     checked (an integer of at least 1), and every reference and cell sized
     against physical memory by ``model_sides``, before the first
     reference solve. The continuous reference at each distance is then
-    solved once, before that distance's cells run.
+    solved once, before that distance's cells run. The gap is ``GridSweep``'s.
     """
     if not distances or not cells:
         raise ValueError("distances and antenna counts must be nonempty")
@@ -130,14 +131,16 @@ def _sweep(scenario: str, cfg: SystemConfig, distances: Sequence[float],
         for m1, m2 in cells:
             tag = MODEL_DISCRETE_RX if m1 is None else MODEL_DISCRETE_TRX
             model_sides(cfg_d, tag, m1, m2, inner_points=inner_points)
-    rows: list[SweepRow] = []
+    rows, references = [], {}
     for d, cfg_d in zip(distances, cfgs):
-        ref = mi_continuous(cfg_d, ref_m)
+        ref = references[d] = mi_continuous(cfg_d, ref_m)
         rows.extend(_cell_row(scenario, d, m1, m2, ref,
                               lambda: mi_discrete_rx(m2, cfg_d, inner_points) if m1 is None
                               else mi_discrete_trx(m1, m2, cfg_d))
                     for m1, m2 in cells)
-    return sorted(rows, key=lambda r: (r.d_m, r.m1, r.m2))
+    nats = {(r.d_m, r.m1, r.m2): r.mi_nats for r in rows if r.mi_nats is not None}
+    gap = max((abs(v - nats.get((d, m2, m1), v)) for (d, m1, m2), v in nats.items()), default=0.0)
+    return sorted(rows, key=lambda r: (r.d_m, r.m1, r.m2)), references, gap
 
 
 def sweep_receiver(cfg: SystemConfig, distances: Sequence[float],
@@ -151,26 +154,23 @@ def sweep_receiver(cfg: SystemConfig, distances: Sequence[float],
     ``inner_points`` is the source rule of the discrete receiver only.
     """
     return _sweep(scenario, cfg, distances, [(None, m) for m in m_values], ref_m,
-                  inner_points)
+                  inner_points)[0]
 
 
 def sweep_transceiver(cfg: SystemConfig, distances: Sequence[float],
                       m_values: Sequence[int], ref_m: int | None = None,
                       scenario: str = "transceiver") -> list[SweepRow]:
     """Discretize both sides with m1 = m2 = m: one row per (distance, m)."""
-    return _sweep(scenario, cfg, distances, [(m, m) for m in m_values], ref_m)
+    return _sweep(scenario, cfg, distances, [(m, m) for m in m_values], ref_m)[0]
 
 
 def sweep_grid(cfg: SystemConfig, d: float, m1_values: Sequence[int],
                m2_values: Sequence[int], ref_m: int | None = None,
                scenario: str = "grid") -> GridSweep:
     """Full Cartesian product of transmit and receive antenna counts at one d."""
-    rows = _sweep(scenario, cfg, [d], [(m1, m2) for m1 in m1_values for m2 in m2_values],
-                  ref_m)
-    by_key = {(r.m1, r.m2): r.mi_nats for r in rows if r.mi_nats is not None}
-    sym = max((abs(v - by_key[m2, m1]) for (m1, m2), v in by_key.items()
-               if (m2, m1) in by_key), default=0.0)
-    return GridSweep(rows=tuple(rows), symmetry_gap=sym)
+    rows, _, symmetry_gap = _sweep(scenario, cfg, [d], [(m1, m2) for m1 in m1_values
+                                                        for m2 in m2_values], ref_m)
+    return GridSweep(rows=tuple(rows), symmetry_gap=symmetry_gap)
 
 
 def fit_convergence_slope(rows: Sequence[SweepRow]) -> SlopeFit:

@@ -94,6 +94,11 @@ class MiResult:
     inner_points: int | None = None
     eigenvalues: np.ndarray | None = field(default=None, compare=False, repr=False)
 
+    def eigen_count(self, threshold_rel: float) -> int:
+        """The continuous model's ``eigenvalues`` >= threshold_rel * the largest, 0 at P = 0."""
+        top = self.eigenvalues[0]
+        return int(np.sum(self.eigenvalues >= threshold_rel * top)) if top > 0.0 else 0
+
 
 @dataclass(frozen=True)
 class NoiseControl:
@@ -338,7 +343,6 @@ def dof_estimate(cfg: SystemConfig, ref_m: int | None = None,
     """
     if not 0.0 < threshold_rel < 1.0:
         raise ValueError(f"threshold_rel must lie in (0, 1), got {threshold_rel}")
-    spectrum = mi_continuous(cfg, ref_m).eigenvalues
-    count = int(np.sum(spectrum >= threshold_rel * spectrum[0])) if spectrum[0] > 0.0 else 0
+    count = mi_continuous(cfg, ref_m).eigen_count(threshold_rel)
     analytic = cfg.aperture_m**2 / (cfg.distance_m * cfg.wavelength_m)
     return DofEstimate(eigen_count=count, analytic=analytic, threshold_rel=threshold_rel)

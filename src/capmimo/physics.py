@@ -44,8 +44,10 @@ def green_block_rows(cols: int) -> int:
 # resident bytes per node of a Gauss-Legendre rule and one |G|^2 pass over it: the
 # VmHWM rise of a fresh process (numpy 2.4.6), 71.6-72.4 for operator_trace and
 # 104.6-106.6 for a bounds step's source rule at 5e5-2e6 nodes, of equal panels
-# or not, plus 1.5 of margin, rounded up to a multiple of 16
+# or not, plus 1.5 of margin, rounded up to a multiple of 16; per antenna of a midpoint
+# grid, its points alone (numpy reuses the temporaries), 8.1-8.7 at 1e6-8e6, plus 1.3
 RULE_BYTES_PER_NODE = 112
+GRID_BYTES_PER_ANTENNA = 10
 
 
 @dataclass(frozen=True)
@@ -270,6 +272,7 @@ def midpoint_grid(length: float, m: int) -> QuadratureGrid:
     m one-node panels of point antennas, which carry no weight.
     """
     m = as_count("grid size m", m, 1)
+    check_memory(GRID_BYTES_PER_ANTENNA * m, f"a {m}-antenna midpoint grid")
     pts = (np.arange(m, dtype=np.float64) + 0.5) * (as_positive("grid length", length) / m)
     pts.setflags(write=False)
     return QuadratureGrid(points=pts, length=length, m=m, weights=None, panels=m)

@@ -394,7 +394,7 @@ def test_sweep_transceiver_command_matches_library(tmp_path):
 def test_sweep_meta_records_cache_counts(tmp_path):
     # the geometry caches' hits and misses over the process: the grid's
     # mirrored cells (2, 3) and (3, 2) share one solve, and the sidecar's
-    # reference and effective-rank counts read the cached reference
+    # reference and effective-rank counts read the reference the sweep returned
     from capmimo import models
     argv = ["sweep-grid", "--distance", "10", "--m1-list", "2,3", "--m2-list", "2,3",
             "--ref-m", "64"]
@@ -405,11 +405,23 @@ def test_sweep_meta_records_cache_counts(tmp_path):
     out = tmp_path / "cold.csv"
     assert main([*argv, "--out", str(out)]) == 0
     caches = json.loads(out.with_suffix(".meta").read_text())["caches"]
-    # three cells and one reference solved; one mirrored cell and three
-    # reference reads hit
-    assert caches["spectrum"] == {"hits": 4, "misses": 4}
+    # three cells and one reference solved; one mirrored cell hits
+    assert caches["spectrum"] == {"hits": 1, "misses": 4}
     assert caches["unit_trace"]["misses"] == 1
     assert out.read_bytes() == warm.read_bytes()
+
+
+def test_sidecar_solves_no_reference_the_sweep_solved(tmp_path):
+    # one reference and 100 cells are 101 distinct solves, more than the
+    # spectrum cache holds: the sidecar writes the reference the sweep
+    # solved, so nothing is solved twice and nothing is read back
+    from capmimo import models
+    models._spectrum.cache_clear()
+    out = tmp_path / "ladder.csv"
+    assert main(["sweep-receiver", "--distances", "10", "--m-list",
+                 ",".join(map(str, range(2, 102))), "--ref-m", "64", "--out", str(out)]) == 0
+    caches = json.loads(out.with_suffix(".meta").read_text())["caches"]
+    assert caches["spectrum"] == {"hits": 0, "misses": 101}
 
 
 @pytest.mark.parametrize("argv, solves", [

@@ -140,6 +140,26 @@ def test_grid_rejects_bad_arguments():
             build(length, n)
 
 
+@pytest.mark.parametrize("build, what", [
+    (midpoint_grid, "a 10000000-antenna midpoint grid"),
+    (gauss_legendre_grid, "a 10000000-node Gauss-Legendre rule"),
+])
+def test_grids_sized_before_they_are_built(build, what, monkeypatch):
+    # with 64 MB of physical memory, 10^7 nodes (80 MB of points alone) are
+    # refused in one line before anything of their size is allocated
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (64 << 20) // 4096}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^{what} needs about .* GiB, more than the "
+                                             r"0\.0625 GiB of physical memory"):
+            build(2.0, 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize("build, name, count", [
     (midpoint_grid, "grid size m", 4.5),
     (midpoint_grid, "grid size m", 4.0),
