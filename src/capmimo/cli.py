@@ -5,10 +5,10 @@ Each setting is one ``RunConfig`` field, named as its config key and, with
 ``-`` for ``_``, as its ``--`` flag; one parser reads both, and only the
 subcommands the field names as its readers accept it. Settings come from
 an optional ``key = value`` config file plus flags (flags win), each
-given at most once in either, are all checked, every model call resolved
-and sized by ``models.model_sides``, before anything is printed, and the
-settings read, every default filled in, are printed before any
-computation runs.
+given at most once in either. They are resolved once, every default
+filled in and the run sized by the library's own rules, before anything
+is printed; the printout and the sidecar read that one resolution, and
+it is printed before any computation runs.
 
 Sweep output is an RFC-4180-style CSV with the fixed column set
 
@@ -44,23 +44,17 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .experiments import SweepRow, _sweep, fit_convergence_slope
+from .experiments import SweepRow, _sweep, fit_convergence_slope, size_sweep
 from .models import (
-    MODEL_CONTINUOUS,
-    MODEL_DISCRETE_RX,
-    MODEL_DISCRETE_TRX,
     MiResult,
     cache_counts,
+    check_noise_rx_size,
     dof_estimate,
-    model_sides,
     noise_rx,
 )
 from .physics import (
-    RULE_BYTES_PER_NODE,
     SystemConfig,
     as_count,
-    check_memory,
-    check_rule_size,
     midpoint_grid,
     resolve_inner_points,
 )
@@ -83,10 +77,6 @@ COMMANDS = {
     "dof": "significant-eigenvalue count vs the analytic rule",
     "bounds": "noise-rescaling gap vs its quadrature bound over an m ladder",
 }
-
-# resident bytes per antenna of one bounds step (noise_rx), beside its source
-# rule: the VmHWM rise of a fresh process, 24.5 at 1e6-8e6, plus 1.5 of margin
-BOUNDS_BYTES_PER_ANTENNA = 26
 
 
 class ConfigError(ValueError):
@@ -196,10 +186,11 @@ class RunConfig:
 
         Builds the scenario at every distance ``command`` runs at, so it
         raises ValueError on any invalid physics value or node count, and
-        on a reference matrix, largest discrete matrix, or largest ``bounds``
-        step or its trace rule, that would not fit in physical memory. The
+        sizes the run by the library's own rules: a command that reads
+        ref_m by ``experiments.size_sweep`` (every reference and cell), and
+        ``bounds`` its largest step by ``models.check_noise_rx_size``. The
         node counts are each given at their largest over those distances
-        (every CSV row carries its own ref_m).
+        (every CSV row carries its own ref_m). ``run`` calls it once.
         """
         d = {name: getattr(self, name) for name, f in _SETTINGS.items()
              if command in f.metadata["read_by"]}
@@ -207,20 +198,12 @@ class RunConfig:
         distances, cells = self.sweep_plan(command)
         cfgs = [dataclasses.replace(base, distance_m=x) for x in distances]
         if "ref_m" in d:  # a command that reads ref_m solves the reference at each distance
-            d["ref_m"] = max(model_sides(cfg, MODEL_CONTINUOUS, ref_m=self.ref_m)[0][0]
-                             for cfg in cfgs)
-        if cells:  # a sweep's largest matrix is its largest cell's, largest in both counts
-            m1, m2 = max(cells)
-            for cfg in cfgs:
-                model_sides(cfg, MODEL_DISCRETE_RX if m1 is None else MODEL_DISCRETE_TRX,
-                            m1, m2, inner_points=self.inner_points)
+            scenarios = size_sweep(base, distances, cells, self.ref_m, self.inner_points)[1]
+            d["ref_m"] = max(rx[0] for _, (rx, _) in scenarios)
         if "inner_points" in d:
             d["inner_points"] = max(resolve_inner_points(cfg, self.inner_points) for cfg in cfgs)
-        if command == "bounds":  # its largest m with the source rule, then the trace rule
-            m, n = max(self.m_list), d["inner_points"]
-            check_memory(BOUNDS_BYTES_PER_ANTENNA * m + RULE_BYTES_PER_NODE * n,
-                         f"a bounds step on {m} antennas and {n} source nodes")
-            check_rule_size(base.default_inner_points())
+        if command == "bounds":
+            check_noise_rx_size(base, max(self.m_list), d["inner_points"])
         return d
 
 
@@ -305,7 +288,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def parse_config(argv: list[str] | None) -> tuple[str, RunConfig]:
     """Resolve command + settings from flags (sys.argv[1:] when None) and the optional
-    config file. Every value is checked here, before anything is printed or solved."""
+    config file. Every setting is parsed and checked here; physics values and sizes are
+    checked by ``RunConfig.resolved_dict``, which ``run`` calls before it prints."""
     args = _build_parser().parse_args(argv)
     settings = _load_config_file(args.config) if args.config else {}
     for name in _SETTINGS:
@@ -317,9 +301,7 @@ def parse_config(argv: list[str] | None) -> tuple[str, RunConfig]:
             readers = " and ".join(", ".join(read_by).rsplit(", ", 1))
             raise ConfigError(f"{name} is read only by {readers}, not by {args.command}")
     settings.setdefault("scenario", args.command)
-    rc = RunConfig(**settings)
-    rc.resolved_dict(args.command)
-    return args.command, rc
+    return args.command, RunConfig(**settings)
 
 
 def _fmt(value) -> str:
@@ -344,11 +326,6 @@ def _write_csv(path: Path, columns: tuple[str, ...], records: list[list]) -> Non
     path.write_text(buf.getvalue(), encoding="utf-8")
 
 
-def write_rows_csv(rows: list[SweepRow], path: Path) -> None:
-    """Sweep rows under the fixed CSV_COLUMNS header."""
-    _write_csv(path, CSV_COLUMNS, [_row_record(row) for row in rows])
-
-
 def _environment() -> dict:
     """numpy and BLAS versions, CPU count and ``blas_settings`` of this process."""
     try:  # numpy's configuration as a dict, where this numpy has it
@@ -361,16 +338,16 @@ def _environment() -> dict:
             **{var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}}
 
 
-def _write_outputs(command: str, rc: RunConfig, columns: tuple[str, ...],
+def _write_outputs(command: str, resolved: dict, columns: tuple[str, ...],
                    records: list[list], meta: dict) -> bool:
-    """Write rc.out as CSV plus its JSON sidecar (.meta suffix).
+    """Write the resolved ``out`` as CSV plus its JSON sidecar (.meta suffix).
 
     Returns False, after a one-line message on stderr, when either file
     cannot be written.
     """
-    out = Path(rc.out)
+    out = Path(resolved["out"])
     payload = {"tool": "capmimo", "version": __version__, "command": command,
-               "resolved_config": rc.resolved_dict(command),
+               "resolved_config": resolved,
                "environment": _environment(), **meta}
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -385,7 +362,7 @@ def _write_outputs(command: str, rc: RunConfig, columns: tuple[str, ...],
 
 
 def _finish_sweep(rows: list[SweepRow], references: dict[float, MiResult], command: str,
-                  rc: RunConfig, started: float, **extra) -> int:
+                  resolved: dict, started: float, **extra) -> int:
     """Print each distance's reference; write the CSV and a sidecar holding, per distance,
     the slope fit and the node counts and effective rank (``MiResult.eigen_count`` at 1e-3
     and 1e-12 of the largest eigenvalue) of the reference the sweep solved there, and the
@@ -410,28 +387,28 @@ def _finish_sweep(rows: list[SweepRow], references: dict[float, MiResult], comma
             "timings": {"total_s": time.perf_counter() - started,
                         "cells_s": [r.wall_time_s for r in rows]},
             "caches": cache_counts(), **extra}
-    if not _write_outputs(command, rc, CSV_COLUMNS, [_row_record(r) for r in rows], meta):
+    if not _write_outputs(command, resolved, CSV_COLUMNS, [_row_record(r) for r in rows], meta):
         return 1
     if errors:
         print(f"{len(errors)} cell(s) failed", file=sys.stderr)
-        return 0 if rc.keep_going else 1
+        return 0 if resolved["keep_going"] else 1
     return 0
 
 
-def _run_dof(command: str, rc: RunConfig) -> int:
+def _run_dof(command: str, rc: RunConfig, resolved: dict) -> int:
     cfg = rc.system_config()
     est = dof_estimate(cfg, rc.ref_m)
     print(f"eigen_count = {est.eigen_count} (threshold {est.threshold_rel:g} of largest)")
     print(f"analytic_dof = {est.analytic}")
     if rc.out is None:
         return 0
-    records = [[rc.scenario, rc.distance, rc.resolved_dict(command)["ref_m"],
+    records = [[rc.scenario, rc.distance, resolved["ref_m"],
                 est.threshold_rel, est.eigen_count, est.analytic]]
     meta = {"eigen_count": est.eigen_count, "analytic_dof": est.analytic}
-    return 0 if _write_outputs(command, rc, DOF_COLUMNS, records, meta) else 1
+    return 0 if _write_outputs(command, resolved, DOF_COLUMNS, records, meta) else 1
 
 
-def _run_bounds(command: str, rc: RunConfig) -> int:
+def _run_bounds(command: str, rc: RunConfig, resolved: dict) -> int:
     cfg = rc.system_config()
     results = []
     print(f"{'m':>8} {'n_rx':>18} {'scaled_gap':>14} {'gap_bound':>14} ok")
@@ -446,31 +423,32 @@ def _run_bounds(command: str, rc: RunConfig) -> int:
                    for m, c, ok in results]
         meta = {"gaps": {str(m): c.gap for m, c, _ in results},
                 "bounds": {str(m): c.gap_bound for m, c, _ in results}}
-        if not _write_outputs(command, rc, BOUNDS_COLUMNS, records, meta):
+        if not _write_outputs(command, resolved, BOUNDS_COLUMNS, records, meta):
             return 1
     return 0 if all(ok for _, _, ok in results) else 1
 
 
 def run(command: str, rc: RunConfig) -> int:
-    """Execute one subcommand against a resolved RunConfig."""
+    """Execute one subcommand: its settings are resolved and sized once, before any output."""
+    resolved = rc.resolved_dict(command)
     if command.startswith("sweep-") and rc.out is None:
         raise ConfigError(f"{command} requires --out (or out = ... in the config file)")
     print(f"# capmimo {__version__} :: {command}")
-    for key, value in sorted(rc.resolved_dict(command).items()):
+    for key, value in sorted(resolved.items()):
         print(f"{key} = {value}")
     if command == "dof":
-        return _run_dof(command, rc)
+        return _run_dof(command, rc, resolved)
     if command == "bounds":
-        return _run_bounds(command, rc)
+        return _run_bounds(command, rc, resolved)
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
     started = time.perf_counter()
     rows, references, symmetry_gap = _sweep(rc.scenario, rc.system_config(),
                                             *rc.sweep_plan(command), rc.ref_m, rc.inner_points)
     if command != "sweep-grid":
-        return _finish_sweep(rows, references, command, rc, started)
+        return _finish_sweep(rows, references, command, resolved, started)
     print(f"symmetry_gap = {symmetry_gap!r}")
-    return _finish_sweep(rows, references, command, rc, started, symmetry_gap=symmetry_gap)
+    return _finish_sweep(rows, references, command, resolved, started, symmetry_gap=symmetry_gap)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -3,8 +3,9 @@
 Each sweep tabulates a discrete model against the continuous reference
 at the same distance, one row per (distance, (m1, m2)) cell, through the
 one loop ``_sweep``, which the command line's sweeps run too: before the
-first reference solve it checks every antenna count and distance and
-sizes every reference and cell against physical memory by
+first reference solve, ``size_sweep``, which the command line also runs
+before it prints, checks every antenna count and distance and sizes
+every reference and cell against physical memory by
 ``models.model_sides``, the rule each model call solves by, so an
 infeasible sweep raises instead of solving. Cells run one after another
 in the calling thread, so every cell at one geometry reuses the cached
@@ -109,30 +110,41 @@ def _cell_row(scenario: str, d: float, m1: int | None, m2: int, ref: MiResult,
                     **fields)
 
 
+def size_sweep(cfg: SystemConfig, distances: Sequence[float],
+               cells: Sequence[tuple[int | None, int]], ref_m: int | None,
+               inner_points: int | None = None) -> tuple[list, list]:
+    """A sweep's up-front check: its checked cells and each distance's (scenario, reference sides).
+
+    Every antenna count and distance is checked, then at each distance the reference and every
+    cell (``mi_discrete_rx`` when m1 is None, else ``mi_discrete_trx``) sized by ``model_sides``.
+    """
+    cells = [tuple(None if m is None else as_count("antenna count", m, 1) for m in cell)
+             for cell in cells]
+    scenarios = []
+    for cfg_d in [dataclasses.replace(cfg, distance_m=d) for d in distances]:
+        scenarios.append((cfg_d, model_sides(cfg_d, MODEL_CONTINUOUS, ref_m=ref_m)))
+        for m1, m2 in cells:
+            tag = MODEL_DISCRETE_RX if m1 is None else MODEL_DISCRETE_TRX
+            model_sides(cfg_d, tag, m1, m2, inner_points=inner_points)
+    return cells, scenarios
+
+
 def _sweep(scenario: str, cfg: SystemConfig, distances: Sequence[float],
            cells: Sequence[tuple[int | None, int]], ref_m: int | None,
            inner_points: int | None = None) -> tuple[list[SweepRow], dict, float]:
     """Rows sorted by (d, m1, m2), each distance's reference and the rows' symmetry gap.
 
     A cell is ``mi_discrete_rx(m2)`` when m1 is None, else
-    ``mi_discrete_trx(m1, m2)``. Every antenna count and distance is
-    checked (an integer of at least 1), and every reference and cell sized
-    against physical memory by ``model_sides``, before the first
-    reference solve. The continuous reference at each distance is then
-    solved once, before that distance's cells run. The gap is ``GridSweep``'s.
+    ``mi_discrete_trx(m1, m2)``. ``size_sweep`` checks and sizes the whole
+    sweep before the first reference solve. The continuous reference at
+    each distance is then solved once, before that distance's cells run.
+    The gap is ``GridSweep``'s.
     """
     if not distances or not cells:
         raise ValueError("distances and antenna counts must be nonempty")
-    cells = [tuple(None if m is None else as_count("antenna count", m, 1) for m in cell)
-             for cell in cells]
-    cfgs = [dataclasses.replace(cfg, distance_m=d) for d in distances]
-    for cfg_d in cfgs:
-        model_sides(cfg_d, MODEL_CONTINUOUS, ref_m=ref_m)
-        for m1, m2 in cells:
-            tag = MODEL_DISCRETE_RX if m1 is None else MODEL_DISCRETE_TRX
-            model_sides(cfg_d, tag, m1, m2, inner_points=inner_points)
+    cells, scenarios = size_sweep(cfg, distances, cells, ref_m, inner_points)
     rows, references = [], {}
-    for d, cfg_d in zip(distances, cfgs):
+    for d, (cfg_d, _) in zip(distances, scenarios):
         ref = references[d] = mi_continuous(cfg_d, ref_m)
         rows.extend(_cell_row(scenario, d, m1, m2, ref,
                               lambda: mi_discrete_rx(m2, cfg_d, inner_points) if m1 is None

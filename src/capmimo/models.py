@@ -18,7 +18,7 @@ differ only in their two grids, each of which carries its own weights
 One rule, ``model_sides``, decides the two sides of every model call as
 they are solved, each a (node count, grid rule) pair, and sizes the
 evaluated rows (``check_spectrum_size``) before any grid exists; the
-sweeps and the command line resolve and size their calls with it too.
+sweeps size every call with it (``experiments.size_sweep``).
 One cache, ``_spectrum``, keyed on the geometry and the sides, builds
 the two grids and takes their spectrum and ||A||_F^2 for every model. G
 is even and the lattice offsets negate exactly, so the channel from m1
@@ -29,6 +29,8 @@ continuous receive SNR with the noise density n0 * ||own unit-power
 A||_F^2 / ``physics.operator_trace``, defined at every power including
 zero; ``noise_rx`` and ``noise_trx`` give the same densities plus
 midpoint-error bounds through one body, from one sampled |G|^2 profile.
+``check_noise_rx_size`` sizes a ``noise_rx`` step, the command line's
+``bounds`` step, before its diagonal is allocated.
 
 Every continuous integral (the reference's source side, the trace, the
 default source rule of ``mi_discrete_rx``) takes its node count from the
@@ -51,9 +53,12 @@ from functools import lru_cache
 import numpy as np
 
 from .physics import (
+    RULE_BYTES_PER_NODE,
     QuadratureGrid,
     SystemConfig,
     as_count,
+    check_memory,
+    check_rule_size,
     gauss_legendre_grid,
     green_offset,
     kernel_diagonal,
@@ -248,6 +253,19 @@ def _check_on_aperture(cfg: SystemConfig, *grids: QuadratureGrid) -> None:
             raise ValueError(f"grid length {grid.length} is not aperture_m {cfg.aperture_m}")
 
 
+# resident bytes per antenna of one bounds step (noise_rx), beside its source
+# rule: the VmHWM rise of a fresh process, 24.5 at 1e6-8e6, plus 1.5 of margin
+BOUNDS_BYTES_PER_ANTENNA = 26
+
+
+def check_noise_rx_size(cfg: SystemConfig, m: int, inner_points: int) -> None:
+    """``check_memory`` of a bounds step, ``noise_rx`` on m antennas against ``inner_points``
+    source nodes, then ``check_rule_size`` of the trace's rule."""
+    check_memory(BOUNDS_BYTES_PER_ANTENNA * m + RULE_BYTES_PER_NODE * inner_points,
+                 f"a bounds step on {m} antennas and {inner_points} source nodes")
+    check_rule_size(cfg.default_inner_points())
+
+
 def noise_rx(grid: QuadratureGrid, cfg: SystemConfig,
              inner_points: int | None = None) -> NoiseControl:
     """SNR-matched noise density for the discrete-receiver model.
@@ -256,13 +274,14 @@ def noise_rx(grid: QuadratureGrid, cfg: SystemConfig,
     so the array's aggregate SNR equals the continuous receiver's. The
     numerator is the unit-power diagonal sum, trace(K) of
     ``mi_discrete_rx``; power density cancels, so this is defined even
-    at zero power.
+    at zero power. ``check_noise_rx_size`` sizes the step before it allocates.
     """
     if grid.m < 1:
         raise ValueError("grid must be nonempty")
     _check_on_aperture(cfg, grid)
-    geometry = _geometry(cfg)
-    diag_sum = kernel_diagonal(grid.points, geometry, resolve_inner_points(cfg, inner_points))
+    geometry, n = _geometry(cfg), resolve_inner_points(cfg, inner_points)
+    check_noise_rx_size(cfg, grid.m, n)
+    diag_sum = kernel_diagonal(grid.points, geometry, n)
     return _noise_control(cfg, float(diag_sum.sum()), (grid.m,),
                           _profile_curvatures(geometry)[0])
 

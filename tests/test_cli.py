@@ -18,14 +18,15 @@ from capmimo.cli import (
     CSV_COLUMNS,
     ConfigError,
     RunConfig,
+    _row_record,
+    _write_csv,
     main,
     parse_config,
-    write_rows_csv,
 )
 
 
 def read_rows_csv(path: Path) -> list[SweepRow]:
-    """Inverse of write_rows_csv over the SweepRow fields (mi_bits is derived)."""
+    """Inverse of the sweep CSV's writer over the SweepRow fields (mi_bits is derived)."""
     rows = []
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -304,6 +305,30 @@ def _run_small_sweep(tmp_path, name="sweep.csv", extra=()):
     return code, out
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep-receiver", "--distances", "10", "--m-list", "2,4,8", "--ref-m", "64",
+     "--inner-points", "512"],
+    ["dof", "--distance", "100", "--ref-m", "64"],
+    ["bounds", "--m-list", "10,50", "--inner-points", "512"],
+])
+def test_a_run_resolves_its_settings_once(argv, tmp_path, monkeypatch):
+    # the printout, the sidecar's resolved_config and dof's ref_m column all
+    # read one resolution, made (and sized) once per invocation
+    calls = []
+    resolve = RunConfig.resolved_dict
+
+    def counted(self, command):
+        calls.append(command)
+        return resolve(self, command)
+
+    monkeypatch.setattr(RunConfig, "resolved_dict", counted)
+    out = tmp_path / "once.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert calls == [argv[0]]
+    resolved = json.loads(out.with_suffix(".meta").read_text())["resolved_config"]
+    assert resolved["out"] == str(out)
+
+
 def test_sweep_ladder_may_exceed_ref_m(tmp_path):
     out = tmp_path / "large.csv"
     assert main(["sweep-receiver", "--m-list", "100", "--ref-m", "64",
@@ -344,7 +369,7 @@ def test_csv_round_trip(tmp_path):
     rows = read_rows_csv(out)
     assert len(rows) == 3
     echo = tmp_path / "echo.csv"
-    write_rows_csv(rows, echo)
+    _write_csv(echo, CSV_COLUMNS, [_row_record(r) for r in rows])
     assert echo.read_bytes() == out.read_bytes()
 
 

@@ -145,6 +145,27 @@ def test_trace_rule_sized_before_it_is_built(call, monkeypatch):
     assert peak < 1 << 20
 
 
+def test_noise_rx_sized_before_its_diagonal_is_allocated(monkeypatch):
+    # the library refuses the step the command line's bounds refuses: with
+    # 64 MB of physical memory a 3e6-antenna grid (24 MB of points) is built,
+    # but its noise_rx step, charged 26 B per antenna, is refused in one line
+    # before the diagonal and its scaled copy (about 46 MB) are allocated
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (64 << 20) // 4096}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    grid = midpoint_grid(2.0, 3_000_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as exc:
+            noise_rx(grid, SystemConfig(), inner_points=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    message = str(exc.value)
+    assert message.startswith("a bounds step on 3000000 antennas and 2 source nodes needs about")
+    assert "\n" not in message and "physical memory" in message
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize("model_tag", [models.MODEL_DISCRETE_RX, models.MODEL_CONTINUOUS])
 def test_model_sides_refuses_exactly_where_the_solve_does(model_tag, monkeypatch):
     # the evaluated rows are sized by one rule, check_spectrum_size: with
