@@ -6,20 +6,23 @@ Each setting is one ``RunConfig`` field, named as its config key and, with
 subcommands the field names as its readers accept it. Settings come from
 an optional ``key = value`` config file plus flags (flags win), each
 given at most once in either. They are resolved once, every default
-filled in and the run sized by the library's own rules, before anything
-is printed; the printout and the sidecar read that one resolution, and
-it is printed before any computation runs.
+filled in and the run sized by the library's own rules, and printed
+before any computation runs; the sidecar reads that one resolution.
+Each subcommand's body then prints its own lines and returns its table;
+``run`` writes it once, to ``out`` when set, and exits 1 when the write
+or the table failed (a failed sweep cell, a ``bounds`` gap above its bound).
 
-Sweep output is an RFC-4180-style CSV with the fixed column set
+Every table is an RFC-4180-style CSV; a sweep's has the fixed column set
 
     scenario,d_m,m1,m2,ref_m,mi_nats,mi_bits,mi_ref_nats,abs_gap,n_used,model_tag,wall_time_s
 
 plus a JSON sidecar (same basename, .meta suffix) holding the resolved
 config, tool version, environment (numpy, BLAS, CPU count, thread
-settings), measured timings, the two geometry caches' hits and misses
-over the process, slope fits and, per distance, the node counts and
-effective rank of the reference that ``experiments``' one sweep loop
-solved there. The CSV itself is byte-identical across reruns of the same
+settings) and, for a sweep, measured timings, the two geometry caches'
+hits and misses over the process, slope fits and, per distance, the node
+counts and effective rank (eigenvalues above 1e-3 and 1e-12 of the
+largest) of the reference that ``experiments``' one sweep loop solved
+there. The CSV itself is byte-identical across reruns of the same
 resolved config on one platform, so its per-cell wall times are 0.0
 placeholders; the real ones go to the sidecar.
 """
@@ -46,7 +49,6 @@ import numpy as np
 from . import __version__
 from .experiments import SweepRow, _sweep, fit_convergence_slope, size_sweep
 from .models import (
-    MiResult,
     cache_counts,
     check_noise_rx_size,
     dof_estimate,
@@ -361,12 +363,15 @@ def _write_outputs(command: str, resolved: dict, columns: tuple[str, ...],
     return True
 
 
-def _finish_sweep(rows: list[SweepRow], references: dict[float, MiResult], command: str,
-                  resolved: dict, started: float, **extra) -> int:
-    """Print each distance's reference; write the CSV and a sidecar holding, per distance,
-    the slope fit and the node counts and effective rank (``MiResult.eigen_count`` at 1e-3
-    and 1e-12 of the largest eigenvalue) of the reference the sweep solved there, and the
-    geometry caches' ``cache_counts``."""
+def _sweep_table(command: str, rc: RunConfig, resolved: dict) -> tuple:
+    """Run ``command``'s sweep; print sweep-grid's symmetry gap, each distance's reference and
+    the failed-cell count. A failed cell fails the table unless ``keep_going``."""
+    started = time.perf_counter()
+    rows, references, symmetry_gap = _sweep(rc.scenario, rc.system_config(),
+                                            *rc.sweep_plan(command), rc.ref_m, rc.inner_points)
+    symmetry = {"symmetry_gap": symmetry_gap} if command == "sweep-grid" else {}
+    if symmetry:
+        print(f"symmetry_gap = {symmetry_gap!r}")
     errors = [r for r in rows if r.error is not None]
     fits, refs = {}, {}
     for d, ref in sorted(references.items()):
@@ -381,34 +386,29 @@ def _finish_sweep(rows: list[SweepRow], references: dict[float, MiResult], comma
                          "eigen_count_1e-3": ref.eigen_count(1e-3),
                          "eigen_count_1e-12": ref.eigen_count(1e-12)}
         print(f"d={d:g}: reference {ref.value_nats:.6f} nats")
+    if errors:
+        print(f"{len(errors)} cell(s) failed", file=sys.stderr)
     meta = {"rows": len(rows), "slope_fits": fits, "references": refs,
             "errors": [{"d_m": r.d_m, "m1": r.m1, "m2": r.m2, "error": r.error}
                        for r in errors],
             "timings": {"total_s": time.perf_counter() - started,
                         "cells_s": [r.wall_time_s for r in rows]},
-            "caches": cache_counts(), **extra}
-    if not _write_outputs(command, resolved, CSV_COLUMNS, [_row_record(r) for r in rows], meta):
-        return 1
-    if errors:
-        print(f"{len(errors)} cell(s) failed", file=sys.stderr)
-        return 0 if resolved["keep_going"] else 1
-    return 0
+            "caches": cache_counts(), **symmetry}
+    return CSV_COLUMNS, [_row_record(r) for r in rows], meta, bool(errors) and not rc.keep_going
 
 
-def _run_dof(command: str, rc: RunConfig, resolved: dict) -> int:
+def _dof_table(command: str, rc: RunConfig, resolved: dict) -> tuple:
     cfg = rc.system_config()
     est = dof_estimate(cfg, rc.ref_m)
     print(f"eigen_count = {est.eigen_count} (threshold {est.threshold_rel:g} of largest)")
     print(f"analytic_dof = {est.analytic}")
-    if rc.out is None:
-        return 0
     records = [[rc.scenario, rc.distance, resolved["ref_m"],
                 est.threshold_rel, est.eigen_count, est.analytic]]
     meta = {"eigen_count": est.eigen_count, "analytic_dof": est.analytic}
-    return 0 if _write_outputs(command, resolved, DOF_COLUMNS, records, meta) else 1
+    return DOF_COLUMNS, records, meta, False
 
 
-def _run_bounds(command: str, rc: RunConfig, resolved: dict) -> int:
+def _bounds_table(command: str, rc: RunConfig, resolved: dict) -> tuple:
     cfg = rc.system_config()
     results = []
     print(f"{'m':>8} {'n_rx':>18} {'scaled_gap':>14} {'gap_bound':>14} ok")
@@ -418,37 +418,29 @@ def _run_bounds(command: str, rc: RunConfig, resolved: dict) -> int:
         results.append((m, control, ok))
         print(f"{m:>8} {control.n_value:>18.10e} {control.gap:>14.6e} "
               f"{control.gap_bound:>14.6e} {'yes' if ok else 'NO'}")
-    if rc.out is not None:
-        records = [[rc.scenario, rc.distance, m, c.n_value, c.gap, c.gap_bound, str(ok).lower()]
-                   for m, c, ok in results]
-        meta = {"gaps": {str(m): c.gap for m, c, _ in results},
-                "bounds": {str(m): c.gap_bound for m, c, _ in results}}
-        if not _write_outputs(command, resolved, BOUNDS_COLUMNS, records, meta):
-            return 1
-    return 0 if all(ok for _, _, ok in results) else 1
+    records = [[rc.scenario, rc.distance, m, c.n_value, c.gap, c.gap_bound, str(ok).lower()]
+               for m, c, ok in results]
+    meta = {"gaps": {str(m): c.gap for m, c, _ in results},
+            "bounds": {str(m): c.gap_bound for m, c, _ in results}}
+    return BOUNDS_COLUMNS, records, meta, not all(ok for _, _, ok in results)
+
+
+_TABLES = {"sweep-receiver": _sweep_table, "sweep-transceiver": _sweep_table,
+           "sweep-grid": _sweep_table, "dof": _dof_table, "bounds": _bounds_table}
 
 
 def run(command: str, rc: RunConfig) -> int:
-    """Execute one subcommand: its settings are resolved and sized once, before any output."""
+    """Execute one subcommand: settings resolved and sized once, before any output, then its
+    ``_TABLES`` body, whose table is written once, to ``out`` when set. Exit 1 if either failed."""
     resolved = rc.resolved_dict(command)
     if command.startswith("sweep-") and rc.out is None:
         raise ConfigError(f"{command} requires --out (or out = ... in the config file)")
     print(f"# capmimo {__version__} :: {command}")
     for key, value in sorted(resolved.items()):
         print(f"{key} = {value}")
-    if command == "dof":
-        return _run_dof(command, rc, resolved)
-    if command == "bounds":
-        return _run_bounds(command, rc, resolved)
-    if command not in COMMANDS:
-        raise ConfigError(f"unknown command {command!r}")
-    started = time.perf_counter()
-    rows, references, symmetry_gap = _sweep(rc.scenario, rc.system_config(),
-                                            *rc.sweep_plan(command), rc.ref_m, rc.inner_points)
-    if command != "sweep-grid":
-        return _finish_sweep(rows, references, command, resolved, started)
-    print(f"symmetry_gap = {symmetry_gap!r}")
-    return _finish_sweep(rows, references, command, resolved, started, symmetry_gap=symmetry_gap)
+    columns, records, meta, failed = _TABLES[command](command, rc, resolved)
+    written = rc.out is None or _write_outputs(command, resolved, columns, records, meta)
+    return 0 if written and not failed else 1
 
 
 def main(argv: list[str] | None = None) -> int:

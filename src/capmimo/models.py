@@ -254,8 +254,9 @@ def _check_on_aperture(cfg: SystemConfig, *grids: QuadratureGrid) -> None:
 
 
 # resident bytes per antenna of one bounds step (noise_rx), beside its source
-# rule: the VmHWM rise of a fresh process, 24.5 at 1e6-8e6, plus 1.5 of margin
-BOUNDS_BYTES_PER_ANTENNA = 26
+# rule: the VmHWM rise of a fresh process, 16.2-17.6 at 1e6-8e6 (its grid's points
+# and the diagonal), plus 1.4 of margin
+BOUNDS_BYTES_PER_ANTENNA = 19
 
 
 def check_noise_rx_size(cfg: SystemConfig, m: int, inner_points: int) -> None:
@@ -281,9 +282,9 @@ def noise_rx(grid: QuadratureGrid, cfg: SystemConfig,
     _check_on_aperture(cfg, grid)
     geometry, n = _geometry(cfg), resolve_inner_points(cfg, inner_points)
     check_noise_rx_size(cfg, grid.m, n)
-    diag_sum = kernel_diagonal(grid.points, geometry, n)
-    return _noise_control(cfg, float(diag_sum.sum()), (grid.m,),
-                          _profile_curvatures(geometry)[0])
+    # the diagonal is freed before the profile's temporaries: BOUNDS_BYTES_PER_ANTENNA holds
+    unit_power_sum = float(kernel_diagonal(grid.points, geometry, n).sum())
+    return _noise_control(cfg, unit_power_sum, (grid.m,), _profile_curvatures(geometry)[0])
 
 
 def noise_trx(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,

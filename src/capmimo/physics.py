@@ -403,7 +403,8 @@ def kernel_diagonal(positions: np.ndarray, cfg: SystemConfig,
     for start in range(0, flat.size, step):
         g = green_offset(flat[start:start + step, None] - s.points[None, :], cfg)
         out[start:start + step] = np.sum(s.weights * (g.real**2 + g.imag**2), axis=1)
-    return (cfg.power_density * out).reshape(positions.shape)
+    out *= cfg.power_density
+    return out.reshape(positions.shape)
 
 
 def operator_trace(cfg: SystemConfig, nodes: int | None = None) -> float:

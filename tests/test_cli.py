@@ -540,6 +540,46 @@ def test_unwritable_output_path(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
 
 
+def test_failed_cells_and_unwritable_output_both_reported(tmp_path, monkeypatch, capsys):
+    # the sweep reports its failed cells before the one write, so a run whose
+    # write also fails names both on stderr, and exits 1
+    from capmimo import experiments as experiments_mod
+    real = experiments_mod.mi_discrete_rx
+
+    def flaky(m, cfg, inner_points=None):
+        if m == 4:
+            raise RuntimeError("synthetic")
+        return real(m, cfg, inner_points)
+
+    monkeypatch.setattr(experiments_mod, "mi_discrete_rx", flaky)
+    (tmp_path / "blocker").write_text("file, not a directory")
+    code, out = _run_small_sweep(tmp_path, "blocker/out.csv")
+    assert code == 1
+    failed, unwritten = capsys.readouterr().err.splitlines()
+    assert failed == "1 cell(s) failed"
+    assert unwritten.startswith(f"error: cannot write {out}: ")
+
+
+def test_bounds_gap_above_its_bound_writes_its_table_and_exits_1(tmp_path, monkeypatch, capsys):
+    # a gap above its bound fails the table, not the write: the CSV still
+    # holds every step, the failing one marked false
+    real = cli.noise_rx
+
+    def loose(grid, cfg, inner_points=None):
+        control = real(grid, cfg, inner_points)
+        if grid.m == 50:
+            return dataclasses.replace(control, gap=2.0 * control.gap_bound)
+        return control
+
+    monkeypatch.setattr(cli, "noise_rx", loose)
+    out = tmp_path / "bounds.csv"
+    assert main(["bounds", "--m-list", "10,50", "--out", str(out)]) == 1
+    assert capsys.readouterr().out.splitlines()[-2].endswith(" NO")
+    lines = out.read_text().splitlines()
+    assert lines[0] == ",".join(cli.BOUNDS_COLUMNS)
+    assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["true", "false"]
+
+
 def test_csv_reports_both_nats_and_bits(tmp_path):
     import math
     _, out = _run_small_sweep(tmp_path)

@@ -147,10 +147,10 @@ def test_trace_rule_sized_before_it_is_built(call, monkeypatch):
 
 def test_noise_rx_sized_before_its_diagonal_is_allocated(monkeypatch):
     # the library refuses the step the command line's bounds refuses: with
-    # 64 MB of physical memory a 3e6-antenna grid (24 MB of points) is built,
-    # but its noise_rx step, charged 26 B per antenna, is refused in one line
-    # before the diagonal and its scaled copy (about 46 MB) are allocated
-    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (64 << 20) // 4096}
+    # 40 MiB of physical memory a 3e6-antenna grid (24 MB of points) is built,
+    # but its noise_rx step, charged 19 B per antenna, is refused in one line
+    # before its diagonal (24 MB more, 48 MB with the grid) is allocated
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (40 << 20) // 4096}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     grid = midpoint_grid(2.0, 3_000_000)
     tracemalloc.start()
@@ -164,6 +164,24 @@ def test_noise_rx_sized_before_its_diagonal_is_allocated(monkeypatch):
     assert message.startswith("a bounds step on 3000000 antennas and 2 source nodes needs about")
     assert "\n" not in message and "physical memory" in message
     assert peak < 1 << 20
+
+
+def test_noise_rx_step_that_fits_is_run(monkeypatch):
+    # a step is charged what it holds: 2.6e6 antennas take 21 MB of points
+    # and 21 MB of diagonal, which fit in 64 MiB of physical memory; beside
+    # the grid the step traces its diagonal alone, freed before the gap
+    # bound's |G|^2 profile (6.4 MB) is sampled
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (64 << 20) // 4096}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    grid = midpoint_grid(2.0, 2_600_000)
+    tracemalloc.start()
+    try:
+        control = noise_rx(grid, SystemConfig(), inner_points=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(control.n_value) and control.n_value > 0.0
+    assert peak < 9 * grid.m
 
 
 @pytest.mark.parametrize("model_tag", [models.MODEL_DISCRETE_RX, models.MODEL_CONTINUOUS])

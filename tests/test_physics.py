@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -219,6 +220,20 @@ def test_kernel_diagonal_matches_scalar_path(default_cfg):
     assert scalar.shape == () and scalar == diag[1]
     square = kernel_diagonal(np.stack([pts, pts[::-1]]), default_cfg, 512)
     assert np.array_equal(square, np.stack([diag, diag[::-1]]))
+
+
+def test_kernel_diagonal_holds_one_array_beside_one_block():
+    # the diagonal is scaled by P in place, not copied: the traced peak is its
+    # 8 B per position plus one green_block_rows block of green_offset
+    # temporaries (about 100 B per entry), where a scaled copy reads 16 B
+    positions = np.linspace(0.0, 2.0, 1_000_000)
+    tracemalloc.start()
+    try:
+        kernel_diagonal(positions, SystemConfig(power_density=3.7), 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * positions.size + 128 * physics.green_block_rows(2) * 2
 
 
 def test_trace_zero_power():
