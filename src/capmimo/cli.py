@@ -50,9 +50,9 @@ from . import __version__
 from .experiments import SweepRow, _sweep, fit_convergence_slope, size_sweep
 from .models import (
     cache_counts,
-    check_noise_rx_size,
     dof_estimate,
     noise_rx,
+    size_noise_rx,
 )
 from .physics import (
     SystemConfig,
@@ -190,8 +190,8 @@ class RunConfig:
         raises ValueError on any invalid physics value or node count, and
         sizes the run by the library's own rules: a command that reads
         ref_m by ``experiments.size_sweep`` (every reference and cell), and
-        ``bounds`` its largest step by ``models.check_noise_rx_size``. The
-        node counts are each given at their largest over those distances
+        ``bounds`` its largest step and grid by ``models.size_noise_rx``.
+        The node counts are each given at their largest over those distances
         (every CSV row carries its own ref_m). ``run`` calls it once.
         """
         d = {name: getattr(self, name) for name, f in _SETTINGS.items()
@@ -205,7 +205,7 @@ class RunConfig:
         if "inner_points" in d:
             d["inner_points"] = max(resolve_inner_points(cfg, self.inner_points) for cfg in cfgs)
         if command == "bounds":
-            check_noise_rx_size(base, max(self.m_list), d["inner_points"])
+            size_noise_rx(base, max(self.m_list), d["inner_points"], build_grid=True)
         return d
 
 

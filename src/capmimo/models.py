@@ -16,9 +16,9 @@ differ only in their two grids, each of which carries its own weights
 * ``mi_discrete_trx`` -- point antennas on both sides, G.
 
 One rule, ``model_sides``, decides the two sides of every model call as
-they are solved, each a (node count, grid rule) pair, and sizes the
-evaluated rows (``check_spectrum_size``) before any grid exists; the
-sweeps size every call with it (``experiments.size_sweep``).
+they are solved, each a (node count, grid rule) pair, and charges their
+``spectra.solve_plan`` before any grid exists; the sweeps size every
+call with it (``experiments.size_sweep``).
 One cache, ``_spectrum``, keyed on the geometry and the sides, builds
 the two grids and takes their spectrum and ||A||_F^2 for every model. G
 is even and the lattice offsets negate exactly, so the channel from m1
@@ -29,7 +29,7 @@ continuous receive SNR with the noise density n0 * ||own unit-power
 A||_F^2 / ``physics.operator_trace``, defined at every power including
 zero; ``noise_rx`` and ``noise_trx`` give the same densities plus
 midpoint-error bounds through one body, from one sampled |G|^2 profile.
-``check_noise_rx_size`` sizes a ``noise_rx`` step, the command line's
+``size_noise_rx`` charges a ``noise_rx`` step, the command line's
 ``bounds`` step, before its diagonal is allocated.
 
 Every continuous integral (the reference's source side, the trace, the
@@ -53,30 +53,33 @@ from functools import lru_cache
 import numpy as np
 
 from .physics import (
-    RULE_BYTES_PER_NODE,
     QuadratureGrid,
     SystemConfig,
     as_count,
-    check_memory,
-    check_rule_size,
+    check_arrays,
     gauss_legendre_grid,
+    gauss_legendre_panels,
+    green_block_rows,
     green_offset,
+    green_offset_arrays,
     kernel_diagonal,
     midpoint_grid,
     operator_trace,
     resolve_inner_points,
+    rule_arrays,
 )
 from .spectra import (
     _squared_norm,
     assemble_channel_matrix,
     centrosymmetric_spectrum,
-    check_spectrum_size,
     logdet_from_eigenvalues,
+    solve_plan,
 )
 
 # |G|^2 profile behind both gap bounds: central differences on this many
-# intervals per aperture length, over offsets in [-l, l]
+# intervals per aperture length, over offsets in [-l, l]; the arrays it holds at its peak
 PROFILE_INTERVALS = 40000
+_PROFILE = green_offset_arrays((2 * PROFILE_INTERVALS + 3,))
 
 MODEL_CONTINUOUS = "continuous"
 MODEL_DISCRETE_RX = "discrete_rx"
@@ -164,8 +167,9 @@ def _profile_curvatures(geometry: SystemConfig) -> tuple[float, float]:
     From central differences of p(x) = |G(x)|^2 on offsets in [-l, l]:
     sup |p'(r) - p'(r - l)| over r in [0, l], the second derivative of
     the diagonal int_{r-l}^{r} p, and sup |p''| on [0, l], either second
-    partial of |G(r - s)|^2 (p is even).
+    partial of |G(r - s)|^2 (p is even). Its temporaries are charged first.
     """
+    check_arrays("the |G|^2 profile", _PROFILE)
     n, l = PROFILE_INTERVALS, geometry.aperture_m
     h = l / n
     g = green_offset(np.arange(-n - 1, n + 2) * h, geometry)
@@ -196,7 +200,7 @@ def model_sides(cfg: SystemConfig, model_tag: str, m1: int | None = None,
     against the rule's source nodes; ``mi_discrete_rx`` m2 antennas against
     ``resolve_inner_points`` source nodes; ``mi_discrete_trx`` min(m1, m2)
     receive against max(m1, m2) transmit antennas, so both orders are one
-    pair of sides. ``check_spectrum_size`` sizes the rows that are solved.
+    pair of sides. Their ``spectra.solve_plan`` is charged.
     """
     gauss = gauss_legendre_grid
     if model_tag == MODEL_CONTINUOUS:
@@ -206,7 +210,8 @@ def model_sides(cfg: SystemConfig, model_tag: str, m1: int | None = None,
         rx, tx = (m2, midpoint_grid), (resolve_inner_points(cfg, inner_points), gauss)
     else:
         rx, tx = (min(m1, m2), midpoint_grid), (max(m1, m2), midpoint_grid)
-    check_spectrum_size(rx[0], tx[0])
+    sides = [(n, n if rule is midpoint_grid else gauss_legendre_panels(n)) for n, rule in (rx, tx)]
+    solve_plan(*sides, -(-rx[0] // 2), True).check()
     return rx, tx
 
 
@@ -253,18 +258,16 @@ def _check_on_aperture(cfg: SystemConfig, *grids: QuadratureGrid) -> None:
             raise ValueError(f"grid length {grid.length} is not aperture_m {cfg.aperture_m}")
 
 
-# resident bytes per antenna of one bounds step (noise_rx), beside its source
-# rule: the VmHWM rise of a fresh process, 16.2-17.6 at 1e6-8e6 (its grid's points
-# and the diagonal), plus 1.4 of margin
-BOUNDS_BYTES_PER_ANTENNA = 19
-
-
-def check_noise_rx_size(cfg: SystemConfig, m: int, inner_points: int) -> None:
-    """``check_memory`` of a bounds step, ``noise_rx`` on m antennas against ``inner_points``
-    source nodes, then ``check_rule_size`` of the trace's rule."""
-    check_memory(BOUNDS_BYTES_PER_ANTENNA * m + RULE_BYTES_PER_NODE * inner_points,
-                 f"a bounds step on {m} antennas and {inner_points} source nodes")
-    check_rule_size(cfg.default_inner_points())
+def size_noise_rx(cfg: SystemConfig, m: int, n: int, build_grid: bool = False) -> None:
+    """Charge a bounds step, ``noise_rx`` on m antennas and n source nodes, with its grid when
+    ``build_grid``: rule, diagonal and one row block; rule and |G|^2 profile; the trace's rule."""
+    grid = (("antenna positions", (m,), np.float64),) if build_grid else ()
+    rule = (*grid, ("source rule", (2, n), np.float64))
+    check_arrays(f"a bounds step on {m} antennas and {n} source nodes",
+                 (*rule, ("diagonal", (m,), np.float64),
+                  *green_offset_arrays((min(m, green_block_rows(n)), n))), (*rule, *_PROFILE))
+    n = cfg.default_inner_points()
+    check_arrays(f"a {n}-node Gauss-Legendre rule", rule_arrays(n))
 
 
 def noise_rx(grid: QuadratureGrid, cfg: SystemConfig,
@@ -275,14 +278,14 @@ def noise_rx(grid: QuadratureGrid, cfg: SystemConfig,
     so the array's aggregate SNR equals the continuous receiver's. The
     numerator is the unit-power diagonal sum, trace(K) of
     ``mi_discrete_rx``; power density cancels, so this is defined even
-    at zero power. ``check_noise_rx_size`` sizes the step before it allocates.
+    at zero power. ``size_noise_rx`` charges the step before it allocates.
     """
     if grid.m < 1:
         raise ValueError("grid must be nonempty")
     _check_on_aperture(cfg, grid)
     geometry, n = _geometry(cfg), resolve_inner_points(cfg, inner_points)
-    check_noise_rx_size(cfg, grid.m, n)
-    # the diagonal is freed before the profile's temporaries: BOUNDS_BYTES_PER_ANTENNA holds
+    size_noise_rx(cfg, grid.m, n)
+    # the diagonal is freed before the profile's temporaries, as size_noise_rx charges them
     unit_power_sum = float(kernel_diagonal(grid.points, geometry, n).sum())
     return _noise_control(cfg, unit_power_sum, (grid.m,), _profile_curvatures(geometry)[0])
 
@@ -294,13 +297,13 @@ def noise_trx(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
     n_trx = n0 * ||H||_F^2 / (double integral of |G|^2), the numerator
     being trace(H H^H) of ``mi_discrete_trx``; power density cancels, so
     this is defined even at zero power. The gap bound carries the
-    min(m_tx, m_rx)^-2 midpoint error of the pair sum.
+    min(m_tx, m_rx)^-2 midpoint error of the pair sum; the profile is sampled before H exists.
     """
     if rx_grid.m < 1 or tx_grid.m < 1:
         raise ValueError("grids must be nonempty")
     _check_on_aperture(cfg, rx_grid, tx_grid)
-    H = assemble_channel_matrix(rx_grid, tx_grid, cfg)
     sup2 = _profile_curvatures(_geometry(cfg))[1]
+    H = assemble_channel_matrix(rx_grid, tx_grid, cfg)
     return _noise_control(cfg, _squared_norm(H), (tx_grid.m, rx_grid.m), sup2 + sup2)
 
 

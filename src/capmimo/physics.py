@@ -6,8 +6,8 @@ parallel line (d, 0, z). Everything downstream (field autocorrelation,
 operator trace, mutual-information models) is built from the scalar
 propagation coefficient ``green_offset``, up to the unit phase common to
 every pair (``green_scalar`` is G itself), and the ``QuadratureGrid``s of
-an aperture: the composite Gauss-Legendre rule of every integral, laid
-out by ``_gauss_legendre_rule`` alone, and the antennas (``midpoint_grid``).
+an aperture: the composite Gauss-Legendre rule of every integral, on
+``gauss_legendre_panels`` panels, and the antennas (``midpoint_grid``).
 
 All functions here are pure and accept numpy arrays for the position
 arguments (broadcasting applies); they are safe to call concurrently.
@@ -41,13 +41,11 @@ def green_block_rows(cols: int) -> int:
     return max(1, GREEN_BLOCK_ENTRIES // cols)
 
 
-# resident bytes per node of a Gauss-Legendre rule and one |G|^2 pass over it: the
-# VmHWM rise of a fresh process (numpy 2.4.6), 71.6-72.4 for operator_trace and
-# 104.6-106.6 for a bounds step's source rule at 5e5-2e6 nodes, of equal panels
-# or not, plus 1.5 of margin, rounded up to a multiple of 16; per antenna of a midpoint
-# grid, its points alone (numpy reuses the temporaries), 8.1-8.7 at 1e6-8e6, plus 1.3
-RULE_BYTES_PER_NODE = 112
-GRID_BYTES_PER_ANTENNA = 10
+# resident bytes per listed byte (``check_arrays``): one step's VmHWM rise in a fresh process
+# (numpy 2.4.6, OpenBLAS 0.3.31) over its largest phase read 1.01-1.06 for full-SVD fallbacks,
+# 0.93-1.05 for gram_from_channel and 0.90-1.03 for channels, grids, noise steps and the trace
+# at 8-92 MiB, plus margin; glibc's retained heap adds 1.5 MiB (the 5 MiB |G|^2 profile: 1.33)
+MEMORY_FACTOR = 1.15
 
 
 @dataclass(frozen=True)
@@ -236,9 +234,25 @@ def check_memory(need: int, what: str) -> None:
             f"lower ref_m, inner_points, the antenna counts or l / min(wavelength, d)")
 
 
-def check_rule_size(n: int) -> None:
-    """``check_memory`` of an n-node Gauss-Legendre rule at RULE_BYTES_PER_NODE per node."""
-    check_memory(RULE_BYTES_PER_NODE * n, f"a {n}-node Gauss-Legendre rule")
+def check_arrays(what: str, *phases) -> int:
+    """``check_memory`` of the largest of ``phases``, each the arrays (name, shape, dtype) alive
+    at once at a phase's peak, at its bytes times MEMORY_FACTOR; returns the bytes charged.
+    Arrays the caller passes in are not listed, nor any far smaller than the phase's largest."""
+    need = math.ceil(MEMORY_FACTOR * max(sum(math.prod(shape) * np.dtype(dtype).itemsize
+                                             for _, shape, dtype in phase) for phase in phases))
+    check_memory(need, what)
+    return need
+
+
+def green_offset_arrays(shape: tuple) -> tuple:
+    """A ``green_offset`` pass over offsets of ``shape``: them, and its peak's four arrays."""
+    return (("offsets", shape, np.float64), ("green_offset real", shape, np.float64),
+            ("green_offset complex", (3, *shape), np.complex128))
+
+
+def rule_arrays(n: int) -> tuple:
+    """An n-node rule's build: its nodes and weights, and ``operator_trace``'s pass over them."""
+    return (("rule nodes and weights", (2, n), np.float64), *green_offset_arrays((n,)))
 
 
 @dataclass(frozen=True)
@@ -272,7 +286,7 @@ def midpoint_grid(length: float, m: int) -> QuadratureGrid:
     m one-node panels of point antennas, which carry no weight.
     """
     m = as_count("grid size m", m, 1)
-    check_memory(GRID_BYTES_PER_ANTENNA * m, f"a {m}-antenna midpoint grid")
+    check_arrays(f"a {m}-antenna midpoint grid", (("antenna positions", (m,), np.float64),))
     pts = (np.arange(m, dtype=np.float64) + 0.5) * (as_positive("grid length", length) / m)
     pts.setflags(write=False)
     return QuadratureGrid(points=pts, length=length, m=m, weights=None, panels=m)
@@ -293,7 +307,7 @@ def gauss_legendre_grid(length: float, n: int) -> QuadratureGrid:
     read-only. Each panel's rule is ``_legendre_rule``'s, computed once
     per order and only for the orders used. ``as_count`` and ``as_positive``
     check n and length before the grids' cache on (length, int n) is read;
-    ``check_rule_size`` sizes a rule before it is built.
+    ``check_arrays`` charges ``rule_arrays`` before a rule is built.
     """
     n = as_count("Gauss-Legendre node count", n, 2)
     return _gauss_legendre_rule(as_positive("grid length", length), n)
@@ -301,13 +315,10 @@ def gauss_legendre_grid(length: float, n: int) -> QuadratureGrid:
 
 @lru_cache(maxsize=64)
 def _gauss_legendre_rule(length: float, n: int) -> QuadratureGrid:
-    """``gauss_legendre_grid`` unchecked: the one place a Gauss-Legendre layout is decided."""
-    check_rule_size(n)
-    panels = -(-n // PANEL_NODES)
+    """``gauss_legendre_grid`` unchecked: a Gauss-Legendre rule laid out on its panels."""
+    check_arrays(f"a {n}-node Gauss-Legendre rule", rule_arrays(n))
+    panels = gauss_legendre_panels(n)
     small, extra = divmod(n, panels)
-    if extra % 2 and (panels - extra) % 2:
-        panels += 1
-        small, extra = divmod(n, panels)
     if extra % 2 == 0:
         outer, inner = (small + 1, extra // 2), (small, panels - extra)
     else:
@@ -328,6 +339,12 @@ def _gauss_legendre_rule(length: float, n: int) -> QuadratureGrid:
     w.setflags(write=False)
     return QuadratureGrid(points=x, length=length, m=n, weights=w,
                           panels=1 if extra else panels)
+
+
+def gauss_legendre_panels(n: int) -> int:
+    """The panel count of the n-node rule, from n alone, as ``gauss_legendre_grid`` lays it out."""
+    panels = -(-n // PANEL_NODES)
+    return panels + 1 if (extra := n % panels) % 2 and (panels - extra) % 2 else panels
 
 
 @lru_cache(maxsize=32)

@@ -30,7 +30,8 @@ table, with the grid weights folded in, and the matrix is a (panel,
 node, panel, node) view of that table (``_lattice``). Where that table
 would be as large as the matrix (panels of unequal size, panel counts
 whose lcm is far above both) every entry is evaluated directly, in row
-blocks, and the view reads those rows as one-node panels. Either way
+blocks, and the view reads those rows as one-node panels; ``solve_plan``
+decides which from the node and panel counts alone. Either way
 ``assemble_channel_matrix`` copies the matrix out of the view, times
 the phase exp(i k d) common to every entry that ``green_offset`` leaves
 out, and ``centrosymmetric_spectrum``, whose values do not depend on that
@@ -62,9 +63,8 @@ autocorrelation K = P A A^H and its eigenvalues. Kernel matrices are
 plain complex ndarrays that satisfy, by construction, K[i, j] ==
 conj(K[j, i]) entrywise-exactly with an exactly real diagonal;
 ``validate_hermitian`` enforces this contract on any externally
-supplied matrix. Every matrix of propagation coefficients is checked
-against the machine's physical memory (``check_matrix_size``) before it
-is allocated.
+supplied matrix. Every matrix of propagation coefficients is charged by
+its ``solve_plan`` (``physics.check_arrays``) before anything is allocated.
 """
 
 from __future__ import annotations
@@ -75,40 +75,21 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .physics import (
     QuadratureGrid,
     SystemConfig,
-    check_memory,
+    check_arrays,
     distance_phase,
     gauss_legendre_grid,
     green_block_rows,
     green_offset,
+    green_offset_arrays,
     resolve_inner_points,
 )
-
-# bytes per entry of the evaluated top half while its spectrum is taken: the
-# resident peak below plus 1.5 of margin, rounded up. Evaluated directly, the
-# top half is held whole while the split blocks are formed from it a piece at a
-# time, with the sketch's factors, or one block whole for its full SVD, which
-# numpy.linalg's gufunc factors in a working copy of its own. In a fresh
-# process (VmHWM, numpy 2.4 with OpenBLAS 0.3.31) the resident peak of 1201 x
-# 1200 antennas and a 1600 x 1000 Nystrom matrix rises by at most 35.1 per
-# entry with the full SVD (every block sent to it at d = 10 m, or d = 0.03 m)
-# and 23.9 with the sketch (d = 0.1 m, where it is widest). tracemalloc, blind
-# to that working copy, reads 24.2 and 21.5 there. From an offset table the top
-# half is never held whole, and 1200-1600-row matrices peak at 1.6-6.6
-# (tracemalloc)
-BYTES_PER_ENTRY = 37
-
-# bytes per entry of one green_offset row block of min(rows, green_block_rows(cols))
-# whole rows (``matrix_bytes``): its offsets, temporaries and result (tracemalloc
-# peak 80.2 per entry on blocks of 8192 entries, at most 81.7 on blocks of
-# 1000-8192, numpy 2.4.6). The block does not shrink with the matrix, so on
-# small matrices it outweighs BYTES_PER_ENTRY
-BLOCK_BYTES_PER_ENTRY = 82
 
 # relative Frobenius residual below which a block's sketch stands in for
 # its full SVD; columns added to the a-priori mode count; the most rows of a
@@ -142,28 +123,58 @@ class PSDViolationError(ValueError):
     """An eigenvalue fell below the negative tolerance band: matrix not PSD."""
 
 
-def matrix_bytes(rows: int, cols: int) -> int:
-    """The memory guard's estimate for a rows x cols matrix: its entries plus one row block.
+class SolvePlan(NamedTuple):
+    """What ``_lattice`` evaluates for the top ``rows`` rows of a rows x cols matrix: ``table``,
+    (1, rows, cols) when ``direct``, else (count, k_rx, k_tx), G at lattice differences low ..
+    low + count - 1 (in units of l / lcm) for each pair of first-panel nodes."""
 
-    The row block is ``_green_matrix``'s, ``green_block_rows(cols)`` whole
-    rows of at most GREEN_BLOCK_ENTRIES (8192) entries together, or one
-    whole row for a matrix wider than that, at BLOCK_BYTES_PER_ENTRY each.
-    """
-    block_rows = min(rows, green_block_rows(cols))
-    return BYTES_PER_ENTRY * rows * cols + BLOCK_BYTES_PER_ENTRY * block_rows * cols
+    rows: int
+    cols: int
+    direct: bool
+    table: tuple[int, int, int]
+    low: int
+    lcm: int
+
+    def phases(self) -> tuple:
+        """The arrays alive at each phase's peak in ``centrosymmetric_spectrum``: the table with
+        one ``_green_matrix`` block; with Y, Omega and a row piece of B+'s widest sketch; with
+        B+ whole, its SVD's copy and LAPACK's workspace (64 per row and column; 70-100 seen).
+        The sketch's other phases (``_sketch_spectrum``) hold less than the last."""
+        c16, (count, k_rx, k_tx) = np.complex128, self.table
+        rows, cols = (self.rows, self.cols) if self.direct else (count, k_rx * k_tx)
+        k_rx, k_tx = (1, 1) if self.direct else (k_rx, k_tx)
+        m, n, table = self.rows, self.cols - self.cols // 2, ("table", self.table, c16)
+        width = (2 * min(m, n) - 1) // 5
+        chunk = min(BLOCK_CHUNK, (m + n) * width // n)
+        return ((table, *green_offset_arrays((min(rows, green_block_rows(cols)), cols))),
+                (table, ("Y", (m, width), c16), ("Omega", (n, width), c16),
+                 ("row piece", (chunk + 2 * k_rx - 2, n + k_tx - 1), c16)),
+                (table, ("B+", (m + k_rx - 1, n + k_tx - 1), c16), ("SVD's copy", (m, n), c16),
+                 ("SVD's workspace", (m + n, 64), c16)))
+
+    def check(self, *phases) -> int:
+        """``check_arrays`` of ``phases`` (its own by default), named as its matrix."""
+        return check_arrays(f"a {self.rows} x {self.cols} complex matrix",
+                            *(phases or self.phases()))
 
 
-def check_matrix_size(rows: int, cols: int) -> None:
-    """Fail fast when a rows x cols complex matrix cannot be evaluated in physical memory.
+def solve_plan(rx: tuple[int, int], tx: tuple[int, int], rows: int,
+               same_length: bool) -> SolvePlan:
+    """The plan of the top ``rows`` rows between (m, panels) receive and transmit sides; pure.
+    A side of unequal panels is one panel of every node. The rows are evaluated directly
+    where the lengths differ or the table would be as large."""
+    (p, panels_rx), (q, panels_tx) = ((m, k if m % k == 0 else 1) for m, k in (rx, tx))
+    k_rx, k_tx, lcm = p // panels_rx, q // panels_tx, math.lcm(panels_rx, panels_tx)
+    low = -(panels_tx - 1) * (lcm // panels_tx)
+    count = (rows - 1) // k_rx * (lcm // panels_rx) - low + 1
+    if same_length and count * k_rx * k_tx < rows * q:
+        return SolvePlan(rows, q, False, (count, k_rx, k_tx), low, lcm)
+    return SolvePlan(rows, q, True, (1, rows, q), 0, 1)
 
-    The estimate is ``matrix_bytes``; see ``check_memory``.
-    """
-    check_memory(matrix_bytes(rows, cols), f"a {rows} x {cols} complex matrix")
 
-
-def check_spectrum_size(p: int, q: int) -> None:
-    """``check_matrix_size`` of the top ceil(p / 2) rows of a p x q matrix, those evaluated."""
-    check_matrix_size(-(-p // 2), q)
+def _grid_plan(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid, rows: int) -> SolvePlan:
+    return solve_plan((rx_grid.m, rx_grid.panels), (tx_grid.m, tx_grid.panels), rows,
+                      rx_grid.length == tx_grid.length)
 
 
 def _hermitize_in_place(K: np.ndarray) -> np.ndarray:
@@ -190,15 +201,14 @@ def assemble_channel_matrix(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
                             cfg: SystemConfig) -> np.ndarray:
     """A = sqrt(w_r) G(r_i - s_k) sqrt(w_s), shape (m_rx, m_tx), a fresh array; H = G on antennas.
 
-    A is the view ``_lattice`` times ``distance_phase``, the factor the
-    view leaves out. On two grids of one length l, r_i - s_k is D l /
-    lcm(P_rx, P_tx) for an integer lattice difference D, plus the offset
-    of two first-panel nodes, and G is evaluated once per (D, node pair)
-    into a table. Where that table would hold at least as many
-    entries as A (unequal panels, an lcm far above both panel counts, or
-    grids of different lengths), every entry is evaluated directly instead.
+    A is the view ``_lattice`` builds by the grids' ``solve_plan``, times
+    ``distance_phase``, the factor the view leaves out. A table's view is
+    copied out whole.
     """
-    check_matrix_size(rx_grid.m, tx_grid.m)
+    plan = _grid_plan(rx_grid, tx_grid, rx_grid.m)
+    evaluation = plan.phases()[0]
+    plan.check(evaluation, () if plan.direct else
+               (evaluation[0], ("A", (plan.rows, plan.cols), np.complex128)))
     A = _lattice(rx_grid, tx_grid, cfg, rx_grid.m).reshape(rx_grid.m, tx_grid.m)
     # a table view stays a read-only view of aliased entries where the
     # reshape need not copy (one-node panels on both sides)
@@ -209,37 +219,30 @@ def _lattice(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid, cfg: SystemConfig
              rows: int) -> np.ndarray:
     """A = sqrt(w_r) G sqrt(w_s) as a (panel, node, panel, node) view V[I, a, K, b].
 
-    Node i = I k_rx + a is node a of receive panel I, node k = K k_tx + b
-    node b of transmit panel K (k = m // panels on each side), over the
-    panels that hold the first ``rows`` receive nodes. The view reads an
-    offset table and is read-only. Where the table would hold at least as
-    many entries as the rows x m_tx matrix, the view is those rows
-    evaluated directly, read as one-node panels: V[i, 0, k, 0] = A[i, k].
-    Each side's weights, where its grid has any, are folded in once:
-    every panel repeats the first's nodes and weights.
-    G is ``green_offset``'s, without the common phase ``distance_phase``.
+    Built as the grids' ``solve_plan`` says, over the panels that hold the
+    first ``rows`` receive nodes: node i = I k_rx + a, node k = K k_tx + b.
+    The view of a table is read-only; a direct plan's rows are read as
+    one-node panels, V[i, 0, k, 0] = A[i, k]. Each grid's weights are
+    folded in once. G is ``green_offset``'s, without ``distance_phase``.
     """
-    k_rx, k_tx = rx_grid.m // rx_grid.panels, tx_grid.m // tx_grid.panels
-    lcm = math.lcm(rx_grid.panels, tx_grid.panels)
-    step_rx, step_tx = lcm // rx_grid.panels, lcm // tx_grid.panels
-    low, high = -(tx_grid.panels - 1) * step_tx, (rows - 1) // k_rx * step_rx
-    l = rx_grid.length
-    direct = l != tx_grid.length or (high - low + 1) * k_rx * k_tx >= rows * tx_grid.m
-    if direct:  # table[0, i, k] = G(r_i - s_k): one panel of every node on each side
-        k_rx, k_tx = rows, tx_grid.m
+    plan = _grid_plan(rx_grid, tx_grid, rows)
+    count, k_rx, k_tx = plan.table
+    if plan.direct:  # table[0, i, k] = G(r_i - s_k)
         table = _green_matrix(rx_grid.points[:rows], tx_grid.points, cfg)
     else:  # table[D - low, a, b] = G(D l / lcm + r_a - s_b), a and b nodes of the first panels
         node_offsets = tx_grid.points[None, :k_tx] - rx_grid.points[:k_rx, None]
-        table = _green_matrix(np.arange(low, high + 1) * (l / lcm), node_offsets.ravel(), cfg)
-    table = table.reshape(-1, k_rx, k_tx)
+        differences = np.arange(plan.low, plan.low + count) * (rx_grid.length / plan.lcm)
+        table = _green_matrix(differences, node_offsets.ravel(), cfg)
+    table = table.reshape(plan.table)
     if tx_grid.weights is not None:
         table *= np.sqrt(tx_grid.weights[:k_tx])
     if rx_grid.weights is not None:
         table *= np.sqrt(rx_grid.weights[:k_rx])[:, None]
-    if direct:
+    if plan.direct:
         return table.reshape(rows, 1, k_tx, 1)
+    step_rx, step_tx = plan.lcm // rx_grid.panels, plan.lcm // tx_grid.panels
     # D - low = I step_rx + (P_tx - 1 - K) step_tx: windows[j, a, b, w] = table[j + w, a, b]
-    windows = np.lib.stride_tricks.sliding_window_view(table, 1 - low, axis=0)
+    windows = np.lib.stride_tricks.sliding_window_view(table, 1 - plan.low, axis=0)
     return windows[::step_rx, :, :, ::-step_tx].transpose(0, 1, 3, 2)
 
 
@@ -306,9 +309,7 @@ def centrosymmetric_spectrum(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
     one, and log det(I + s A A^H) at most s SKETCH_TOL^2 ||A||_F^2 low.
 
     Both blocks are ``_SplitBlock``s over the view ``_lattice``, formed
-    from it a piece at a time; a block that takes the full SVD is formed
-    whole. From an offset table the top rows are never held whole; where
-    they are evaluated directly the view holds them.
+    a piece at a time, as the charged ``SolvePlan.phases`` list them.
 
     When the a-priori sketch work top * q * width is below SERIAL_WORK,
     both blocks are solved with the BLAS on one thread, and the count
@@ -326,8 +327,9 @@ def centrosymmetric_spectrum(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
     if rx_grid.length != tx_grid.length:
         raise ValueError(f"grid lengths differ: {rx_grid.length} and {tx_grid.length}")
     p, q = rx_grid.m, tx_grid.m
-    check_spectrum_size(p, q)
     top, half = -(-p // 2), q // 2
+    plan = _grid_plan(rx_grid, tx_grid, top)
+    plan.check()
     lattice = _lattice(rx_grid, tx_grid, cfg, top)
     plus = _SplitBlock(lattice, np.add, (top, q - half), p, q)
     minus = _SplitBlock(lattice, np.subtract, (p // 2, half), p, q)
@@ -657,7 +659,10 @@ def _singular_values(M: np.ndarray) -> np.ndarray:
 
 def gram_from_channel(H: np.ndarray, weight: float) -> np.ndarray:
     """Weighted Gram matrix weight * H H^H with exact Hermitian symmetry."""
-    check_matrix_size(H.shape[0], H.shape[0])
+    (m, q), c16, upper = H.shape, np.complex128, (2, H.shape[0] * (H.shape[0] - 1) // 2)
+    check_arrays(f"a {m} x {m} complex matrix", (("conj(H)", (m, q), c16), ("H H^H", (m, m), c16)),
+                 (("K", (m, m), c16), ("upper triangle's indices", upper, np.intp),
+                  ("its entries and their conjugates", upper, c16)))
     K = weight * (H @ H.conj().T)
     return _hermitize_in_place(K)
 

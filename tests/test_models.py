@@ -20,7 +20,7 @@ from capmimo import (
     noise_rx,
     noise_trx,
 )
-from capmimo import models, physics, spectra
+from capmimo import cli, models, physics, spectra
 from capmimo.physics import gauss_legendre_grid, green_offset, kernel_diagonal
 from capmimo.spectra import (
     assemble_kernel_matrix,
@@ -147,12 +147,14 @@ def test_trace_rule_sized_before_it_is_built(call, monkeypatch):
 
 def test_noise_rx_sized_before_its_diagonal_is_allocated(monkeypatch):
     # the library refuses the step the command line's bounds refuses: with
-    # 40 MiB of physical memory a 3e6-antenna grid (24 MB of points) is built,
-    # but its noise_rx step, charged 19 B per antenna, is refused in one line
-    # before its diagonal (24 MB more, 48 MB with the grid) is allocated
+    # 40 MiB of physical memory a 3e6-antenna grid (24 MB of points) is built;
+    # with 20 MiB its noise_rx step, charged for its 24 MB diagonal but not
+    # for the grid it is handed, is refused in one line before the diagonal
+    # is allocated
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (40 << 20) // 4096}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     grid = midpoint_grid(2.0, 3_000_000)
+    pages["SC_PHYS_PAGES"] = (20 << 20) // 4096
     tracemalloc.start()
     try:
         with pytest.raises(ValueError) as exc:
@@ -164,6 +166,51 @@ def test_noise_rx_sized_before_its_diagonal_is_allocated(monkeypatch):
     assert message.startswith("a bounds step on 3000000 antennas and 2 source nodes needs about")
     assert "\n" not in message and "physical memory" in message
     assert peak < 1 << 20
+
+
+def test_noise_rx_is_not_charged_for_the_grid_it_is_handed(monkeypatch, capsys):
+    # noise_rx is handed a grid that already exists, so only the step is
+    # charged: with 24 MiB of physical memory a 2e6-antenna step (its 16 MB
+    # diagonal) runs beside its 16 MB grid. The command line's bounds,
+    # which builds that grid for the step, is charged for it and refused
+    # before any output
+    grid = midpoint_grid(2.0, 2_000_000)
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (24 << 20) // 4096}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    control = noise_rx(grid, SystemConfig(), inner_points=2)
+    assert math.isfinite(control.n_value) and control.n_value > 0.0
+    assert cli.main(["bounds", "--m-list", "2000000", "--inner-points", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: a bounds step on 2000000 antennas and 2 source "
+                                   "nodes needs about")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("step", [
+    lambda cfg: noise_rx(midpoint_grid(2.0, 2), cfg, inner_points=2),
+    lambda cfg: noise_trx(midpoint_grid(2.0, 2), midpoint_grid(2.0, 2), cfg)])
+def test_profile_charged_before_it_is_sampled(step, monkeypatch):
+    # the gap bound's |G|^2 profile (80003 offsets) traces a 5.0 MB peak
+    # whatever the antenna count: with 4 MiB of physical memory a step on 2
+    # antennas is refused in one line before the profile is sampled, and
+    # the profile's charge covers that peak
+    cfg = SystemConfig()
+    models._profile_curvatures.cache_clear()
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (4 << 20) // 4096}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    with pytest.raises(ValueError) as exc:
+        step(cfg)
+    assert "\n" not in str(exc.value) and "physical memory" in str(exc.value)
+    assert models._profile_curvatures.cache_info().currsize == 0
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        models._profile_curvatures(models._geometry(cfg))
+        profile = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 4 << 20 < profile <= physics.check_arrays("the |G|^2 profile", models._PROFILE)
 
 
 def test_noise_rx_step_that_fits_is_run(monkeypatch):
@@ -186,11 +233,19 @@ def test_noise_rx_step_that_fits_is_run(monkeypatch):
 
 @pytest.mark.parametrize("model_tag", [models.MODEL_DISCRETE_RX, models.MODEL_CONTINUOUS])
 def test_model_sides_refuses_exactly_where_the_solve_does(model_tag, monkeypatch):
-    # the evaluated rows are sized by one rule, check_spectrum_size: with
-    # physical memory at the estimate of 33 x 64 rows, model_sides and
-    # centrosymmetric_spectrum refuse the same (p, q), odd p included
+    # the evaluated rows are sized by one rule, the charge of their solve
+    # plan: with physical memory at the charge of 33 x 64 rows, model_sides
+    # and centrosymmetric_spectrum refuse the same (p, q), odd p included
     cfg = SystemConfig()
-    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": spectra.matrix_bytes(33, 64)}
+    rule = midpoint_grid if model_tag == models.MODEL_DISCRETE_RX else gauss_legendre_grid
+
+    def plan(p, q):
+        panels = p if rule is midpoint_grid else physics.gauss_legendre_panels(p)
+        return spectra.solve_plan((p, panels), (q, physics.gauss_legendre_panels(q)),
+                                  -(-p // 2), True)
+
+    charge = physics.check_arrays("charge", *plan(65, 64).phases())
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": charge}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
 
     def refused(call, *args, **kwargs) -> bool:
@@ -201,7 +256,6 @@ def test_model_sides_refuses_exactly_where_the_solve_does(model_tag, monkeypatch
             return True
         return False
 
-    rule = midpoint_grid if model_tag == models.MODEL_DISCRETE_RX else gauss_legendre_grid
     verdicts = set()
     for p in range(64, 70):
         for q in (63, 64, 65):
@@ -210,7 +264,7 @@ def test_model_sides_refuses_exactly_where_the_solve_does(model_tag, monkeypatch
             verdict = refused(models.model_sides, cfg, model_tag, m2=p, ref_m=p, inner_points=q)
             grids = rule(cfg.aperture_m, p), gauss_legendre_grid(cfg.aperture_m, q)
             assert refused(spectra.centrosymmetric_spectrum, *grids, cfg) == verdict
-            assert refused(spectra.check_spectrum_size, p, q) == verdict
+            assert refused(lambda: plan(p, q).check(*plan(p, q).phases())) == verdict
             verdicts.add(verdict)
     assert verdicts == {True, False}
 
@@ -287,7 +341,8 @@ def test_reference_memory_guard_sizes_the_evaluated_half(monkeypatch):
     # matrix's estimate the reference must still be computed
     cfg = SystemConfig(distance_m=7.25)
     n_source = cfg.default_inner_points()
-    half = spectra.matrix_bytes(32, n_source)
+    plan = spectra.solve_plan((64, 4), (n_source, n_source // 16), 32, True)
+    half = physics.check_arrays("charge", *plan.phases())
     pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 3 * half // 2}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     models._spectrum.cache_clear()
@@ -432,7 +487,8 @@ def test_noise_trx_peak_within_the_memory_guard():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 30 * 2000 * 2000 + spectra.BLOCK_BYTES_PER_ENTRY * physics.GREEN_BLOCK_ENTRIES
+    block = physics.green_offset_arrays((physics.GREEN_BLOCK_ENTRIES,))
+    assert peak <= 30 * 2000 * 2000 + physics.check_arrays("charge", block)
 
 
 def test_noise_trx_constant_channel_limit(constant_channel):

@@ -25,11 +25,8 @@ from capmimo import (
 from capmimo import models, physics, spectra
 from capmimo.physics import GREEN_BLOCK_ENTRIES, gauss_legendre_grid, green_offset
 from capmimo.spectra import (
-    BLOCK_BYTES_PER_ENTRY,
-    BYTES_PER_ENTRY,
     _block_spectrum,
     centrosymmetric_spectrum,
-    check_matrix_size,
     gram_from_channel,
     logdet_from_eigenvalues,
 )
@@ -112,10 +109,16 @@ def test_gauss_legendre_grid_any_node_count():
         gauss_legendre_grid(2.0, 1)
 
 
+def _check_matrix(p: int, q: int) -> None:
+    """The memory guard's check of a spectrum of p x q antennas, before any grid exists."""
+    plan = spectra.solve_plan((p, p), (q, q), -(-p // 2), True)
+    plan.check(*plan.phases())
+
+
 def test_matrix_size_guard(monkeypatch):
-    check_matrix_size(1600, 1000)
+    _check_matrix(1600, 1000)
     with pytest.raises(ValueError, match="physical memory"):
-        check_matrix_size(10**7, 10**7)
+        _check_matrix(10**7, 10**7)
     with pytest.raises(ValueError, match="physical memory"):
         assemble_channel_matrix(midpoint_grid(2.0, 10**7), midpoint_grid(2.0, 10**7),
                                 SystemConfig())
@@ -125,7 +128,7 @@ def test_matrix_size_guard(monkeypatch):
         raise ValueError(f"unrecognized configuration name {name}")
 
     monkeypatch.setattr(os, "sysconf", unreported)
-    check_matrix_size(10**7, 10**7)
+    _check_matrix(10**7, 10**7)
 
 
 def test_grid_rejects_bad_arguments():
@@ -874,10 +877,10 @@ def test_spectrum_peak_memory_within_guard(layout):
     # objects), at d = 10 m and at d = 0.1 m, where the sketch is widest.
     # The direct layouts hold the top half whole and must keep 1.5 B of
     # margin under that. The small layouts, whose green_offset row block is
-    # not small beside the matrix, may add one row block at
-    # BLOCK_BYTES_PER_ENTRY. The guard, BYTES_PER_ENTRY, charges more: it
-    # also covers the working copies numpy.linalg makes, which tracemalloc
-    # does not see (test_full_svd_fallback_resident_peak_within_guard)
+    # not small beside the matrix, may add one row block at 82 B per
+    # entry. The guard, the solve plan's charge, charges more: it also
+    # lists the working copies numpy.linalg makes, which tracemalloc does
+    # not see (test_full_svd_fallback_resident_peak_within_guard)
     small = layout in SMALL_LAYOUTS
     for d in (SMALL_LAYOUTS[layout],) if small else (10.0, 0.1):
         cfg, rx, tx = _large_case(layout, d)
@@ -885,7 +888,7 @@ def test_spectrum_peak_memory_within_guard(layout):
         top = -(-rx.m // 2)
         bound = 30 * top * tx.m
         if small:
-            bound += BLOCK_BYTES_PER_ENTRY * min(top * tx.m, GREEN_BLOCK_ENTRIES)
+            bound += 82 * min(top * tx.m, GREEN_BLOCK_ENTRIES)
         assert peak <= bound + 16 * (rx.m + tx.m), d
         if layout in DIRECT_LAYOUTS:
             assert peak <= 28.5 * top * tx.m, d
@@ -961,23 +964,69 @@ def test_full_svd_fallback_resident_peak_within_guard(layout):
     # on its own copy of that block, which tracemalloc does not see: the
     # fallback's resident peak, measured as the rise of VmHWM in a fresh
     # process after the grids are built and LAPACK is loaded, must fit
-    # under the guard's BYTES_PER_ENTRY per evaluated top-half entry
+    # under 37 B per evaluated top-half entry and under the guard, the
+    # charge of the solve plan, which lists that copy (34.9-35.0 and 34.5 B
+    # here against 38.8 charged, numpy 2.4.6)
     rise = float(_fresh_python(_FALLBACK_RISE, layout))
-    assert rise <= BYTES_PER_ENTRY, rise
+    cfg, rx, tx = _large_case(layout, 10.0)
+    plan = spectra._grid_plan(rx, tx, -(-rx.m // 2))
+    assert rise <= 37, rise
+    assert rise <= physics.check_arrays("charge", *plan.phases()) / (plan.rows * plan.cols), rise
 
 
-def test_matrix_wider_than_a_row_block_is_charged_its_whole_row():
+def test_matrix_wider_than_a_row_block_is_charged_its_whole_row(monkeypatch):
     # _green_matrix evaluates at least one whole row at a time, so a
     # 1 x 10**6 channel's row block is its 10**6 entries (tracemalloc peak
     # 80.1 MB), not GREEN_BLOCK_ENTRIES (which the estimate charged, 42.4 MB)
     rx, tx = midpoint_grid(2.0, 1), gauss_legendre_grid(2.0, 10**6)
+    charges, check = [], physics.check_memory
+    monkeypatch.setattr(physics, "check_memory",
+                        lambda need, what: check(need, what) or charges.append((need, what)))
     tracemalloc.start()
     try:
         assemble_channel_matrix(rx, tx, SystemConfig())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= spectra.matrix_bytes(1, 10**6), peak
+    assert charges == [(charges[0][0], "a 1 x 1000000 complex matrix")]
+    assert peak <= charges[0][0], peak
+
+
+@pytest.mark.parametrize("layout", [
+    "trx1200x1200", "trx800x1200", "trx1201x1200", "trx1125x1000", "trx1000x1125", "trx400x1200",
+    "trx1200x400", "nystrom1600x1000", "nystrom1600x800", *SMALL_LAYOUTS])
+def test_plan_is_what_the_lattice_builds(layout, monkeypatch):
+    # the pure plan, made from each side's node count and the panel count
+    # its rule gives before any grid exists, is the grids' plan and decides
+    # what _lattice evaluates, for the spectrum's top half and for the
+    # whole channel: direct, every entry of those rows, or the offset
+    # table of its extent; making the plan traces under 1 KB
+    cfg, rx, tx = _large_case(layout, SMALL_LAYOUTS.get(layout, 10.0))
+    sides = [(g.m, g.m if g.weights is None else physics.gauss_legendre_panels(g.m))
+             for g in (rx, tx)]
+    evaluated = []
+
+    def recording(r, s, cfg):
+        evaluated.append((r.size, s.size, np.array_equal(r, rx.points[:r.size])))
+        return np.zeros((r.size, s.size), dtype=np.complex128)
+
+    monkeypatch.setattr(spectra, "_green_matrix", recording)
+    for rows in (-(-rx.m // 2), rx.m):
+        tracemalloc.start()
+        try:
+            plan = spectra.solve_plan(*sides, rows, True)
+            traced = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traced < 1024, traced
+        assert plan == spectra._grid_plan(rx, tx, rows)
+        evaluated.clear()
+        spectra._lattice(rx, tx, cfg, rows)
+        count, k_rx, k_tx = plan.table
+        assert evaluated == [(rows, tx.m, True) if plan.direct
+                             else (count, k_rx * k_tx, False)], (layout, rows)
+    if layout not in SMALL_LAYOUTS:  # small receivers are direct at some distances
+        assert plan.direct == (layout in DIRECT_LAYOUTS)
 
 
 def _spectrum_peak(cfg, rx, tx) -> int:
