@@ -115,11 +115,14 @@ def size_sweep(cfg: SystemConfig, distances: Sequence[float],
                inner_points: int | None = None) -> tuple[list, list]:
     """A sweep's up-front check: its checked cells and each distance's (scenario, reference sides).
 
-    Every antenna count and distance is checked, then at each distance the reference and every
-    cell (``mi_discrete_rx`` when m1 is None, else ``mi_discrete_trx``) sized by ``model_sides``.
+    Every antenna count and distance is checked, a repeated distance or cell refused, then at
+    each distance the reference and every cell (``mi_discrete_rx`` when m1 is None, else
+    ``mi_discrete_trx``) sized by ``model_sides``.
     """
     cells = [tuple(None if m is None else as_count("antenna count", m, 1) for m in cell)
              for cell in cells]
+    if len(set(distances)) < len(distances) or len(set(cells)) < len(cells):
+        raise ValueError(f"repeated distance or cell in {list(distances)} x {cells}")
     scenarios = []
     for cfg_d in [dataclasses.replace(cfg, distance_m=d) for d in distances]:
         scenarios.append((cfg_d, model_sides(cfg_d, MODEL_CONTINUOUS, ref_m=ref_m)))

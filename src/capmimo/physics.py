@@ -217,30 +217,23 @@ def resolve_inner_points(cfg: SystemConfig, inner_points: int | None) -> int:
     return as_count("inner_points", inner_points, 2)
 
 
-def check_memory(need: int, what: str) -> None:
-    """Raise a one-line ValueError when ``need`` bytes for ``what`` exceed physical memory.
-
-    Called before anything is allocated; skipped where the platform does
-    not report its physical memory.
-    """
+def check_arrays(what: str, *phases) -> int:
+    """The bytes charged for ``what``: the largest of ``phases``, each the arrays (name, shape,
+    dtype) alive at once at a phase's peak, at its bytes times MEMORY_FACTOR. A charge above
+    physical memory raises a one-line ValueError; called before anything is allocated, and
+    skipped where the platform does not report its physical memory. Arrays the caller passes
+    in are not listed, nor any far smaller than the phase's largest."""
+    need = math.ceil(MEMORY_FACTOR * max(sum(math.prod(shape) * np.dtype(dtype).itemsize
+                                             for _, shape, dtype in phase) for phase in phases))
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
-        return
+        return need
     if need > have:
         raise ValueError(
             f"{what} needs about {need / 2**30:.3g} GiB, "
             f"more than the {have / 2**30:.3g} GiB of physical memory; "
             f"lower ref_m, inner_points, the antenna counts or l / min(wavelength, d)")
-
-
-def check_arrays(what: str, *phases) -> int:
-    """``check_memory`` of the largest of ``phases``, each the arrays (name, shape, dtype) alive
-    at once at a phase's peak, at its bytes times MEMORY_FACTOR; returns the bytes charged.
-    Arrays the caller passes in are not listed, nor any far smaller than the phase's largest."""
-    need = math.ceil(MEMORY_FACTOR * max(sum(math.prod(shape) * np.dtype(dtype).itemsize
-                                             for _, shape, dtype in phase) for phase in phases))
-    check_memory(need, what)
     return need
 
 

@@ -137,18 +137,15 @@ class SolvePlan(NamedTuple):
 
     def phases(self) -> tuple:
         """The arrays alive at each phase's peak in ``centrosymmetric_spectrum``: the table with
-        one ``_green_matrix`` block; with Y, Omega and a row piece of B+'s widest sketch; with
-        B+ whole, its SVD's copy and LAPACK's workspace (64 per row and column; 70-100 seen).
-        The sketch's other phases (``_sketch_spectrum``) hold less than the last."""
+        one ``_green_matrix`` block; with B+ whole, its SVD's copy and LAPACK's workspace (64 per
+        row and column; 70-100 seen). No sketch (``_sketch_spectrum``) holds more than the last:
+        the widest, under 0.4 min(m, n) columns, holds fewer than 0.8 m n entries in Y and
+        Omega and no more in a piece, where B+ and its copy hold 2 m n."""
         c16, (count, k_rx, k_tx) = np.complex128, self.table
         rows, cols = (self.rows, self.cols) if self.direct else (count, k_rx * k_tx)
         k_rx, k_tx = (1, 1) if self.direct else (k_rx, k_tx)
         m, n, table = self.rows, self.cols - self.cols // 2, ("table", self.table, c16)
-        width = (2 * min(m, n) - 1) // 5
-        chunk = min(BLOCK_CHUNK, (m + n) * width // n)
         return ((table, *green_offset_arrays((min(rows, green_block_rows(cols)), cols))),
-                (table, ("Y", (m, width), c16), ("Omega", (n, width), c16),
-                 ("row piece", (chunk + 2 * k_rx - 2, n + k_tx - 1), c16)),
                 (table, ("B+", (m + k_rx - 1, n + k_tx - 1), c16), ("SVD's copy", (m, n), c16),
                  ("SVD's workspace", (m + n, 64), c16)))
 
@@ -559,10 +556,10 @@ def _sketch_spectrum(B, width: int) -> tuple[np.ndarray, float] | None:
     basis step. The basis step: Y, LAPACK's tau (width entries) and its
     workspace (64 width entries). The column pass: conj(Q), C (width x n)
     and one piece of columns the solve owns, each freed before the next
-    is formed, and no residual buffer. Where the BLAS numpy links exports
-    none of ``_SKETCH_SYMBOLS``, numpy's QR forms the basis in a copy of Y
-    of its own, and each residual is formed from Q C in one buffer the
-    size of a piece of columns. None of these during C's SVD.
+    is formed. Where the BLAS numpy links exports none of
+    ``_SKETCH_SYMBOLS``, numpy's QR forms the basis in a copy of Y of its
+    own, and Q C is formed beside each piece and subtracted from it. None
+    of these during C's SVD.
 
     The residual certifies the result: sigma_i(C) <= sigma_i(B) and
     sum_i (sigma_i(B)^2 - sigma_i(C)^2) = ||R||_F^2, so each returned
@@ -584,23 +581,16 @@ def _sketch_spectrum(B, width: int) -> tuple[np.ndarray, float] | None:
     Q_bar = _conjugate_basis(Y)
     del Y
     C = np.empty((width, n), dtype=np.complex128)
-    routines = _sketch_routines()
-    buffer = None if routines else np.empty(m * min(n, piece), dtype=np.complex128)
     residual = 0.0
     for j in range(0, n, piece):
         cols = B[:, j:j + piece]
         C_j = C[:, j:j + piece]
         np.matmul(Q_bar.T, cols, out=C_j)
-        if routines:
-            R = cols if isinstance(B, _SplitBlock) else np.array(cols, np.complex128, order="C")
-            _subtract_projection(routines[2], R, Q_bar, C_j)
-        else:  # Q C = conj(conj(Q) conj(C)), formed in the buffer
-            R = np.matmul(Q_bar, C_j.conj(), out=buffer[:cols.size].reshape(cols.shape))
-            np.conjugate(R, out=R)
-            np.subtract(cols, R, out=R)
+        R = cols if isinstance(B, _SplitBlock) else np.array(cols, np.complex128, order="C")
+        _subtract_projection(R, Q_bar, C_j)
         residual += _squared_norm(R)
         del cols, R
-    del Q_bar, buffer
+    del Q_bar
     if not residual <= SKETCH_TOL**2 * norm:
         return None
     values = np.zeros(min(m, n))
@@ -608,13 +598,20 @@ def _sketch_spectrum(B, width: int) -> tuple[np.ndarray, float] | None:
     return values, norm
 
 
-def _subtract_projection(gemm, R: np.ndarray, Q_bar: np.ndarray, C_j: np.ndarray) -> None:
+def _subtract_projection(R: np.ndarray, Q_bar: np.ndarray, C_j: np.ndarray) -> None:
     """R -= Q C_j in R's own storage by one zgemm, Q = conj(Q_bar).
 
     R (m x w, rows of unit stride) and C_j (width x w, a column range of
     the C-ordered C) are read column-major as their transposes, so zgemm
-    forms R^T = R^T - C_j^T Q_bar^H, with Q_bar Fortran-ordered.
+    forms R^T = R^T - C_j^T Q_bar^H, with Q_bar Fortran-ordered. Where the
+    BLAS numpy links exports none of ``_SKETCH_SYMBOLS``, Q C_j =
+    conj(Q_bar conj(C_j)) is formed beside R and subtracted from it.
     """
+    routines = _sketch_routines()
+    if routines is None:
+        Q_C = np.matmul(Q_bar, C_j.conj())
+        R -= np.conjugate(Q_C, out=Q_C)
+        return
     (m, w), k = R.shape, C_j.shape[0]
     if (Q_bar.shape != (m, k) or C_j.shape[1] != w or not Q_bar.flags.f_contiguous
             or R.strides[1] != R.itemsize or C_j.strides[1] != C_j.itemsize
@@ -622,9 +619,9 @@ def _subtract_projection(gemm, R: np.ndarray, Q_bar: np.ndarray, C_j: np.ndarray
         raise ValueError("zgemm reads complex128 factors, Q_bar Fortran-ordered and R and C_j "
                          "with rows of unit stride, of matching shapes")
     size, alpha, beta = ctypes.c_int64, np.array(-1.0 + 0j), np.array(1.0 + 0j)
-    gemm(b"N", b"C", size(w), size(m), size(k), alpha.ctypes.data, C_j.ctypes.data,
-         size(C_j.strides[0] // C_j.itemsize), Q_bar.ctypes.data, size(m),
-         beta.ctypes.data, R.ctypes.data, size(R.strides[0] // R.itemsize), 1, 1)
+    routines[2](b"N", b"C", size(w), size(m), size(k), alpha.ctypes.data, C_j.ctypes.data,
+                size(C_j.strides[0] // C_j.itemsize), Q_bar.ctypes.data, size(m),
+                beta.ctypes.data, R.ctypes.data, size(R.strides[0] // R.itemsize), 1, 1)
 
 
 def _conjugate_basis(Y: np.ndarray) -> np.ndarray:

@@ -115,6 +115,13 @@ def test_sweeps_check_counts_before_any_solve():
         sweep_grid(cfg, 10.0, [3.0], [3], ref_m=64)
     with pytest.raises(ValueError, match="^ref_m must be an integer, got 64.0$"):
         sweep_receiver(cfg, [10.0], [4], ref_m=64.0)
+    # a repeated distance or cell, which would return duplicate rows
+    with pytest.raises(ValueError, match="^repeated distance or cell in "):
+        sweep_receiver(cfg, [10.0, 10.0], [5], ref_m=64)
+    with pytest.raises(ValueError, match="^repeated distance or cell in "):
+        sweep_receiver(cfg, [10.0], [5, 10, 5], ref_m=64)
+    with pytest.raises(ValueError, match="^repeated distance or cell in "):
+        sweep_grid(cfg, 10.0, [2, 2], [3])
     assert models._spectrum.cache_info().misses == 0
 
 

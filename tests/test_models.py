@@ -635,22 +635,26 @@ def test_default_sized_models_evaluate_each_table_entry_once(monkeypatch):
 # ------------------------------------------------------------------ DoF
 
 def test_half_wavelength_arrays_approach_the_continuous_aperture_with_scale():
-    # the paper's headline at d = 10 m, l = 2 m: half-wavelength arrays
-    # (m = 2 l / lambda) keep at least 0.999 of the continuous aperture's MI
-    # from l / lambda = 100 on, receiver (0.99921, 0.99956, 0.99976 at
-    # l / lambda = 50, 100, 200) and transceiver (0.99841, 0.99912, 0.99952)
-    # alike, and neither ratio falls as the aperture grows in wavelengths
-    ratios = []
-    for per_wavelength in (50, 100, 200):
-        cfg = SystemConfig(wavelength_m=2.0 / per_wavelength)
-        m = 2 * per_wavelength
-        ref = mi_continuous(cfg).value_nats
-        ratios.append((mi_discrete_rx(m, cfg).value_nats / ref,
-                       mi_discrete_trx(m, m, cfg).value_nats / ref))
-    for rx, trx in ratios[1:]:
-        assert rx >= 0.999 and trx >= 0.999, ratios
-    for before, after in zip(ratios, ratios[1:]):
-        assert after[0] >= before[0] and after[1] >= before[1], ratios
+    # the paper's headline at l = 2 m: half-wavelength arrays (m = 2 l / lambda)
+    # come closer to the continuous aperture's MI as the aperture grows in
+    # wavelengths, and neither ratio falls as l / lambda doubles. At d = 10 m
+    # both keep at least 0.999 from l / lambda = 100 on, receiver (0.99921,
+    # 0.99956, 0.99976 at l / lambda = 50, 100, 200) and transceiver (0.99841,
+    # 0.99912, 0.99952) alike; nearer in they converge more slowly (d = 1 m:
+    # 0.99638, 0.99807, 0.99898 and 0.99288, 0.99618, 0.99797; d = 0.1 m:
+    # 0.97533, 0.99592, 0.99885 and 0.97479, 0.99413, 0.99791)
+    for d in (10.0, 1.0, 0.1):
+        ratios = []
+        for per_wavelength in (50, 100, 200):
+            cfg = SystemConfig(wavelength_m=2.0 / per_wavelength, distance_m=d)
+            m = 2 * per_wavelength
+            ref = mi_continuous(cfg).value_nats
+            ratios.append((mi_discrete_rx(m, cfg).value_nats / ref,
+                           mi_discrete_trx(m, m, cfg).value_nats / ref))
+        for rx, trx in ratios[1:] if d == 10.0 else ():
+            assert rx >= 0.999 and trx >= 0.999, ratios
+        for before, after in zip(ratios, ratios[1:]):
+            assert after[0] >= before[0] and after[1] >= before[1], (d, ratios)
 
 
 def test_dof_analytic_values():

@@ -649,8 +649,8 @@ def test_sketch_basis_is_orthonormal_and_spans_the_sketch(layout, d, sketch_base
 @pytest.mark.parametrize("layout, d", [("nystrom1600x800", 0.1), ("trx1200x1200", 10.0)])
 def test_numpy_qr_basis_where_lapack_is_missing(layout, d, sketch_bases, monkeypatch):
     # where the BLAS numpy links exports no 64-bit zgeqrf, zungqr and zgemm,
-    # numpy's reduced QR forms each basis and each residual is formed in a
-    # buffer: the spectrum matches LAPACK's to roundoff
+    # numpy's reduced QR forms each basis and Q C is formed beside each piece
+    # and subtracted: the spectrum matches LAPACK's to roundoff
     cfg, rx, tx = _large_case(layout, d)
     values, norm = centrosymmetric_spectrum(rx, tx, cfg)
     monkeypatch.setattr(spectra, "_sketch_routines", lambda: None)
@@ -705,7 +705,7 @@ def test_nan_entry_certifies_no_sketch(monkeypatch):
     # a nan entry makes the residual nan, and a nan residual must fail the
     # certificate (nan > tol is False) rather than reach the SVD of the
     # sketch: with the residual subtracted in place by zgemm and, where the
-    # BLAS exports none, formed in a buffer
+    # BLAS exports none, with Q C formed beside each piece and subtracted
     for routines in (spectra._sketch_routines(), None):
         monkeypatch.setattr(spectra, "_sketch_routines", lambda: routines)
         B = _low_rank_block(6)
@@ -730,9 +730,9 @@ def test_sketch_never_writes_an_ndarray_block(order):
 @pytest.mark.parametrize("layout, d", [("nystrom1600x800", 0.1), ("trx400x1200", 10.0)])
 def test_buffered_residual_where_blas_is_missing(layout, d, monkeypatch):
     # a sketch of each split block, its residual subtracted in place by zgemm,
-    # against the same sketch with numpy's QR and the residual formed in a
-    # buffer: the same ||B||_F^2, both certified, values within 1e-13 of the
-    # largest
+    # against the same sketch with numpy's QR and Q C formed beside each piece
+    # and subtracted: the same ||B||_F^2, both certified, values within 1e-13
+    # of the largest
     cfg, rx, tx = _large_case(layout, d)
     lattice = spectra._lattice(rx, tx, cfg, -(-rx.m // 2))
     plus = spectra._SplitBlock(lattice, np.add, (-(-rx.m // 2), tx.m - tx.m // 2), rx.m, tx.m)
@@ -935,6 +935,28 @@ def test_full_svd_fallback_peak_memory_within_guard(layout, d, mode_count, monke
     assert peak <= 30 * -(-rx.m // 2) * tx.m
 
 
+@pytest.mark.parametrize("layout, d", [
+    ("nystrom1600x800", 0.1), ("trx1200x1200", 0.1), ("trx400x1200", 10.0),
+    *((layout, 0.1) for layout in DIRECT_LAYOUTS)])
+def test_widest_sketch_stays_under_the_plan_charge(layout, d, monkeypatch):
+    # the solve plan charges the evaluation and the full-SVD fallback, not the
+    # sketch, since the widest sketch, under 0.4 of a block's smaller side,
+    # holds less than the fallback: with the mode count forcing that width,
+    # both blocks must certify (the SVD sees only each width x n C, never a
+    # block formed whole) and the spectrum must peak under the plan's charge
+    # as tracemalloc sees it (0.33-0.63 of it here)
+    cfg, rx, tx = _large_case(layout, d)
+    width = (2 * min(rx.m // 2, tx.m // 2) - 1) // 5
+    monkeypatch.setattr(spectra, "_mode_count",
+                        lambda cfg: 2.0 * (width - spectra.SKETCH_OVERSAMPLING))
+    shapes, singular_values = [], spectra._singular_values
+    monkeypatch.setattr(spectra, "_singular_values",
+                        lambda M: shapes.append(M.shape) or singular_values(M))
+    peak = _spectrum_peak(cfg, rx, tx)
+    assert shapes == [(width, tx.m - tx.m // 2), (width, tx.m // 2)], shapes
+    assert peak < spectra._grid_plan(rx, tx, -(-rx.m // 2)).check(), peak
+
+
 _FALLBACK_RISE = _HIGH_WATER + """
 import sys
 import numpy as np
@@ -979,9 +1001,9 @@ def test_matrix_wider_than_a_row_block_is_charged_its_whole_row(monkeypatch):
     # 1 x 10**6 channel's row block is its 10**6 entries (tracemalloc peak
     # 80.1 MB), not GREEN_BLOCK_ENTRIES (which the estimate charged, 42.4 MB)
     rx, tx = midpoint_grid(2.0, 1), gauss_legendre_grid(2.0, 10**6)
-    charges, check = [], physics.check_memory
-    monkeypatch.setattr(physics, "check_memory",
-                        lambda need, what: check(need, what) or charges.append((need, what)))
+    charges, check = [], spectra.check_arrays
+    monkeypatch.setattr(spectra, "check_arrays",
+                        lambda what, *phases: charges.append((check(what, *phases), what)))
     tracemalloc.start()
     try:
         assemble_channel_matrix(rx, tx, SystemConfig())
