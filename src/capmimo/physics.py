@@ -16,8 +16,8 @@ arguments (broadcasting applies); they are safe to call concurrently.
 from __future__ import annotations
 
 import math
-import operator
 import os
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -59,13 +59,15 @@ class SystemConfig:
         power_density: source power density P (equal allocation, no CSI), >= 0.
         noise_density: receiver noise density n0 (two-sided n0/2), > 0.
 
-    The geometry's arithmetic must be finite: ``green_offset``'s 2 r^2,
-    (k r)^2 and 2 lam r at r^2 = d^2 + l^2, Gmax^2 and B = l^2 Gmax^2,
-    with Gmax = Z0 / (2 lam d) (1 + 2 / (kd) + 2 / (kd)^2) >= |G| (t <= 1,
-    |n| <= 2, r >= d there). So must the SNR scales 2 / n0 and 2 P / n0,
-    and P B and 2 P B / n0: B bounds the unit-power trace and a
-    Gauss-Legendre ||A||_F^2, so P B and 2 P B / n0 bound every scaled
-    eigenvalue of the three models. Both checks run in Python floats.
+    The geometry's arithmetic must be finite and normal: ``green_offset``'s
+    2 r^2, (k r)^2 and 2 lam r at r^2 = d^2 + l^2, Gmax^2 and B = l^2
+    Gmax^2, with Gmax = Z0 / (2 lam d) (1 + 2 / (kd) + 2 / (kd)^2) >= |G|
+    (t <= 1, |n| <= 2, r >= d there); B or Gmax^2 below the smallest
+    normal float leaves the unit-power trace or an antenna ||A||_F^2 at 0.
+    The SNR scales 2 / n0 and 2 P / n0, P B and 2 P B / n0 must be finite:
+    B bounds the unit-power trace and a Gauss-Legendre ||A||_F^2, so P B
+    and 2 P B / n0 bound every scaled eigenvalue. Both checks run in
+    Python floats, after a bool is refused as any attribute.
     """
 
     wavelength_m: float = 0.04
@@ -77,18 +79,20 @@ class SystemConfig:
     def __post_init__(self) -> None:
         for name in ("wavelength_m", "aperture_m", "distance_m", "noise_density"):
             as_positive(name, getattr(self, name))
-        if not (self.power_density >= 0 and math.isfinite(self.power_density)):
-            raise ValueError(f"power_density must be nonnegative, got {self.power_density}")
+        p = self.power_density
+        if isinstance(p, (bool, np.bool_)) or not (p >= 0 and math.isfinite(p)):
+            raise ValueError(f"power_density must be nonnegative, got {p}")
         lam, l, d, p, n0 = map(float, (self.wavelength_m, self.aperture_m, self.distance_m,
                                        self.power_density, self.noise_density))
         u = lam / (2.0 * math.pi * d)  # 1 / (kd)
         g_peak = Z0_OHMS / (2.0 * lam) / d * (1.0 + 2.0 * u * (1.0 + u))
         r, l_peak = math.sqrt(d * d + l * l), l * g_peak
         kr = 2.0 * math.pi / lam * r
-        if not all(map(math.isfinite, (2.0 * r * r, kr * kr, 2.0 * lam * r, g_peak * g_peak,
-                                       l_peak * l_peak))):
+        if not all(sys.float_info.min <= x < math.inf for x in (
+                2.0 * r * r, kr * kr, 2.0 * lam * r, g_peak * g_peak, l_peak * l_peak)):
             raise ValueError(f"wavelength_m {lam}, aperture_m {l} and distance_m {d} overflow "
-                             f"2 r^2, (k r)^2, 2 lam r, Gmax^2 or l^2 Gmax^2, r^2 = d^2 + l^2")
+                             f"or underflow 2 r^2, (k r)^2, 2 lam r, Gmax^2 or l^2 Gmax^2, "
+                             f"r^2 = d^2 + l^2")
         signal, snr = p * l_peak * l_peak, 2.0 / n0
         if not all(map(math.isfinite, (snr, 2.0 * p / n0, signal, snr * signal))):
             raise ValueError(f"power_density {p} and noise_density {n0} make the SNR scale "
@@ -184,15 +188,14 @@ def distance_phase(cfg: SystemConfig) -> complex:
 def as_count(name: str, value, minimum: int) -> int:
     """The package's one count rule: ``value`` as a Python int of at least ``minimum``.
 
-    Any integer type is accepted, numpy's included. Anything else (a float
-    such as 64.0 too) or a smaller count raises a one-line ValueError
-    naming ``name``, so a count never reaches a cache key or a grid
-    without being an exact integer in range.
+    A Python or numpy integer is accepted. A bool (Python's or numpy's),
+    anything else (a float such as 64.0 too) or a smaller count raises a
+    one-line ValueError naming ``name``, so a count never reaches a cache
+    key or a grid without being an exact integer in range.
     """
-    try:
-        count = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value}") from None
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    count = int(value)
     if count < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {count}")
     return count
@@ -202,10 +205,10 @@ def as_positive(name: str, value: float) -> float:
     """The package's one positivity rule: ``value`` unchanged if it is positive and finite.
 
     It checks the wavelength, aperture, distance, noise density and every
-    grid length; anything else (zero, a negative, inf or nan) raises a
-    one-line ValueError naming ``name``.
+    grid length; anything else (zero, a negative, inf, nan or a bool)
+    raises a one-line ValueError naming ``name``.
     """
-    if not (value > 0 and math.isfinite(value)):
+    if isinstance(value, (bool, np.bool_)) or not (value > 0 and math.isfinite(value)):
         raise ValueError(f"{name} must be positive, got {value}")
     return value
 

@@ -198,34 +198,33 @@ def assemble_channel_matrix(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
                             cfg: SystemConfig) -> np.ndarray:
     """A = sqrt(w_r) G(r_i - s_k) sqrt(w_s), shape (m_rx, m_tx), a fresh array; H = G on antennas.
 
-    A is the view ``_lattice`` builds by the grids' ``solve_plan``, times
-    ``distance_phase``, the factor the view leaves out. A table's view is
-    copied out whole.
+    A is the view ``_lattice`` builds of the grids' ``solve_plan``, charged
+    first, times ``distance_phase``, the factor the view leaves out. A
+    table's view is copied out whole.
     """
     plan = _grid_plan(rx_grid, tx_grid, rx_grid.m)
     evaluation = plan.phases()[0]
     plan.check(evaluation, () if plan.direct else
                (evaluation[0], ("A", (plan.rows, plan.cols), np.complex128)))
-    A = _lattice(rx_grid, tx_grid, cfg, rx_grid.m).reshape(rx_grid.m, tx_grid.m)
+    A = _lattice(plan, rx_grid, tx_grid, cfg).reshape(rx_grid.m, tx_grid.m)
     # a table view stays a read-only view of aliased entries where the
     # reshape need not copy (one-node panels on both sides)
     return np.multiply(A, distance_phase(cfg), out=A if A.flags.writeable else None)
 
 
-def _lattice(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid, cfg: SystemConfig,
-             rows: int) -> np.ndarray:
+def _lattice(plan: SolvePlan, rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
+             cfg: SystemConfig) -> np.ndarray:
     """A = sqrt(w_r) G sqrt(w_s) as a (panel, node, panel, node) view V[I, a, K, b].
 
-    Built as the grids' ``solve_plan`` says, over the panels that hold the
-    first ``rows`` receive nodes: node i = I k_rx + a, node k = K k_tx + b.
-    The view of a table is read-only; a direct plan's rows are read as
-    one-node panels, V[i, 0, k, 0] = A[i, k]. Each grid's weights are
-    folded in once. G is ``green_offset``'s, without ``distance_phase``.
+    Built as ``plan``, the grids' ``solve_plan``, says, over the panels that
+    hold the first ``plan.rows`` receive nodes: node i = I k_rx + a, node k
+    = K k_tx + b. The view of a table is read-only; a direct plan's rows are
+    read as one-node panels, V[i, 0, k, 0] = A[i, k]. Each grid's weights
+    are folded in once. G is ``green_offset``'s, without ``distance_phase``.
     """
-    plan = _grid_plan(rx_grid, tx_grid, rows)
     count, k_rx, k_tx = plan.table
     if plan.direct:  # table[0, i, k] = G(r_i - s_k)
-        table = _green_matrix(rx_grid.points[:rows], tx_grid.points, cfg)
+        table = _green_matrix(rx_grid.points[:plan.rows], tx_grid.points, cfg)
     else:  # table[D - low, a, b] = G(D l / lcm + r_a - s_b), a and b nodes of the first panels
         node_offsets = tx_grid.points[None, :k_tx] - rx_grid.points[:k_rx, None]
         differences = np.arange(plan.low, plan.low + count) * (rx_grid.length / plan.lcm)
@@ -236,7 +235,7 @@ def _lattice(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid, cfg: SystemConfig
     if rx_grid.weights is not None:
         table *= np.sqrt(rx_grid.weights[:k_rx])[:, None]
     if plan.direct:
-        return table.reshape(rows, 1, k_tx, 1)
+        return table.reshape(plan.rows, 1, k_tx, 1)
     step_rx, step_tx = plan.lcm // rx_grid.panels, plan.lcm // tx_grid.panels
     # D - low = I step_rx + (P_tx - 1 - K) step_tx: windows[j, a, b, w] = table[j + w, a, b]
     windows = np.lib.stride_tricks.sliding_window_view(table, 1 - plan.low, axis=0)
@@ -257,17 +256,17 @@ class _SplitBlock:
 
     B[i, k] = op(H[i, k], H[i, q - 1 - k]) from the lattice view of H and
     its column mirror; B+ keeps the middle column q // 2 as sqrt(2) c and
-    divides the middle row p // 2 by sqrt(2). Indexing B with row and
-    column ranges copies only that part out of the view, into a fresh
-    array the caller owns.
+    divides the middle row p // 2 by sqrt(2). Indexing B with a row range
+    and a column range copies only that part out of the view, into a
+    fresh array the caller owns.
     """
 
     def __init__(self, lattice: np.ndarray, op, shape: tuple[int, int], p: int, q: int):
         self.lattice, self.mirror, self.op = lattice, lattice[:, :, ::-1, ::-1], op
         self.shape, self.middle = shape, (p // 2, q // 2)
 
-    def __getitem__(self, key) -> np.ndarray:
-        rows, cols = key if isinstance(key, tuple) else (key, slice(None))
+    def __getitem__(self, key: tuple[slice, slice]) -> np.ndarray:
+        rows, cols = key
         (r0, r1, _), (c0, c1, _) = rows.indices(self.shape[0]), cols.indices(self.shape[1])
         _, k_rx, _, k_tx = self.lattice.shape
         (I0, a0), (K0, b0) = divmod(r0, k_rx), divmod(c0, k_tx)
@@ -305,8 +304,9 @@ def centrosymmetric_spectrum(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
     Every value is then at most SKETCH_TOL^2 ||A||_F^2 below the exact
     one, and log det(I + s A A^H) at most s SKETCH_TOL^2 ||A||_F^2 low.
 
-    Both blocks are ``_SplitBlock``s over the view ``_lattice``, formed
-    a piece at a time, as the charged ``SolvePlan.phases`` list them.
+    Both blocks are ``_SplitBlock``s over the view ``_lattice`` builds of
+    the one plan charged here, formed a piece at a time, as its
+    ``SolvePlan.phases`` list them.
 
     When the a-priori sketch work top * q * width is below SERIAL_WORK,
     both blocks are solved with the BLAS on one thread, and the count
@@ -327,7 +327,7 @@ def centrosymmetric_spectrum(rx_grid: QuadratureGrid, tx_grid: QuadratureGrid,
     top, half = -(-p // 2), q // 2
     plan = _grid_plan(rx_grid, tx_grid, top)
     plan.check()
-    lattice = _lattice(rx_grid, tx_grid, cfg, top)
+    lattice = _lattice(plan, rx_grid, tx_grid, cfg)
     plus = _SplitBlock(lattice, np.add, (top, q - half), p, q)
     minus = _SplitBlock(lattice, np.subtract, (p // 2, half), p, q)
     width = math.ceil(_mode_count(cfg) / 2) + SKETCH_OVERSAMPLING
@@ -509,20 +509,19 @@ def _phases(rows: int, cols: int) -> np.ndarray:
     return table[(z >> np.uint64(54)).astype(np.intp)].reshape(rows, cols)
 
 
-def _block_spectrum(B, width: int) -> tuple[np.ndarray, float]:
+def _block_spectrum(B: _SplitBlock, width: int) -> tuple[np.ndarray, float]:
     """Squared singular values and ||B||_F^2 of B, certified from a sketch of ``width`` columns.
 
-    B is an ndarray or a ``_SplitBlock``. Its sketch (``_sketch_spectrum``)
-    is kept when its residual certifies it; otherwise the width doubles.
-    Once five times the width reaches twice min(B.shape) the full SVD of
-    B, formed whole, runs instead: on 80 x 400 to 1000 x 500 blocks (numpy
-    2.4 with OpenBLAS 0.3.31, 2 cores) a sketch of 0.4 min(B.shape)
-    columns took 0.6-0.7 of the full SVD's time, and one of 0.5
-    min(B.shape) columns 0.8-1.0. Every SVD, of B or of a sketch, is taken
-    on the tall side, of M.T when M is wide: the singular values are the
-    same, and numpy's SVD of a wide C-ordered matrix takes about twice as
-    long as that of its transpose. The random draw only decides how often
-    the full SVD runs.
+    B's sketch (``_sketch_spectrum``) is kept when its residual certifies
+    it; otherwise the width doubles. Once five times the width reaches
+    twice min(B.shape) the full SVD of B, formed whole, runs instead: on
+    80 x 400 to 1000 x 500 blocks (numpy 2.4 with OpenBLAS 0.3.31, 2
+    cores) a sketch of 0.4 min(B.shape) columns took 0.6-0.7 of the full
+    SVD's time, and one of 0.5 min(B.shape) columns 0.8-1.0. Every SVD, of
+    B or of a sketch, is taken on the tall side, of M.T when M is wide:
+    the singular values are the same, and numpy's SVD of a wide C-ordered
+    matrix takes about twice as long as that of its transpose. The random
+    draw only decides how often the full SVD runs.
     """
     m, n = B.shape
     while 5 * width < 2 * min(m, n):
@@ -534,7 +533,7 @@ def _block_spectrum(B, width: int) -> tuple[np.ndarray, float]:
     return _singular_values(B) ** 2, _squared_norm(B)
 
 
-def _sketch_spectrum(B, width: int) -> tuple[np.ndarray, float] | None:
+def _sketch_spectrum(B: _SplitBlock, width: int) -> tuple[np.ndarray, float] | None:
     """B's squared singular values and ||B||_F^2 from a sketch of ``width`` columns, or None.
 
     B is read a piece at a time, each piece no larger than the sketch's
@@ -543,13 +542,12 @@ def _sketch_spectrum(B, width: int) -> tuple[np.ndarray, float] | None:
     Omega and ||B||_F^2, Omega the n x width matrix ``_phases`` draws for
     this sketch. ``_conjugate_basis`` writes conj(Q) over Y, Q an
     orthonormal basis of Y's range: Q^H is its transpose. One pass over
-    B's columns forms C = Q^H B and subtracts Q C from each piece in
-    place (``_subtract_projection``), leaving the residual R = B - Q C; a
-    piece of an ndarray B is copied first, so B is never written. When
-    ||R||_F^2 <= tau^2 ||B||_F^2 (tau = SKETCH_TOL) C's squared singular
-    values are returned, padded with zeros to min(B.shape); otherwise, or
-    when the residual is nan, None, and the sketch's factors are freed
-    before B is sketched wider or formed whole.
+    B's columns forms C = Q^H B and subtracts Q C in place from each
+    piece, a fresh array (``_subtract_projection``), leaving the residual
+    R = B - Q C. When ||R||_F^2 <= tau^2 ||B||_F^2 (tau = SKETCH_TOL) C's
+    squared singular values are returned, padded with zeros to
+    min(B.shape); otherwise, or when the residual is nan, None, and the
+    sketch's factors are freed before B is sketched wider or formed whole.
 
     Arrays held, by phase. The row pass: Y, Omega and one piece of rows,
     each piece freed before the next is formed; Omega is freed before the
@@ -573,7 +571,7 @@ def _sketch_spectrum(B, width: int) -> tuple[np.ndarray, float] | None:
     Y = np.empty((m, width), dtype=np.complex128, order="F")
     norm = 0.0
     for i in range(0, m, chunk):
-        rows = B[i:i + chunk]
+        rows = B[i:i + chunk, :]
         np.matmul(rows, omega, out=Y[i:i + chunk])
         norm += _squared_norm(rows)
         del rows
@@ -586,10 +584,9 @@ def _sketch_spectrum(B, width: int) -> tuple[np.ndarray, float] | None:
         cols = B[:, j:j + piece]
         C_j = C[:, j:j + piece]
         np.matmul(Q_bar.T, cols, out=C_j)
-        R = cols if isinstance(B, _SplitBlock) else np.array(cols, np.complex128, order="C")
-        _subtract_projection(R, Q_bar, C_j)
-        residual += _squared_norm(R)
-        del cols, R
+        _subtract_projection(cols, Q_bar, C_j)
+        residual += _squared_norm(cols)
+        del cols
     del Q_bar
     if not residual <= SKETCH_TOL**2 * norm:
         return None

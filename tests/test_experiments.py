@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from capmimo import (
@@ -115,6 +116,13 @@ def test_sweeps_check_counts_before_any_solve():
         sweep_grid(cfg, 10.0, [3.0], [3], ref_m=64)
     with pytest.raises(ValueError, match="^ref_m must be an integer, got 64.0$"):
         sweep_receiver(cfg, [10.0], [4], ref_m=64.0)
+    # a bool, which would pass as the count 1 or the distance 1 m
+    with pytest.raises(ValueError, match="^antenna count must be an integer, got True$"):
+        sweep_receiver(cfg, [10.0], [True], ref_m=64)
+    with pytest.raises(ValueError, match="^antenna count must be an integer, got True$"):
+        sweep_grid(cfg, 10.0, [np.True_], [3], ref_m=64)
+    with pytest.raises(ValueError, match="^distance_m must be positive, got True$"):
+        sweep_receiver(cfg, [True], [4], ref_m=64)
     # a repeated distance or cell, which would return duplicate rows
     with pytest.raises(ValueError, match="^repeated distance or cell in "):
         sweep_receiver(cfg, [10.0, 10.0], [5], ref_m=64)

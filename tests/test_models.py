@@ -77,11 +77,20 @@ def constant_channel(monkeypatch):
     ("m1", lambda cfg: mi_discrete_trx(3, 3, cfg), lambda cfg: mi_discrete_trx(3.0, 3, cfg)),
     ("m2", lambda cfg: mi_discrete_trx(3, 3, cfg),
      lambda cfg: mi_discrete_trx(3, np.float64(3.0), cfg)),
+    *(pytest.param(name, valid, invalid, id=f"{name}-bool") for name, valid, invalid in [
+        ("ref_m", lambda cfg: mi_continuous(cfg, 64), lambda cfg: mi_continuous(cfg, True)),
+        ("m", lambda cfg: mi_discrete_rx(4, cfg), lambda cfg: mi_discrete_rx(True, cfg)),
+        ("inner_points", lambda cfg: mi_discrete_rx(4, cfg, 256),
+         lambda cfg: mi_discrete_rx(4, cfg, np.True_)),
+        ("m1", lambda cfg: mi_discrete_trx(3, 3, cfg), lambda cfg: mi_discrete_trx(True, 3, cfg)),
+        ("m2", lambda cfg: mi_discrete_trx(3, 3, cfg),
+         lambda cfg: mi_discrete_trx(3, np.True_, cfg)),
+    ]),
 ])
 def test_non_integer_counts_rejected_cold_and_warm(name, valid, invalid):
-    # a float count equal to an integer hashes like it, so it must be
-    # refused before any cache lookup: the same one-line error whether or
-    # not the integer call has filled the cache
+    # a float count equal to an integer hashes like it, and a bool is one
+    # (True == 1), so each must be refused before any cache lookup: the same
+    # one-line error whether or not the integer call has filled the cache
     cfg = SystemConfig()
     models._spectrum.cache_clear()
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):

@@ -138,7 +138,8 @@ def test_grid_rejects_bad_arguments():
         midpoint_grid(0.0, 4)
     # an infinite or zero length is refused in one line, before any node is computed
     for build, length, n in ((midpoint_grid, math.inf, 4), (gauss_legendre_grid, math.inf, 16),
-                             (gauss_legendre_grid, 0.0, 16)):
+                             (gauss_legendre_grid, 0.0, 16), (midpoint_grid, True, 4),
+                             (gauss_legendre_grid, np.True_, 16)):
         with pytest.raises(ValueError, match=f"^grid length must be positive, got {length}$"):
             build(length, n)
 
@@ -167,9 +168,11 @@ def test_grids_sized_before_they_are_built(build, what, monkeypatch):
     (midpoint_grid, "grid size m", 4.5),
     (midpoint_grid, "grid size m", 4.0),
     (gauss_legendre_grid, "Gauss-Legendre node count", 64.0),
+    (midpoint_grid, "grid size m", True),
+    pytest.param(midpoint_grid, "grid size m", np.True_, id="midpoint_grid-grid size m-np.True_"),
 ])
 def test_grids_reject_non_integer_counts_cold_and_warm(build, name, count):
-    # a float count, even one equal to an integer, is refused in one line
+    # a float or bool count, even one equal to an integer, is refused in one line
     # naming it before the cached Gauss-Legendre rule is looked up: the
     # same error whether or not the integer call has filled the cache
     physics._gauss_legendre_rule.cache_clear()
@@ -249,7 +252,8 @@ def test_gathered_channel_matches_direct_evaluation(d, monkeypatch):
         for rows in (rx.m, -(-rx.m // 2)):
             counted[0] = 0
             H = (assemble_channel_matrix(rx, tx, cfg) if rows == rx.m
-                 else spectra._lattice(rx, tx, cfg, rows).reshape(-1, tx.m)[:rows])
+                 else spectra._lattice(spectra._grid_plan(rx, tx, rows), rx, tx, cfg)
+                 .reshape(-1, tx.m)[:rows])
             direct = green_offset(rx.points[:rows, None] - tx.points[None, :], cfg)
             if rows == rx.m:  # the channel is G itself, the view G without exp(i k d)
                 direct *= physics.distance_phase(cfg)
@@ -317,7 +321,7 @@ def test_rule_of_equal_short_panels_is_read_from_an_offset_table():
     # spectrum matches a full SVD of every entry
     cfg = SystemConfig(distance_m=1.0)
     rx, tx = gauss_legendre_grid(cfg.aperture_m, 30), gauss_legendre_grid(cfg.aperture_m, 800)
-    assert spectra._lattice(rx, tx, cfg, rx.m).shape == (2, 15, 50, 16)
+    assert spectra._lattice(spectra._grid_plan(rx, tx, rx.m), rx, tx, cfg).shape == (2, 15, 50, 16)
     direct = np.sqrt(rx.weights[:, None] * tx.weights) * green_offset(
         rx.points[:, None] - tx.points[None, :], cfg)
     H = assemble_channel_matrix(rx, tx, cfg)
@@ -438,14 +442,23 @@ def test_default_reference_certifies_at_its_first_width(wavelength, d, sketch_wi
     assert sketch_widths == [width] * 2
 
 
+def _split(M: np.ndarray) -> spectra._SplitBlock:
+    """M as a split block: B+ of the centrosymmetric 2m x 2n matrix read from the top rows
+    [M | 0], one-node panels, whose middle row and column lie outside it, so B+ = M + 0."""
+    m, n = M.shape
+    top = np.concatenate([M, np.zeros_like(M)], axis=1).astype(np.complex128)
+    return spectra._SplitBlock(top.reshape(m, 1, 2 * n, 1), np.add, (m, n), 2 * m, 2 * n)
+
+
 @pytest.mark.parametrize("shape", [(50, 60), (60, 50)])
 def test_full_svd_is_taken_on_the_tall_side(shape):
     # a wide block's full SVD runs on its transpose: a full-rank block and
     # its transpose give bitwise the same values
     rng = np.random.default_rng(9)
     B = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    assert np.array_equal(_block_spectrum(B, 4)[0], _block_spectrum(B.T, 4)[0])
-    assert np.array_equal(_block_spectrum(B, 4)[0], _block_spectrum(B.T.copy(), 4)[0])
+    assert np.array_equal(_block_spectrum(_split(B), 4)[0], _block_spectrum(_split(B.T), 4)[0])
+    assert np.array_equal(_block_spectrum(_split(B), 4)[0],
+                          _block_spectrum(_split(B.T.copy()), 4)[0])
 
 
 def test_wide_low_rank_block_matches_oracle(sketch_widths):
@@ -458,7 +471,7 @@ def test_wide_low_rank_block_matches_oracle(sketch_widths):
     B = assemble_channel_matrix(rx, tx, cfg)
     oracle = full_matrix_spectrum(cfg, rx.points, tx.points, None, tx.weights)[0]
     for block in (B, B.T):
-        values = np.sort(_block_spectrum(block, 32)[0])[::-1]
+        values = np.sort(_block_spectrum(_split(block), 32)[0])[::-1]
         assert np.max(np.abs(values - oracle)) <= 1e-13 * oracle[0]
     assert sketch_widths == [32, 32]
 
@@ -468,7 +481,8 @@ def test_full_rank_block_falls_back_to_full_svd_bitwise():
     # its residual test, and the 60 x 50 block gets np.linalg.svd itself
     rng = np.random.default_rng(8)
     B = rng.normal(size=(60, 50)) + 1j * rng.normal(size=(60, 50))
-    assert np.array_equal(_block_spectrum(B, 4)[0], np.linalg.svd(B, compute_uv=False) ** 2)
+    assert np.array_equal(_block_spectrum(_split(B), 4)[0],
+                          np.linalg.svd(B, compute_uv=False) ** 2)
 
 
 def test_sketched_spectrum_is_bitwise_repeatable():
@@ -709,20 +723,9 @@ def test_nan_entry_certifies_no_sketch(monkeypatch):
     for routines in (spectra._sketch_routines(), None):
         monkeypatch.setattr(spectra, "_sketch_routines", lambda: routines)
         B = _low_rank_block(6)
-        assert spectra._sketch_spectrum(B, 16) is not None
+        assert spectra._sketch_spectrum(_split(B), 16) is not None
         B[7, 11] = np.nan
-        assert spectra._sketch_spectrum(B, 16) is None
-
-
-@pytest.mark.parametrize("order", ["C", "F"])
-def test_sketch_never_writes_an_ndarray_block(order):
-    # the residual is subtracted in place in each column piece, so a piece of
-    # a caller's ndarray is copied first: B stays bitwise what it was, in
-    # C order and in Fortran order (whose pieces are not row-contiguous)
-    B = np.asarray(_low_rank_block(7), order=order)
-    before = B.copy()
-    assert spectra._sketch_spectrum(B, 16) is not None
-    assert B.tobytes() == before.tobytes()
+        assert spectra._sketch_spectrum(_split(B), 16) is None
 
 
 @pytest.mark.skipif(spectra._sketch_routines() is None,
@@ -734,7 +737,7 @@ def test_buffered_residual_where_blas_is_missing(layout, d, monkeypatch):
     # and subtracted: the same ||B||_F^2, both certified, values within 1e-13
     # of the largest
     cfg, rx, tx = _large_case(layout, d)
-    lattice = spectra._lattice(rx, tx, cfg, -(-rx.m // 2))
+    lattice = spectra._lattice(spectra._grid_plan(rx, tx, -(-rx.m // 2)), rx, tx, cfg)
     plus = spectra._SplitBlock(lattice, np.add, (-(-rx.m // 2), tx.m - tx.m // 2), rx.m, tx.m)
     width = math.ceil(spectra._mode_count(cfg) / 2) + spectra.SKETCH_OVERSAMPLING
     values, norm = spectra._sketch_spectrum(plus, width)
@@ -1019,10 +1022,10 @@ def test_matrix_wider_than_a_row_block_is_charged_its_whole_row(monkeypatch):
     "trx1200x400", "nystrom1600x1000", "nystrom1600x800", *SMALL_LAYOUTS])
 def test_plan_is_what_the_lattice_builds(layout, monkeypatch):
     # the pure plan, made from each side's node count and the panel count
-    # its rule gives before any grid exists, is the grids' plan and decides
-    # what _lattice evaluates, for the spectrum's top half and for the
-    # whole channel: direct, every entry of those rows, or the offset
-    # table of its extent; making the plan traces under 1 KB
+    # its rule gives before any grid exists, is the grids' plan, and handed
+    # to _lattice it decides what _lattice evaluates, for the spectrum's top
+    # half and for the whole channel: direct, every entry of those rows, or
+    # the offset table of its extent; making the plan traces under 1 KB
     cfg, rx, tx = _large_case(layout, SMALL_LAYOUTS.get(layout, 10.0))
     sides = [(g.m, g.m if g.weights is None else physics.gauss_legendre_panels(g.m))
              for g in (rx, tx)]
@@ -1043,12 +1046,39 @@ def test_plan_is_what_the_lattice_builds(layout, monkeypatch):
         assert traced < 1024, traced
         assert plan == spectra._grid_plan(rx, tx, rows)
         evaluated.clear()
-        spectra._lattice(rx, tx, cfg, rows)
+        spectra._lattice(plan, rx, tx, cfg)
         count, k_rx, k_tx = plan.table
         assert evaluated == [(rows, tx.m, True) if plan.direct
                              else (count, k_rx * k_tx, False)], (layout, rows)
     if layout not in SMALL_LAYOUTS:  # small receivers are direct at some distances
         assert plan.direct == (layout in DIRECT_LAYOUTS)
+
+
+def test_one_plan_per_solve(monkeypatch):
+    # a spectrum or channel call makes one solve plan, charges it and hands
+    # that same object to _lattice; a model call makes one more, in
+    # model_sides, before any grid exists, equal to the one its solve makes
+    plans, built, make, lattice = [], [], spectra.solve_plan, spectra._lattice
+    monkeypatch.setattr(spectra, "solve_plan",
+                        lambda *args: plans.append(make(*args)) or plans[-1])
+    monkeypatch.setattr(models, "solve_plan", spectra.solve_plan)
+    monkeypatch.setattr(spectra, "_lattice",
+                        lambda plan, *args: built.append(plan) or lattice(plan, *args))
+    cfg = SystemConfig(distance_m=1.0)
+    for rx, tx in [(midpoint_grid(2.0, 41), gauss_legendre_grid(2.0, 64)),
+                   (gauss_legendre_grid(2.0, 1000), gauss_legendre_grid(2.0, 800)),
+                   (midpoint_grid(2.0, 30), midpoint_grid(2.0, 30))]:
+        for solve in (centrosymmetric_spectrum, assemble_channel_matrix):
+            del plans[:], built[:]
+            solve(rx, tx, cfg)
+            assert len(plans) == len(built) == 1 and built[0] is plans[0], solve.__name__
+    for call in (lambda: models.mi_continuous(cfg, 64), lambda: models.mi_discrete_rx(41, cfg, 64),
+                 lambda: models.mi_discrete_trx(30, 20, cfg)):
+        models._spectrum.cache_clear()
+        del plans[:], built[:]
+        call()
+        assert len(plans) == 2 and plans[0] == plans[1]
+        assert len(built) == 1 and built[0] is plans[1]
 
 
 def _spectrum_peak(cfg, rx, tx) -> int:
